@@ -180,14 +180,17 @@ mod tests {
     /// is tie, so the bar is "not dramatically slower" — a lock convoy
     /// or accidental serialization through shared state would blow
     /// straight past 3×. Run over the *shared* facility, where a
-    /// convoy on the shared directory would actually live.
+    /// convoy on the shared directory would actually live. The stream is
+    /// long enough (a few ms for one worker) that request work, not the
+    /// pool's fixed start-up — thread spawns, one instance per worker, a
+    /// scheduler tick on a busy host — sets the ratio.
     #[test]
     fn four_workers_do_not_collapse() {
         let engine = Engine::new().facility(Facility::ShadowShared);
         let program = engine
             .compile(sb_workloads::MIXED_HANDLER)
             .expect("handler compiles");
-        let stream = sb_workloads::mixed_traffic(48, 5, 9);
+        let stream = sb_workloads::mixed_traffic(1024, 5, 9);
         let expected_traps = stream.iter().filter(|&&l| l > 16).count() as u64;
 
         let mut worst = (u64::MAX, 0u64);

@@ -883,14 +883,7 @@ impl Checker {
     fn to_rvalue(&mut self, c: Checked, pos: Pos) -> Result<Expr> {
         match c {
             Checked::Val(v) => Ok(v),
-            Checked::Func(name) => {
-                let sig = self.func_sigs[&name].clone();
-                Ok(Expr {
-                    ty: Ty::Func(Box::new(sig)).ptr_to(),
-                    kind: ExprKind::FuncAddr(name),
-                    pos,
-                })
-            }
+            Checked::Func(name) => self.func_addr(name, pos),
             Checked::Place(p) => match p.ty().clone() {
                 Ty::Array(elem, n) => {
                     // Array-to-pointer decay: &p[0], typed elem*.
@@ -921,6 +914,19 @@ impl Checker {
                 }
             },
         }
+    }
+
+    /// The address of function `name`, typed as a function pointer.
+    /// Builtins have no code address: they can only be called.
+    fn func_addr(&self, name: String, pos: Pos) -> Result<Expr> {
+        let Some(sig) = self.func_sigs.get(&name) else {
+            return self.err(format!("builtin `{name}` can only be called"), pos);
+        };
+        Ok(Expr {
+            ty: Ty::Func(Box::new(sig.clone())).ptr_to(),
+            kind: ExprKind::FuncAddr(name),
+            pos,
+        })
     }
 
     /// Loading a *part* of an aggregate local (field/index) requires the
@@ -1031,14 +1037,7 @@ impl Checker {
                         pos,
                     })
                 }
-                Checked::Func(name) => {
-                    let sig = self.func_sigs[&name].clone();
-                    Checked::Val(Expr {
-                        ty: Ty::Func(Box::new(sig)).ptr_to(),
-                        kind: ExprKind::FuncAddr(name),
-                        pos,
-                    })
-                }
+                Checked::Func(name) => Checked::Val(self.func_addr(name, pos)?),
                 Checked::Val(_) => return self.err("cannot take the address of an rvalue", pos),
             },
             AK::Unary(op @ (UnOp::Neg | UnOp::BitNot), inner) => {

@@ -422,8 +422,9 @@ impl Instance<'_> {
         each_machine!(self, m => m.hooks().evidence_overflow())
     }
 
-    /// Digest of the current simulated memory image (differential
-    /// testing against fresh machines).
+    /// Digest of the current simulated memory image
+    /// ([`Mem::content_hash`](sb_vm::Mem::content_hash)), for comparing
+    /// runs against fresh machines and serial oracles.
     pub fn mem_content_hash(&self) -> u64 {
         each_machine!(self, m => m.mem.content_hash())
     }
@@ -509,10 +510,15 @@ mod tests {
 
     #[test]
     fn compile_reports_frontend_errors() {
-        let err = Engine::new()
-            .compile("int main( { return 0; }")
-            .expect_err("bad source");
-        assert!(matches!(err, SoftBoundError::Compile(_)), "{err}");
+        for src in [
+            "int main( { return 0; }",
+            // Builtins used as values: they have no code address.
+            "int main() { return (long)malloc != 0; }",
+            "int main() { return (long)&printf != 0; }",
+        ] {
+            let err = Engine::new().compile(src).expect_err(src);
+            assert!(matches!(err, SoftBoundError::Compile(_)), "{src}: {err}");
+        }
     }
 
     #[test]

@@ -7,9 +7,10 @@
 //! host allocator for nothing, evidence emission included. Draining
 //! returns a fresh `Vec` and is therefore done outside the measured
 //! window (that is the caller's explicit export step, not the hot
-//! path).
+//! path). Under Strict the ring is empty, so a whole `fleet::observe`
+//! request — drain and memory digest included — is pinned at zero too.
 
-use softbound::{Engine, Facility, ViolationPolicy};
+use softbound::{fleet, CheckMode, Engine, Facility, Instance, ViolationPolicy};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -163,6 +164,47 @@ fn warm_shared_facility_run_allocates_nothing() {
     assert_eq!(
         delta, 0,
         "warm shared-facility replay (reset included) must not touch \
+         the host allocator: {delta} allocations"
+    );
+}
+
+#[test]
+fn warm_fleet_observe_allocates_nothing() {
+    // `fleet::observe` is what a pool worker does per request: reset,
+    // run, memory digest, evidence drain. Under Strict the drain returns
+    // an empty `Vec` and the digest folds over the page table in place,
+    // so a warmed store-only shared-facility instance serving the mixed
+    // handler must ask the host allocator for nothing — trapping
+    // requests included.
+    let _guard = MEASURE.lock().expect("no poisoned measurements");
+    let engine = Engine::new()
+        .check_mode(CheckMode::StoreOnly)
+        .facility(Facility::ShadowShared);
+    let program = engine
+        .compile(sb_workloads::MIXED_HANDLER)
+        .expect("compiles");
+    let mut instance = engine.instantiate(&program);
+    // Lengths above 16 overflow the handler's buffer and must trap.
+    let requests = [0, 7, 16, 40];
+    let serve = |instance: &mut Instance<'_>| {
+        requests
+            .iter()
+            .map(|&n| fleet::observe(instance, "main", n))
+            .filter(|o| o.outcome.is_spatial_violation())
+            .count()
+    };
+    assert_eq!(serve(&mut instance), 1, "warm-up: one trapping request");
+
+    let delta = min_delta_over_attempts(|| {
+        let before = allocs();
+        let traps = serve(&mut instance);
+        let delta = allocs() - before;
+        assert_eq!(traps, 1);
+        delta
+    });
+    assert_eq!(
+        delta, 0,
+        "warm fleet::observe (reset, run, digest, drain) must not touch \
          the host allocator: {delta} allocations"
     );
 }

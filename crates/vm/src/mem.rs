@@ -385,29 +385,17 @@ impl Mem {
         Ok(())
     }
 
-    /// Order-independent digest of the full memory image (every mapped
-    /// page's index and contents, folded in sorted page order). Two
-    /// memories with identical mapped pages and bytes hash equal —
-    /// the equality the whole-program differential suite asserts on
-    /// final memory across metadata facilities.
+    /// Digest of the full memory image: which pages are mapped and what
+    /// they hold. Two memories with the same mapped pages and the same
+    /// bytes digest equal, whatever order the pages were mapped or
+    /// written in — the equality the differential suites and the fleet's
+    /// determinism contract assert on final memory.
+    ///
+    /// It is a comparison digest, not a persisted format: see
+    /// [`content_hash_range`](Self::content_hash_range) for what it keys
+    /// on.
     pub fn content_hash(&self) -> u64 {
-        let mut idxs: Vec<u64> = self.pages.keys().copied().collect();
-        idxs.sort_unstable();
-        // FNV-1a over (page index, page bytes).
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        let mix = |byte: u8, h: &mut u64| {
-            *h ^= byte as u64;
-            *h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        };
-        for i in idxs {
-            for b in i.to_le_bytes() {
-                mix(b, &mut h);
-            }
-            for &b in self.store[self.pages[&i] as usize].iter() {
-                mix(b, &mut h);
-            }
-        }
-        h
+        self.content_hash_range(0, u64::MAX)
     }
 
     /// [`content_hash`](Self::content_hash) restricted to pages whose
@@ -415,25 +403,40 @@ impl Mem {
     /// below [`FN_BASE`], which holds exactly the program-visible data
     /// an uninstrumented twin must reproduce (stack pages carry frame
     /// residue that legitimately differs across instrumentation).
+    ///
+    /// The digest is a wrapping sum with one term per mapped page (keyed
+    /// on its index, so a mapped all-zero page differs from an unmapped
+    /// one) and one term per **non-zero** little-endian `u64` word, keyed
+    /// on its value and its absolute index `page << 9 | k` (`k < 512` is
+    /// the word's place in its page). For a fixed index, a word's term is
+    /// a bijection of its value that maps 0 to 0, so zero words
+    /// contribute nothing — all-zero 64-byte lines are skipped with one
+    /// OR — and changing any single word always changes the digest. A
+    /// sum does not depend on page-table iteration order, so nothing is
+    /// sorted or allocated.
     pub fn content_hash_range(&self, lo: u64, hi: u64) -> u64 {
-        let mut idxs: Vec<u64> = self
-            .pages
-            .keys()
-            .copied()
-            .filter(|&i| (lo / PAGE_SIZE..hi / PAGE_SIZE).contains(&i))
-            .collect();
-        idxs.sort_unstable();
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        let mix = |byte: u8, h: &mut u64| {
-            *h ^= byte as u64;
-            *h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        };
-        for i in idxs {
-            for b in i.to_le_bytes() {
-                mix(b, &mut h);
+        let pages = lo.div_ceil(PAGE_SIZE)..hi.div_ceil(PAGE_SIZE);
+        let mut h = 0u64;
+        for (&page, &slot) in &self.pages {
+            if !pages.contains(&page) {
+                continue;
             }
-            for &b in self.store[self.pages[&i] as usize].iter() {
-                mix(b, &mut h);
+            h = h.wrapping_add(fmix64(page ^ PAGE_KEY));
+            let frame = &self.store[slot as usize];
+            for (line, bytes) in frame.chunks_exact(64).enumerate() {
+                let words: [u64; 8] = std::array::from_fn(|k| {
+                    u64::from_le_bytes(bytes[8 * k..8 * k + 8].try_into().expect("8 bytes"))
+                });
+                if words.iter().fold(0, |acc, w| acc | w) == 0 {
+                    continue;
+                }
+                for (k, &w) in words.iter().enumerate() {
+                    if w != 0 {
+                        let index = page << 9 | (line * 8 + k) as u64;
+                        let key = fmix64(index) | 1;
+                        h = h.wrapping_add(fmix64(fmix64(w).wrapping_mul(key)));
+                    }
+                }
             }
         }
         h
@@ -455,6 +458,21 @@ impl Mem {
         }
         Ok(out)
     }
+}
+
+/// Salt of a mapped page's digest term. Its top bits are set and page
+/// indices are `< 2^52`, so `page ^ PAGE_KEY` is never 0 and every
+/// mapped page adds a non-zero term.
+const PAGE_KEY: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// MurmurHash3's 64-bit finalizer: a bijection on `u64` with full
+/// avalanche that maps 0 to 0.
+fn fmix64(mut x: u64) -> u64 {
+    x ^= x >> 33;
+    x = x.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    x ^= x >> 33;
+    x = x.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    x ^ (x >> 33)
 }
 
 /// One live heap allocation.
@@ -746,6 +764,105 @@ mod tests {
         let mut fresh = Mem::new();
         fresh.map_range(0x9000, 8);
         assert_eq!(m.content_hash(), fresh.content_hash());
+    }
+
+    /// A memory with `words` (address, value) written on freshly mapped
+    /// pages, in the given order.
+    fn image(words: &[(u64, u64)]) -> Mem {
+        let mut m = Mem::new();
+        for &(addr, v) in words {
+            m.map_range(addr, 8);
+            m.write_uint(addr, 8, v).expect("mapped");
+        }
+        m
+    }
+
+    #[test]
+    fn digest_forgets_values_overwritten_with_zero() {
+        let mut m = image(&[(0x1008, 0xdead_beef)]);
+        m.write_uint(0x1008, 8, 0).expect("mapped");
+        assert_eq!(m.content_hash(), image(&[(0x1008, 0)]).content_hash());
+    }
+
+    #[test]
+    fn digest_distinguishes_a_mapped_zero_page_from_an_unmapped_one() {
+        assert_ne!(
+            image(&[(0x1000, 0)]).content_hash(),
+            Mem::new().content_hash()
+        );
+        assert_ne!(
+            image(&[(0x1000, 0)]).content_hash(),
+            image(&[(0x2000, 0)]).content_hash()
+        );
+    }
+
+    #[test]
+    fn digest_keys_words_on_their_page() {
+        // Both pages mapped, the same word on one or the other: only the
+        // word's page index tells them apart.
+        let mut a = image(&[(0x1010, 7)]);
+        a.map_range(0x2000, 8);
+        let mut b = image(&[(0x2010, 7)]);
+        b.map_range(0x1000, 8);
+        assert_ne!(a.content_hash(), b.content_hash());
+    }
+
+    #[test]
+    fn digest_detects_swapped_words() {
+        for (x, y) in [(0x1000, 0x1008), (0x1000, 0x1ff8), (0x1000, 0x9000)] {
+            let (v, w) = (0x1111_2222, 0x3333_4444_5555);
+            assert_ne!(
+                image(&[(x, v), (y, w)]).content_hash(),
+                image(&[(x, w), (y, v)]).content_hash(),
+                "swap of {x:#x} and {y:#x}"
+            );
+        }
+    }
+
+    #[test]
+    fn digest_detects_a_one_bit_flip_anywhere_in_a_word() {
+        for base in [0, 0x0123_4567_89ab_cdef] {
+            let h = image(&[(0x1040, base)]).content_hash();
+            for bit in 0..64 {
+                assert_ne!(
+                    image(&[(0x1040, base ^ (1 << bit))]).content_hash(),
+                    h,
+                    "bit {bit} of {base:#x}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn digest_ignores_mapping_and_write_order() {
+        let words = [
+            (0x1000, 1),
+            (0x5ff8, 2),
+            (STACK_BASE + 8, 3),
+            (HEAP_BASE, 4),
+        ];
+        let mut reversed = words;
+        reversed.reverse();
+        assert_eq!(
+            image(&words).content_hash(),
+            image(&reversed).content_hash()
+        );
+    }
+
+    #[test]
+    fn range_digest_covers_pages_starting_in_unaligned_bounds() {
+        let words = [(0x1000, 1), (0x2000, 2), (0x3000, 3)];
+        let m = image(&words);
+        // Pages starting in [0x1001, 0x3001) are pages 2 and 3.
+        assert_eq!(
+            m.content_hash_range(0x1001, 0x3001),
+            image(&words[1..]).content_hash()
+        );
+        // The full range reaches the top page of the address space.
+        assert_ne!(
+            image(&[(u64::MAX - 15, 9)]).content_hash(),
+            Mem::new().content_hash()
+        );
     }
 
     #[test]
