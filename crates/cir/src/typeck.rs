@@ -1307,6 +1307,18 @@ impl Checker {
         })
     }
 
+    /// The element size pointer arithmetic on a `ptr_ty` value steps by
+    /// (`pointer ± integer` and `pointer − pointer`): one byte for
+    /// `void*`, as in GNU C, and none for function pointers, whose
+    /// pointee has no size.
+    fn arith_elem_size(&self, ptr_ty: &Ty, pos: Pos) -> Result<u64> {
+        match ptr_ty.pointee().expect("checked is_ptr") {
+            Ty::Void => Ok(1),
+            Ty::Func(_) => self.err("arithmetic on function pointer", pos),
+            t => Ok(self.types.size_of(t)),
+        }
+    }
+
     fn check_binary(&mut self, op: BinOp, l: &AExpr, r: &AExpr, pos: Pos) -> Result<Checked> {
         let lv = self.rvalue(l)?;
         let rv = self.rvalue(r)?;
@@ -1318,12 +1330,7 @@ impl Checker {
         // Pointer arithmetic and comparisons.
         match (lv.ty.is_ptr(), rv.ty.is_ptr(), op) {
             (true, false, Add) | (true, false, Sub) => {
-                let pointee = lv.ty.pointee().expect("checked is_ptr").clone();
-                let esz = match &pointee {
-                    Ty::Void => 1,
-                    Ty::Func(_) => return self.err("arithmetic on function pointer", pos),
-                    t => self.types.size_of(t),
-                };
+                let esz = self.arith_elem_size(&lv.ty, pos)?;
                 let idx = self.convert(rv, &Ty::long(), pos)?;
                 let idx = if op == Sub {
                     Expr {
@@ -1348,11 +1355,7 @@ impl Checker {
                 return self.binary_values(Add, rv, lv, pos);
             }
             (true, true, Sub) => {
-                let pointee = lv.ty.pointee().expect("checked is_ptr").clone();
-                let esz = match &pointee {
-                    Ty::Void => 1,
-                    t => self.types.size_of(t),
-                };
+                let esz = self.arith_elem_size(&lv.ty, pos)?;
                 return Ok(Expr {
                     ty: Ty::long(),
                     kind: ExprKind::PtrDiff {

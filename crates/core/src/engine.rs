@@ -515,6 +515,10 @@ mod tests {
             // Builtins used as values: they have no code address.
             "int main() { return (long)malloc != 0; }",
             "int main() { return (long)&printf != 0; }",
+            // Function-pointer difference: the pointee has no size.
+            "int f(int x) { return x; } \
+             int main() { int (*p)(int) = f; int (*q)(int) = f; return (int)(p - q); }",
+            "int f(int x) { return x; } int main() { return (int)(f - f); }",
         ] {
             let err = Engine::new().compile(src).expect_err(src);
             assert!(matches!(err, SoftBoundError::Compile(_)), "{src}: {err}");

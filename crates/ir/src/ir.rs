@@ -314,8 +314,11 @@ impl Inst {
         )
     }
 
-    /// Registers written by this instruction.
-    pub fn defs(&self) -> Vec<RegId> {
+    /// Registers written by this instruction, borrowed from it: one `dst`,
+    /// a call's or runtime helper's `dsts`, or none. The optimizer asks
+    /// every instruction for its defs on every round, so this never
+    /// allocates.
+    pub fn defs(&self) -> &[RegId] {
         match self {
             Inst::Bin { dst, .. }
             | Inst::Cmp { dst, .. }
@@ -323,9 +326,9 @@ impl Inst {
             | Inst::Mov { dst, .. }
             | Inst::Alloca { dst, .. }
             | Inst::Load { dst, .. }
-            | Inst::Gep { dst, .. } => vec![*dst],
-            Inst::Call { dsts, .. } | Inst::Rt { dsts, .. } => dsts.clone(),
-            _ => Vec::new(),
+            | Inst::Gep { dst, .. } => std::slice::from_ref(dst),
+            Inst::Call { dsts, .. } | Inst::Rt { dsts, .. } => dsts,
+            _ => &[],
         }
     }
 
@@ -569,7 +572,8 @@ mod tests {
             lhs: Value::Reg(RegId(1)),
             rhs: Value::Const(5),
         };
-        assert_eq!(i.defs(), vec![RegId(3)]);
+        assert_eq!(i.defs(), [RegId(3)]);
+        assert!(Inst::Jmp { to: BlockId(0) }.defs().is_empty());
         let mut uses = Vec::new();
         i.for_each_use(|v| uses.push(*v));
         assert_eq!(uses, vec![Value::Reg(RegId(1)), Value::Const(5)]);

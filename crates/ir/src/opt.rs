@@ -10,19 +10,22 @@
 //!   the same, except loads and runtime calls are never removed by DCE
 //!   (instrumented loads can trap), plus a dedicated
 //!   *redundant-check-elimination* pass: a spatial check whose exact
-//!   `(ptr, base, bound)` operands were already checked — with at least
-//!   the same access size — on every path from the entry, with no
-//!   intervening redefinition, call, pointer store, or
-//!   metadata-clobbering runtime op, is provably a repeat of an earlier
-//!   passed check and is dropped. This is the classic
+//!   `(ptr, base, bound, size)` operands were already checked on every
+//!   path from the entry, with no intervening redefinition of those
+//!   registers and no `setjmp` call site, is provably a repeat of an
+//!   earlier passed check and is dropped. This is the classic
 //!   available-expressions formulation of check elimination (cf. CHOP's
 //!   observation that redundant bounds checks dominate residual
-//!   overhead).
+//!   overhead), solved over bitsets of the function's numbered checks.
+//!
+//! Every function gets up to four rounds of these passes, so none of them
+//! allocates per instruction: their working arrays are indexed by register,
+//! block, or check number.
 
 use crate::ir::*;
 use sb_cir::hir::{ArithOp, CmpOp};
 use sb_cir::types::IntKind;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// Pipeline placement, which constrains what may be deleted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -266,32 +269,65 @@ fn const_fold(f: &mut Function) -> bool {
 /// pointer-kind registers' uses: instrumentation passes identify pointer
 /// call arguments by register kind, and folding `Mov ptr_reg, 0` away
 /// would change that classification.
+///
+/// The copy map is indexed by register. Each entry records its source
+/// register's generation; redefining a register bumps its generation,
+/// which makes every copy of its old value stale at once, with no search.
+/// Entries also carry their block, so the map empties between blocks.
 fn copy_propagate(f: &mut Function) -> bool {
+    /// `dst = src` as recorded in block `block`; when `src` is a
+    /// register, valid only while its generation is still `src_gen`.
+    #[derive(Clone, Copy)]
+    struct Entry {
+        src: Value,
+        block: u32,
+        src_gen: u32,
+    }
+    let nregs = f.reg_kinds.len();
+    let mut copies = vec![
+        Entry {
+            src: Value::NULL,
+            block: u32::MAX,
+            src_gen: 0,
+        };
+        nregs
+    ];
+    let mut gen = vec![0u32; nregs];
     let mut changed = false;
-    let reg_kinds = f.reg_kinds.clone();
-    for b in &mut f.blocks {
-        let mut map: HashMap<RegId, Value> = HashMap::new();
+    for (bi, b) in f.blocks.iter_mut().enumerate() {
+        let block = bi as u32;
         for inst in &mut b.insts {
             // Rewrite uses first.
             inst.for_each_use_mut(|v| {
                 if let Value::Reg(r) = v {
-                    if let Some(repl) = map.get(r) {
-                        *v = *repl;
+                    let c = copies[r.0 as usize];
+                    let live = c.block == block
+                        && !matches!(c.src, Value::Reg(s) if gen[s.0 as usize] != c.src_gen);
+                    if live {
+                        *v = c.src;
                         changed = true;
                     }
                 }
             });
-            // Kill mappings clobbered by this instruction's defs.
+            // Kill the copy into each def, and every copy of its old value.
             for d in inst.defs() {
-                map.remove(&d);
-                map.retain(|_, v| *v != Value::Reg(d));
+                copies[d.0 as usize].block = u32::MAX;
+                gen[d.0 as usize] += 1;
             }
             // Record new copies (but keep pointer registers symbolic).
             if let Inst::Mov { dst, src } = inst {
-                let ptr_const = matches!(src, Value::Const(_))
-                    && reg_kinds[dst.0 as usize] == crate::ir::RegKind::Ptr;
+                let ptr_const =
+                    matches!(src, Value::Const(_)) && f.reg_kinds[dst.0 as usize] == RegKind::Ptr;
                 if *src != Value::Reg(*dst) && !ptr_const {
-                    map.insert(*dst, *src);
+                    let src_gen = match src {
+                        Value::Reg(s) => gen[s.0 as usize],
+                        _ => 0,
+                    };
+                    copies[dst.0 as usize] = Entry {
+                        src: *src,
+                        block,
+                        src_gen,
+                    };
                 }
             }
         }
@@ -317,12 +353,12 @@ fn has_side_effect(inst: &Inst, level: OptLevel) -> bool {
 fn dce(f: &mut Function, level: OptLevel) -> bool {
     // A register is live if it appears in any use position (registers are
     // mutable, so this is a whole-function property).
-    let mut used: HashSet<RegId> = HashSet::new();
+    let mut used = vec![false; f.reg_kinds.len()];
     for b in &f.blocks {
         for inst in &b.insts {
             inst.for_each_use(|v| {
                 if let Value::Reg(r) = v {
-                    used.insert(*r);
+                    used[r.0 as usize] = true;
                 }
             });
         }
@@ -335,11 +371,22 @@ fn dce(f: &mut Function, level: OptLevel) -> bool {
                 return true;
             }
             let defs = inst.defs();
-            defs.is_empty() || defs.iter().any(|d| used.contains(d))
+            defs.is_empty() || defs.iter().any(|d| used[d.0 as usize])
         });
         changed |= b.insts.len() != before;
     }
     changed
+}
+
+/// The blocks a block's terminator may jump to.
+fn successors(b: &Block) -> [Option<BlockId>; 2] {
+    match b.insts.last() {
+        Some(Inst::Jmp { to }) => [Some(*to), None],
+        Some(Inst::Br {
+            then_to, else_to, ..
+        }) => [Some(*then_to), Some(*else_to)],
+        _ => [None, None],
+    }
 }
 
 /// Removes unreachable blocks and threads trivial jump chains.
@@ -399,18 +446,7 @@ fn simplify_cfg(f: &mut Function) -> bool {
         if std::mem::replace(&mut reachable[b.0 as usize], true) {
             continue;
         }
-        if let Some(last) = f.blocks[b.0 as usize].insts.last() {
-            match last {
-                Inst::Jmp { to } => stack.push(*to),
-                Inst::Br {
-                    then_to, else_to, ..
-                } => {
-                    stack.push(*then_to);
-                    stack.push(*else_to);
-                }
-                _ => {}
-            }
-        }
+        stack.extend(successors(&f.blocks[b.0 as usize]).into_iter().flatten());
     }
     if reachable.iter().all(|&r| r) {
         return changed;
@@ -504,7 +540,7 @@ fn check_key(inst: &Inst) -> Option<CheckKey> {
 /// proven fact can stop holding are:
 ///
 /// * one of its registers is redefined — the generic defs-kill in
-///   [`check_transfer`] handles that, including call/Rt destinations;
+///   [`KeyIndex::kill`] handles that, including call/Rt destinations;
 /// * control re-enters the function mid-CFG with register values the
 ///   dataflow never saw. The one construct that does this is `longjmp`,
 ///   which resumes execution immediately after a live `setjmp` call
@@ -540,52 +576,166 @@ fn key_regs(key: &CheckKey) -> impl Iterator<Item = RegId> + '_ {
         })
 }
 
-type CheckSet = HashSet<CheckKey>;
+/// Groups of small integers, flattened: group `g` is
+/// `items[start[g]..start[g + 1]]`.
+struct Groups {
+    start: Vec<u32>,
+    items: Vec<u32>,
+}
 
-/// Applies one instruction's effect to the available-check set.
-fn check_transfer(inst: &Inst, avail: &mut CheckSet) {
-    if clobbers_all_checks(inst) {
-        avail.clear();
-    } else {
-        let defs = inst.defs();
-        if !defs.is_empty() {
-            avail.retain(|key| !key_regs(key).any(|r| defs.contains(&r)));
+impl Groups {
+    /// Groups `(group, item)` pairs by group (a counting sort: count per
+    /// group, turn the counts into range ends, fill each range from its
+    /// end). `pairs` is called twice and must yield the same pairs.
+    fn new<I: Iterator<Item = (usize, u32)>>(ngroups: usize, pairs: impl Fn() -> I) -> Self {
+        let mut start = vec![0u32; ngroups + 1];
+        for (g, _) in pairs() {
+            start[g] += 1;
         }
+        let mut end = 0;
+        for n in &mut start {
+            end += *n;
+            *n = end;
+        }
+        let mut items = vec![0; end as usize];
+        for (g, item) in pairs() {
+            start[g] -= 1;
+            items[start[g] as usize] = item;
+        }
+        Groups { start, items }
     }
-    // The check itself becomes available *after* the kill step (an
-    // instruction never invalidates the fact it just established).
-    if let Some(key) = check_key(inst) {
-        avail.insert(key);
+
+    fn get(&self, g: usize) -> &[u32] {
+        &self.items[self.start[g] as usize..self.start[g + 1] as usize]
     }
 }
 
-/// Intersection of available-check sets (a check survives a merge only
-/// when proven on all incoming paths).
-fn check_meet(a: &CheckSet, b: &CheckSet) -> CheckSet {
-    a.intersection(b).copied().collect()
+/// Key id of an instruction that is not a keyed check.
+const NO_KEY: u32 = u32::MAX;
+
+/// One function's check keys, numbered densely so that a set of keys is
+/// a bitset of `nkeys.div_ceil(64)` words.
+struct KeyIndex {
+    /// Distinct keys in the function.
+    nkeys: usize,
+    /// Key id of every instruction, blocks in order ([`NO_KEY`] for
+    /// everything but keyed checks).
+    inst_key: Vec<u32>,
+    /// Per register, the keys that read it, which its redefinition kills.
+    kills: Groups,
+}
+
+impl KeyIndex {
+    fn new(f: &Function) -> Self {
+        let mut ids: HashMap<CheckKey, u32> = HashMap::new();
+        let mut keys = Vec::new();
+        let mut inst_key = Vec::with_capacity(f.inst_count());
+        for inst in f.blocks.iter().flat_map(|b| &b.insts) {
+            inst_key.push(check_key(inst).map_or(NO_KEY, |key| {
+                *ids.entry(key).or_insert_with(|| {
+                    keys.push(key);
+                    keys.len() as u32 - 1
+                })
+            }));
+        }
+        let kills = Groups::new(f.reg_kinds.len(), || {
+            keys.iter()
+                .zip(0..)
+                .flat_map(|(key, id)| key_regs(key).map(move |r| (r.0 as usize, id)))
+        });
+        KeyIndex {
+            nkeys: keys.len(),
+            inst_key,
+            kills,
+        }
+    }
+
+    /// Removes from `set` the keys `inst` invalidates: all of them at a
+    /// `setjmp`, otherwise those reading a register it defines.
+    fn kill(&self, inst: &Inst, set: &mut [u64]) {
+        if clobbers_all_checks(inst) {
+            set.fill(0);
+            return;
+        }
+        for r in inst.defs() {
+            for &k in self.kills.get(r.0 as usize) {
+                set[k as usize / 64] &= !(1 << (k % 64));
+            }
+        }
+    }
+
+    /// Applies instruction `inst`, of key id `id`, to the available set.
+    /// The check itself becomes available *after* the kill step (an
+    /// instruction never invalidates the fact it just established).
+    fn transfer(&self, inst: &Inst, id: u32, set: &mut [u64]) {
+        self.kill(inst, set);
+        if id != NO_KEY {
+            set[id as usize / 64] |= 1 << (id % 64);
+        }
+    }
+}
+
+/// True when key `id` is in `set`.
+fn available(set: &[u64], id: u32) -> bool {
+    id != NO_KEY && set[id as usize / 64] & (1 << (id % 64)) != 0
+}
+
+/// Writes block `bi`'s IN into `set`: the intersection of its
+/// predecessors' OUT (a check survives a merge only when proven on all
+/// incoming paths). Nothing is proven at the entry, even when a back edge
+/// reaches it, nor in a block without predecessors.
+fn block_in(bi: usize, preds: &Groups, out: &[u64], set: &mut [u64]) {
+    let words = set.len();
+    match preds.get(bi).split_first() {
+        Some((&first, rest)) if bi != 0 => {
+            set.copy_from_slice(&out[first as usize * words..][..words]);
+            for &p in rest {
+                for (a, o) in set.iter_mut().zip(&out[p as usize * words..][..words]) {
+                    *a &= o;
+                }
+            }
+        }
+        _ => set.fill(0),
+    }
 }
 
 /// Removes checks dominated by an identical check on every path
-/// (forward available-expressions dataflow, then one rewrite sweep).
-/// Returns the number of checks eliminated.
+/// (forward available-expressions dataflow over bitsets of key ids, then
+/// one rewrite sweep). Returns the number of checks eliminated.
 fn eliminate_redundant_checks(f: &mut Function) -> usize {
     let nblocks = f.blocks.len();
     if nblocks == 0 {
         return 0;
     }
-    let mut preds: Vec<Vec<usize>> = vec![Vec::new(); nblocks];
-    for (bi, b) in f.blocks.iter().enumerate() {
-        match b.insts.last() {
-            Some(Inst::Jmp { to }) => preds[to.0 as usize].push(bi),
-            Some(Inst::Br {
-                then_to, else_to, ..
-            }) => {
-                preds[then_to.0 as usize].push(bi);
-                if else_to != then_to {
-                    preds[else_to.0 as usize].push(bi);
-                }
-            }
-            _ => {}
+    let index = KeyIndex::new(f);
+    if index.nkeys == 0 {
+        return 0;
+    }
+    let words = index.nkeys.div_ceil(64);
+    let preds = Groups::new(nblocks, || {
+        f.blocks.iter().zip(0..).flat_map(|(b, bi)| {
+            successors(b)
+                .into_iter()
+                .flatten()
+                .map(move |s| (s.0 as usize, bi))
+        })
+    });
+
+    // Block summaries, so that OUT = (IN & KEEP) | GEN: GEN holds the
+    // keys a block establishes and still holds at its end, KEEP the keys
+    // nothing in it kills.
+    let mut gen = vec![0u64; nblocks * words];
+    let mut keep = vec![!0u64; nblocks * words];
+    let mut ids = index.inst_key.iter();
+    for ((b, g), k) in f
+        .blocks
+        .iter()
+        .zip(gen.chunks_exact_mut(words))
+        .zip(keep.chunks_exact_mut(words))
+    {
+        for (inst, &id) in b.insts.iter().zip(&mut ids) {
+            index.transfer(inst, id, g);
+            index.kill(inst, k);
         }
     }
 
@@ -593,72 +743,47 @@ fn eliminate_redundant_checks(f: &mut Function) -> usize {
     // entry starts from nothing proven; every other block starts from the
     // universe of check keys. Iteration is then monotone decreasing over
     // a finite lattice, so it terminates, and the greatest fixpoint it
-    // reaches is a sound under-approximation of "checked on every path
-    // from the entry".
-    let mut universe = CheckSet::new();
-    for b in &f.blocks {
-        for inst in &b.insts {
-            if let Some(key) = check_key(inst) {
-                universe.insert(key);
-            }
-        }
-    }
-    if universe.is_empty() {
-        return 0;
-    }
-    let mut out: Vec<CheckSet> = vec![universe; nblocks];
-    let block_in = |bi: usize, out: &[CheckSet]| -> CheckSet {
-        let mut acc: Option<CheckSet> = None;
-        if bi == 0 {
-            return CheckSet::new(); // nothing proven at entry
-        }
-        for &p in &preds[bi] {
-            acc = Some(match acc {
-                None => out[p].clone(),
-                Some(a) => check_meet(&a, &out[p]),
-            });
-        }
-        acc.unwrap_or_default()
-    };
-    {
-        // Entry OUT must not start at the universe.
-        let mut set = CheckSet::new();
-        for inst in &f.blocks[0].insts {
-            check_transfer(inst, &mut set);
-        }
-        out[0] = set;
-    }
+    // reaches, whatever the visit order, is a sound under-approximation
+    // of "checked on every path from the entry". Bits past the last key
+    // are never read.
+    let mut out = vec![!0u64; nblocks * words];
+    out[..words].copy_from_slice(&gen[..words]);
+    let mut set = vec![0u64; words];
     let mut changed = true;
     while changed {
         changed = false;
         for bi in 1..nblocks {
-            let mut set = block_in(bi, &out);
-            for inst in &f.blocks[bi].insts {
-                check_transfer(inst, &mut set);
-            }
-            if out[bi] != set {
-                out[bi] = set;
-                changed = true;
+            block_in(bi, &preds, &out, &mut set);
+            let block = bi * words..(bi + 1) * words;
+            for (((o, &i), &k), &g) in out[block.clone()]
+                .iter_mut()
+                .zip(&set)
+                .zip(&keep[block.clone()])
+                .zip(&gen[block])
+            {
+                let next = (i & k) | g;
+                changed |= *o != next;
+                *o = next;
             }
         }
     }
 
     // Rewrite sweep: drop checks whose exact identity is available.
     let mut eliminated = 0;
-    for bi in 0..nblocks {
-        let mut set = block_in(bi, &out);
-        let insts = std::mem::take(&mut f.blocks[bi].insts);
+    let mut ids = index.inst_key.iter();
+    for (bi, b) in f.blocks.iter_mut().enumerate() {
+        block_in(bi, &preds, &out, &mut set);
+        let insts = std::mem::take(&mut b.insts);
         let mut kept = Vec::with_capacity(insts.len());
-        for inst in insts {
-            let redundant = check_key(&inst).is_some_and(|key| set.contains(&key));
-            if redundant {
+        for (inst, &id) in insts.into_iter().zip(&mut ids) {
+            if available(&set, id) {
                 eliminated += 1;
                 continue;
             }
-            check_transfer(&inst, &mut set);
+            index.transfer(&inst, id, &mut set);
             kept.push(inst);
         }
-        f.blocks[bi].insts = kept;
+        b.insts = kept;
     }
     eliminated
 }
@@ -1081,6 +1206,125 @@ mod tests {
             ],
         }]);
         assert_eq!(eliminate_redundant_checks(&mut f), 1);
+    }
+
+    #[test]
+    fn keys_beyond_the_first_word_are_tracked() {
+        // 66 sized checks on p (key ids 0..=65) and one on q (id 66):
+        // more keys than one 64-bit word holds. The successor's repeat of
+        // key 65 is eliminated; key 66 is killed and re-checked, so stays.
+        let (p, b, e) = args();
+        let q = Value::Reg(RegId(3));
+        let mut entry: Vec<Inst> = (1..=66).map(|size| check(p, b, e, size)).collect();
+        entry.push(check(q, b, e, 4));
+        entry.push(Inst::Jmp { to: BlockId(1) });
+        let mut f = shell(vec![
+            Block { insts: entry },
+            Block {
+                insts: vec![
+                    check(p, b, e, 66), // available from the entry → dropped
+                    Inst::Mov {
+                        dst: RegId(3),
+                        src: Value::Const(64),
+                    },
+                    check(q, b, e, 4), // q redefined → kept
+                    Inst::Ret { vals: vec![] },
+                ],
+            },
+        ]);
+        f.reg_kinds.push(RegKind::Ptr);
+        assert_eq!(eliminate_redundant_checks(&mut f), 1, "{f:?}");
+        assert_eq!(count_checks(&f), 68);
+        assert!(matches!(
+            &f.blocks[1].insts[0],
+            Inst::Mov { dst: RegId(3), .. }
+        ));
+    }
+
+    #[test]
+    fn back_edge_into_the_entry_proves_nothing_there() {
+        // b0 loops to itself. Its check is available along the back
+        // edge but not on first entry, so it stays; the exit block's
+        // repeat is dominated by it and goes.
+        let (p, b, e) = args();
+        let mut f = shell(vec![
+            Block {
+                insts: vec![
+                    check(p, b, e, 4),
+                    Inst::Br {
+                        cond: Value::Reg(RegId(1)),
+                        then_to: BlockId(0),
+                        else_to: BlockId(1),
+                    },
+                ],
+            },
+            Block {
+                insts: vec![check(p, b, e, 4), Inst::Ret { vals: vec![] }],
+            },
+        ]);
+        assert_eq!(eliminate_redundant_checks(&mut f), 1);
+        assert!(matches!(f.blocks[0].insts[0], Inst::Rt { .. }));
+        assert_eq!(count_checks(&f), 1);
+    }
+
+    #[test]
+    fn setjmp_mid_block_clears_facts_for_successors_too() {
+        // Key A (size 4) and key B (size 8) are checked before a setjmp.
+        // A is re-checked after it in the same block (kept), which makes
+        // A available to the successor again; B is not, so the
+        // successor's B check stays and its A check goes.
+        let (p, b, e) = args();
+        let mut f = shell(vec![
+            Block {
+                insts: vec![
+                    check(p, b, e, 4),
+                    check(p, b, e, 8),
+                    Inst::Call {
+                        dsts: vec![],
+                        callee: Callee::Builtin(sb_cir::hir::Builtin::Setjmp),
+                        args: vec![p],
+                        ptr_hint: false,
+                        wrapped: false,
+                    },
+                    check(p, b, e, 4), // after the setjmp → kept
+                    Inst::Jmp { to: BlockId(1) },
+                ],
+            },
+            Block {
+                insts: vec![
+                    check(p, b, e, 8), // cleared by the setjmp → kept
+                    check(p, b, e, 4), // re-established after it → dropped
+                    Inst::Ret { vals: vec![] },
+                ],
+            },
+        ]);
+        assert_eq!(eliminate_redundant_checks(&mut f), 1);
+        assert_eq!(f.blocks[0].insts.len(), 5);
+        assert_eq!(f.blocks[1].insts.len(), 2);
+    }
+
+    #[test]
+    fn key_killed_and_reestablished_in_one_block_reaches_successors() {
+        let (p, b, e) = args();
+        let mut f = shell(vec![
+            Block {
+                insts: vec![
+                    check(p, b, e, 4),
+                    Inst::Mov {
+                        dst: RegId(0),
+                        src: Value::Const(64),
+                    },
+                    check(p, b, e, 4), // ptr redefined → kept
+                    Inst::Jmp { to: BlockId(1) },
+                ],
+            },
+            Block {
+                insts: vec![check(p, b, e, 4), Inst::Ret { vals: vec![] }],
+            },
+        ]);
+        assert_eq!(eliminate_redundant_checks(&mut f), 1);
+        assert_eq!(count_checks(&f), 2);
+        assert_eq!(f.blocks[1].insts.len(), 1);
     }
 
     #[test]
