@@ -91,21 +91,6 @@ impl Scheme {
         Ok(m)
     }
 
-    /// The runtime hooks implementing this scheme's dynamic semantics,
-    /// type-erased. This is the report/CLI boundary wrapper — the `run*`
-    /// methods below bypass it and dispatch statically per scheme.
-    pub fn runtime(&self) -> Box<dyn RuntimeHooks> {
-        match self {
-            Scheme::Uninstrumented => Box::new(NoRuntime),
-            Scheme::SoftBound(cfg) => Box::new(softbound::runtime_for(cfg)),
-            Scheme::JonesKelly => Box::new(ObjectTableRuntime::new(ObjectScheme::JonesKelly)),
-            Scheme::Mudflap => Box::new(ObjectTableRuntime::new(ObjectScheme::Mudflap)),
-            Scheme::Valgrind => Box::new(ValgrindRuntime::new()),
-            Scheme::FatPointer => Box::new(FatPtrRuntime::new()),
-            Scheme::Mscc => Box::new(MsccRuntime::new()),
-        }
-    }
-
     /// Runs `module` on a machine monomorphized for this scheme's
     /// concrete runtime — the statically-dispatched fast path every
     /// harness entry point funnels into.

@@ -12,8 +12,8 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use sb_ir::RtFn;
 use sb_vm::{Mem, RtCtx, RuntimeHooks};
 use softbound::{
-    DynRuntime, HashTableFacility, Meta, MetadataFacility, NoopSink, ShadowHashMapFacility,
-    ShadowPages, SoftBoundConfig, SoftBoundRuntime,
+    HashTableFacility, Meta, MetadataFacility, NoopSink, ShadowHashMapFacility, ShadowPages,
+    SoftBoundConfig, SoftBoundRuntime,
 };
 
 // Generic (monomorphized) driver: facilities are benchmarked under
@@ -68,20 +68,10 @@ fn bench_facility<F: MetadataFacility>(c: &mut Criterion, name: &str, make: impl
     group.finish();
 }
 
-// Dispatch comparison on the *same* data structure: the paged facility
-// monomorphized (what `SoftBoundRuntime<ShadowPages>` compiles to) versus
-// behind `Box<dyn MetadataFacility>` (the pre-devirtualization check
-// path, kept as `DynRuntime` for the CLI boundary). The gap is pure
-// virtual-call overhead — the cost the generic runtime removed.
-fn bench_dispatch(c: &mut Criterion) {
-    bench_facility(c, "paged_static", ShadowPages::new);
-    bench_facility(c, "paged_dyn", || {
-        Box::new(ShadowPages::new()) as Box<dyn MetadataFacility>
-    });
-
-    // The same comparison one layer up, through the runtime's `rt_call`
-    // entry point — the exact sequence the machine executes per
-    // instrumented dereference (check + metadata load + store).
+// One layer up, through the runtime's `rt_call` entry point — the exact
+// sequence the machine executes per instrumented dereference (check +
+// metadata load + store) over the paged shadow space.
+fn bench_rt_call(c: &mut Criterion) {
     fn rt_round<H: RuntimeHooks>(rt: &mut H, mem: &mut Mem, ctx: &mut RtCtx) -> i64 {
         let mut acc = 0i64;
         for i in 0..1000i64 {
@@ -108,14 +98,8 @@ fn bench_dispatch(c: &mut Criterion) {
     let cfg = SoftBoundConfig::full_shadow();
     let mut group = c.benchmark_group("metadata/rt_call");
     group.sample_size(20);
-    group.bench_function("paged_static", |b| {
+    group.bench_function("shadow_paged", |b| {
         let mut rt = SoftBoundRuntime::new_paged(&cfg);
-        let mut mem = Mem::new();
-        let mut ctx = RtCtx::default();
-        b.iter(|| black_box(rt_round(&mut rt, &mut mem, &mut ctx)));
-    });
-    group.bench_function("paged_dyn", |b| {
-        let mut rt: Box<dyn RuntimeHooks> = Box::new(DynRuntime::new(&cfg));
         let mut mem = Mem::new();
         let mut ctx = RtCtx::default();
         b.iter(|| black_box(rt_round(&mut rt, &mut mem, &mut ctx)));
@@ -129,5 +113,5 @@ fn benches(c: &mut Criterion) {
     bench_facility(c, "hash_table", || HashTableFacility::new(16));
 }
 
-criterion_group!(metadata, benches, bench_dispatch);
+criterion_group!(metadata, benches, bench_rt_call);
 criterion_main!(metadata);

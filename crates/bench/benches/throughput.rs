@@ -1,6 +1,6 @@
 //! The amortization proof for the session API: requests/sec on one
 //! reused [`Instance`](softbound::Instance) versus building a fresh
-//! machine per request (256 MiB shadow-directory reservation, global
+//! machine per request (shadow directory chunks and page frames, global
 //! layout, frame plans re-done every time) versus re-running the whole
 //! compile pipeline per request.
 //!
@@ -20,7 +20,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use sb_vm::ExecModule;
-use softbound::{fleet, Engine, Facility, Lane};
+use softbound::{fleet, Engine, Lane};
 
 /// A request-sized program: parse-ish arithmetic, a little heap churn,
 /// pointer stores (metadata traffic), and a checksum reply.
@@ -54,7 +54,7 @@ fn bench_program(c: &mut Criterion, group_name: &str, src: &str, args: &[i64]) {
     let mut group = c.benchmark_group(group_name);
     group.sample_size(20);
 
-    // The session path: one machine, one shadow reservation, reset
+    // The session path: one machine, one shadow overlay, reset
     // between requests — driving the pre-decoded lane (the default).
     group.bench_function("reused_instance", |b| {
         let mut instance = engine.instantiate(&program);
@@ -80,8 +80,8 @@ fn bench_program(c: &mut Criterion, group_name: &str, src: &str, args: &[i64]) {
         });
     });
 
-    // The pre-session path with the compile amortized: a fresh runtime
-    // (fresh 256 MiB directory reservation) and machine per request.
+    // The compile amortized, nothing else: a fresh runtime (fresh
+    // directory chunks and page frames) and machine per request.
     group.bench_function("fresh_machine_per_request", |b| {
         b.iter(|| black_box(engine.instantiate(&program).run("main", args).ret()));
     });
@@ -103,25 +103,6 @@ fn bench_program(c: &mut Criterion, group_name: &str, src: &str, args: &[i64]) {
                 let requests = [arg; 8];
                 b.iter(|| {
                     let report = fleet::serve(&engine, &program, "main", &requests, workers);
-                    assert_eq!(report.results.len(), requests.len());
-                    black_box(report.reqs_per_sec)
-                });
-            });
-        }
-        // The same pool over the process-wide shared shadow
-        // reservation: one 256 MiB directory for every worker instead
-        // of one each. Throughput must track the private-facility
-        // lanes (the check path reads the worker's overlay lock-free);
-        // what changes is the standing reservation, measured in the
-        // scaling section of BENCH_softbound.json.
-        let shared_engine = engine.clone().facility(Facility::ShadowShared);
-        let shared_program = shared_engine.compile(src).expect("compiles");
-        for workers in [1usize, 4] {
-            group.bench_function(format!("fleet_{workers}_workers_shared_batch8"), |b| {
-                let requests = [arg; 8];
-                b.iter(|| {
-                    let report =
-                        fleet::serve(&shared_engine, &shared_program, "main", &requests, workers);
                     assert_eq!(report.results.len(), requests.len());
                     black_box(report.reqs_per_sec)
                 });

@@ -3,7 +3,6 @@
 //! throughput over the evaluation workloads).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use sb_vm::{Machine, MachineConfig, RuntimeHooks};
 use sb_workloads::all_benchmarks;
 use softbound::{Engine, SoftBoundConfig};
 
@@ -54,10 +53,8 @@ fn benches(c: &mut Criterion) {
         });
     });
 
-    // End-to-end execution of the instrumented module, statically
-    // dispatched (runtime and facility monomorphized) versus the fully
-    // type-erased configuration (`Machine::new_dyn` over `DynRuntime`):
-    // the devirtualization payoff on a pointer-heavy workload.
+    // End-to-end execution of the instrumented module on a fresh
+    // instance per iteration, over a pointer-heavy workload.
     let w = sb_workloads::benchmark_by_name("treeadd").expect("exists");
     let cfg = SoftBoundConfig::full_shadow();
     let engine = Engine::new().softbound_config(cfg.clone());
@@ -70,13 +67,6 @@ fn benches(c: &mut Criterion) {
                     .run("main", &[w.default_arg])
                     .ret(),
             )
-        });
-    });
-    group.bench_function("run_protected_treeadd_dyn", |b| {
-        b.iter(|| {
-            let hooks: Box<dyn RuntimeHooks> = Box::new(softbound::DynRuntime::new(&cfg));
-            let mut machine = Machine::new_dyn(program.module(), MachineConfig::default(), hooks);
-            black_box(machine.run("main", &[w.default_arg]).ret())
         });
     });
     group.finish();

@@ -1,7 +1,7 @@
 //! Differential conformance fuzzer for the libc kernel corpus.
 //!
 //! Replays a deterministic case stream through the uninstrumented
-//! baseline and all 4 metadata facilities × 2 execution lanes, checking
+//! baseline and 3 metadata facilities × 2 execution lanes, checking
 //! output/digest agreement on safe cases and first-out-of-bounds-byte
 //! traps on overflowing ones (see `sb_bench::conformance`). With
 //! `--policy hardened|monitor` the same stream replays under the
@@ -66,7 +66,7 @@ fn main() -> ExitCode {
 
     eprintln!(
         "conformance_fuzz: seed {seed:#x}, cases {start}..{}, policy {} \
-         (4 facilities x 2 lanes + baseline per case)",
+         (3 facilities x 2 lanes + baseline per case)",
         start + cases,
         policy.label()
     );

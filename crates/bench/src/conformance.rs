@@ -2,10 +2,10 @@
 //!
 //! A deterministic, seed-driven generator produces `(kernel, cap, len,
 //! seed)` cases over [`sb_workloads::libc`]; each case runs through the
-//! uninstrumented baseline and the instrumented pipeline across **all
-//! four metadata facilities × both execution lanes** (tree-walk and
-//! pre-decoded), the fourth being the process-wide shared shadow
-//! reservation. The oracle is exact, not statistical:
+//! uninstrumented baseline and the instrumented pipeline across **three
+//! metadata facilities × both execution lanes** (tree-walk and
+//! pre-decoded): the shadow space, the HashMap oracle and the hash
+//! table. The oracle is exact, not statistical:
 //!
 //! - **safe** cases must finish in every lane with the baseline's
 //!   return value, byte-identical output, and the baseline's final
@@ -17,7 +17,7 @@
 //!   out-of-bounds byte** the kernel touches (computed from the guarded
 //!   base the kernel prints on its `G` line), whose read/write flag and
 //!   trap scheme match the kernel's oracle, and whose trap PC (the
-//!   dynamic instruction index) is identical across all eight lanes —
+//!   dynamic instruction index) is identical across all six lanes —
 //!   never later, never silently.
 //!
 //! On top of the Strict matrix sits a **policy matrix** lane
@@ -331,24 +331,10 @@ impl KernelHarness {
             ),
             observe("hash/tree", p, SoftBoundRuntime::new_hash(cfg), args, false),
             observe("hash/pre", p, SoftBoundRuntime::new_hash(cfg), args, true),
-            observe(
-                "shared/tree",
-                p,
-                SoftBoundRuntime::new_shared(cfg),
-                args,
-                false,
-            ),
-            observe(
-                "shared/pre",
-                p,
-                SoftBoundRuntime::new_shared(cfg),
-                args,
-                true,
-            ),
         ]
     }
 
-    /// Runs one case through baseline + all eight lanes and checks every
+    /// Runs one case through baseline + all six lanes and checks every
     /// conformance obligation. `Err` carries a human-readable account of
     /// the first divergence.
     pub fn run_case(&self, case: &Case) -> Result<(), String> {

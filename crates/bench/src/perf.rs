@@ -224,8 +224,6 @@ mod tests {
             p50_ns: 40,
             p95_ns: 90,
             p99_ns: 99,
-            reservation_bytes_per_worker: 1 << 28,
-            reservation_bytes_private: 4 << 28,
             reservation_bytes_shared: (1 << 28) + (4 << 22),
         }];
         let libc = vec![PerfRow {
@@ -252,8 +250,6 @@ mod tests {
             "\"workload\": \"memcpy\"",
             "\"scaling\"",
             "\"host_cores\"",
-            "\"reservation_bytes_per_worker\"",
-            "\"reservation_bytes_private\"",
             "\"reservation_bytes_shared\"",
         ] {
             assert!(json.contains(key), "missing {key} in:\n{json}");

@@ -2,13 +2,10 @@
 //! [`softbound::fleet`] worker pool as the pool grows, measured over
 //! the §6.4 nhttpd daemon on a deterministic connection-batch stream.
 //!
-//! Each pool size is measured twice — once over per-worker private
-//! shadow facilities (`Facility::ShadowPaged`, every worker owns a
-//! full 256 MiB directory) and once over the process-wide shared
-//! reservation (`Facility::ShadowShared`, one directory for the whole
-//! pool) — so the JSON records the standing metadata reservation both
-//! ways and the shared facility's headline (8 workers within ~1.2× of
-//! a single worker, instead of 8×) is a measured number, not a claim.
+//! Each pool runs the default shadow space (`Facility::ShadowShared`),
+//! whose 256 MiB directory is one process-wide reservation, so the JSON
+//! also records the pool's standing metadata reservation: 8 workers stay
+//! within ~1.2× of a single worker instead of paying the directory 8×.
 //!
 //! Rendered into `BENCH_softbound.json` (the `scaling` section) by the
 //! `perf_trajectory` binary alongside the per-lane perf rows:
@@ -42,8 +39,7 @@ pub struct ScalingPoint {
     pub workers: usize,
     /// Requests served.
     pub requests: usize,
-    /// Best-of-N wall time for the whole batch, nanoseconds
-    /// (private-facility pool, the historical timing lane).
+    /// Best-of-N wall time for the whole batch, nanoseconds.
     pub wall_ns: u64,
     /// Aggregate throughput at that wall time.
     pub reqs_per_sec: f64,
@@ -53,15 +49,8 @@ pub struct ScalingPoint {
     pub p95_ns: u64,
     /// 99th-percentile request latency, nanoseconds.
     pub p99_ns: u64,
-    /// Largest per-worker standing metadata reservation observed in
-    /// the private-facility pool (the cost the shared reservation
-    /// removes; kept for curve continuity across report versions).
-    pub reservation_bytes_per_worker: usize,
-    /// Whole-pool standing reservation with per-worker private
-    /// facilities: every worker pays for its own directory.
-    pub reservation_bytes_private: usize,
-    /// Whole-pool standing reservation with the shared facility: one
-    /// directory counted once plus each worker's private pages.
+    /// Whole-pool standing metadata reservation: the shared directory
+    /// counted once plus each worker's private chunks and pages.
     pub reservation_bytes_shared: usize,
 }
 
@@ -91,29 +80,21 @@ fn best_of(
 }
 
 /// Measures the scaling curve: for each pool size, serves the same
-/// deterministic nhttpd batch stream through both facility flavours
-/// and keeps the best-of-N wall time (noise only ever slows a batch
-/// down).
+/// deterministic nhttpd batch stream and keeps the best-of-N wall time
+/// (noise only ever slows a batch down).
 pub fn run() -> Vec<ScalingPoint> {
     let daemon = sb_workloads::daemons::all()
         .into_iter()
         .find(|d| d.name == "nhttpd")
         .expect("nhttpd daemon exists");
-    let private_engine = Engine::new().facility(Facility::ShadowPaged);
-    let shared_engine = Engine::new().facility(Facility::ShadowShared);
-    let private_program = private_engine
-        .compile(daemon.source)
-        .expect("daemon compiles");
-    let shared_program = shared_engine
-        .compile(daemon.source)
-        .expect("daemon compiles");
+    let engine = Engine::new().facility(Facility::ShadowShared);
+    let program = engine.compile(daemon.source).expect("daemon compiles");
     let stream = sb_workloads::nhttpd_batches(REQUESTS_PER_POINT, 0x5ca1e);
 
     WORKER_COUNTS
         .iter()
         .map(|&workers| {
-            let report = best_of(&private_engine, &private_program, &stream, workers);
-            let shared = best_of(&shared_engine, &shared_program, &stream, workers);
+            let report = best_of(&engine, &program, &stream, workers);
             ScalingPoint {
                 workers,
                 requests: report.results.len(),
@@ -122,14 +103,7 @@ pub fn run() -> Vec<ScalingPoint> {
                 p50_ns: report.p50_ns,
                 p95_ns: report.p95_ns,
                 p99_ns: report.p99_ns,
-                reservation_bytes_per_worker: report
-                    .per_worker
-                    .iter()
-                    .map(|w| w.reservation_bytes)
-                    .max()
-                    .unwrap_or(0),
-                reservation_bytes_private: report.reservation_total_bytes(),
-                reservation_bytes_shared: shared.reservation_total_bytes(),
+                reservation_bytes_shared: report.reservation_total_bytes(),
             }
         })
         .collect()
@@ -149,9 +123,7 @@ pub fn render_json(points: &[ScalingPoint]) -> String {
         s.push_str(&format!(
             "      {{\"workers\": {}, \"requests\": {}, \"wall_ns\": {}, \
              \"reqs_per_sec\": {:.1}, \"p50_ns\": {}, \"p95_ns\": {}, \
-             \"p99_ns\": {}, \"reservation_bytes_per_worker\": {}, \
-             \"reservation_bytes_private\": {}, \
-             \"reservation_bytes_shared\": {}}}{}\n",
+             \"p99_ns\": {}, \"reservation_bytes_shared\": {}}}{}\n",
             p.workers,
             p.requests,
             p.wall_ns,
@@ -159,8 +131,6 @@ pub fn render_json(points: &[ScalingPoint]) -> String {
             p.p50_ns,
             p.p95_ns,
             p.p99_ns,
-            p.reservation_bytes_per_worker,
-            p.reservation_bytes_private,
             p.reservation_bytes_shared,
             if i + 1 < points.len() { "," } else { "" }
         ));
@@ -213,19 +183,13 @@ mod tests {
         );
     }
 
-    /// The ISSUE's acceptance bar, measured on a cheap stream: an
-    /// 8-worker shared-facility pool's standing metadata reservation
-    /// stays within 1.2× of a single worker's (the directory is paid
-    /// once; only pages and chunk roots multiply), while the private
-    /// pool pays the full directory eight times.
+    /// Measured on a cheap stream: an 8-worker pool's standing metadata
+    /// reservation stays within 1.2× of a single worker's (the directory
+    /// is paid once; only pages and chunk roots multiply).
     #[test]
     fn eight_shared_workers_reserve_little_more_than_one() {
         let shared_engine = Engine::new().facility(Facility::ShadowShared);
-        let private_engine = Engine::new().facility(Facility::ShadowPaged);
         let shared_program = shared_engine
-            .compile(sb_workloads::MIXED_HANDLER)
-            .expect("handler compiles");
-        let private_program = private_engine
             .compile(sb_workloads::MIXED_HANDLER)
             .expect("handler compiles");
         let stream = sb_workloads::mixed_traffic(32, 5, 9);
@@ -238,15 +202,6 @@ mod tests {
             eight as f64 <= one as f64 * 1.2,
             "8-worker shared pool reserves {eight} bytes, more than 1.2x \
              a single worker's {one}"
-        );
-
-        let eight_private = fleet::serve(&private_engine, &private_program, "main", &stream, 8)
-            .reservation_total_bytes();
-        assert!(
-            eight_private > 4 * one,
-            "private 8-worker pool should dwarf the shared pool \
-             ({eight_private} vs {one}) — did the directory stop being \
-             the dominant cost?"
         );
     }
 
@@ -261,8 +216,6 @@ mod tests {
                 p50_ns: 40,
                 p95_ns: 90,
                 p99_ns: 99,
-                reservation_bytes_per_worker: 1 << 28,
-                reservation_bytes_private: 1 << 28,
                 reservation_bytes_shared: (1 << 28) + (1 << 22),
             },
             ScalingPoint {
@@ -273,8 +226,6 @@ mod tests {
                 p50_ns: 40,
                 p95_ns: 90,
                 p99_ns: 99,
-                reservation_bytes_per_worker: 1 << 28,
-                reservation_bytes_private: 4 << 28,
                 reservation_bytes_shared: (1 << 28) + (4 << 22),
             },
         ];
@@ -285,8 +236,6 @@ mod tests {
             "\"workers\": 1",
             "\"workers\": 4",
             "\"reqs_per_sec\"",
-            "\"reservation_bytes_per_worker\"",
-            "\"reservation_bytes_private\"",
             "\"reservation_bytes_shared\"",
         ] {
             assert!(json.contains(key), "missing {key} in:\n{json}");

@@ -16,23 +16,23 @@ pub enum CheckMode {
 }
 
 /// Which metadata organization backs the disjoint metadata space (§5.1).
+///
+/// The paper evaluates exactly two: a tag-less shadow space and a hash
+/// table. (The HashMap-backed shadow simulation in
+/// [`metadata`](crate::metadata) is a differential-testing oracle, not
+/// an engine facility.)
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Facility {
-    /// Tag-less direct map over two-level pages; ~5 instructions per
-    /// access, O(1) host-side, no collisions by construction.
+    /// The tag-less shadow space as a two-level paged direct map; ~5
+    /// instructions per access, O(1) host-side, no collisions by
+    /// construction. The 256 MiB directory is the process-wide
+    /// [`SharedShadowReservation`](crate::SharedShadowReservation),
+    /// allocated once per process; each instance overlays it with
+    /// copy-on-first-touch chunks, so a fleet pays it once.
     #[default]
-    ShadowPaged,
-    /// The HashMap-backed shadow-space simulation (differential-testing
-    /// oracle; same costs as [`Facility::ShadowPaged`], slower host side).
-    ShadowHashMap,
+    ShadowShared,
     /// Open-hashing table; ~9 instructions plus probes.
     HashTable,
-    /// The same tag-less direct map as [`Facility::ShadowPaged`], but
-    /// over the process-wide shared directory reservation: the 256 MiB
-    /// span is allocated once per process and each worker overlays it
-    /// with copy-on-first-touch chunks — the fleet configuration. Same
-    /// simulated costs, bit-identical observables.
-    ShadowShared,
 }
 
 /// Which interpreter lane an `Instance` drives.
@@ -90,7 +90,7 @@ impl Default for SoftBoundConfig {
     fn default() -> Self {
         SoftBoundConfig {
             mode: CheckMode::Full,
-            facility: Facility::ShadowPaged,
+            facility: Facility::ShadowShared,
             hash_log2_buckets: 20,
             memcpy_heuristic: true,
             clear_on_free: true,
@@ -156,10 +156,8 @@ impl SoftBoundConfig {
     /// (`"ShadowSpace-Complete-Hardened"`).
     pub fn label(&self) -> String {
         let fac = match self.facility {
-            Facility::ShadowPaged => "ShadowSpace",
-            Facility::ShadowHashMap => "ShadowHashMap",
+            Facility::ShadowShared => "ShadowSpace",
             Facility::HashTable => "HashTable",
-            Facility::ShadowShared => "SharedShadow",
         };
         let mode = match self.mode {
             CheckMode::Full => "Complete",
@@ -198,7 +196,7 @@ mod tests {
     fn default_is_full_paged_shadow() {
         let c = SoftBoundConfig::default();
         assert_eq!(c.mode, CheckMode::Full);
-        assert_eq!(c.facility, Facility::ShadowPaged);
+        assert_eq!(c.facility, Facility::ShadowShared);
         assert!(c.clear_on_free && c.clear_on_return && c.check_fn_ptrs);
         assert_eq!(c.policy, ViolationPolicy::Strict);
         assert_eq!(c.evidence_capacity, 256);
@@ -214,23 +212,5 @@ mod tests {
             SoftBoundConfig::monitor().label(),
             "ShadowSpace-Complete-Monitor"
         );
-    }
-
-    #[test]
-    fn hashmap_oracle_label_is_distinct() {
-        let c = SoftBoundConfig {
-            facility: Facility::ShadowHashMap,
-            ..SoftBoundConfig::default()
-        };
-        assert_eq!(c.label(), "ShadowHashMap-Complete");
-    }
-
-    #[test]
-    fn shared_shadow_label_is_distinct() {
-        let c = SoftBoundConfig {
-            facility: Facility::ShadowShared,
-            ..SoftBoundConfig::default()
-        };
-        assert_eq!(c.label(), "SharedShadow-Complete");
     }
 }

@@ -1,16 +1,13 @@
 //! The session-oriented embedding surface: [`Engine`] → [`Program`] →
 //! [`Instance`].
 //!
-//! The original entry points (`protect`, `run_instrumented`) are
-//! one-shot: each call re-compiles the source, re-allocates the shadow
-//! facility (a 256 MiB directory reservation for the paged shadow
-//! space), and rebuilds a `Machine`. That is the wrong shape for the
-//! fleet-style traffic the ROADMAP targets, and it is exactly the shape
-//! SoftBound's disjoint-metadata design (§5.1) does *not* require:
-//! because metadata lives apart from program memory, both reset
-//! independently and cheaply between runs.
-//!
-//! The session API splits the pipeline into three owned artifacts:
+//! A one-shot entry point — re-compile the source, rebuild the metadata
+//! facility and the `Machine`, run once — is the wrong shape for
+//! fleet-style traffic, and it is exactly the shape SoftBound's
+//! disjoint-metadata design (§5.1) does *not* require: because metadata
+//! lives apart from program memory, both reset independently and
+//! cheaply between runs. The session API therefore splits the pipeline
+//! into three owned artifacts:
 //!
 //! * [`Engine`] — a reusable builder capturing the
 //!   [`SoftBoundConfig`] and [`MachineConfig`]; cheap to clone, one per
@@ -42,7 +39,7 @@
 
 use crate::config::{CheckMode, Facility, Lane, SoftBoundConfig};
 use crate::error::SoftBoundError;
-use crate::metadata::{HashTableFacility, ShadowHashMapFacility, ShadowPages, SharedShadowPages};
+use crate::metadata::{HashTableFacility, ShadowPages};
 use crate::policy::{EvidenceRecord, ViolationPolicy};
 use crate::runtime::SoftBoundRuntime;
 use crate::transform::instrument;
@@ -169,10 +166,8 @@ impl Engine {
         let mut instance = self.instantiate_module(program.module());
         if self.lane == Lane::Predecoded {
             match &mut instance.repr {
-                Repr::Paged(m) => m.attach_exec(program.exec()),
-                Repr::ShadowHashMap(m) => m.attach_exec(program.exec()),
+                Repr::Shadow(m) => m.attach_exec(program.exec()),
                 Repr::HashTable(m) => m.attach_exec(program.exec()),
-                Repr::Shared(m) => m.attach_exec(program.exec()),
             }
             instance.lane = Lane::Predecoded;
         }
@@ -181,9 +176,7 @@ impl Engine {
 
     /// Builds a persistent machine over an already instrumented module
     /// (one produced by [`Engine::compile`] on the same configuration,
-    /// or by [`instrument`] directly). This is the seam the one-shot
-    /// shims ([`run_instrumented`](crate::run_instrumented)) delegate
-    /// through.
+    /// or by [`instrument`] directly).
     ///
     /// A bare module carries no cached [`ExecModule`], so instances
     /// built here always drive the tree-walk lane regardless of the
@@ -191,25 +184,15 @@ impl Engine {
     /// [`Program`] for the pre-decoded lane.
     pub fn instantiate_module<'m>(&self, module: &'m Module) -> Instance<'m> {
         let repr = match self.sb.facility {
-            Facility::ShadowPaged => Repr::Paged(Machine::new(
+            Facility::ShadowShared => Repr::Shadow(Machine::new(
                 module,
                 self.machine.clone(),
                 SoftBoundRuntime::new_paged(&self.sb),
-            )),
-            Facility::ShadowHashMap => Repr::ShadowHashMap(Machine::new(
-                module,
-                self.machine.clone(),
-                SoftBoundRuntime::new_shadow_hashmap(&self.sb),
             )),
             Facility::HashTable => Repr::HashTable(Machine::new(
                 module,
                 self.machine.clone(),
                 SoftBoundRuntime::new_hash(&self.sb),
-            )),
-            Facility::ShadowShared => Repr::Shared(Machine::new(
-                module,
-                self.machine.clone(),
-                SoftBoundRuntime::new_shared(&self.sb),
             )),
         };
         Instance {
@@ -220,8 +203,7 @@ impl Engine {
         }
     }
 
-    /// Compile + instantiate + run in one call — the convenience the
-    /// old free functions provided, expressed on the session API.
+    /// Compile + instantiate + run in one call, for one-shot callers.
     ///
     /// # Errors
     ///
@@ -276,23 +258,19 @@ impl Program {
     }
 }
 
-/// The four monomorphized machines an engine can build. One `match`
-/// per public call, then fully static dispatch inside — the check path
-/// never sees a vtable.
+/// The two monomorphized machines an engine can build, one per §5.1
+/// facility. One `match` per public call, then fully static dispatch
+/// inside — the check path never sees a vtable.
 enum Repr<'p> {
-    Paged(Machine<'p, SoftBoundRuntime<ShadowPages>>),
-    ShadowHashMap(Machine<'p, SoftBoundRuntime<ShadowHashMapFacility>>),
+    Shadow(Machine<'p, SoftBoundRuntime<ShadowPages>>),
     HashTable(Machine<'p, SoftBoundRuntime<HashTableFacility>>),
-    Shared(Machine<'p, SoftBoundRuntime<SharedShadowPages>>),
 }
 
 macro_rules! each_machine {
     ($self:expr, $m:ident => $body:expr) => {
         match &$self.repr {
-            Repr::Paged($m) => $body,
-            Repr::ShadowHashMap($m) => $body,
+            Repr::Shadow($m) => $body,
             Repr::HashTable($m) => $body,
-            Repr::Shared($m) => $body,
         }
     };
 }
@@ -300,10 +278,8 @@ macro_rules! each_machine {
 macro_rules! each_machine_mut {
     ($self:expr, $m:ident => $body:expr) => {
         match &mut $self.repr {
-            Repr::Paged($m) => $body,
-            Repr::ShadowHashMap($m) => $body,
+            Repr::Shadow($m) => $body,
             Repr::HashTable($m) => $body,
-            Repr::Shared($m) => $body,
         }
     };
 }
@@ -368,9 +344,9 @@ impl Instance<'_> {
     }
 
     /// Bytes of host memory the metadata facility holds onto between
-    /// runs — the per-worker standing cost a fleet pays (256 MiB of
-    /// zeroed virtual directory for the paged shadow). The ROADMAP's
-    /// shared-reservation follow-on is sized from this number.
+    /// runs, including the shared 256 MiB directory of the paged shadow
+    /// (see
+    /// [`metadata_shared_reservation_bytes`](Self::metadata_shared_reservation_bytes)).
     pub fn metadata_reservation_bytes(&self) -> usize {
         each_machine!(self, m => m.hooks().reservation_bytes())
     }
@@ -379,7 +355,7 @@ impl Instance<'_> {
     /// [`metadata_reservation_bytes`](Self::metadata_reservation_bytes)
     /// that is process-wide shared state — one copy serves every worker
     /// over the same reservation, so a fleet counts it once per pool.
-    /// 0 for the private facilities.
+    /// 0 for the hash table.
     pub fn metadata_shared_reservation_bytes(&self) -> usize {
         each_machine!(self, m => m.hooks().shared_reservation_bytes())
     }
@@ -432,10 +408,8 @@ impl Instance<'_> {
     /// The facility this instance monomorphizes over.
     pub fn facility(&self) -> Facility {
         match self.repr {
-            Repr::Paged(_) => Facility::ShadowPaged,
-            Repr::ShadowHashMap(_) => Facility::ShadowHashMap,
+            Repr::Shadow(_) => Facility::ShadowShared,
             Repr::HashTable(_) => Facility::HashTable,
-            Repr::Shared(_) => Facility::ShadowShared,
         }
     }
 }
@@ -503,9 +477,11 @@ mod tests {
         );
         assert!(inst.metadata_reservation_bytes() >= shared);
         assert!(inst.metadata_reservation_bytes() - shared < 1 << 24);
-        // Private facilities report a zero shared portion.
-        let private = Engine::new().instantiate(&program);
-        assert_eq!(private.metadata_shared_reservation_bytes(), 0);
+        // The hash table reports a zero shared portion.
+        let hash = Engine::new()
+            .facility(Facility::HashTable)
+            .instantiate(&program);
+        assert_eq!(hash.metadata_shared_reservation_bytes(), 0);
     }
 
     #[test]

@@ -22,17 +22,17 @@
 //! argument — independent of which worker served it, what that worker
 //! served before, or how the scheduler interleaved the pool. N workers
 //! over one shared program must be bit-identical to N serial fresh
-//! runs, and `tests/fleet_determinism.rs` pins exactly that across all
-//! three metadata facilities and both execution lanes.
+//! runs, and `tests/fleet_determinism.rs` pins exactly that across both
+//! metadata facilities and both execution lanes.
 //!
-//! The metadata reservation is shared when the engine is built with
-//! [`Facility::ShadowShared`](crate::Facility::ShadowShared): every
-//! worker reads through the one process-wide
+//! Under the default
+//! [`Facility::ShadowShared`](crate::Facility::ShadowShared) the
+//! metadata reservation is shared: every worker reads through the one
+//! process-wide
 //! [`SharedShadowReservation`](crate::SharedShadowReservation) (a 256 MiB
 //! zero prototype) and owns only copy-on-first-touch directory chunks
-//! plus its own pages — still lock-free, still `Instance: Send`, and
-//! bit-identical to the private facilities (the determinism suite runs
-//! the shared lane too). [`WorkerReport::reservation_bytes`] measures
+//! plus its own pages — still lock-free, still `Instance: Send`.
+//! [`WorkerReport::reservation_bytes`] measures
 //! each worker's standing cost and
 //! [`WorkerReport::reservation_shared_bytes`] flags the process-shared
 //! portion, so [`FleetReport::reservation_total_bytes`] can count the
@@ -141,7 +141,7 @@ pub struct WorkerReport {
     pub reservation_bytes: usize,
     /// The portion of [`reservation_bytes`](Self::reservation_bytes)
     /// that is process-wide shared state (the shared shadow directory).
-    /// 0 for the private facilities; equal across workers of a shared
+    /// 0 for the hash table; equal across workers of a shadow-space
     /// pool, and counted once — not per worker — by
     /// [`FleetReport::reservation_total_bytes`].
     pub reservation_shared_bytes: usize,
@@ -184,8 +184,7 @@ impl FleetReport {
 
     /// The process-shared portion of the pool's standing reservation —
     /// every worker reads through the same reservation, so the one copy
-    /// is the max across workers, not their sum. 0 for private
-    /// facilities.
+    /// is the max across workers, not their sum. 0 for the hash table.
     pub fn reservation_shared_bytes(&self) -> usize {
         self.per_worker
             .iter()
@@ -196,9 +195,9 @@ impl FleetReport {
 
     /// Standing metadata reservation of the whole pool, counting
     /// process-shared state **once**: `shared + Σ per-worker private`.
-    /// For the private facilities this equals the plain per-worker sum;
-    /// for [`Facility::ShadowShared`](crate::Facility::ShadowShared) it
-    /// is what the pool actually pins — a naive sum of
+    /// For the hash table this equals the plain per-worker sum; for
+    /// [`Facility::ShadowShared`](crate::Facility::ShadowShared) it is
+    /// what the pool actually pins — a naive sum of
     /// [`WorkerReport::reservation_bytes`] would charge the one shared
     /// directory N times.
     pub fn reservation_total_bytes(&self) -> usize {
@@ -400,15 +399,14 @@ mod tests {
                 return buf[0];
             }
         "#;
-        let engine = Engine::new().facility(Facility::ShadowPaged);
+        let engine = Engine::new();
         let program = engine.compile(src).unwrap();
         let requests = [0i64, 32, 0, 32, 0, 32];
         let report = serve(&engine, &program, "main", &requests, 2);
         let traps: u64 = report.per_worker.iter().map(|w| w.traps).sum();
         assert_eq!(traps, 3, "every out-of-bounds request must trap");
-        // The paged shadow's standing reservation is dominated by its
-        // 256 MiB directory; every worker pays it separately, and none
-        // of it is shared.
+        // Every worker's standing reservation includes the 256 MiB
+        // shadow directory it reads through.
         for w in &report.per_worker {
             assert!(
                 w.reservation_bytes >= (1 << 28),
@@ -416,18 +414,7 @@ mod tests {
                 w.worker,
                 w.reservation_bytes
             );
-            assert_eq!(w.reservation_shared_bytes, 0);
         }
-        assert_eq!(report.reservation_shared_bytes(), 0);
-        assert_eq!(
-            report.reservation_total_bytes(),
-            report
-                .per_worker
-                .iter()
-                .map(|w| w.reservation_bytes)
-                .sum::<usize>(),
-            "private pools: total is the plain per-worker sum"
-        );
         // Strict pools never collect evidence — violations trap.
         assert_eq!(report.evidence_total(), 0);
         assert_eq!(report.evidence_overflow_total(), 0);
@@ -471,44 +458,6 @@ mod tests {
         assert!(
             total < shared_span + (1 << 22),
             "4-worker shared pool pins {total} bytes"
-        );
-    }
-
-    #[test]
-    fn one_worker_shared_matches_one_worker_private() {
-        // The 1-worker shared pool and the 1-worker private pool pay
-        // comparable standing reservations: the same 256 MiB directory
-        // span, plus the shared facility's frame pool counted at
-        // capacity and its worker-private copy-on-first-touch overlay
-        // (the chunk root and any materialized chunks). The private
-        // worker instead parks only the frames it actually touched, so
-        // the shared figure sits at most those two above.
-        let src = r#"
-            int main(int n) {
-                long* p = (long*)malloc(4 * sizeof(long));
-                p[0] = n; p[3] = n + 3;
-                long s = p[0] + p[3];
-                free(p);
-                return (int)s;
-            }
-        "#;
-        let private_engine = Engine::new().facility(Facility::ShadowPaged);
-        let shared_engine = Engine::new().facility(Facility::ShadowShared);
-        let requests: Vec<i64> = (0..4).collect();
-        let private_program = private_engine.compile(src).unwrap();
-        let shared_program = shared_engine.compile(src).unwrap();
-        let private = serve(&private_engine, &private_program, "main", &requests, 1)
-            .reservation_total_bytes();
-        let shared_report = serve(&shared_engine, &shared_program, "main", &requests, 1);
-        let shared = shared_report.reservation_total_bytes();
-        let worker = &shared_report.per_worker[0];
-        let overlay = worker.reservation_bytes - worker.reservation_shared_bytes;
-        assert!(shared >= private, "both pools span the same directory");
-        assert!(
-            shared - private
-                <= crate::SharedShadowReservation::frame_pool_capacity_bytes() + overlay,
-            "1-worker shared ({shared}) should be within one pool capacity and its \
-             {overlay}-byte overlay of private ({private})"
         );
     }
 

@@ -17,9 +17,10 @@
 //! * [`instrument`] — the compile-time [transformation](transform) over
 //!   `sb-ir` modules (checks, metadata propagation, `_sb_` function
 //!   renaming, bound shrinking, wrappers, lifecycle clearing);
-//! * the [metadata facilities](metadata) of §5.1 (open-hash table and
-//!   tag-less shadow space, with whole-page reclamation) with the
-//!   paper's instruction costs;
+//! * the two [metadata facilities](metadata) of §5.1 — the tag-less
+//!   shadow space (one paged map over a process-wide directory
+//!   reservation, with whole-page reclamation) and the open-hash table —
+//!   with the paper's instruction costs;
 //! * the [runtime](mod@runtime) that plugs into the `sb-vm` machine;
 //! * a unified [`SoftBoundError`] covering every fallible pipeline
 //!   stage, including verifier failures that used to panic.
@@ -60,10 +61,8 @@
 //! # Ok::<(), softbound::SoftBoundError>(())
 //! ```
 //!
-//! The free functions [`protect`] and [`run_instrumented`] from the
-//! pre-session API remain as thin shims over an ad-hoc [`Engine`] for
-//! one-shot callers; new code should hold an engine (and an instance,
-//! when serving more than one run) instead.
+//! [`Engine::run_once`] serves one-shot callers; anything that runs more
+//! than once should hold an engine and an instance.
 
 pub mod config;
 pub mod engine;
@@ -79,91 +78,8 @@ pub use engine::{Engine, Instance, Program};
 pub use error::SoftBoundError;
 pub use metadata::{
     AccessSink, HashTableFacility, Meta, MetadataFacility, NoopSink, ScratchSink,
-    ShadowHashMapFacility, ShadowPages, SharedShadowPages, SharedShadowReservation,
+    ShadowHashMapFacility, ShadowPages, SharedShadowReservation,
 };
 pub use policy::{EvidenceRecord, EvidenceRing, PolicyAction, ViolationPolicy};
-pub use runtime::{DynRuntime, SoftBoundRuntime};
+pub use runtime::SoftBoundRuntime;
 pub use transform::{instrument, instrument_flavored, Flavor, GLOBALS_INIT_PREFIX, SB_PREFIX};
-
-use sb_ir::Module;
-use sb_vm::{MachineConfig, RunResult};
-
-/// Builds the type-erased runtime described by `cfg` — the wrapper for
-/// call sites that pick the facility at run time (CLI/report boundary).
-/// Hot paths should dispatch statically instead: construct a concrete
-/// `SoftBoundRuntime<F>` (or an [`Instance`] via [`Engine`], which does)
-/// so the check path monomorphizes.
-pub fn runtime_for(cfg: &SoftBoundConfig) -> DynRuntime {
-    DynRuntime::new(cfg)
-}
-
-/// Compiles CIR-C source through the full paper pipeline (§6.1): lower,
-/// optimize, instrument, re-run the optimizer, verify.
-///
-/// Deprecated shim: prefer [`Engine::compile`], which returns a
-/// [`Program`] carrying the pass statistics alongside the module.
-///
-/// # Errors
-///
-/// Any [`SoftBoundError`] from the pipeline.
-pub fn compile_protected(src: &str, cfg: &SoftBoundConfig) -> Result<Module, SoftBoundError> {
-    compile_protected_with_stats(src, cfg).map(|(m, _)| m)
-}
-
-/// Like [`compile_protected`], additionally reporting the post-instrument
-/// optimizer's statistics (instructions removed, redundant checks
-/// eliminated) for the experiment harness.
-///
-/// Deprecated shim: prefer [`Engine::compile`]. Verifier failures are
-/// reported as [`SoftBoundError::Verify`] (they used to panic here).
-///
-/// # Errors
-///
-/// Any [`SoftBoundError`] from the pipeline.
-pub fn compile_protected_with_stats(
-    src: &str,
-    cfg: &SoftBoundConfig,
-) -> Result<(Module, sb_ir::PassStats), SoftBoundError> {
-    let program = Engine::new().softbound_config(cfg.clone()).compile(src)?;
-    let stats = program.stats();
-    Ok((program.into_parts().0, stats))
-}
-
-/// Compiles and runs a program under SoftBound protection.
-///
-/// Deprecated shim: prefer [`Engine::run_once`] — or keep an
-/// [`Instance`] alive when more than one run is coming.
-///
-/// # Errors
-///
-/// Any [`SoftBoundError`] from the pipeline.
-pub fn protect(
-    src: &str,
-    cfg: &SoftBoundConfig,
-    entry: &str,
-    args: &[i64],
-) -> Result<RunResult, SoftBoundError> {
-    Engine::new()
-        .softbound_config(cfg.clone())
-        .run_once(src, entry, args)
-}
-
-/// Runs an already instrumented module under the matching runtime,
-/// dispatching statically on the configured facility (the `Box<dyn>`
-/// wrappers never enter the check path here).
-///
-/// Deprecated shim: prefer [`Engine::instantiate_module`] and reuse the
-/// returned [`Instance`] across runs.
-pub fn run_instrumented(
-    module: &Module,
-    cfg: &SoftBoundConfig,
-    machine_cfg: MachineConfig,
-    entry: &str,
-    args: &[i64],
-) -> RunResult {
-    Engine::new()
-        .softbound_config(cfg.clone())
-        .machine_config(machine_cfg)
-        .instantiate_module(module)
-        .run(entry, args)
-}

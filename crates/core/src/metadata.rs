@@ -1,26 +1,27 @@
 //! The disjoint metadata facilities of §5.1.
 //!
 //! SoftBound maps the *address of a pointer in memory* to that pointer's
-//! `(base, bound)` metadata. Three organizations are implemented, with the
-//! paper's own instruction-count costs:
+//! `(base, bound)` metadata. The paper evaluates two organizations, both
+//! implemented here with the paper's own instruction-count costs:
 //!
+//! * [`ShadowPages`] — the tag-less direct map of the paper's reserved
+//!   virtual-address region, realized as a two-level paged table: the high
+//!   bits of the slot index a directory, the low bits index a page
+//!   allocated on first touch. The 256 MiB directory is the process-wide
+//!   [`SharedShadowReservation`], which each facility overlays with
+//!   copy-on-first-touch chunks, so a fleet pays it once. Lookups are
+//!   O(1) and branch-light (shift, mask, add, two loads ≈ 5
+//!   instructions) with no collisions by construction.
 //! * [`HashTableFacility`] — open hashing over (tag, base, bound) entries;
 //!   ~9 x86 instructions per lookup in the no-collision case (shift, mask,
 //!   multiply, add, three loads, compare, branch), +3 per extra probe.
-//! * [`ShadowPages`] — the tag-less direct map of the paper's reserved
-//!   virtual-address region, realized as a two-level paged table: the high
-//!   bits of the slot index a flat directory, the low bits index a
-//!   `Box<[Meta]>` page allocated on first touch. Lookups are O(1) and
-//!   branch-light (shift, mask, add, two loads ≈ 5 instructions) with no
-//!   collisions by construction.
-//! * [`ShadowHashMapFacility`] — the previous HashMap-backed *simulation*
-//!   of the shadow space, kept as a differential-testing oracle and as the
-//!   slow comparison point for the `metadata` microbenchmark.
-//! * [`SharedShadowPages`] — the same paged direct map, but reading
-//!   through a process-wide [`SharedShadowReservation`]: the 256 MiB
-//!   directory is allocated once per process and each worker overlays it
-//!   with copy-on-first-touch chunks, so a fleet pays the reservation
-//!   once instead of once per worker.
+//!
+//! [`ShadowHashMapFacility`] is a HashMap-backed simulation of the shadow
+//! space with the same simulated costs as [`ShadowPages`]. It is not an
+//! engine facility: the differential suites and the `metadata`
+//! microbenchmark build it directly through
+//! [`SoftBoundRuntime`](crate::SoftBoundRuntime) as the oracle the paged
+//! map must match.
 //!
 //! All facilities report their *simulated table addresses* through an
 //! [`AccessSink`] so the VM's cache model sees the extra memory pressure
@@ -107,80 +108,30 @@ pub trait MetadataFacility {
     fn live_entries(&self) -> usize;
 
     /// Bytes of host memory this facility holds onto *between* runs —
-    /// the standing reservation a fleet pays once per worker, not the
-    /// transient per-run growth. For the paged shadow this is dominated
-    /// by the flat directory (the analogue of the paper's `mmap`-reserved
-    /// shadow region); for the hash table, by the bucket array. The
-    /// ROADMAP's shared-reservation follow-on needs this number measured
-    /// per worker to size the win of sharing one reservation across a
-    /// pool.
+    /// the standing reservation, not the transient per-run growth. For
+    /// the paged shadow this is dominated by the shared 256 MiB
+    /// directory (the analogue of the paper's `mmap`-reserved shadow
+    /// region); for the hash table, by the bucket array.
     fn reservation_bytes(&self) -> usize;
 
     /// The portion of [`reservation_bytes`](Self::reservation_bytes)
     /// that is *process-wide shared* state: one copy serves every
     /// facility built over the same reservation, so a fleet counts it
     /// once per pool rather than once per worker. 0 for the private
-    /// facilities; [`SharedShadowPages`] reports its shared directory
-    /// here.
+    /// facilities; [`ShadowPages`] reports its shared reservation here.
     fn shared_reservation_bytes(&self) -> usize {
         0
     }
 
     /// Forgets every entry, restoring the facility to its
     /// just-constructed state while keeping its expensive allocations
-    /// (the paged shadow's directory reservation, the hash table's
-    /// bucket array) alive for the next program run. This is the §5.1
+    /// (the paged shadow's directory chunks, the hash table's bucket
+    /// array) alive for the next program run. This is the §5.1
     /// disjoint-metadata payoff a session-oriented embedding exploits:
     /// program state and metadata state reset independently, so
     /// back-to-back runs on one [`Instance`](crate::Instance) skip the
     /// per-machine setup cost entirely.
     fn reset(&mut self);
-}
-
-/// Boxed facilities forward to their contents, so
-/// `Box<dyn MetadataFacility>` plugs into the generic
-/// [`SoftBoundRuntime`](crate::SoftBoundRuntime) as its type-erased
-/// configuration ([`DynRuntime`](crate::DynRuntime)) — the facility is
-/// then chosen at run time and every access pays one virtual call, which
-/// is exactly the cost the generic runtime exists to avoid on hot paths.
-impl<F: MetadataFacility + ?Sized> MetadataFacility for Box<F> {
-    fn name(&self) -> &'static str {
-        (**self).name()
-    }
-
-    #[inline]
-    fn load(&mut self, addr: u64, sink: &mut dyn AccessSink) -> Meta {
-        (**self).load(addr, sink)
-    }
-
-    #[inline]
-    fn store(&mut self, addr: u64, meta: Meta, sink: &mut dyn AccessSink) {
-        (**self).store(addr, meta, sink);
-    }
-
-    fn clear_range(&mut self, addr: u64, len: u64, sink: &mut dyn AccessSink) {
-        (**self).clear_range(addr, len, sink);
-    }
-
-    fn copy_range(&mut self, dst: u64, src: u64, len: u64, sink: &mut dyn AccessSink) {
-        (**self).copy_range(dst, src, len, sink);
-    }
-
-    fn live_entries(&self) -> usize {
-        (**self).live_entries()
-    }
-
-    fn reservation_bytes(&self) -> usize {
-        (**self).reservation_bytes()
-    }
-
-    fn shared_reservation_bytes(&self) -> usize {
-        (**self).shared_reservation_bytes()
-    }
-
-    fn reset(&mut self) {
-        (**self).reset();
-    }
 }
 
 /// Approximates the standing host bytes of a `HashMap`'s *actual* bucket
@@ -209,115 +160,32 @@ const SHADOW_DIR_BITS: u32 = 26;
 const SHADOW_PAGE_SLOTS: u64 = 1 << SHADOW_PAGE_BITS;
 const SHADOW_DIRECT_SLOTS: u64 = 1 << (SHADOW_PAGE_BITS + SHADOW_DIR_BITS);
 
-// The copy-on-first-touch shared organization splits the directory into
-// 2^13 chunks of 2^13 u32 entries (32 KiB per chunk, 8192-entry root).
+// The copy-on-first-touch directory splits the 2^26 directory entries
+// into 2^13 chunks of 2^13 u32 entries (32 KiB per chunk, 8192-entry
+// root).
 const DIR_CHUNK_BITS: u32 = 13;
 const DIR_CHUNK_ENTRIES: usize = 1 << DIR_CHUNK_BITS;
 const DIR_CHUNKS: usize = 1 << (SHADOW_DIR_BITS - DIR_CHUNK_BITS);
 
-/// How a paged shadow map stores its directory (slot high bits → page
-/// id). The two implementations trade standing reservation for one level
-/// of indirection: [`FlatDirectory`] owns the whole 256 MiB span
-/// privately (one indexed load per lookup); [`CowDirectory`] reads
-/// through the process-wide [`SharedShadowReservation`] and materializes
-/// private 32 KiB chunks only for directory spans it actually writes.
+/// The process-wide shadow reservation: one 256 MiB zeroed directory
+/// that every [`ShadowPages`] reads through for directory spans it has
+/// never written — the software analogue of the kernel zero page
+/// backing the paper's `mmap`-reserved shadow region (§5.1): reserve
+/// once per process, commit per toucher.
 ///
-/// Directory choice is a *host-side* organization. The simulated cost
-/// model (`sink.record(5, ..)`) and the observable metadata map are
-/// identical for both, which is what lets the shared facility ride the
-/// same differential suites as the private one, bit for bit.
-pub trait ShadowDirectory {
-    /// Facility name reported through [`MetadataFacility::name`].
-    const NAME: &'static str;
-
-    /// Whether [`MetadataFacility::reset`] hands page frames back to a
-    /// process-wide pool (counted once, in
-    /// [`shared_bytes`](Self::shared_bytes)) instead of parking them
-    /// per worker. `false` keeps frames on the worker's own free list.
-    const SHARES_FRAMES: bool = false;
-
-    /// Reads the page id (+1) for directory entry `di`; 0 = no page.
-    fn get(&self, di: usize) -> u32;
-
-    /// Writes the page id (+1) for directory entry `di`.
-    fn set(&mut self, di: usize, pid: u32);
-
-    /// Host bytes this directory owns privately (paid per worker).
-    fn private_bytes(&self) -> usize;
-
-    /// Bytes of process-wide shared reservation this directory reads
-    /// through to — paid once per process, not once per worker.
-    fn shared_bytes(&self) -> usize {
-        0
-    }
-
-    /// Offers a scrubbed (all-zero) frame to the shared pool; only
-    /// meaningful when [`SHARES_FRAMES`](Self::SHARES_FRAMES) is true.
-    fn stash_frame(&self, frame: Box<[u128]>) {
-        drop(frame);
-    }
-
-    /// Takes a scrubbed frame back from the shared pool, if one is
-    /// available.
-    fn take_frame(&self) -> Option<Box<[u128]>> {
-        None
-    }
-}
-
-/// The private flat directory: this facility owns the entire
-/// 2^26-entry span (256 MiB of zeroed virtual memory) itself — the
-/// per-worker cost every fleet member paid before the shared
-/// reservation existed.
-#[derive(Debug)]
-pub struct FlatDirectory {
-    dir: Vec<u32>,
-}
-
-impl FlatDirectory {
-    fn new() -> Self {
-        FlatDirectory {
-            dir: vec![0u32; 1 << SHADOW_DIR_BITS],
-        }
-    }
-}
-
-impl ShadowDirectory for FlatDirectory {
-    const NAME: &'static str = "shadow-space";
-
-    #[inline]
-    fn get(&self, di: usize) -> u32 {
-        self.dir[di]
-    }
-
-    #[inline]
-    fn set(&mut self, di: usize, pid: u32) {
-        self.dir[di] = pid;
-    }
-
-    fn private_bytes(&self) -> usize {
-        self.dir.len() * std::mem::size_of::<u32>()
-    }
-}
-
-/// The process-wide shared shadow reservation: one 256 MiB zeroed
-/// directory that every [`SharedShadowPages`] worker reads through for
-/// directory spans it has never written — the software analogue of the
-/// kernel zero page backing the paper's `mmap`-reserved shadow region
-/// (§5.1): reserve once per process, commit per toucher.
-///
-/// The prototype is written by *no one* (workers materialize private
-/// copy-on-first-touch chunks before their first directory write), so
-/// sharing it across a fleet is lock-free and race-free by construction;
-/// the `Arc` only manages lifetime. A fleet therefore pays the directory
-/// once, plus per-worker private bytes proportional to the address span
-/// each worker actually touched.
+/// The prototype is written by *no one* (each facility materializes
+/// private copy-on-first-touch chunks before its first directory
+/// write), so sharing it across a fleet is lock-free and race-free by
+/// construction; the `Arc` only manages lifetime. A fleet therefore
+/// pays the directory once, plus per-worker private bytes proportional
+/// to the address span each worker actually touched.
 #[derive(Debug)]
 pub struct SharedShadowReservation {
     /// The zero prototype: one u32 per directory entry, never written.
     zero_dir: Box<[u32]>,
     /// Standing pool of scrubbed (all-zero) 4 MiB page frames, shared
-    /// by every worker on this reservation: [`MetadataFacility::reset`]
-    /// returns a worker's frames here and the next page commit —
+    /// by every facility on this reservation: [`MetadataFacility::reset`]
+    /// returns a facility's frames here and the next page commit —
     /// anyone's — reuses them without touching the host allocator.
     /// Bounded at [`Self::frame_pool_capacity_bytes`]; excess frames
     /// are released to the host, so a fleet's *standing* frame cost is
@@ -344,8 +212,7 @@ impl SharedShadowReservation {
     }
 
     /// The process-wide reservation, allocated on first use and shared
-    /// by every facility built through [`SharedShadowPages::new_shared`]
-    /// thereafter.
+    /// by every facility built through [`ShadowPages::new`] thereafter.
     pub fn global() -> Arc<Self> {
         static GLOBAL: OnceLock<Arc<SharedShadowReservation>> = OnceLock::new();
         GLOBAL.get_or_init(Self::new).clone()
@@ -385,96 +252,93 @@ impl SharedShadowReservation {
     }
 }
 
-/// The copy-on-first-touch directory over the shared reservation: reads
-/// fall through to the shared zero prototype until this worker's first
-/// page commit in a 32 KiB span materializes a private chunk. The check
-/// hot path stays lock-free (the overlay is worker-private and the
-/// prototype read-only) and the warm path allocation-free: chunks
-/// materialize on page commit — the moment the flat organization would
-/// be allocating a 4 MiB page anyway — and, like the flat directory,
-/// survive [`MetadataFacility::reset`].
+/// One materialized directory chunk: the page ids of
+/// `DIR_CHUNK_ENTRIES` consecutive directory entries.
+type Chunk = [u32; DIR_CHUNK_ENTRIES];
+
+/// Private bytes one materialized chunk costs: the chunk and its pointer.
+const CHUNK_BYTES: usize = std::mem::size_of::<Chunk>() + std::mem::size_of::<Box<Chunk>>();
+
+/// The copy-on-first-touch directory (slot high bits → page id + 1,
+/// 0 = no page) over the shared reservation: reads fall through to the
+/// zero prototype until this facility's first page commit in a 32 KiB
+/// span materializes a private chunk. Chunks materialize on page commit
+/// — the moment a 4 MiB page frame is needed anyway — and survive
+/// [`MetadataFacility::reset`], so the warm path never allocates.
 #[derive(Debug)]
-pub struct CowDirectory {
+struct Directory {
     shared: Arc<SharedShadowReservation>,
-    /// Materialized private chunks; `DIR_CHUNKS` entries.
-    root: Box<[Option<Box<[u32]>>]>,
+    /// Per chunk span (`DIR_CHUNKS` entries): 0 while never written,
+    /// otherwise 1 + the index of its private copy in `chunks`. Two
+    /// bytes per span keep the root each instance allocates up front at
+    /// 16 KiB; the allocator zeroes a root recycled from freed memory by
+    /// hand, which makes all of it resident at once.
+    root: Box<[u16]>,
+    /// Materialized private chunks, in first-write order.
+    chunks: Vec<Box<Chunk>>,
 }
 
-impl CowDirectory {
+impl Directory {
     fn new(shared: Arc<SharedShadowReservation>) -> Self {
-        CowDirectory {
+        Directory {
             shared,
-            root: vec![None; DIR_CHUNKS].into_boxed_slice(),
+            root: vec![0; DIR_CHUNKS].into_boxed_slice(),
+            chunks: Vec::new(),
         }
     }
-}
-
-impl ShadowDirectory for CowDirectory {
-    const NAME: &'static str = "shadow-space-shared";
-    const SHARES_FRAMES: bool = true;
 
     #[inline]
     fn get(&self, di: usize) -> u32 {
-        match &self.root[di >> DIR_CHUNK_BITS] {
-            Some(chunk) => chunk[di & (DIR_CHUNK_ENTRIES - 1)],
+        match self.root[di >> DIR_CHUNK_BITS] {
             // Never-written span: read the shared zero prototype
             // (always "no page") instead of owning 256 MiB to say so.
-            None => self.shared.zero_dir[di],
+            0 => self.shared.zero_dir[di],
+            c => self.chunks[c as usize - 1][di & (DIR_CHUNK_ENTRIES - 1)],
         }
     }
 
     fn set(&mut self, di: usize, pid: u32) {
-        let slot = &mut self.root[di >> DIR_CHUNK_BITS];
-        match slot {
-            Some(chunk) => chunk[di & (DIR_CHUNK_ENTRIES - 1)] = pid,
-            None => {
-                // Writing "no page" into a never-written span changes
-                // nothing; stay unmaterialized.
-                if pid == 0 {
-                    return;
-                }
-                let mut chunk = vec![0u32; DIR_CHUNK_ENTRIES].into_boxed_slice();
-                chunk[di & (DIR_CHUNK_ENTRIES - 1)] = pid;
-                *slot = Some(chunk);
+        let span = &mut self.root[di >> DIR_CHUNK_BITS];
+        if *span == 0 {
+            // Writing "no page" into a never-written span changes
+            // nothing; stay unmaterialized.
+            if pid == 0 {
+                return;
             }
+            self.chunks.push(
+                vec![0u32; DIR_CHUNK_ENTRIES]
+                    .into_boxed_slice()
+                    .try_into()
+                    .expect("allocated with DIR_CHUNK_ENTRIES entries"),
+            );
+            *span = u16::try_from(self.chunks.len()).expect("at most DIR_CHUNKS chunks");
         }
+        self.chunks[*span as usize - 1][di & (DIR_CHUNK_ENTRIES - 1)] = pid;
     }
 
+    /// Host bytes this directory owns privately: the root, plus every
+    /// materialized chunk and its pointer in `chunks`.
     fn private_bytes(&self) -> usize {
-        std::mem::size_of_val::<[Option<Box<[u32]>>]>(&self.root)
-            + self
-                .root
-                .iter()
-                .flatten()
-                .map(|c| c.len() * std::mem::size_of::<u32>())
-                .sum::<usize>()
-    }
-
-    fn shared_bytes(&self) -> usize {
-        self.shared.shared_bytes()
-    }
-
-    fn stash_frame(&self, frame: Box<[u128]>) {
-        self.shared.stash_frame(frame);
-    }
-
-    fn take_frame(&self) -> Option<Box<[u128]>> {
-        self.shared.take_frame()
+        std::mem::size_of_val::<[u16]>(&self.root) + self.chunks.len() * CHUNK_BYTES
     }
 }
 
 /// The tag-less shadow-space organization (§5.1 "Shadow space"),
 /// implemented as a real two-level paged direct map.
 ///
-/// The directory is a flat array of page ids and each page a flat array
-/// of packed `(base, bound)` entries; both are allocated zeroed
-/// (`calloc` → anonymous mappings), so their spans stay *virtual* until
-/// individual OS pages are touched — the same demand-paging trick the
-/// paper plays by `mmap`-reserving half the address space for the
-/// shadow region. A lookup is shift, mask, two indexed loads: O(1),
-/// branch-light, no tags, no collisions. Because the directory holds
-/// plain `u32` page ids (not boxes), dropping the facility frees a
-/// handful of flat allocations instead of scanning 64M entries.
+/// The directory maps a slot's high bits to a page id, and each page is
+/// a flat array of packed `(base, bound)` entries. Pages are allocated
+/// zeroed (`calloc` → anonymous mappings), so their spans stay
+/// *virtual* until individual OS pages are touched — the same
+/// demand-paging trick the paper plays by `mmap`-reserving half the
+/// address space for the shadow region. The directory is the
+/// process-wide [`SharedShadowReservation`], a 256 MiB zero prototype
+/// that this facility overlays with private 32 KiB copy-on-first-touch
+/// chunks for the spans it commits pages in; a fleet therefore pays the
+/// directory once, not once per worker. A lookup is shift, mask, a
+/// chunk lookup and two indexed loads: O(1), branch-light, no tags, no
+/// collisions, and no lock (the overlay is private, the prototype
+/// read-only).
 ///
 /// Entries are stored as `u128` words (base in the low half, bound in
 /// the high half) so page allocation hits the zeroed-memory fast path;
@@ -490,28 +354,16 @@ impl ShadowDirectory for CowDirectory {
 /// storing NULL 256 Ki times. Decommit scrubs the page's written
 /// extent back to all-zero (a few cache lines for a typical request,
 /// never a 4 MiB memset), so the next first-touch recommits it with
-/// pointer work alone — no fill, no host allocation: a warm worker's
-/// commit/decommit churn never touches the allocator.
+/// pointer work alone — no fill, no host allocation.
 /// [`reset`](MetadataFacility::reset) decommits every page the same
-/// way but keeps the directory reservation mapped, zeroing only the
-/// entries that were actually used — long-running servers neither leak
-/// shadow pages nor pay the reservation again per request. A private
-/// facility parks its scrubbed frames locally; a shared facility
-/// returns them to the reservation's bounded frame pool so idle
-/// workers hold nothing.
-///
-/// ## Directory backends
-///
-/// The directory is generic over [`ShadowDirectory`]:
-/// `ShadowPages = PagedShadow<FlatDirectory>` owns the full 256 MiB span
-/// per facility, while `SharedShadowPages = PagedShadow<CowDirectory>`
-/// overlays the process-wide [`SharedShadowReservation`]. Page and
-/// overflow handling — and the simulated cost model — are shared code,
-/// so the two stay bit-identical by construction.
+/// way, keeps the materialized directory chunks, and returns the
+/// scrubbed frames to the reservation's bounded frame pool, so an idle
+/// instance holds no frames of its own and the next commit — by any
+/// instance on the reservation — reuses them without touching the
+/// allocator.
 #[derive(Debug)]
-pub struct PagedShadow<D: ShadowDirectory> {
-    /// Page id + 1 per directory entry; 0 = no page yet.
-    dir: D,
+pub struct ShadowPages {
+    dir: Directory,
     /// Materialized pages, in first-touch order (index = page id - 1).
     pages: Vec<Page>,
     /// Ids of decommitted pages, reusable on the next first-touch.
@@ -520,13 +372,6 @@ pub struct PagedShadow<D: ShadowDirectory> {
     overflow: HashMap<u64, Meta>,
     live: usize,
 }
-
-/// The per-worker paged shadow: a private flat 256 MiB directory.
-pub type ShadowPages = PagedShadow<FlatDirectory>;
-
-/// The fleet paged shadow: a copy-on-first-touch overlay over the
-/// process-wide [`SharedShadowReservation`].
-pub type SharedShadowPages = PagedShadow<CowDirectory>;
 
 /// One materialized shadow page plus its bookkeeping.
 #[derive(Debug)]
@@ -599,42 +444,28 @@ fn unpack(v: u128) -> Meta {
 }
 
 impl ShadowPages {
-    /// Creates an empty paged shadow space over a private flat
-    /// directory. The directory allocation is zeroed virtual memory;
-    /// nothing is committed until first touch.
+    /// Creates an empty shadow space over the process-wide reservation
+    /// ([`SharedShadowReservation::global`]).
     pub fn new() -> Self {
-        PagedShadow::with_directory(FlatDirectory::new())
-    }
-}
-
-impl SharedShadowPages {
-    /// Creates a worker facility over the process-wide shared
-    /// reservation ([`SharedShadowReservation::global`]).
-    pub fn new_shared() -> Self {
         Self::with_reservation(SharedShadowReservation::global())
     }
 
-    /// Creates a worker facility over an explicit reservation — tests,
-    /// or an embedder running several isolated fleets in one process.
+    /// Creates an empty shadow space over an explicit reservation —
+    /// tests, or an embedder running several isolated fleets in one
+    /// process.
     pub fn with_reservation(shared: Arc<SharedShadowReservation>) -> Self {
-        PagedShadow::with_directory(CowDirectory::new(shared))
-    }
-
-    /// The reservation this worker reads through.
-    pub fn reservation(&self) -> &Arc<SharedShadowReservation> {
-        &self.dir.shared
-    }
-}
-
-impl<D: ShadowDirectory> PagedShadow<D> {
-    fn with_directory(dir: D) -> Self {
-        PagedShadow {
-            dir,
+        ShadowPages {
+            dir: Directory::new(shared),
             pages: Vec::new(),
             free_pages: Vec::new(),
             overflow: HashMap::new(),
             live: 0,
         }
+    }
+
+    /// The reservation this facility reads through.
+    pub fn reservation(&self) -> &Arc<SharedShadowReservation> {
+        &self.dir.shared
     }
 
     /// Number of committed pages (memory-overhead statistics); excludes
@@ -653,14 +484,13 @@ impl<D: ShadowDirectory> PagedShadow<D> {
         SHADOW_BASE.wrapping_add(slot.wrapping_mul(16))
     }
 
-    /// Commits a page for directory entry `di`, reusing a parked frame
-    /// when one is available. Returns the page id.
+    /// Commits a page for directory entry `di`, reusing a parked page id
+    /// or a pooled frame when one is available. Returns the page id.
     ///
     /// Every frame source is already all-zero — parked frames and
-    /// pooled shared frames were scrubbed when they left service, fresh
-    /// frames come from the zeroed allocator — so commit is pointer
-    /// work only: no fill, no memset, regardless of where the frame
-    /// came from.
+    /// pooled frames were scrubbed when they left service, fresh frames
+    /// come from the zeroed allocator — so commit is pointer work only:
+    /// no fill, no memset, regardless of where the frame came from.
     fn commit_page(&mut self, di: usize) -> u32 {
         let pid = match self.free_pages.pop() {
             Some(pid) => {
@@ -670,7 +500,7 @@ impl<D: ShadowDirectory> PagedShadow<D> {
                 pid
             }
             None => {
-                let slots = self.dir.take_frame().unwrap_or_else(zeroed_page);
+                let slots = self.dir.shared.take_frame().unwrap_or_else(zeroed_page);
                 self.pages.push(Page::fresh(slots, di as u32));
                 self.pages.len() as u32
             }
@@ -703,13 +533,13 @@ impl Default for ShadowPages {
     }
 }
 
-impl<D: ShadowDirectory> MetadataFacility for PagedShadow<D> {
+impl MetadataFacility for ShadowPages {
     fn name(&self) -> &'static str {
-        D::NAME
+        "shadow-space"
     }
 
-    // The check path's devirtualization only pays off if these bodies
-    // can cross the crate boundary into the monomorphized machine loop.
+    // Static dispatch only pays off if these bodies can cross the crate
+    // boundary into the monomorphized machine loop.
     #[inline]
     fn load(&mut self, addr: u64, sink: &mut dyn AccessSink) -> Meta {
         let slot = addr >> 3;
@@ -818,66 +648,53 @@ impl<D: ShadowDirectory> MetadataFacility for PagedShadow<D> {
         self.live
     }
 
-    /// Directory (shared + private spans) + page frames (committed
-    /// *and* parked — a parked frame is still owned host memory) + the
-    /// overflow map's actual bucket layout. With the flat directory
-    /// this is dominated by the private 256 MiB span, which is why a
-    /// per-worker facility dominates a fleet's footprint; the shared
-    /// directory pins the same 256 MiB once per process instead (see
-    /// [`shared_reservation_bytes`](MetadataFacility::shared_reservation_bytes)).
+    /// The sum of the shared reservation (directory prototype and frame
+    /// pool, see
+    /// [`shared_reservation_bytes`](MetadataFacility::shared_reservation_bytes)),
+    /// this facility's directory chunks, its page frames (committed *and*
+    /// parked — a parked frame is still owned host memory), and the
+    /// overflow map's actual bucket layout.
     fn reservation_bytes(&self) -> usize {
-        let dir = self.dir.private_bytes() + self.dir.shared_bytes();
         let pages = self
             .pages
             .iter()
             .map(|p| p.slots.len() * std::mem::size_of::<u128>())
             .sum::<usize>();
-        dir + pages + hash_map_reservation_bytes(&self.overflow)
+        self.dir.private_bytes()
+            + self.dir.shared.shared_bytes()
+            + pages
+            + hash_map_reservation_bytes(&self.overflow)
     }
 
     fn shared_reservation_bytes(&self) -> usize {
-        self.dir.shared_bytes()
+        self.dir.shared.shared_bytes()
     }
 
     /// Decommits every page, zeroing only the directory entries that
-    /// were actually used — the directory reservation stays mapped for
-    /// the next run (and materialized shared-directory chunks stay
-    /// materialized). Every frame is scrubbed back to all-zero (only
-    /// its written extent is touched) so recommit needs no fill.
-    ///
-    /// What happens to the scrubbed frames depends on the directory:
-    /// a private facility *parks* them locally — a warm instance's
-    /// reset → recommit churn must never touch the host allocator, so
-    /// the frames stay owned (and counted by
-    /// [`reservation_bytes`](MetadataFacility::reservation_bytes)) —
-    /// while a shared facility (`D::SHARES_FRAMES`) returns them to
-    /// the reservation's bounded frame pool, so an idle worker holds
+    /// were actually used; materialized directory chunks stay
+    /// materialized for the next run. Every frame is scrubbed back to
+    /// all-zero (only its written extent is touched) and returned to
+    /// the reservation's bounded frame pool, so an idle instance holds
     /// no frames of its own and an 8-worker fleet's standing
     /// reservation stays within a pool's width of a single worker's.
     fn reset(&mut self) {
         self.free_pages.clear();
-        if D::SHARES_FRAMES {
-            for mut page in self.pages.drain(..) {
-                self.dir.set(page.dir_index as usize, 0);
-                page.scrub();
-                self.dir.stash_frame(page.slots);
-            }
-        } else {
-            for (i, page) in self.pages.iter_mut().enumerate() {
-                self.dir.set(page.dir_index as usize, 0);
-                page.scrub();
-                self.free_pages.push(i as u32 + 1);
-            }
+        for mut page in self.pages.drain(..) {
+            self.dir.set(page.dir_index as usize, 0);
+            page.scrub();
+            self.dir.shared.stash_frame(page.slots);
         }
         self.overflow.clear();
         self.live = 0;
     }
 }
 
-/// The previous HashMap-backed shadow-space *simulation*, kept as the
-/// slow comparison point (§5.1 microbenchmark) and as an oracle for
-/// differential tests: costs and simulated table addresses match
-/// [`ShadowPages`] exactly; only the host data structure differs.
+/// The HashMap-backed shadow-space *simulation*: the oracle of the
+/// differential tests and the slow comparison point of the §5.1
+/// microbenchmark. Costs and simulated table addresses match
+/// [`ShadowPages`] exactly; only the host data structure differs. Not
+/// an engine facility — build it with
+/// [`SoftBoundRuntime::new_shadow_hashmap`](crate::SoftBoundRuntime::new_shadow_hashmap).
 #[derive(Debug, Default)]
 pub struct ShadowHashMapFacility {
     entries: HashMap<u64, Meta>,
@@ -935,9 +752,17 @@ impl MetadataFacility for ShadowHashMapFacility {
 /// Collisions chain; each extra probe costs 3 instructions and touches
 /// another table line, which is how this organization loses to the shadow
 /// space on pointer-dense workloads.
+///
+/// Chains keep their capacity across [`reset`](MetadataFacility::reset),
+/// and the facility records each bucket the first time its chain
+/// allocates, so `reset` and
+/// [`reservation_bytes`](MetadataFacility::reservation_bytes) visit only
+/// those chains instead of all 2^20 buckets.
 #[derive(Debug)]
 pub struct HashTableFacility {
     buckets: Vec<Vec<(u64, Meta)>>, // (slot-tag, meta)
+    /// Buckets whose chain has allocated, in first-allocation order.
+    allocated: Vec<usize>,
     mask: u64,
     live: usize,
     /// Total probes beyond the first (collision statistics).
@@ -951,6 +776,7 @@ impl HashTableFacility {
         let n = 1usize << log2_buckets;
         HashTableFacility {
             buckets: vec![Vec::new(); n],
+            allocated: Vec::new(),
             mask: n as u64 - 1,
             live: 0,
             extra_probes: 0,
@@ -1015,6 +841,9 @@ impl MetadataFacility for HashTableFacility {
             let extra = chain.len() as u64;
             sink.add_cost(3 * extra);
             self.extra_probes += extra;
+            if chain.capacity() == 0 {
+                self.allocated.push(b as usize);
+            }
             chain.push((slot, meta));
             self.live += 1;
         }
@@ -1024,21 +853,23 @@ impl MetadataFacility for HashTableFacility {
         self.live
     }
 
-    /// Bucket array (kept across resets) plus chain capacities.
+    /// Bucket array (kept across resets) plus the capacities of the
+    /// chains that ever allocated.
     fn reservation_bytes(&self) -> usize {
         self.buckets.capacity() * std::mem::size_of::<Vec<(u64, Meta)>>()
             + self
-                .buckets
+                .allocated
                 .iter()
-                .map(|c| c.capacity() * std::mem::size_of::<(u64, Meta)>())
+                .map(|&b| self.buckets[b].capacity() * std::mem::size_of::<(u64, Meta)>())
                 .sum::<usize>()
     }
 
-    /// Empties every chain in place — the bucket array keeps its
-    /// capacity, so a reused table skips re-sizing on the next run.
+    /// Empties every chain that ever allocated, in place — chains and
+    /// the bucket array keep their capacity, so a reused table skips
+    /// re-sizing on the next run.
     fn reset(&mut self) {
-        for chain in &mut self.buckets {
-            chain.clear();
+        for &b in &self.allocated {
+            self.buckets[b].clear();
         }
         self.live = 0;
         self.extra_probes = 0;
@@ -1050,7 +881,6 @@ impl MetadataFacility for HashTableFacility {
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<SharedShadowReservation>();
-    assert_send_sync::<SharedShadowPages>();
     assert_send_sync::<ShadowPages>();
 };
 
@@ -1084,11 +914,11 @@ mod tests {
 
     #[test]
     fn shadow_shared_roundtrip() {
-        // Over a fresh reservation and over the process-wide one.
-        roundtrip(&mut SharedShadowPages::with_reservation(
+        // Over a fresh reservation (`shadow_paged_roundtrip` covers the
+        // process-wide one).
+        roundtrip(&mut ShadowPages::with_reservation(
             SharedShadowReservation::new(),
         ));
-        roundtrip(&mut SharedShadowPages::new_shared());
     }
 
     #[test]
@@ -1105,7 +935,6 @@ mod tests {
     fn shadow_costs_five() {
         for fac in [
             &mut ShadowPages::new() as &mut dyn MetadataFacility,
-            &mut SharedShadowPages::new_shared(),
             &mut ShadowHashMapFacility::new(),
         ] {
             let mut sink = ScratchSink::new();
@@ -1152,12 +981,11 @@ mod tests {
 
     #[test]
     fn facilities_agree_randomized() {
-        // Property: all four organizations implement the same map. The
-        // HashMap shadow is the oracle; the paged shadows (private and
-        // shared-reservation) and the (tiny, collision-heavy) hash table
-        // must agree with it after a churn of overwrites and deletions.
+        // Property: all three organizations implement the same map. The
+        // HashMap shadow is the oracle; the paged shadow and the (tiny,
+        // collision-heavy) hash table must agree with it after a churn
+        // of overwrites and deletions.
         let mut paged = ShadowPages::new();
-        let mut shared = SharedShadowPages::new_shared();
         let mut oracle = ShadowHashMapFacility::new();
         let mut ht = HashTableFacility::new(6); // tiny → lots of collisions
         let mut sink = ScratchSink::new();
@@ -1178,7 +1006,6 @@ mod tests {
                 }
             };
             paged.store(addr, meta, &mut sink);
-            shared.store(addr, meta, &mut sink);
             oracle.store(addr, meta, &mut sink);
             ht.store(addr, meta, &mut sink);
             addrs.push(addr);
@@ -1191,18 +1018,12 @@ mod tests {
                 "paged diverged at {addr:#x}"
             );
             assert_eq!(
-                shared.load(addr, &mut sink),
-                expected,
-                "shared diverged at {addr:#x}"
-            );
-            assert_eq!(
                 ht.load(addr, &mut sink),
                 expected,
                 "hash diverged at {addr:#x}"
             );
         }
         assert_eq!(paged.live_entries(), oracle.live_entries());
-        assert_eq!(shared.live_entries(), oracle.live_entries());
         assert_eq!(ht.live_entries(), oracle.live_entries());
     }
 
@@ -1333,20 +1154,17 @@ mod tests {
     /// Bytes of simulated address space covered by one shadow page.
     const PAGE_SPAN: u64 = 8 << SHADOW_PAGE_BITS;
 
-    /// Runs the same mutation script against the paged shadows (private
-    /// flat directory and shared-reservation overlay) and the HashMap
-    /// oracle, then asserts all agree on every probed address and on
-    /// the live-entry count.
+    /// Runs the same mutation script against the paged shadow and the
+    /// HashMap oracle, then asserts both agree on every probed address
+    /// and on the live-entry count.
     fn differential(
         script: impl Fn(&mut dyn MetadataFacility, &mut dyn AccessSink),
         probes: &[u64],
     ) {
         let mut paged = ShadowPages::new();
-        let mut shared = SharedShadowPages::new_shared();
         let mut oracle = ShadowHashMapFacility::new();
         let mut sink = NoopSink;
         script(&mut paged, &mut sink);
-        script(&mut shared, &mut sink);
         script(&mut oracle, &mut sink);
         for &a in probes {
             let expected = oracle.load(a, &mut sink);
@@ -1355,14 +1173,8 @@ mod tests {
                 expected,
                 "paged diverged from oracle at {a:#x}"
             );
-            assert_eq!(
-                shared.load(a, &mut sink),
-                expected,
-                "shared diverged from oracle at {a:#x}"
-            );
         }
         assert_eq!(paged.live_entries(), oracle.live_entries());
-        assert_eq!(shared.live_entries(), oracle.live_entries());
     }
 
     #[test]
@@ -1636,7 +1448,6 @@ mod tests {
     fn reset_empties_every_facility_and_reuses_reservation() {
         for fac in [
             &mut ShadowPages::new() as &mut dyn MetadataFacility,
-            &mut SharedShadowPages::new_shared(),
             &mut ShadowHashMapFacility::new(),
             &mut HashTableFacility::new(8),
         ] {
@@ -1668,26 +1479,65 @@ mod tests {
             assert_eq!(fac.live_entries(), 1);
         }
 
-        // Paged specifics: every frame is parked (committed count drops
-        // to zero, nothing is freed), and the directory reservation is
-        // not reallocated (its pointer is stable across reset).
-        let mut f = ShadowPages::new();
+        // Paged specifics: every frame — the parked one included — goes
+        // back to the reservation's pool (committed and parked counts
+        // drop to zero), and the materialized directory chunk is kept
+        // (its pointer is stable across reset).
+        let mut f = ShadowPages::with_reservation(SharedShadowReservation::new());
         let mut sink = NoopSink;
         f.store(0x9000, Meta { base: 1, bound: 2 }, &mut sink);
         f.clear_range(0, 2 * PAGE_SPAN, &mut sink); // park a page id too
         f.store(5 * PAGE_SPAN, Meta { base: 5, bound: 6 }, &mut sink);
-        let dir_ptr = f.dir.dir.as_ptr();
+        let chunk = |f: &ShadowPages| f.dir.chunks[0].as_ptr();
+        let chunk_ptr = chunk(&f);
         f.reset();
         assert_eq!(f.page_count(), 0);
-        assert_eq!(f.decommitted_pages(), 1);
+        assert_eq!(f.decommitted_pages(), 0);
         assert_eq!(f.live_entries(), 0);
         assert!(
-            std::ptr::eq(dir_ptr, f.dir.dir.as_ptr()),
-            "directory reallocated"
+            std::ptr::eq(chunk_ptr, chunk(&f)),
+            "directory chunk reallocated"
         );
+        assert!(f.reservation().take_frame().is_some(), "frame not pooled");
+        assert!(f.reservation().take_frame().is_none());
         // Every directory entry that was used is zero again.
         assert_eq!(f.load(0x9000, &mut sink), Meta::NULL);
         assert_eq!(f.load(5 * PAGE_SPAN, &mut sink), Meta::NULL);
+
+        // Hash-table specifics: reset and the reservation visit only the
+        // chains that ever allocated; across collision-heavy churn and
+        // resets the reservation equals the walk over every bucket, and
+        // reset leaves every chain empty.
+        let full_walk = |t: &HashTableFacility| {
+            t.buckets.capacity() * std::mem::size_of::<Vec<(u64, Meta)>>()
+                + t.buckets
+                    .iter()
+                    .map(|c| c.capacity() * std::mem::size_of::<(u64, Meta)>())
+                    .sum::<usize>()
+        };
+        let mut ht = HashTableFacility::new(8);
+        for round in 0..3u64 {
+            for i in 0..300u64 {
+                let addr = 0x1000 + i * 40 + round * 8;
+                ht.store(
+                    addr,
+                    Meta {
+                        base: i + 1,
+                        bound: i + 2,
+                    },
+                    &mut sink,
+                );
+                if i % 3 == 0 {
+                    ht.store(addr, Meta::NULL, &mut sink);
+                }
+            }
+            assert_eq!(ht.live_entries(), 200);
+            assert_eq!(ht.reservation_bytes(), full_walk(&ht), "round {round}");
+            ht.reset();
+            assert_eq!(ht.reservation_bytes(), full_walk(&ht), "round {round}");
+            assert!(ht.buckets.iter().all(Vec::is_empty));
+            assert_eq!(ht.live_entries(), 0);
+        }
     }
 
     #[test]
@@ -1704,19 +1554,23 @@ mod tests {
     #[test]
     fn reservation_accounting_pinned_across_churn() {
         // Pins `reservation_bytes` across a commit → whole-page-clear
-        // decommit → recommit cycle: parked frames are still owned host
-        // memory and must never fall out of (or double into) the count.
+        // decommit → recommit → reset cycle: parked frames are still
+        // owned host memory and must never fall out of (or double into)
+        // the count; pooled frames belong to the reservation.
         const PAGE_BYTES: usize = (SHADOW_PAGE_SLOTS as usize) * std::mem::size_of::<u128>();
-        let mut f = ShadowPages::new();
+        let shared = SharedShadowReservation::new();
+        let mut f = ShadowPages::with_reservation(shared.clone());
         let mut sink = NoopSink;
         let idle = f.reservation_bytes();
         assert_eq!(
             idle,
-            (1usize << SHADOW_DIR_BITS) * std::mem::size_of::<u32>()
+            shared.shared_bytes() + DIR_CHUNKS * std::mem::size_of::<u16>()
         );
 
+        // The first commit charges a frame and one directory chunk.
         f.store(0x100, Meta { base: 1, bound: 2 }, &mut sink);
-        assert_eq!(f.reservation_bytes(), idle + PAGE_BYTES);
+        let chunked = idle + CHUNK_BYTES;
+        assert_eq!(f.reservation_bytes(), chunked + PAGE_BYTES);
 
         // Whole-page clear decommits the page; the parked frame stays
         // owned and counted.
@@ -1724,27 +1578,30 @@ mod tests {
         assert_eq!(f.decommitted_pages(), 1);
         assert_eq!(
             f.reservation_bytes(),
-            idle + PAGE_BYTES,
+            chunked + PAGE_BYTES,
             "parked frame fell out of the accounting"
         );
 
-        // Recommit — at a different directory entry — reuses the parked
-        // frame: no growth, no allocator traffic.
+        // Recommit — at a different directory entry of the same chunk —
+        // reuses the parked frame: no growth, no allocator traffic.
         f.store(37 * PAGE_SPAN, Meta { base: 3, bound: 4 }, &mut sink);
         assert_eq!(f.decommitted_pages(), 0);
         assert_eq!(f.page_count(), 1);
-        assert_eq!(f.reservation_bytes(), idle + PAGE_BYTES);
+        assert_eq!(f.reservation_bytes(), chunked + PAGE_BYTES);
 
         // A second page is genuinely new memory.
         f.store(0x100, Meta { base: 5, bound: 6 }, &mut sink);
-        assert_eq!(f.reservation_bytes(), idle + 2 * PAGE_BYTES);
+        assert_eq!(f.reservation_bytes(), chunked + 2 * PAGE_BYTES);
 
         // Overflow entries count at the map's actual bucket layout, and
         // the standing estimate must not shrink when an entry is
         // removed — the table keeps its buckets.
         f.store(1 << 50, Meta { base: 7, bound: 8 }, &mut sink);
         let with_overflow = f.reservation_bytes();
-        assert!(with_overflow > idle + 2 * PAGE_BYTES, "overflow uncounted");
+        assert!(
+            with_overflow > chunked + 2 * PAGE_BYTES,
+            "overflow uncounted"
+        );
         f.store(1 << 50, Meta::NULL, &mut sink);
         assert_eq!(
             f.reservation_bytes(),
@@ -1752,32 +1609,34 @@ mod tests {
             "standing overflow reservation vanished on remove (len-based estimate)"
         );
 
-        // Reset parks every frame — still owned, still counted, never
-        // returned to the host — and keeps the directory reservation
-        // and the overflow map's buckets: a warm idle worker's standing
-        // cost.
+        // Reset hands both frames to the reservation's pool — no longer
+        // charged to this facility — and keeps the directory chunk and
+        // the overflow map's buckets: a warm idle worker's standing cost.
         f.reset();
         assert_eq!(f.live_entries(), 0);
-        assert_eq!(f.decommitted_pages(), 2);
+        assert_eq!(f.decommitted_pages(), 0);
         assert_eq!(
             f.reservation_bytes(),
-            with_overflow,
-            "reset must park frames, not free them"
+            with_overflow - 2 * PAGE_BYTES,
+            "reset must pool frames, not keep them"
         );
 
-        // And the next run's first store reuses a parked frame: the
-        // reservation is flat across reset churn.
+        // The next run's first store takes a pooled frame back.
         f.store(0x100, Meta { base: 9, bound: 10 }, &mut sink);
         assert_eq!(f.page_count(), 1);
-        assert_eq!(f.decommitted_pages(), 1);
-        assert_eq!(f.reservation_bytes(), with_overflow);
+        assert_eq!(f.reservation_bytes(), with_overflow - PAGE_BYTES);
+        assert!(shared.take_frame().is_some(), "second frame still pooled");
+        assert!(
+            shared.take_frame().is_none(),
+            "recommit did not use the pool"
+        );
     }
 
     #[test]
     fn shared_reservation_counted_once_per_process() {
         let shared = SharedShadowReservation::new();
-        let mut a = SharedShadowPages::with_reservation(shared.clone());
-        let b = SharedShadowPages::with_reservation(shared.clone());
+        let mut a = ShadowPages::with_reservation(shared.clone());
+        let b = ShadowPages::with_reservation(shared.clone());
         let mut sink = NoopSink;
         let dir_bytes = shared.shared_bytes();
         assert_eq!(
@@ -1791,7 +1650,7 @@ mod tests {
         assert_eq!(b.shared_reservation_bytes(), dir_bytes);
 
         // An untouched worker owns almost nothing privately — the chunk
-        // root, vs. the 256 MiB flat directory of `ShadowPages`.
+        // root, not a 256 MiB directory of its own.
         let idle_private = b.reservation_bytes() - b.shared_reservation_bytes();
         assert!(idle_private < 1 << 20, "idle private bytes: {idle_private}");
 
@@ -1811,8 +1670,8 @@ mod tests {
     fn shared_reset_returns_frames_to_the_pool() {
         const PAGE_BYTES: usize = (SHADOW_PAGE_SLOTS as usize) * std::mem::size_of::<u128>();
         let shared = SharedShadowReservation::new();
-        let mut a = SharedShadowPages::with_reservation(shared.clone());
-        let mut b = SharedShadowPages::with_reservation(shared.clone());
+        let mut a = ShadowPages::with_reservation(shared.clone());
+        let mut b = ShadowPages::with_reservation(shared.clone());
         let mut sink = NoopSink;
         a.store(0x2000, Meta { base: 1, bound: 2 }, &mut sink);
         a.store(37 * PAGE_SPAN, Meta { base: 3, bound: 4 }, &mut sink);
@@ -1830,7 +1689,7 @@ mod tests {
             committed,
             "frames still charged to the worker after reset"
         );
-        assert_eq!(a.decommitted_pages(), 0, "shared reset must pool, not park");
+        assert_eq!(a.decommitted_pages(), 0, "reset must pool, not park");
         assert_eq!(shared.shared_bytes(), shared_before);
 
         // A sibling's next commit drains the pool instead of touching
@@ -1848,8 +1707,8 @@ mod tests {
     #[test]
     fn shared_reset_does_not_disturb_siblings() {
         let shared = SharedShadowReservation::new();
-        let mut a = SharedShadowPages::with_reservation(shared.clone());
-        let mut b = SharedShadowPages::with_reservation(shared);
+        let mut a = ShadowPages::with_reservation(shared.clone());
+        let mut b = ShadowPages::with_reservation(shared);
         let mut sink = NoopSink;
         let m = Meta {
             base: 0x10,
@@ -1883,7 +1742,7 @@ mod tests {
 
     #[test]
     fn cow_chunks_materialize_on_first_commit_only() {
-        let mut f = SharedShadowPages::with_reservation(SharedShadowReservation::new());
+        let mut f = ShadowPages::with_reservation(SharedShadowReservation::new());
         let mut sink = NoopSink;
         let root_only = f.dir.private_bytes();
         // Loads and NULL stores read through the shared prototype
@@ -1898,11 +1757,10 @@ mod tests {
         );
         // The first real store commits a page and one directory chunk;
         // a second store under the same chunk reuses it.
-        let chunk_bytes = DIR_CHUNK_ENTRIES * std::mem::size_of::<u32>();
         f.store(0x4000, Meta { base: 1, bound: 2 }, &mut sink);
-        assert_eq!(f.dir.private_bytes(), root_only + chunk_bytes);
+        assert_eq!(f.dir.private_bytes(), root_only + CHUNK_BYTES);
         f.store(0x4008, Meta { base: 3, bound: 4 }, &mut sink);
-        assert_eq!(f.dir.private_bytes(), root_only + chunk_bytes);
+        assert_eq!(f.dir.private_bytes(), root_only + CHUNK_BYTES);
         assert_eq!(f.load(0x4000, &mut sink), Meta { base: 1, bound: 2 });
     }
 }

@@ -5,15 +5,11 @@
 //!
 //! The runtime is *generic* over its facility, so a machine built with a
 //! concrete instantiation (`SoftBoundRuntime<ShadowPages>`) statically
-//! dispatches — and typically inlines — every metadata access. The
-//! [`DynRuntime`] alias (`SoftBoundRuntime<Box<dyn MetadataFacility>>`)
-//! is the type-erased wrapper for the CLI/report boundary where the
-//! facility is chosen at run time.
+//! dispatches — and typically inlines — every metadata access.
 
-use crate::config::{Facility, SoftBoundConfig};
+use crate::config::SoftBoundConfig;
 use crate::metadata::{
     HashTableFacility, Meta, MetadataFacility, ShadowHashMapFacility, ShadowPages,
-    SharedShadowPages,
 };
 use crate::policy::{first_oob_byte, EvidenceRecord, EvidenceRing, PolicyAction, ViolationPolicy};
 use sb_ir::RtFn;
@@ -25,7 +21,7 @@ use sb_vm::{
 pub const CHECK_COST: u64 = 3;
 
 /// The SoftBound runtime, specialized on its metadata facility `F`.
-pub struct SoftBoundRuntime<F: MetadataFacility = Box<dyn MetadataFacility>> {
+pub struct SoftBoundRuntime<F: MetadataFacility> {
     facility: F,
     clear_on_free: bool,
     policy: ViolationPolicy,
@@ -36,51 +32,25 @@ pub struct SoftBoundRuntime<F: MetadataFacility = Box<dyn MetadataFacility>> {
     pub violation_count: u64,
 }
 
-/// The type-erased runtime: facility chosen at run time, every metadata
-/// access through a vtable. Kept for the CLI/report boundary; hot paths
-/// use a concrete `SoftBoundRuntime<F>` instead.
-pub type DynRuntime = SoftBoundRuntime<Box<dyn MetadataFacility>>;
-
-impl DynRuntime {
-    /// Builds the type-erased runtime described by a config, boxing the
-    /// facility the config names.
-    pub fn new(cfg: &SoftBoundConfig) -> Self {
-        let facility: Box<dyn MetadataFacility> = match cfg.facility {
-            Facility::ShadowPaged => Box::new(ShadowPages::new()),
-            Facility::ShadowHashMap => Box::new(ShadowHashMapFacility::new()),
-            Facility::HashTable => Box::new(HashTableFacility::new(cfg.hash_log2_buckets)),
-            Facility::ShadowShared => Box::new(SharedShadowPages::new_shared()),
-        };
-        SoftBoundRuntime::with_facility(facility, cfg)
-    }
-}
-
 impl SoftBoundRuntime<ShadowPages> {
-    /// Statically-dispatched runtime over the paged shadow space (the
-    /// default production facility).
+    /// Runtime over the paged shadow space on the process-wide
+    /// reservation (the default facility): one 256 MiB directory per
+    /// process, copy-on-first-touch chunks per instance.
     pub fn new_paged(cfg: &SoftBoundConfig) -> Self {
         SoftBoundRuntime::with_facility(ShadowPages::new(), cfg)
     }
 }
 
-impl SoftBoundRuntime<SharedShadowPages> {
-    /// Statically-dispatched runtime over the process-wide shared
-    /// shadow reservation — the fleet facility: one 256 MiB directory
-    /// per process, copy-on-first-touch chunks per worker.
-    pub fn new_shared(cfg: &SoftBoundConfig) -> Self {
-        SoftBoundRuntime::with_facility(SharedShadowPages::new_shared(), cfg)
-    }
-}
-
 impl SoftBoundRuntime<ShadowHashMapFacility> {
-    /// Statically-dispatched runtime over the HashMap shadow oracle.
+    /// Runtime over the HashMap shadow oracle — the differential
+    /// suites' reference; no engine facility builds it.
     pub fn new_shadow_hashmap(cfg: &SoftBoundConfig) -> Self {
         SoftBoundRuntime::with_facility(ShadowHashMapFacility::new(), cfg)
     }
 }
 
 impl SoftBoundRuntime<HashTableFacility> {
-    /// Statically-dispatched runtime over the open-hashing table.
+    /// Runtime over the open-hashing table.
     pub fn new_hash(cfg: &SoftBoundConfig) -> Self {
         SoftBoundRuntime::with_facility(HashTableFacility::new(cfg.hash_log2_buckets), cfg)
     }
@@ -135,8 +105,8 @@ impl<F: MetadataFacility> SoftBoundRuntime<F> {
         self.facility.live_entries()
     }
 
-    /// Standing host-memory reservation of the facility (what a fleet
-    /// pays per worker between requests).
+    /// Standing host-memory reservation of the facility (what it holds
+    /// between requests).
     pub fn reservation_bytes(&self) -> usize {
         self.facility.reservation_bytes()
     }
@@ -144,7 +114,7 @@ impl<F: MetadataFacility> SoftBoundRuntime<F> {
     /// The portion of [`reservation_bytes`](Self::reservation_bytes)
     /// that is process-wide shared state — one copy serves every worker
     /// over the same reservation, so fleets count it once per pool. 0
-    /// for the private facilities.
+    /// for the hash table and the HashMap oracle.
     pub fn shared_reservation_bytes(&self) -> usize {
         self.facility.shared_reservation_bytes()
     }
@@ -374,17 +344,16 @@ impl<F: MetadataFacility> RuntimeHooks for SoftBoundRuntime<F> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::CheckMode;
 
-    fn runtime(facility: Facility) -> SoftBoundRuntime {
-        SoftBoundRuntime::new(&SoftBoundConfig {
-            facility,
-            mode: CheckMode::Full,
-            ..SoftBoundConfig::default()
-        })
+    fn paged() -> SoftBoundRuntime<ShadowPages> {
+        SoftBoundRuntime::new_paged(&SoftBoundConfig::default())
     }
 
-    fn call(rt: &mut SoftBoundRuntime, f: RtFn, args: &[i64]) -> Result<RtVals, Trap> {
+    fn call<F: MetadataFacility>(
+        rt: &mut SoftBoundRuntime<F>,
+        f: RtFn,
+        args: &[i64],
+    ) -> Result<RtVals, Trap> {
         let mut mem = Mem::new();
         let mut ctx = RtCtx::default();
         rt.rt_call(f, args, &mut mem, &mut ctx)
@@ -392,7 +361,7 @@ mod tests {
 
     #[test]
     fn in_bounds_check_passes() {
-        let mut rt = runtime(Facility::ShadowPaged);
+        let mut rt = paged();
         assert!(call(
             &mut rt,
             RtFn::SbCheck { is_store: false },
@@ -409,7 +378,7 @@ mod tests {
 
     #[test]
     fn out_of_bounds_check_aborts() {
-        let mut rt = runtime(Facility::ShadowPaged);
+        let mut rt = paged();
         // One byte past the end.
         let e = call(
             &mut rt,
@@ -444,7 +413,7 @@ mod tests {
     fn check_rejects_wraparound_past_zero() {
         // Regression: `ptr.wrapping_add(size) > bound` wraps past zero
         // for u64::MAX-adjacent pointers and used to pass the check.
-        let mut rt = runtime(Facility::ShadowPaged);
+        let mut rt = paged();
         // ptr near u64::MAX with a size that wraps the sum to a tiny
         // value below any plausible bound.
         assert!(call(
@@ -481,46 +450,9 @@ mod tests {
     }
 
     #[test]
-    fn static_runtime_matches_dyn_wrapper() {
-        // The generic instantiation and the type-erased wrapper are the
-        // same runtime: identical verdicts and counters on a mixed
-        // check/metadata sequence.
-        let cfg = SoftBoundConfig::default();
-        let mut st = SoftBoundRuntime::new_paged(&cfg);
-        let mut dy = DynRuntime::new(&cfg);
-        let seq: &[(RtFn, &[i64])] = &[
-            (RtFn::SbMetaStore, &[0x7000, 0x5000, 0x5100]),
-            (RtFn::SbMetaLoad, &[0x7000]),
-            (
-                RtFn::SbCheck { is_store: false },
-                &[0x5000, 0x5000, 0x5100, 8],
-            ),
-            (
-                RtFn::SbCheck { is_store: true },
-                &[0x50ff, 0x5000, 0x5100, 8],
-            ),
-            (RtFn::SbMetaClear, &[0x7000, 8]),
-            (RtFn::SbMetaLoad, &[0x7000]),
-        ];
-        for &(f, args) in seq {
-            let mut mem = Mem::new();
-            let mut ctx = RtCtx::default();
-            let a = st.rt_call(f, args, &mut mem, &mut ctx);
-            let mut mem2 = Mem::new();
-            let mut ctx2 = RtCtx::default();
-            let b = dy.rt_call(f, args, &mut mem2, &mut ctx2);
-            assert_eq!(a, b, "diverged on {f:?}");
-            assert_eq!(ctx.cost, ctx2.cost, "cost diverged on {f:?}");
-        }
-        assert_eq!(st.check_count, dy.check_count);
-        assert_eq!(st.violation_count, dy.violation_count);
-        assert_eq!(st.live_entries(), dy.live_entries());
-    }
-
-    #[test]
     fn access_size_matters() {
         // The paper's example: char* cast to int* at the last byte.
-        let mut rt = runtime(Facility::ShadowPaged);
+        let mut rt = paged();
         assert!(call(
             &mut rt,
             RtFn::SbCheck { is_store: false },
@@ -537,24 +469,22 @@ mod tests {
 
     #[test]
     fn metadata_roundtrip_through_rt() {
-        for fac in [
-            Facility::ShadowPaged,
-            Facility::ShadowHashMap,
-            Facility::HashTable,
-            Facility::ShadowShared,
-        ] {
-            let mut rt = runtime(fac);
+        fn roundtrip<F: MetadataFacility>(mut rt: SoftBoundRuntime<F>) {
             call(&mut rt, RtFn::SbMetaStore, &[0x7000, 0x5000, 0x5100]).expect("store ok");
             let v = call(&mut rt, RtFn::SbMetaLoad, &[0x7000]).expect("load ok");
             assert_eq!(v, [0x5000, 0x5100]);
             let missing = call(&mut rt, RtFn::SbMetaLoad, &[0x7008]).expect("load ok");
             assert_eq!(missing, [0, 0], "unknown slots have NULL bounds");
         }
+        let cfg = SoftBoundConfig::default();
+        roundtrip(SoftBoundRuntime::new_paged(&cfg));
+        roundtrip(SoftBoundRuntime::new_shadow_hashmap(&cfg));
+        roundtrip(SoftBoundRuntime::new_hash(&cfg));
     }
 
     #[test]
     fn fn_check_accepts_only_zero_sized_encoding() {
-        let mut rt = runtime(Facility::ShadowPaged);
+        let mut rt = paged();
         let f = 0x4000_0000_0000i64;
         assert!(call(&mut rt, RtFn::SbFnCheck, &[f, f, f]).is_ok());
         // Data pointer flowing into an indirect call: bound != ptr.
@@ -565,7 +495,7 @@ mod tests {
 
     #[test]
     fn free_clears_metadata_with_hint() {
-        let mut rt = runtime(Facility::ShadowPaged);
+        let mut rt = paged();
         call(&mut rt, RtFn::SbMetaStore, &[0x9000, 1, 2]).expect("store");
         call(&mut rt, RtFn::SbMetaStore, &[0x9008, 3, 4]).expect("store");
         let mut ctx = RtCtx::default();
@@ -579,7 +509,7 @@ mod tests {
 
     #[test]
     fn va_check_respects_count() {
-        let mut rt = runtime(Facility::ShadowPaged);
+        let mut rt = paged();
         let mut mem = Mem::new();
         let mut ctx = RtCtx {
             vararg_count: 3,
@@ -745,7 +675,7 @@ mod tests {
 
     #[test]
     fn memcpy_meta_copies() {
-        let mut rt = runtime(Facility::HashTable);
+        let mut rt = SoftBoundRuntime::new_hash(&SoftBoundConfig::default());
         call(&mut rt, RtFn::SbMetaStore, &[0x2000, 0x10, 0x20]).expect("store");
         call(&mut rt, RtFn::SbMemcpyMeta, &[0x3000, 0x2000, 8]).expect("copy");
         assert_eq!(

@@ -33,7 +33,20 @@ use crate::rt::{
 };
 use sb_cir::hir::Builtin;
 use sb_ir::opt::{eval_bin, eval_cmp};
-use sb_ir::{Callee, FuncId, Inst, MemTy, Module, RegId, Value};
+use sb_ir::{Callee, FuncId, Inst, MemTy, Module, RegId, RtFn, Value};
+
+/// Hands a clamped `memcpy`'s effective length (`pending`, see
+/// `Machine::pending_meta_len`) to the `SbMemcpyMeta` helper call that
+/// follows the `memcpy`, rewriting its length operand. Any other helper
+/// call drops the hand-off unused.
+#[inline]
+fn hand_off_meta_len(pending: &mut Option<u64>, rt: RtFn, args: &mut [i64]) {
+    if let Some(len) = pending.take() {
+        if rt == RtFn::SbMemcpyMeta {
+            args[2] = len as i64;
+        }
+    }
+}
 
 /// Machine configuration.
 #[derive(Debug, Clone)]
@@ -154,13 +167,12 @@ enum Flow {
 /// An executing machine bound to a module, statically specialized on its
 /// safety runtime `H`.
 ///
-/// The generic parameter devirtualizes the metadata hot path: every
+/// The generic parameter keeps the metadata hot path static: every
 /// `rt_call` (bounds check, metadata load/store) and lifecycle hook is a
-/// direct — typically inlined — call into the concrete runtime. Code that
-/// picks the runtime at run time (the CLI/report boundary) uses
-/// [`Machine::new_dyn`], which instantiates `H = Box<dyn RuntimeHooks>`
-/// and pays one indirect call per hook, exactly as before the refactor.
-pub struct Machine<'m, H: RuntimeHooks = Box<dyn RuntimeHooks>> {
+/// direct — typically inlined — call into the concrete runtime. Callers
+/// that choose the runtime at run time match on their choice once and
+/// build one concrete machine per arm (as `softbound::Engine` does).
+pub struct Machine<'m, H: RuntimeHooks> {
     module: &'m Module,
     /// The pre-decoded lowering of `module`, when attached
     /// ([`Machine::attach_exec`]); enables [`Machine::run_predecoded`].
@@ -196,22 +208,14 @@ pub struct Machine<'m, H: RuntimeHooks = Box<dyn RuntimeHooks>> {
     /// (metadata ops may intervene, but never another access), so the
     /// hand-off is unambiguous in both lanes.
     pending_clamp: Option<(u64, u64)>,
+    /// Bytes the last wrapped `memcpy` copied, when a clamping policy cut
+    /// the copy short: the `SbMemcpyMeta` instrumentation places right
+    /// after the call copies metadata for exactly these bytes instead of
+    /// the requested length, which would reach into the neighbouring
+    /// object (see [`hand_off_meta_len`]).
+    pending_meta_len: Option<u64>,
     fuel: u64,
     frame_serial: u64,
-}
-
-/// The type-erased machine configuration: runtime chosen at run time,
-/// hooks dispatched through a vtable. Built by [`Machine::new_dyn`].
-pub type DynMachine<'m> = Machine<'m, Box<dyn RuntimeHooks>>;
-
-impl<'m> DynMachine<'m> {
-    /// Creates a machine over type-erased hooks — the wrapper for
-    /// call sites that select the safety runtime at run time (CLI,
-    /// report harness). Hot paths should prefer [`Machine::new`] with a
-    /// concrete runtime, which dispatches statically.
-    pub fn new_dyn(module: &'m Module, cfg: MachineConfig, hooks: Box<dyn RuntimeHooks>) -> Self {
-        Machine::new(module, cfg, hooks)
-    }
 }
 
 impl<'m> Machine<'m, NoRuntime> {
@@ -254,6 +258,7 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
             setjmps: Vec::new(),
             ctx,
             pending_clamp: None,
+            pending_meta_len: None,
             fuel,
             frame_serial: 0,
         };
@@ -278,9 +283,9 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
     /// What it deliberately *keeps* is everything derived from the module
     /// alone — frame plans, the recycled frame pool, the call-argument
     /// scratch — plus whatever allocations the runtime's own `reset`
-    /// preserves (e.g. the paged shadow facility's directory
-    /// reservation). That is the amortization a long-lived
-    /// `softbound::Instance` exploits between back-to-back requests.
+    /// preserves (e.g. the paged shadow facility's directory chunks). That
+    /// is the amortization a long-lived `softbound::Instance` exploits
+    /// between back-to-back requests.
     pub fn reset(&mut self) {
         // `Mem::reset` (rather than a fresh `Mem`) recycles the page
         // frames of the previous run — and invalidates the last-page
@@ -305,6 +310,7 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
         self.hooks.reset();
         self.ctx.reset(0);
         self.pending_clamp = None;
+        self.pending_meta_len = None;
         self.layout_globals();
     }
 
@@ -863,6 +869,7 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
                 for (i, v) in args.iter().enumerate() {
                     abuf[i] = self.val(v);
                 }
+                hand_off_meta_len(&mut self.pending_meta_len, *rt, &mut abuf);
                 let avs = &abuf[..args.len()];
                 let va = self.frames.last().expect("frame").varargs.len() as u64;
                 self.ctx.reset(va);
@@ -1183,6 +1190,7 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
                 for (i, v) in avs_src.iter().enumerate() {
                     abuf[i] = rd!(*v);
                 }
+                hand_off_meta_len(&mut self.pending_meta_len, rt, &mut abuf);
                 let avs = &abuf[..avs_src.len()];
                 let va = frame.varargs.len() as u64;
                 self.ctx.reset(va);
@@ -1319,6 +1327,7 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
                 self.hook_range(s, eff, false)?;
                 self.hook_range(d, eff, true)?;
                 self.copy_bytes(d, s, eff)?;
+                self.pending_meta_len = (eff < n).then_some(eff);
                 self.stats.cycles += 4 + n / 8;
                 set(self, 0, d as i64);
                 if wrapped {
@@ -1651,7 +1660,9 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
         write: bool,
     ) -> Result<u64, Trap> {
         let (base, bound) = (base as u64, bound as u64);
-        if lo >= base && lo + len <= bound {
+        // `lo + len` must not wrap: a near-`u64::MAX` pointer would
+        // otherwise wrap past zero and pass the bound comparison.
+        if lo >= base && lo.checked_add(len).is_some_and(|end| end <= bound) {
             return Ok(len);
         }
         let va = self

@@ -600,68 +600,6 @@ pub trait RuntimeHooks {
     fn reset(&mut self) {}
 }
 
-/// Boxed hooks forward to their contents, so `Box<dyn RuntimeHooks>`
-/// plugs into the generic [`Machine`](crate::Machine) as its type-erased
-/// configuration (`Machine::new_dyn`). The generic machine statically
-/// dispatches on `H`; only this impl's calls go through a vtable.
-impl<H: RuntimeHooks + ?Sized> RuntimeHooks for Box<H> {
-    fn name(&self) -> &'static str {
-        (**self).name()
-    }
-
-    fn rt_call(
-        &mut self,
-        rt: RtFn,
-        args: &[i64],
-        mem: &mut Mem,
-        ctx: &mut RtCtx,
-    ) -> Result<RtVals, Trap> {
-        (**self).rt_call(rt, args, mem, ctx)
-    }
-
-    fn on_malloc(&mut self, addr: u64, size: u64, ctx: &mut RtCtx) {
-        (**self).on_malloc(addr, size, ctx);
-    }
-
-    fn on_free(&mut self, addr: u64, size: u64, ptr_hint: bool, ctx: &mut RtCtx) {
-        (**self).on_free(addr, size, ptr_hint, ctx);
-    }
-
-    fn on_alloca(&mut self, addr: u64, info: &AllocaInfo, ctx: &mut RtCtx) {
-        (**self).on_alloca(addr, info, ctx);
-    }
-
-    fn on_frame_exit(&mut self, allocas: &[(u64, u64)], ctx: &mut RtCtx) {
-        (**self).on_frame_exit(allocas, ctx);
-    }
-
-    fn on_global(&mut self, addr: u64, size: u64, ctx: &mut RtCtx) {
-        (**self).on_global(addr, size, ctx);
-    }
-
-    fn check_builtin_range(
-        &mut self,
-        ptr: u64,
-        len: u64,
-        is_store: bool,
-        ctx: &mut RtCtx,
-    ) -> Result<(), Trap> {
-        (**self).check_builtin_range(ptr, len, is_store, ctx)
-    }
-
-    fn on_builtin_violation(
-        &mut self,
-        violation: &BuiltinViolation,
-        ctx: &mut RtCtx,
-    ) -> ViolationDisposition {
-        (**self).on_builtin_violation(violation, ctx)
-    }
-
-    fn reset(&mut self) {
-        (**self).reset();
-    }
-}
-
 /// A no-op runtime for uninstrumented executions.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NoRuntime;

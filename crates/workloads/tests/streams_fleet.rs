@@ -9,7 +9,7 @@ use sb_workloads::{mixed_traffic, MIXED_HANDLER};
 use softbound::{fleet, Engine, Facility};
 
 fn engine() -> Engine {
-    Engine::new().facility(Facility::ShadowPaged)
+    Engine::new().facility(Facility::ShadowShared)
 }
 
 #[test]

@@ -2,8 +2,7 @@
 //! one compiled `Program` must observe *bit-identically* what N serial
 //! fresh runs of the same request stream observe — outcomes, captured
 //! output, dynamic statistics, runtime counters, and final-memory
-//! digests — across all four metadata facilities (including the
-//! process-wide shared shadow reservation), both execution lanes, and
+//! digests — across both metadata facilities, both execution lanes, and
 //! both safe and trapping traffic.
 //!
 //! This is the concurrent analogue of `tests/instance_reuse.rs`: that
@@ -17,12 +16,7 @@ use softbound::{Engine, Facility, Lane, Program};
 
 fn engines() -> Vec<(String, Engine)> {
     let mut out = Vec::new();
-    for facility in [
-        Facility::ShadowPaged,
-        Facility::ShadowHashMap,
-        Facility::HashTable,
-        Facility::ShadowShared,
-    ] {
+    for facility in [Facility::ShadowShared, Facility::HashTable] {
         for lane in [Lane::Predecoded, Lane::TreeWalk] {
             out.push((
                 format!("{facility:?}/{lane:?}"),

@@ -1,9 +1,8 @@
 //! Differential proof that instance reuse is invisible: N back-to-back
 //! runs on one `Instance` must observe exactly what N fresh machines
 //! observe — identical outcomes, outputs, dynamic statistics, runtime
-//! check/violation counters, and final-memory digests — across all
-//! four metadata facilities (including the process-wide shared shadow
-//! reservation), for both finishing and trapping programs.
+//! check/violation counters, and final-memory digests — across both
+//! metadata facilities, for both finishing and trapping programs.
 //!
 //! This is what licenses a server to keep one machine per worker and
 //! reset between requests instead of rebuilding the world.
@@ -65,15 +64,10 @@ fn assert_reuse_invisible(engine: &Engine, program: &Program, args: &[i64], labe
 }
 
 fn engines() -> Vec<(Facility, Engine)> {
-    [
-        Facility::ShadowPaged,
-        Facility::ShadowHashMap,
-        Facility::HashTable,
-        Facility::ShadowShared,
-    ]
-    .into_iter()
-    .map(|f| (f, Engine::new().facility(f)))
-    .collect()
+    [Facility::ShadowShared, Facility::HashTable]
+        .into_iter()
+        .map(|f| (f, Engine::new().facility(f)))
+        .collect()
 }
 
 #[test]

@@ -1,32 +1,30 @@
-//! Whole-program differential proof of the devirtualized metadata path.
+//! Whole-program differential proof of the metadata facilities and the
+//! two execution lanes.
 //!
-//! The `SoftBoundRuntime<F>` / `Machine<H>` refactor replaced `Box<dyn>`
-//! dispatch on the check path with monomorphized calls. Facility-level
-//! unit tests cannot prove such a refactor behaviour-preserving, so this
-//! suite runs *entire instrumented programs* — the evaluation workloads
-//! and the BugBench violation programs — through every execution lane:
+//! Facility-level unit tests cannot prove the monomorphized
+//! `SoftBoundRuntime<F>` / `Machine<H>` check path behaviour-preserving,
+//! so this suite runs *entire instrumented programs* — the evaluation
+//! workloads and the BugBench violation programs — through six lanes:
+//! the three facilities
 //!
-//! 1. `SoftBoundRuntime<ShadowPages>` (static, the production path),
-//! 2. `SoftBoundRuntime<ShadowHashMapFacility>` (static, oracle),
-//! 3. `SoftBoundRuntime<HashTableFacility>` (static, §5.1 alternative),
-//! 4. `DynRuntime` — `SoftBoundRuntime<Box<dyn MetadataFacility>>`,
-//! 5. `Machine::new_dyn` over `Box<dyn RuntimeHooks>` (fully erased),
-//! 6. (through 8.) lanes 1–3 again through the *pre-decoded* execution
-//!    IR (`Machine::run_predecoded` over the `ExecModule` cached on the
-//!    `Program`) — the flat dispatch loop with fused check+access
-//!    superinstructions must be bit-identical to its tree-walk twin,
-//! 9. (and 10.) `SoftBoundRuntime<SharedShadowPages>` — the process-wide
-//!    shared-reservation facility — in both lanes; it shares the paged
-//!    shadow's cost model, so it must match lane 1 on *every*
-//!    observable, cycles and final memory included.
+//! 1. `SoftBoundRuntime<ShadowPages>` (the production shadow space over
+//!    the process-wide directory reservation),
+//! 2. `SoftBoundRuntime<ShadowHashMapFacility>` (the HashMap oracle),
+//! 3. `SoftBoundRuntime<HashTableFacility>` (the §5.1 alternative),
+//!
+//! each driven through the tree-walk interpreter and through the
+//! *pre-decoded* execution IR (`Machine::run_predecoded` over the
+//! `ExecModule` cached on the `Program`) — the flat dispatch loop with
+//! fused check+access superinstructions must be bit-identical to its
+//! tree-walk twin.
 //!
 //! Every lane must produce identical traps, program output, dynamic
 //! check/metadata counts, runtime violation counters, live metadata, and
 //! — for lanes sharing a cost model — identical cycles and final memory.
 
-use sb_vm::{Machine, MachineConfig, Outcome, RuntimeHooks};
+use sb_vm::{Machine, MachineConfig, Outcome, Trap};
 use softbound::{
-    DynRuntime, Engine, EvidenceRecord, MetadataFacility, Program, SoftBoundConfig,
+    Engine, EvidenceRecord, MetadataFacility, PolicyAction, Program, SoftBoundConfig,
     SoftBoundRuntime, ViolationPolicy,
 };
 
@@ -78,39 +76,6 @@ fn observe<F: MetadataFacility>(
     }
 }
 
-/// The fully type-erased lane: hooks behind `Box<dyn RuntimeHooks>`, so
-/// runtime counters are unreachable — compare machine-visible state only.
-fn observe_erased(module: &sb_ir::Module, cfg: &SoftBoundConfig, arg: i64) -> Observed {
-    let hooks: Box<dyn RuntimeHooks> = Box::new(DynRuntime::new(cfg));
-    let mut machine = Machine::new_dyn(module, MachineConfig::default(), hooks);
-    let r = machine.run("main", &[arg]);
-    Observed {
-        outcome: r.outcome,
-        output: r.output,
-        checks: r.stats.checks,
-        meta_loads: r.stats.meta_loads,
-        meta_stores: r.stats.meta_stores,
-        rt_calls: r.stats.rt_calls,
-        // Counters live behind the vtable; mirror the reference lane's
-        // values so `PartialEq` compares only what this lane can see.
-        check_count: 0,
-        violation_count: 0,
-        live_entries: 0,
-        mem_hash: machine.mem.content_hash(),
-        cycles: r.stats.cycles,
-    }
-}
-
-/// Strips the fields the erased lane cannot observe.
-fn erasable(o: &Observed) -> Observed {
-    Observed {
-        check_count: 0,
-        violation_count: 0,
-        live_entries: 0,
-        ..o.clone()
-    }
-}
-
 /// Strips the fields whose value legitimately depends on the facility's
 /// cost model (hash lookups cost 9, shadow lookups 5).
 fn cost_free(o: &Observed) -> Observed {
@@ -126,7 +91,6 @@ fn run_all_lanes(name: &str, source: &str, cfg: &SoftBoundConfig, arg: i64) -> O
         .softbound_config(cfg.clone())
         .compile(source)
         .expect("program compiles");
-    let module = program.module();
 
     let paged = observe(&program, SoftBoundRuntime::new_paged(cfg), arg, false);
     let hashmap = observe(
@@ -136,10 +100,8 @@ fn run_all_lanes(name: &str, source: &str, cfg: &SoftBoundConfig, arg: i64) -> O
         false,
     );
     let hashtable = observe(&program, SoftBoundRuntime::new_hash(cfg), arg, false);
-    let dyn_facility = observe(&program, DynRuntime::new(cfg), arg, false);
-    let erased = observe_erased(module, cfg, arg);
 
-    // Lanes 6–8: the same three static facilities driven through the
+    // Lanes 4–6: the same three facilities driven through the
     // pre-decoded execution IR. Each must match its tree-walk twin on
     // *every* observable — traps, output, all dynamic counters, runtime
     // counters, live metadata, cycles, and the final memory digest.
@@ -164,32 +126,9 @@ fn run_all_lanes(name: &str, source: &str, cfg: &SoftBoundConfig, arg: i64) -> O
         "{name}: hash-table tree-walk vs pre-decoded diverged"
     );
 
-    // Lanes 9–10: the shared-reservation shadow. Same packed pages,
-    // same cost model, host-side directory shared across the process —
-    // nothing observable may differ from the private paged lane.
-    let shared = observe(&program, SoftBoundRuntime::new_shared(cfg), arg, false);
-    let shared_exec = observe(&program, SoftBoundRuntime::new_shared(cfg), arg, true);
-    assert_eq!(
-        shared, shared_exec,
-        "{name}: shared tree-walk vs pre-decoded diverged"
-    );
-    assert_eq!(
-        paged, shared,
-        "{name}: paged vs shared-reservation shadow diverged"
-    );
-
     // The two shadow organizations share the cost model and write the
     // same simulated memory: every observable must match bit-for-bit.
     assert_eq!(paged, hashmap, "{name}: paged vs hashmap shadow diverged");
-    // The dyn-facility wrapper hosts the *paged* facility (the config
-    // default): it must match the static paged lane exactly — dispatch
-    // must never change behaviour, cost, or memory.
-    assert_eq!(paged, dyn_facility, "{name}: static vs DynRuntime diverged");
-    assert_eq!(
-        erasable(&paged),
-        erased,
-        "{name}: static vs Machine::new_dyn diverged"
-    );
     // The hash table costs more per lookup (9 vs 5 instructions, plus
     // probes) and may map different simulated-table pages, but traps,
     // output, and every dynamic count must be identical.
@@ -280,6 +219,87 @@ fn violating_programs_trap_identically_across_all_lanes() {
     }
 }
 
+/// What a violation policy does on one program: the outcome, output,
+/// violation counter, and the evidence it recorded.
+#[derive(Debug, PartialEq)]
+struct PolicyObs {
+    outcome: Outcome,
+    output: String,
+    violation_count: u64,
+    evidence: Vec<EvidenceRecord>,
+}
+
+fn policy_obs<F: MetadataFacility>(
+    program: &Program,
+    rt: SoftBoundRuntime<F>,
+    arg: i64,
+    predecoded: bool,
+) -> PolicyObs {
+    let mut machine = Machine::new(program.module(), MachineConfig::default(), rt);
+    let r = if predecoded {
+        machine.attach_exec(program.exec());
+        machine.run_predecoded("main", &[arg])
+    } else {
+        machine.run("main", &[arg])
+    };
+    PolicyObs {
+        outcome: r.outcome,
+        output: r.output,
+        violation_count: machine.hooks().violation_count,
+        evidence: machine.hooks_mut().drain_evidence(),
+    }
+}
+
+/// Runs `src` under `policy` through all six lanes, asserts they agree,
+/// and returns the paged tree-walk observation.
+fn policy_lanes(src: &str, policy: ViolationPolicy, arg: i64) -> PolicyObs {
+    let mut cfg = SoftBoundConfig::full_shadow();
+    cfg.policy = policy;
+    let program = Engine::new()
+        .softbound_config(cfg.clone())
+        .compile(src)
+        .expect("compiles");
+    let reference = policy_obs(&program, SoftBoundRuntime::new_paged(&cfg), arg, false);
+    for (lane, obs) in [
+        (
+            "paged/pre",
+            policy_obs(&program, SoftBoundRuntime::new_paged(&cfg), arg, true),
+        ),
+        (
+            "hashmap/tree",
+            policy_obs(
+                &program,
+                SoftBoundRuntime::new_shadow_hashmap(&cfg),
+                arg,
+                false,
+            ),
+        ),
+        (
+            "hashmap/pre",
+            policy_obs(
+                &program,
+                SoftBoundRuntime::new_shadow_hashmap(&cfg),
+                arg,
+                true,
+            ),
+        ),
+        (
+            "hash/tree",
+            policy_obs(&program, SoftBoundRuntime::new_hash(&cfg), arg, false),
+        ),
+        (
+            "hash/pre",
+            policy_obs(&program, SoftBoundRuntime::new_hash(&cfg), arg, true),
+        ),
+    ] {
+        assert_eq!(
+            reference, obs,
+            "{policy:?}: {lane} diverged from paged/tree"
+        );
+    }
+    reference
+}
+
 #[test]
 fn policy_behavior_invariant_across_facilities_and_lanes() {
     // The violation policy is a runtime-side property: what each policy
@@ -295,79 +315,12 @@ fn policy_behavior_invariant_across_facilities_and_lanes() {
             return sum;
         }
     "#;
-    #[derive(Debug, PartialEq)]
-    struct PolicyObs {
-        outcome: Outcome,
-        output: String,
-        violation_count: u64,
-        evidence: Vec<EvidenceRecord>,
-    }
-    fn policy_obs<F: MetadataFacility>(
-        program: &Program,
-        rt: SoftBoundRuntime<F>,
-        predecoded: bool,
-    ) -> PolicyObs {
-        let mut machine = Machine::new(program.module(), MachineConfig::default(), rt);
-        let r = if predecoded {
-            machine.attach_exec(program.exec());
-            machine.run_predecoded("main", &[16])
-        } else {
-            machine.run("main", &[16])
-        };
-        PolicyObs {
-            outcome: r.outcome,
-            output: r.output,
-            violation_count: machine.hooks().violation_count,
-            evidence: machine.hooks_mut().drain_evidence(),
-        }
-    }
     for policy in [
         ViolationPolicy::Strict,
         ViolationPolicy::Hardened,
         ViolationPolicy::Monitor,
     ] {
-        let mut cfg = SoftBoundConfig::full_shadow();
-        cfg.policy = policy;
-        let program = Engine::new()
-            .softbound_config(cfg.clone())
-            .compile(src)
-            .expect("compiles");
-        let reference = policy_obs(&program, SoftBoundRuntime::new_paged(&cfg), false);
-        for (lane, obs) in [
-            (
-                "paged/pre",
-                policy_obs(&program, SoftBoundRuntime::new_paged(&cfg), true),
-            ),
-            (
-                "hashmap/tree",
-                policy_obs(&program, SoftBoundRuntime::new_shadow_hashmap(&cfg), false),
-            ),
-            (
-                "hashmap/pre",
-                policy_obs(&program, SoftBoundRuntime::new_shadow_hashmap(&cfg), true),
-            ),
-            (
-                "hash/tree",
-                policy_obs(&program, SoftBoundRuntime::new_hash(&cfg), false),
-            ),
-            (
-                "hash/pre",
-                policy_obs(&program, SoftBoundRuntime::new_hash(&cfg), true),
-            ),
-            (
-                "shared/tree",
-                policy_obs(&program, SoftBoundRuntime::new_shared(&cfg), false),
-            ),
-            (
-                "shared/pre",
-                policy_obs(&program, SoftBoundRuntime::new_shared(&cfg), true),
-            ),
-        ] {
-            assert_eq!(
-                reference, obs,
-                "{policy:?}: {lane} diverged from paged/tree"
-            );
-        }
+        let reference = policy_lanes(src, policy, 16);
         match policy {
             ViolationPolicy::Strict => {
                 assert!(
@@ -402,6 +355,76 @@ fn policy_behavior_invariant_across_facilities_and_lanes() {
 }
 
 #[test]
+fn clamped_memcpy_copies_metadata_only_for_the_bytes_it_wrote() {
+    // `memcpy(dst, src, 32)` into a 16-byte `dst` whose heap neighbour
+    // `victim` holds a pointer to `x`. Hardened clamps the data copy to
+    // dst's 16 bytes; the metadata copy that follows the call must be
+    // clamped the same way, or it overwrites victim's metadata with the
+    // bounds of `y` while victim's data still points to `x`, and the
+    // legal read `x[5]` is then zeroed as a violation.
+    let src = r#"
+        int main() {
+            long** dst = (long**)malloc(16);
+            long** victim = (long**)malloc(16);
+            long* x = (long*)malloc(64);
+            x[5] = 6;
+            victim[0] = x;
+            long* y = (long*)malloc(8);
+            long** src = (long**)malloc(32);
+            for (int i = 0; i < 4; i = i + 1) src[i] = y;
+            memcpy(dst, src, 32);
+            return (int)victim[0][5];
+        }
+    "#;
+    const DST: u64 = 0x2000_0000_0000;
+    const Y: u64 = 0x2000_0000_0060;
+
+    let hardened = policy_lanes(src, ViolationPolicy::Hardened, 0);
+    assert_eq!(hardened.outcome, Outcome::Finished { ret: 6 });
+    assert_eq!(hardened.violation_count, 1);
+    assert_eq!(hardened.evidence.len(), 1, "{:x?}", hardened.evidence);
+    let ev = hardened.evidence[0];
+    assert_eq!(ev.action, PolicyAction::ClampedWrite);
+    assert_eq!((ev.ptr, ev.size), (DST, 32));
+    assert_eq!(
+        (ev.base, ev.bound, ev.fault_addr),
+        (DST, DST + 16, DST + 16)
+    );
+
+    // Strict traps in the wrapper at the first byte past `dst`.
+    let strict = policy_lanes(src, ViolationPolicy::Strict, 0);
+    assert_eq!(
+        strict.outcome,
+        Outcome::Trapped(Trap::SpatialViolation {
+            scheme: "softbound-wrapper",
+            addr: DST + 16,
+            write: true,
+        })
+    );
+    assert!(strict.evidence.is_empty());
+
+    // Monitor performs the whole copy, data and metadata alike: victim
+    // now holds `y`, so the read of `y[5]` is observed and returns what
+    // lies 40 bytes past `y` (the low half of the pointer `src[3]`).
+    let monitor = policy_lanes(src, ViolationPolicy::Monitor, 0);
+    assert_eq!(
+        monitor.outcome,
+        Outcome::Finished {
+            ret: Y as i32 as i64
+        }
+    );
+    assert_eq!(monitor.evidence.len(), 2, "{:x?}", monitor.evidence);
+    assert_eq!(
+        (monitor.evidence[1].base, monitor.evidence[1].bound),
+        (Y, Y + 8)
+    );
+    assert!(monitor
+        .evidence
+        .iter()
+        .all(|e| e.action == PolicyAction::Observed));
+}
+
+#[test]
 fn wraparound_pointers_trap_in_whole_programs() {
     // End-to-end regression for the `ptr + size` wraparound hole. The
     // pointer must carry *live* metadata (an int-to-pointer cast would
@@ -426,4 +449,48 @@ fn wraparound_pointers_trap_in_whole_programs() {
         "forged near-MAX pointer must trap, got {:?}",
         o.outcome
     );
+
+    // The same hole in the libc wrappers' `lo + len <= bound`: with
+    // `q = p + (-(long)p - 8)`, `q + 32` wraps to 24. The wrapper must
+    // trap at `q` itself (it lies past the bound) instead of letting the
+    // builtin fault on unmapped memory.
+    let q = 0xffff_ffff_ffff_fff8u64;
+    for (name, src) in [
+        (
+            "wraparound-memcpy",
+            r#"
+            int main() {
+                char* p = (char*)malloc(16);
+                char* src = (char*)malloc(32);
+                long k = -(long)p - 8;   // p + k == 0xffff_ffff_ffff_fff8
+                char* q = p + k;
+                memcpy(q, src, 32);
+                return 0;
+            }
+        "#,
+        ),
+        (
+            "wraparound-memset",
+            r#"
+            int main() {
+                char* p = (char*)malloc(16);
+                long k = -(long)p - 8;   // p + k == 0xffff_ffff_ffff_fff8
+                char* q = p + k;
+                memset(q, 1, 32);
+                return 0;
+            }
+        "#,
+        ),
+    ] {
+        let o = run_all_lanes(name, src, &cfg, 0);
+        assert_eq!(
+            o.outcome,
+            Outcome::Trapped(Trap::SpatialViolation {
+                scheme: "softbound-wrapper",
+                addr: q,
+                write: true,
+            }),
+            "{name}"
+        );
+    }
 }
