@@ -33,11 +33,7 @@ pub const MSCC_CHECK_COST: u64 = 4;
 
 /// Instruments a module MSCC-style.
 pub fn instrument_mscc(module: &Module) -> Module {
-    let cfg = SoftBoundConfig {
-        clear_on_return: false,
-        ..SoftBoundConfig::default()
-    };
-    instrument_flavored(module, &cfg, Flavor::mscc())
+    instrument_flavored(module, &SoftBoundConfig::default(), Flavor::Mscc)
 }
 
 /// The MSCC runtime: disjoint metadata with a costlier access path and no

@@ -7,7 +7,7 @@ use crate::object_table::{instrument_object_scheme, ObjectScheme, ObjectTableRun
 use crate::valgrind::{instrument_valgrind, ValgrindRuntime, REDZONE};
 use sb_ir::Module;
 use sb_vm::{Machine, MachineConfig, NoRuntime, RunResult, RuntimeHooks};
-use softbound::{Engine, SoftBoundConfig, SoftBoundError};
+use softbound::{Engine, Facility, SoftBoundConfig, SoftBoundError, SoftBoundRuntime};
 
 /// Every protection scheme the reproduction implements.
 #[derive(Debug, Clone)]
@@ -42,16 +42,6 @@ impl Scheme {
         }
     }
 
-    /// The SoftBound engine matching this scheme's configuration, when
-    /// the scheme is SoftBound — the session API every SoftBound
-    /// compile/run below routes through.
-    fn engine(&self) -> Option<Engine> {
-        match self {
-            Scheme::SoftBound(cfg) => Some(Engine::new().softbound_config(cfg.clone())),
-            _ => None,
-        }
-    }
-
     /// Compiles and instruments a CIR-C source for this scheme (the fat
     /// baseline uses the fat memory layout). The SoftBound scheme goes
     /// through [`Engine::compile`]; the baselines share its error
@@ -65,8 +55,8 @@ impl Scheme {
     pub fn compile(&self, src: &str) -> Result<Module, SoftBoundError> {
         let module = match self {
             Scheme::FatPointer => return fatptr::compile_fat_protected(src),
-            Scheme::SoftBound(_) => {
-                let engine = self.engine().expect("SoftBound scheme");
+            Scheme::SoftBound(cfg) => {
+                let engine = Engine::new().softbound_config(cfg.clone());
                 return Ok(engine.compile(src)?.into_parts().0);
             }
             _ => {
@@ -91,9 +81,10 @@ impl Scheme {
         Ok(m)
     }
 
-    /// Runs `module` on a machine monomorphized for this scheme's
-    /// concrete runtime — the statically-dispatched fast path every
-    /// harness entry point funnels into.
+    /// Runs `module` through [`Machine::run`] on a machine
+    /// monomorphized for this scheme's concrete runtime — the
+    /// statically-dispatched path every harness entry point funnels
+    /// into, the same for SoftBound as for every baseline.
     fn dispatch(
         &self,
         module: &Module,
@@ -113,11 +104,12 @@ impl Scheme {
         }
         match self {
             Scheme::Uninstrumented => go(module, cfg, NoRuntime, entry, args),
-            Scheme::SoftBound(sb) => Engine::new()
-                .softbound_config(sb.clone())
-                .machine_config(cfg)
-                .instantiate_module(module)
-                .run(entry, args),
+            Scheme::SoftBound(sb) => match sb.facility {
+                Facility::ShadowShared => {
+                    go(module, cfg, SoftBoundRuntime::new_paged(sb), entry, args)
+                }
+                Facility::HashTable => go(module, cfg, SoftBoundRuntime::new_hash(sb), entry, args),
+            },
             Scheme::JonesKelly => go(
                 module,
                 cfg,

@@ -8,19 +8,21 @@
 //! per-machine setup dominates, and the §6.4 HTTP-like daemon serving a
 //! real connection batch.
 //!
-//! Also the interpreter-lane comparison (PR 6): `reused_instance`
-//! drives the pre-decoded execution IR (the engine default), the
-//! `tree_walk_reused_instance` lane drives the tree-walk oracle over
-//! the same program, and `relower_per_request` re-lowers the flat IR
-//! every request — the decode cost `Program` caching amortizes away.
+//! Also the interpreter-lane comparison: `reused_instance` drives the
+//! pre-decoded execution IR (the lane every `Instance` serves), the
+//! `tree_walk_reused_instance` lane drives the tree-walk reference
+//! (`Machine::run`) over the same program, and `relower_per_request`
+//! re-lowers the flat IR every request — the decode cost `Program`
+//! caching amortizes away.
 //!
 //! ```sh
 //! cargo bench -p sb-bench --bench throughput
 //! ```
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use sb_bench::perf::{tree_walk_machine, tree_walk_run};
 use sb_vm::ExecModule;
-use softbound::{fleet, Engine, Lane};
+use softbound::{fleet, Engine};
 
 /// A request-sized program: parse-ish arithmetic, a little heap churn,
 /// pointer stores (metadata traffic), and a checksum reply.
@@ -55,18 +57,19 @@ fn bench_program(c: &mut Criterion, group_name: &str, src: &str, args: &[i64]) {
     group.sample_size(20);
 
     // The session path: one machine, one shadow overlay, reset
-    // between requests — driving the pre-decoded lane (the default).
+    // between requests — driving the pre-decoded lane.
     group.bench_function("reused_instance", |b| {
         let mut instance = engine.instantiate(&program);
         b.iter(|| black_box(instance.run("main", args).ret()));
     });
 
-    // The same session topology on the tree-walk oracle lane: the gap
-    // to `reused_instance` is pure decode/dispatch, since both lanes
-    // execute identical semantics (pinned by the differential suite).
+    // The same topology on the tree-walk reference: one machine reset
+    // between requests. The gap to `reused_instance` is pure
+    // decode/dispatch, since both lanes execute identical semantics
+    // (pinned by the differential suite).
     group.bench_function("tree_walk_reused_instance", |b| {
-        let mut instance = engine.clone().lane(Lane::TreeWalk).instantiate(&program);
-        b.iter(|| black_box(instance.run("main", args).ret()));
+        let mut machine = tree_walk_machine(&program);
+        b.iter(|| black_box(tree_walk_run(&mut machine, args).ret()));
     });
 
     // What the pre-decoded lane would cost if the lowering were NOT

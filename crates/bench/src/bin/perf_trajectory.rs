@@ -1,5 +1,5 @@
 //! Regenerates `BENCH_softbound.json` — the perf-trajectory snapshot of
-//! the pre-decoded execution IR versus the tree-walk oracle, the
+//! the pre-decoded execution IR versus the tree-walk reference, the
 //! libc-kernel corpus lanes, plus the fleet-serving scaling curve
 //! (req/s vs worker count over one shared `Program`).
 //!

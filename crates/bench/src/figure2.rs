@@ -3,7 +3,7 @@
 //! average row.
 
 use crate::overhead;
-use sb_vm::{CacheConfig, Machine, MachineConfig, NoRuntime};
+use sb_vm::{Machine, MachineConfig, NoRuntime};
 use sb_workloads::all_benchmarks;
 use softbound::{Engine, Program, SoftBoundConfig};
 
@@ -58,11 +58,11 @@ pub mod paper {
 /// extra overhead on pointer-heavy benchmarks to metadata memory
 /// pressure, which only shows up with a cache in the loop.
 pub fn run() -> Vec<Row> {
-    run_with_cache(Some(CacheConfig::default()))
+    run_with_cache(true)
 }
 
-/// Runs with an explicit cache configuration (None = flat memory).
-pub fn run_with_cache(cache: Option<CacheConfig>) -> Vec<Row> {
+/// Runs with the Core 2 L1 model on (`true`) or flat memory (`false`).
+pub fn run_with_cache(cache: bool) -> Vec<Row> {
     let machine_cfg = MachineConfig {
         cache,
         ..MachineConfig::default()
@@ -314,7 +314,7 @@ mod tests {
     fn figure2_shape_matches_paper() {
         // Flat memory (no cache model) keeps the test fast; the shape
         // claims hold in both modes.
-        let rows = run_with_cache(None);
+        let rows = run_with_cache(false);
         assert_eq!(rows.len(), 15);
         for r in &rows {
             // Hash table costs at least as much as the shadow space, and

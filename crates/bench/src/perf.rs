@@ -2,15 +2,17 @@
 //!
 //! Measures wall-clock ns per executed VM instruction for each
 //! evaluation workload on both interpreter lanes — the pre-decoded
-//! execution IR and the tree-walk oracle — plus the static elimination
-//! and fusion counts that explain the curve. Rendered as
+//! execution IR an `Instance` serves, and the tree-walk reference
+//! reached through `Machine::run` — plus the static elimination and
+//! fusion counts that explain the curve. Rendered as
 //! `BENCH_softbound.json` by the `perf_trajectory` binary:
 //!
 //! ```sh
 //! cargo run -p sb-bench --bin perf_trajectory --release
 //! ```
 
-use softbound::{Engine, Lane};
+use sb_vm::{Machine, MachineConfig, RunResult};
+use softbound::{Engine, Program, ShadowPages, SoftBoundConfig, SoftBoundRuntime};
 use std::time::Instant;
 
 /// One (workload, lane) measurement.
@@ -38,32 +40,49 @@ pub struct PerfRow {
 /// dispatch-dominated runs where lane choice, not setup, is the cost.
 pub const WORKLOADS: &[&str] = &["compress", "tsp", "treeadd", "health"];
 
-fn timed(instance: &mut softbound::Instance, args: &[i64]) -> u128 {
+/// The tree-walk reference for a program compiled by `Engine::new()`:
+/// a machine over the same instrumented module and runtime an
+/// `Instance` builds, for [`tree_walk_run`] to drive.
+pub fn tree_walk_machine(program: &Program) -> Machine<'_, SoftBoundRuntime<ShadowPages>> {
+    let rt = SoftBoundRuntime::new_paged(&SoftBoundConfig::default());
+    Machine::new(program.module(), MachineConfig::default(), rt)
+}
+
+/// One run of `main` through [`Machine::run`], reset first — what
+/// `Instance::run` does, on the tree-walk lane.
+pub fn tree_walk_run(
+    machine: &mut Machine<'_, SoftBoundRuntime<ShadowPages>>,
+    args: &[i64],
+) -> RunResult {
+    machine.reset();
+    machine.run("main", args)
+}
+
+fn timed(run: impl FnOnce() -> RunResult) -> u128 {
     let t = Instant::now();
-    std::hint::black_box(instance.run("main", args).ret());
+    std::hint::black_box(run().ret());
     t.elapsed().as_nanos()
 }
 
 /// Measures one compiled program on both lanes (interleaved best-of-7,
 /// same discipline as [`run`]) and pushes a row pair onto `rows`.
 fn measure_pair(name: &'static str, source: &str, args: &[i64], rows: &mut Vec<PerfRow>) {
-    let predecoded = Engine::new();
-    let program = predecoded.compile(source).expect("program compiles");
-    let tree_walk = predecoded.clone().lane(Lane::TreeWalk);
+    let engine = Engine::new();
+    let program = engine.compile(source).expect("program compiles");
     let eliminated = program.stats().checks_eliminated as u64;
     let fused = program.exec().fused_checks;
 
-    let mut pre = predecoded.instantiate(&program);
-    let mut tree = tree_walk.instantiate(&program);
+    let mut pre = engine.instantiate(&program);
+    let mut tree = tree_walk_machine(&program);
     // Warm up: materialize shadow pages, frame pool, scratch buffers.
     let warm = pre.run("main", args);
     let (insts, checks) = (warm.stats.insts, warm.stats.checks);
-    std::hint::black_box(tree.run("main", args).ret());
+    std::hint::black_box(tree_walk_run(&mut tree, args).ret());
 
     let (mut best_pre, mut best_tree) = (u128::MAX, u128::MAX);
     for _ in 0..7 {
-        best_pre = best_pre.min(timed(&mut pre, args));
-        best_tree = best_tree.min(timed(&mut tree, args));
+        best_pre = best_pre.min(timed(|| pre.run("main", args)));
+        best_tree = best_tree.min(timed(|| tree_walk_run(&mut tree, args)));
     }
     for (lane, run_ns) in [("predecoded", best_pre), ("tree_walk", best_tree)] {
         rows.push(PerfRow {
@@ -290,11 +309,7 @@ mod tests {
         let engine = Engine::new();
         let program = engine.compile(w.source).expect("compiles");
         let pre = engine.instantiate(&program).run("main", &[w.default_arg]);
-        let tree = engine
-            .clone()
-            .lane(Lane::TreeWalk)
-            .instantiate(&program)
-            .run("main", &[w.default_arg]);
+        let tree = tree_walk_run(&mut tree_walk_machine(&program), &[w.default_arg]);
         assert_eq!(pre.stats.insts, tree.stats.insts);
         assert_eq!(pre.stats.checks, tree.stats.checks);
         assert_eq!(pre.stats.cycles, tree.stats.cycles);

@@ -1,4 +1,10 @@
-//! Configuration of the SoftBound transformation and runtime.
+//! Configuration of the SoftBound transformation and runtime: the two
+//! axes the paper's evaluation varies — checking mode (§6.3) and
+//! metadata organization (§5.1) — plus the violation policy.
+//!
+//! The §5.2 mechanisms are part of the scheme, not switches: the memcpy
+//! type heuristic, metadata clearing on `free` and on function return,
+//! and function-pointer checks are always on.
 
 use crate::policy::ViolationPolicy;
 
@@ -31,75 +37,23 @@ pub enum Facility {
     /// copy-on-first-touch chunks, so a fleet pays it once.
     #[default]
     ShadowShared,
-    /// Open-hashing table; ~9 instructions plus probes.
+    /// Open-hashing table with 2^20 buckets; ~9 instructions plus
+    /// probes.
     HashTable,
 }
 
-/// Which interpreter lane an `Instance` drives.
-///
-/// Both lanes execute the same instrumented module with identical
-/// observable behaviour — traps, output, dynamic counters, cycles,
-/// final memory (pinned by `tests/machine_differential.rs`). The lane
-/// only selects *how* the module is dispatched.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Lane {
-    /// Flat pre-decoded ops with pre-resolved operands and fused
-    /// check+access superinstructions — the production lane. The
-    /// lowering is cached on `Program`, so instances pay the decode
-    /// cost once per compilation.
-    #[default]
-    Predecoded,
-    /// The original tree-walk interpreter — the differential oracle,
-    /// and the only lane available without a `Program` (instances built
-    /// directly over a module).
-    TreeWalk,
-}
-
-/// SoftBound configuration.
-#[derive(Debug, Clone)]
+/// SoftBound configuration: the options a caller varies.
+#[derive(Debug, Clone, Default)]
 pub struct SoftBoundConfig {
     /// Checking mode.
     pub mode: CheckMode,
     /// Metadata organization.
     pub facility: Facility,
-    /// log2 of hash-table buckets (ignored for the shadow space).
-    pub hash_log2_buckets: u32,
-    /// Use the §5.2 type heuristic to skip metadata copies for memcpy
-    /// calls whose operands cannot contain pointers.
-    pub memcpy_heuristic: bool,
-    /// Clear metadata of freed heap blocks whose static type suggests
-    /// pointers (§5.2 "memory reuse and stale metadata").
-    pub clear_on_free: bool,
-    /// Clear metadata of pointer-bearing stack slots on function return
-    /// (§5.2).
-    pub clear_on_return: bool,
-    /// Insert function-pointer checks at indirect calls (§5.2).
-    pub check_fn_ptrs: bool,
     /// How the runtime responds to a failed check: trap (the paper's
     /// behaviour, the default), repair-and-continue, or observe-only.
     /// Non-Strict policies disable redundant-check elimination so every
     /// retained check guards exactly the access it precedes.
     pub policy: ViolationPolicy,
-    /// Capacity (in records) of the per-instance evidence ring buffer,
-    /// preallocated at instantiation. Ignored under
-    /// [`ViolationPolicy::Strict`], which never records evidence.
-    pub evidence_capacity: usize,
-}
-
-impl Default for SoftBoundConfig {
-    fn default() -> Self {
-        SoftBoundConfig {
-            mode: CheckMode::Full,
-            facility: Facility::ShadowShared,
-            hash_log2_buckets: 20,
-            memcpy_heuristic: true,
-            clear_on_free: true,
-            clear_on_return: true,
-            check_fn_ptrs: true,
-            policy: ViolationPolicy::Strict,
-            evidence_capacity: 256,
-        }
-    }
 }
 
 impl SoftBoundConfig {
@@ -197,9 +151,7 @@ mod tests {
         let c = SoftBoundConfig::default();
         assert_eq!(c.mode, CheckMode::Full);
         assert_eq!(c.facility, Facility::ShadowShared);
-        assert!(c.clear_on_free && c.clear_on_return && c.check_fn_ptrs);
         assert_eq!(c.policy, ViolationPolicy::Strict);
-        assert_eq!(c.evidence_capacity, 256);
     }
 
     #[test]

@@ -17,11 +17,18 @@
 //!   instances.
 //! * [`Instance`] — a persistent monomorphized
 //!   [`SoftBoundRuntime`]`<F>` + [`Machine`] that can
-//!   [`run`](Instance::run) an entry point repeatedly.
+//!   [`run`](Instance::run) an entry point repeatedly, always through
+//!   the program's pre-decoded [`ExecModule`]
+//!   ([`Machine::run_predecoded`]).
 //!   [`reset`](Instance::reset) clears program memory and metadata
 //!   between runs while keeping the shadow reservation, frame pool, and
 //!   frame plans alive, so back-to-back requests skip the per-machine
 //!   setup entirely (the `throughput` bench measures the win).
+//!
+//! The tree-walk interpreter ([`Machine::run`]) is the reference those
+//! runs are held to: differential suites build a `Machine` over
+//! [`Program::module`] with a [`SoftBoundRuntime`] of their choice and
+//! compare the two.
 //!
 //! ```
 //! use softbound::{Engine, SoftBoundConfig};
@@ -37,9 +44,9 @@
 //! # Ok::<(), softbound::SoftBoundError>(())
 //! ```
 
-use crate::config::{CheckMode, Facility, Lane, SoftBoundConfig};
+use crate::config::{CheckMode, Facility, SoftBoundConfig};
 use crate::error::SoftBoundError;
-use crate::metadata::{HashTableFacility, ShadowPages};
+use crate::metadata::{HashTableFacility, MetadataFacility, ShadowPages};
 use crate::policy::{EvidenceRecord, ViolationPolicy};
 use crate::runtime::SoftBoundRuntime;
 use crate::transform::instrument;
@@ -50,15 +57,15 @@ use sb_vm::{ExecModule, Machine, MachineConfig, RunResult};
 /// session API.
 ///
 /// An engine owns no per-program state — it is a builder over
-/// [`SoftBoundConfig`] (what to instrument, which metadata facility) and
-/// [`MachineConfig`] (cost model, cache model, fuel). Build one per
-/// deployment configuration, then [`compile`](Engine::compile) programs
-/// and [`instantiate`](Engine::instantiate) long-lived machines from it.
+/// [`SoftBoundConfig`] (checking mode, metadata facility, violation
+/// policy) and [`MachineConfig`] (L1 model, redzones, fuel). Build one
+/// per deployment configuration, then [`compile`](Engine::compile)
+/// programs and [`instantiate`](Engine::instantiate) long-lived machines
+/// from it.
 #[derive(Debug, Clone, Default)]
 pub struct Engine {
     sb: SoftBoundConfig,
     machine: MachineConfig,
-    lane: Lane,
 }
 
 impl Engine {
@@ -95,23 +102,10 @@ impl Engine {
         self
     }
 
-    /// Replaces the machine configuration (cost model, cache, fuel…).
+    /// Replaces the machine configuration (L1 model, redzones, fuel).
     pub fn machine_config(mut self, cfg: MachineConfig) -> Self {
         self.machine = cfg;
         self
-    }
-
-    /// Selects the execution lane ([`Lane::Predecoded`] by default).
-    /// [`Lane::TreeWalk`] forces the tree-walk oracle — differential
-    /// testing and debugging.
-    pub fn lane(mut self, lane: Lane) -> Self {
-        self.lane = lane;
-        self
-    }
-
-    /// The execution lane instances built from programs will drive.
-    pub fn execution_lane(&self) -> Lane {
-        self.lane
     }
 
     /// The SoftBound configuration this engine instruments with.
@@ -159,47 +153,31 @@ impl Engine {
     }
 
     /// Builds a persistent machine over a compiled program,
-    /// monomorphized on the configured facility and driving the
-    /// engine's [`Lane`] (pre-decoded by default — the cached
-    /// [`ExecModule`] is attached, so instantiation pays no decode).
+    /// monomorphized on the configured facility, with the program's
+    /// cached [`ExecModule`] attached — instantiation pays no decode.
     pub fn instantiate<'p>(&self, program: &'p Program) -> Instance<'p> {
-        let mut instance = self.instantiate_module(program.module());
-        if self.lane == Lane::Predecoded {
-            match &mut instance.repr {
-                Repr::Shadow(m) => m.attach_exec(program.exec()),
-                Repr::HashTable(m) => m.attach_exec(program.exec()),
-            }
-            instance.lane = Lane::Predecoded;
+        fn machine<'p, F: MetadataFacility>(
+            program: &'p Program,
+            cfg: MachineConfig,
+            rt: SoftBoundRuntime<F>,
+        ) -> Machine<'p, SoftBoundRuntime<F>> {
+            let mut m = Machine::new(program.module(), cfg, rt);
+            m.attach_exec(program.exec());
+            m
         }
-        instance
-    }
-
-    /// Builds a persistent machine over an already instrumented module
-    /// (one produced by [`Engine::compile`] on the same configuration,
-    /// or by [`instrument`] directly).
-    ///
-    /// A bare module carries no cached [`ExecModule`], so instances
-    /// built here always drive the tree-walk lane regardless of the
-    /// engine's [`Lane`]; use [`Engine::instantiate`] with a
-    /// [`Program`] for the pre-decoded lane.
-    pub fn instantiate_module<'m>(&self, module: &'m Module) -> Instance<'m> {
+        let cfg = self.machine.clone();
         let repr = match self.sb.facility {
-            Facility::ShadowShared => Repr::Shadow(Machine::new(
-                module,
-                self.machine.clone(),
-                SoftBoundRuntime::new_paged(&self.sb),
-            )),
-            Facility::HashTable => Repr::HashTable(Machine::new(
-                module,
-                self.machine.clone(),
-                SoftBoundRuntime::new_hash(&self.sb),
-            )),
+            Facility::ShadowShared => {
+                Repr::Shadow(machine(program, cfg, SoftBoundRuntime::new_paged(&self.sb)))
+            }
+            Facility::HashTable => {
+                Repr::HashTable(machine(program, cfg, SoftBoundRuntime::new_hash(&self.sb)))
+            }
         };
         Instance {
             repr,
             runs: 0,
             dirty: false,
-            lane: Lane::TreeWalk,
         }
     }
 
@@ -286,7 +264,8 @@ macro_rules! each_machine_mut {
 
 /// A persistent execution session: one monomorphized
 /// [`SoftBoundRuntime`]`<F>` plus one [`Machine`], reusable across any
-/// number of runs.
+/// number of runs, each dispatched through the program's pre-decoded
+/// [`ExecModule`].
 ///
 /// [`run`](Instance::run) resets automatically between runs, so N
 /// back-to-back runs observe exactly what N fresh machines would —
@@ -298,7 +277,6 @@ pub struct Instance<'p> {
     repr: Repr<'p>,
     runs: u64,
     dirty: bool,
-    lane: Lane,
 }
 
 impl Instance<'_> {
@@ -312,15 +290,7 @@ impl Instance<'_> {
         }
         self.dirty = true;
         self.runs += 1;
-        match self.lane {
-            Lane::Predecoded => each_machine_mut!(self, m => m.run_predecoded(entry, args)),
-            Lane::TreeWalk => each_machine_mut!(self, m => m.run(entry, args)),
-        }
-    }
-
-    /// The execution lane this instance drives.
-    pub fn lane(&self) -> Lane {
-        self.lane
+        each_machine_mut!(self, m => m.run_predecoded(entry, args))
     }
 
     /// Eagerly clears program memory, heap, and all pointer metadata
@@ -392,8 +362,9 @@ impl Instance<'_> {
     }
 
     /// Evidence records lost to ring overflow since the last reset — a
-    /// non-zero value means the drain cadence (or the configured
-    /// `evidence_capacity`) is too small for the violation rate.
+    /// non-zero value means the drain cadence is too slow for the
+    /// violation rate (the ring holds
+    /// [`EVIDENCE_CAPACITY`](crate::EVIDENCE_CAPACITY) records).
     pub fn evidence_overflow(&self) -> u64 {
         each_machine!(self, m => m.hooks().evidence_overflow())
     }
@@ -461,7 +432,6 @@ mod tests {
         let program = engine.compile(src).expect("compiles");
         let mut inst = engine.instantiate(&program);
         assert_eq!(inst.facility(), Facility::ShadowShared);
-        assert_eq!(inst.lane(), Lane::Predecoded);
         for n in 0..3 {
             let r = inst.run("main", &[n]);
             assert_eq!(r.ret(), Some(2 * n + 3), "{:?}", r.outcome);

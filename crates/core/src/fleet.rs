@@ -23,7 +23,7 @@
 //! served before, or how the scheduler interleaved the pool. N workers
 //! over one shared program must be bit-identical to N serial fresh
 //! runs, and `tests/fleet_determinism.rs` pins exactly that across both
-//! metadata facilities and both execution lanes.
+//! metadata facilities.
 //!
 //! Under the default
 //! [`Facility::ShadowShared`](crate::Facility::ShadowShared) the

@@ -73,13 +73,13 @@ pub mod policy;
 pub mod runtime;
 pub mod transform;
 
-pub use config::{CheckMode, Facility, Lane, SoftBoundConfig};
+pub use config::{CheckMode, Facility, SoftBoundConfig};
 pub use engine::{Engine, Instance, Program};
 pub use error::SoftBoundError;
 pub use metadata::{
     AccessSink, HashTableFacility, Meta, MetadataFacility, NoopSink, ScratchSink,
     ShadowHashMapFacility, ShadowPages, SharedShadowReservation,
 };
-pub use policy::{EvidenceRecord, EvidenceRing, PolicyAction, ViolationPolicy};
+pub use policy::{EvidenceRecord, EvidenceRing, PolicyAction, ViolationPolicy, EVIDENCE_CAPACITY};
 pub use runtime::SoftBoundRuntime;
 pub use transform::{instrument, instrument_flavored, Flavor, GLOBALS_INIT_PREFIX, SB_PREFIX};

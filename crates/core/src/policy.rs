@@ -112,6 +112,11 @@ pub fn first_oob_byte(ptr: u64, base: u64, bound: u64) -> u64 {
     }
 }
 
+/// Records each non-Strict instance's evidence ring holds between
+/// drains, preallocated at instantiation. Strict instances never record
+/// evidence, and their ring holds none.
+pub const EVIDENCE_CAPACITY: usize = 256;
+
 /// A fixed-capacity ring of [`EvidenceRecord`]s, preallocated at
 /// construction so recording on the warm path never touches the host
 /// allocator. When full, the oldest record is overwritten and

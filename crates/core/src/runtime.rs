@@ -11,7 +11,9 @@ use crate::config::SoftBoundConfig;
 use crate::metadata::{
     HashTableFacility, Meta, MetadataFacility, ShadowHashMapFacility, ShadowPages,
 };
-use crate::policy::{first_oob_byte, EvidenceRecord, EvidenceRing, PolicyAction, ViolationPolicy};
+use crate::policy::{
+    first_oob_byte, EvidenceRecord, EvidenceRing, PolicyAction, ViolationPolicy, EVIDENCE_CAPACITY,
+};
 use sb_ir::RtFn;
 use sb_vm::{
     AccessSink, BuiltinViolation, Mem, RtCtx, RtVals, RuntimeHooks, Trap, ViolationDisposition,
@@ -23,7 +25,6 @@ pub const CHECK_COST: u64 = 3;
 /// The SoftBound runtime, specialized on its metadata facility `F`.
 pub struct SoftBoundRuntime<F: MetadataFacility> {
     facility: F,
-    clear_on_free: bool,
     policy: ViolationPolicy,
     evidence: EvidenceRing,
     /// Checks executed.
@@ -50,25 +51,24 @@ impl SoftBoundRuntime<ShadowHashMapFacility> {
 }
 
 impl SoftBoundRuntime<HashTableFacility> {
-    /// Runtime over the open-hashing table.
+    /// Runtime over the open-hashing table (2^20 buckets).
     pub fn new_hash(cfg: &SoftBoundConfig) -> Self {
-        SoftBoundRuntime::with_facility(HashTableFacility::new(cfg.hash_log2_buckets), cfg)
+        SoftBoundRuntime::with_facility(HashTableFacility::default(), cfg)
     }
 }
 
 impl<F: MetadataFacility> SoftBoundRuntime<F> {
     /// Builds the runtime around an explicit facility instance. The
-    /// evidence ring is preallocated here (at `cfg.evidence_capacity`
+    /// evidence ring is preallocated here (at [`EVIDENCE_CAPACITY`]
     /// records), so recording on the warm path never allocates.
     pub fn with_facility(facility: F, cfg: &SoftBoundConfig) -> Self {
         SoftBoundRuntime {
             facility,
-            clear_on_free: cfg.clear_on_free,
             policy: cfg.policy,
             evidence: EvidenceRing::new(if cfg.policy == ViolationPolicy::Strict {
                 0
             } else {
-                cfg.evidence_capacity
+                EVIDENCE_CAPACITY
             }),
             check_count: 0,
             violation_count: 0,
@@ -285,7 +285,7 @@ impl<F: MetadataFacility> RuntimeHooks for SoftBoundRuntime<F> {
     fn on_free(&mut self, addr: u64, size: u64, ptr_hint: bool, ctx: &mut RtCtx) {
         // §5.2 "memory reuse and stale metadata": clear metadata for freed
         // blocks whose static type suggests they held pointers.
-        if self.clear_on_free && ptr_hint {
+        if ptr_hint {
             self.facility.clear_range(addr, size, ctx);
         }
     }

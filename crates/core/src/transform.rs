@@ -40,75 +40,56 @@ pub const SB_PREFIX: &str = "_sb_";
 /// separate compilation: after linking, every module's constructor runs.
 pub const GLOBALS_INIT_PREFIX: &str = "__ctor.sb_globals";
 
-/// A pointer-based-transformation *flavor*: the knobs that differ between
-/// SoftBound and the MSCC-like baseline (§2.2, §6.5). SoftBound's flavor
-/// shrinks bounds at field GEPs and gives forged (int-to-pointer) values
-/// NULL bounds; MSCC's fast configuration keeps whole-object bounds (so
-/// sub-object overflows are missed) and cannot handle wild casts (forged
-/// pointers become unbounded, i.e. unchecked).
+/// A pointer-based-transformation *flavor*: SoftBound itself, or the
+/// MSCC-like baseline (§2.2, §6.5) that shares its transformation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Flavor {
-    /// Function-name prefix (`"_sb_"` for SoftBound).
-    pub prefix: &'static str,
-    /// Shrink bounds at field GEPs (§3.1). Off for MSCC.
-    pub shrink_fields: bool,
-    /// Int-to-pointer casts get `[0, u64::MAX)` instead of NULL bounds —
-    /// models schemes that cannot handle arbitrary casts safely.
-    pub unbounded_int_to_ptr: bool,
-    /// Emit `Mscc*` runtime calls instead of `Sb*`.
-    pub mscc_rt: bool,
+pub enum Flavor {
+    /// SoftBound: bounds shrink at field GEPs (§3.1), forged
+    /// (int-to-pointer) values get NULL bounds, and the §5.2 frame
+    /// clearing and function-pointer checks are emitted. Functions are
+    /// renamed with [`SB_PREFIX`] and call `Sb*` runtime helpers.
+    SoftBound,
+    /// MSCC's fast configuration (\[34\]): whole-object bounds (so
+    /// sub-object overflows are missed), forged pointers unbounded
+    /// (`[0, u64::MAX)`, i.e. unchecked), no frame clearing or
+    /// function-pointer checks. Functions are renamed `_mscc_<name>`
+    /// and call `Mscc*` runtime helpers.
+    Mscc,
 }
 
 impl Flavor {
-    /// The SoftBound flavor (the default).
-    pub fn softbound() -> Self {
-        Flavor {
-            prefix: SB_PREFIX,
-            shrink_fields: true,
-            unbounded_int_to_ptr: false,
-            mscc_rt: false,
+    fn prefix(self) -> &'static str {
+        match self {
+            Flavor::SoftBound => SB_PREFIX,
+            Flavor::Mscc => "_mscc_",
         }
     }
 
-    /// The MSCC-like flavor (fast configuration of \[34\]).
-    pub fn mscc() -> Self {
-        Flavor {
-            prefix: "_mscc_",
-            shrink_fields: false,
-            unbounded_int_to_ptr: true,
-            mscc_rt: true,
+    fn check(self, is_store: bool) -> RtFn {
+        match self {
+            Flavor::SoftBound => RtFn::SbCheck { is_store },
+            Flavor::Mscc => RtFn::MsccCheck { is_store },
         }
     }
 
-    fn check(&self, is_store: bool) -> RtFn {
-        if self.mscc_rt {
-            RtFn::MsccCheck { is_store }
-        } else {
-            RtFn::SbCheck { is_store }
+    fn meta_load(self) -> RtFn {
+        match self {
+            Flavor::SoftBound => RtFn::SbMetaLoad,
+            Flavor::Mscc => RtFn::MsccMetaLoad,
         }
     }
 
-    fn meta_load(&self) -> RtFn {
-        if self.mscc_rt {
-            RtFn::MsccMetaLoad
-        } else {
-            RtFn::SbMetaLoad
+    fn meta_store(self) -> RtFn {
+        match self {
+            Flavor::SoftBound => RtFn::SbMetaStore,
+            Flavor::Mscc => RtFn::MsccMetaStore,
         }
     }
 
-    fn meta_store(&self) -> RtFn {
-        if self.mscc_rt {
-            RtFn::MsccMetaStore
-        } else {
-            RtFn::SbMetaStore
-        }
-    }
-
-    fn va_check(&self) -> RtFn {
-        if self.mscc_rt {
-            RtFn::MsccVaCheck
-        } else {
-            RtFn::SbVaCheck
+    fn va_check(self) -> RtFn {
+        match self {
+            Flavor::SoftBound => RtFn::SbVaCheck,
+            Flavor::Mscc => RtFn::MsccVaCheck,
         }
     }
 }
@@ -116,7 +97,7 @@ impl Flavor {
 /// Applies the SoftBound transformation to a module, returning the
 /// instrumented module. The input is not modified.
 pub fn instrument(module: &Module, cfg: &SoftBoundConfig) -> Module {
-    instrument_flavored(module, cfg, Flavor::softbound())
+    instrument_flavored(module, cfg, Flavor::SoftBound)
 }
 
 /// Applies the pointer-based transformation with an explicit [`Flavor`]
@@ -149,7 +130,7 @@ fn build_globals_init(globals: &[Global], module_name: &str, flavor: Flavor) -> 
     let mut f = Function {
         name: format!(
             "__ctor.{}globals.{module_name}",
-            flavor.prefix.trim_start_matches('_')
+            flavor.prefix().trim_start_matches('_')
         ),
         params: vec![],
         param_kinds: vec![],
@@ -251,7 +232,7 @@ fn transform_fn(
     cfg: &SoftBoundConfig,
     flavor: Flavor,
 ) {
-    if f.name.starts_with(flavor.prefix) {
+    if f.name.starts_with(flavor.prefix()) {
         return; // already transformed
     }
     let nregs = f.reg_kinds.len();
@@ -288,7 +269,7 @@ fn transform_fn(
     if cx.ret_was_ptr {
         f.ret_kinds = vec![RegKind::Ptr, RegKind::Int, RegKind::Int];
     }
-    f.name = format!("{}{}", flavor.prefix, f.name);
+    f.name = format!("{}{}", flavor.prefix(), f.name);
     if !f.defined {
         return;
     }
@@ -395,7 +376,7 @@ fn rewrite(inst: Inst, f: &Function, cx: &Cx<'_>, out: &mut Vec<Inst>) {
                 field_size,
             });
             let (db, de) = cx.shadow(dst);
-            match field_size.filter(|_| cx.flavor.shrink_fields) {
+            match field_size.filter(|_| cx.flavor == Flavor::SoftBound) {
                 Some(sz) => {
                     // Shrink to the sub-object (§3.1): base = &field,
                     // bound = &field + sizeof(field).
@@ -428,7 +409,7 @@ fn rewrite(inst: Inst, f: &Function, cx: &Cx<'_>, out: &mut Vec<Inst>) {
                 // unbounded (unchecked) for schemes that cannot handle
                 // arbitrary casts.
                 let int_to_ptr = matches!(src, Value::Reg(r) if f.reg_kind(r) == RegKind::Int);
-                let (sb, se) = if int_to_ptr && cx.flavor.unbounded_int_to_ptr {
+                let (sb, se) = if int_to_ptr && cx.flavor == Flavor::Mscc {
                     (Value::Const(0), Value::Const(-1))
                 } else {
                     cx.meta_of(&src)
@@ -439,7 +420,9 @@ fn rewrite(inst: Inst, f: &Function, cx: &Cx<'_>, out: &mut Vec<Inst>) {
             }
         }
         Inst::Ret { mut vals } => {
-            if cfg.clear_on_return && !cx.flavor.mscc_rt {
+            // §5.2: pointer-bearing stack slots lose their metadata on
+            // return, so a later frame reusing them sees NULL bounds.
+            if cx.flavor == Flavor::SoftBound {
                 for &(areg, size) in &cx.ptr_allocas {
                     out.push(Inst::Rt {
                         dsts: vec![],
@@ -478,7 +461,6 @@ fn rewrite_call(
     cx: &Cx<'_>,
     out: &mut Vec<Inst>,
 ) {
-    let cfg = cx.cfg;
     match callee {
         Callee::Direct(fid) => {
             let pkinds = &cx.orig_params[fid.0 as usize];
@@ -512,7 +494,9 @@ fn rewrite_call(
             });
         }
         Callee::Indirect(target) => {
-            if cfg.check_fn_ptrs && !cx.flavor.mscc_rt {
+            // §5.2: a function pointer must carry the `base == bound ==
+            // ptr` encoding of a real function address.
+            if cx.flavor == Flavor::SoftBound {
                 let (tb, te) = cx.meta_of(&target);
                 out.push(Inst::Rt {
                     dsts: vec![],
@@ -555,7 +539,6 @@ fn rewrite_builtin(
     cx: &Cx<'_>,
     out: &mut Vec<Inst>,
 ) {
-    let cfg = cx.cfg;
     // `setbound(p, size)` compiles away entirely: the result is p with the
     // explicit bounds [p, p+size) (§5.2 "Creating pointers from integers").
     if b == Builtin::Setbound {
@@ -615,7 +598,7 @@ fn rewrite_builtin(
     // memcpy metadata handling (§5.2): copy pointer metadata unless the
     // type heuristic proves the buffers hold no pointers.
     if let Some((d, s, n)) = memcpy_args {
-        if !cfg.memcpy_heuristic || ptr_hint {
+        if ptr_hint {
             out.push(Inst::Rt {
                 dsts: vec![],
                 rt: RtFn::SbMemcpyMeta,
@@ -631,10 +614,14 @@ mod tests {
     use crate::config::SoftBoundConfig;
 
     fn instrumented(src: &str, cfg: &SoftBoundConfig) -> Module {
+        flavored(src, cfg, Flavor::SoftBound)
+    }
+
+    fn flavored(src: &str, cfg: &SoftBoundConfig, flavor: Flavor) -> Module {
         let prog = sb_cir::compile(src).expect("compiles");
         let mut m = sb_ir::lower(&prog, "t");
         sb_ir::optimize(&mut m, sb_ir::OptLevel::PreInstrument);
-        let m2 = instrument(&m, cfg);
+        let m2 = instrument_flavored(&m, cfg, flavor);
         sb_ir::verify(&m2).unwrap_or_else(|e| panic!("instrumented module invalid: {e}\n{m2}"));
         m2
     }
@@ -829,35 +816,17 @@ mod tests {
             )),
             0
         );
-        // With the heuristic off, metadata is always copied (safe default).
-        let cfg_off = SoftBoundConfig {
-            memcpy_heuristic: false,
-            ..SoftBoundConfig::default()
-        };
-        assert_eq!(
-            count_rt(&instrumented(no_ptrs, &cfg_off), |rt| matches!(
-                rt,
-                RtFn::SbMemcpyMeta
-            )),
-            1
-        );
     }
 
     #[test]
     fn frame_clearing_emitted_for_pointer_locals() {
-        let m = instrumented(
-            "int main() { char* arr[4]; arr[0] = (char*)arr; return arr[0] != 0; }",
-            &SoftBoundConfig::default(),
-        );
+        let src = "int main() { char* arr[4]; arr[0] = (char*)arr; return arr[0] != 0; }";
+        let m = instrumented(src, &SoftBoundConfig::default());
         assert!(count_rt(&m, |rt| matches!(rt, RtFn::SbMetaClear)) >= 1);
-        let off = instrumented(
-            "int main() { char* arr[4]; arr[0] = (char*)arr; return arr[0] != 0; }",
-            &SoftBoundConfig {
-                clear_on_return: false,
-                ..SoftBoundConfig::default()
-            },
-        );
-        assert_eq!(count_rt(&off, |rt| matches!(rt, RtFn::SbMetaClear)), 0);
+        // The MSCC flavor shares the transformation but clears nothing.
+        let mscc = flavored(src, &SoftBoundConfig::default(), Flavor::Mscc);
+        assert_eq!(count_rt(&mscc, |rt| matches!(rt, RtFn::SbMetaClear)), 0);
+        assert!(count_rt(&mscc, |rt| matches!(rt, RtFn::MsccMetaStore)) >= 1);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Proves evidence telemetry is allocation-free in the steady state.
 //!
 //! The evidence ring is preallocated at instance construction
-//! (`SoftBoundConfig::evidence_capacity` records) and recording a
+//! (`EVIDENCE_CAPACITY` records) and recording a
 //! violation under the Hardened policy only writes into it — so a
 //! warmed instance replaying an overflow-heavy program must ask the
 //! host allocator for nothing, evidence emission included. Draining

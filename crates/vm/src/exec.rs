@@ -19,11 +19,12 @@
 //! [`PoolRef`] ranges, keeping [`Op`] itself `Copy` and fixed-size.
 //!
 //! The lowering is purely structural: it never changes which runtime
-//! helpers run or in what order, so the machine's pre-decoded lane
-//! ([`Machine::run_predecoded`](crate::Machine::run_predecoded)) must
-//! produce byte-identical traps, counters, and cycle accounting to the
-//! tree-walk oracle — the property `tests/machine_differential.rs` pins
-//! for every workload.
+//! helpers run or in what order. The machine dispatches it through
+//! [`Machine::run_predecoded`](crate::Machine::run_predecoded), the lane
+//! every `softbound::Instance` serves, which must produce byte-identical
+//! traps, counters, and cycle accounting to the tree-walk reference
+//! [`Machine::run`](crate::Machine::run) — the property
+//! `tests/machine_differential.rs` pins for every workload.
 
 use crate::mem::{fn_addr, GLOBAL_BASE};
 use sb_cir::hir::Builtin;

@@ -1,8 +1,16 @@
 //! The IR interpreter ("the machine").
 //!
 //! Executes one [`Module`] against simulated memory with an x86-style
-//! instruction-count cost model, an optional L1 cache model, and an
-//! installed [`RuntimeHooks`] safety runtime.
+//! instruction-count cost model ([`COST_MODEL`]), an optional Core 2 L1
+//! cache model, and an installed [`RuntimeHooks`] safety runtime.
+//!
+//! ## Two lanes, one semantics
+//!
+//! [`Machine::run`] walks the tree-shaped module: the reference
+//! semantics. [`Machine::run_predecoded`] dispatches the same module's
+//! flat [`ExecModule`] lowering, and is the lane a `softbound::Instance`
+//! serves. The two produce identical traps, output, counters, cycles and
+//! final memory, which `tests/machine_differential.rs` pins.
 //!
 //! ## Control-flow realism
 //!
@@ -28,8 +36,8 @@
 use crate::exec::{global_layout_into, ExecCallee, ExecModule, Op, OpVal};
 use crate::mem::{decode_fn_addr, fn_addr, Heap, Mem, FN_BASE, GLOBAL_BASE, STACK_BASE};
 use crate::rt::{
-    BuiltinViolation, CacheConfig, CacheSim, CostModel, ExecStats, NoRuntime, Outcome, RtCtx,
-    RuntimeHooks, Trap, ViolationDisposition,
+    BuiltinViolation, CacheConfig, CacheSim, ExecStats, NoRuntime, Outcome, RtCtx, RuntimeHooks,
+    Trap, ViolationDisposition, COST_MODEL,
 };
 use sb_cir::hir::Builtin;
 use sb_ir::opt::{eval_bin, eval_cmp};
@@ -48,35 +56,35 @@ fn hand_off_meta_len(pending: &mut Option<u64>, rt: RtFn, args: &mut [i64]) {
     }
 }
 
-/// Machine configuration.
+/// Machine configuration: only what a caller varies. Every machine
+/// charges the same [`COST_MODEL`], captures at most 1 MiB of program
+/// output, and traps `OutOfMemory` past 100 000 nested calls.
 #[derive(Debug, Clone)]
 pub struct MachineConfig {
-    /// Per-instruction costs.
-    pub cost: CostModel,
-    /// Optional L1 model (None = flat memory).
-    pub cache: Option<CacheConfig>,
+    /// Model the Core 2 L1 data cache ([`CacheConfig::CORE2_L1`]);
+    /// `false` = flat memory.
+    pub cache: bool,
     /// Heap redzone bytes (used by the Valgrind-like baseline; 0 normally).
     pub redzone: u64,
     /// Dynamic instruction budget (runaway guard).
     pub fuel: u64,
-    /// Maximum captured program output in bytes.
-    pub output_limit: usize,
-    /// Maximum call depth.
-    pub max_depth: usize,
 }
 
 impl Default for MachineConfig {
     fn default() -> Self {
         MachineConfig {
-            cost: CostModel::default(),
-            cache: None,
+            cache: false,
             redzone: 0,
             fuel: 2_000_000_000,
-            output_limit: 1 << 20,
-            max_depth: 100_000,
         }
     }
 }
+
+/// Captured program output is cut off at this many bytes: a `printf` or
+/// `puts` piece that would cross it is dropped whole.
+const OUTPUT_LIMIT: usize = 1 << 20;
+/// Call depth past which a call traps `OutOfMemory`.
+const MAX_DEPTH: usize = 100_000;
 
 /// The result of one execution.
 #[derive(Debug)]
@@ -228,7 +236,7 @@ impl<'m> Machine<'m, NoRuntime> {
 impl<'m, H: RuntimeHooks> Machine<'m, H> {
     /// Creates a machine with an installed safety runtime.
     pub fn new(module: &'m Module, cfg: MachineConfig, hooks: H) -> Self {
-        let cache = cfg.cache.map(CacheSim::new);
+        let cache = cfg.cache.then(|| CacheSim::new(CacheConfig::CORE2_L1));
         let heap = Heap::new(cfg.redzone);
         let fuel = cfg.fuel;
         // Touched-table addresses are only recorded when a cache model
@@ -293,7 +301,7 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
         // (page → frame) pair into the next run's different layout.
         self.mem.reset();
         self.heap = Heap::new(self.cfg.redzone);
-        self.cache = self.cfg.cache.map(CacheSim::new);
+        self.cache = self.cfg.cache.then(|| CacheSim::new(CacheConfig::CORE2_L1));
         self.stats = ExecStats::default();
         self.output.clear();
         self.rng = RNG_SEED;
@@ -405,13 +413,10 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
         self.exec = Some(exec);
     }
 
-    /// True once [`attach_exec`](Machine::attach_exec) has been called.
-    pub fn has_exec(&self) -> bool {
-        self.exec.is_some()
-    }
-
     /// Runs `entry` (falling back to `_sb_<entry>` for transformed
-    /// modules) with the given integer arguments.
+    /// modules) with the given integer arguments, walking the
+    /// tree-shaped module: the reference lane the differential suites
+    /// hold [`run_predecoded`](Machine::run_predecoded) to.
     ///
     /// Functions whose name starts with `__ctor.` run first, in module
     /// order — the C++-global-constructor convention instrumentation
@@ -541,7 +546,7 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
         if !f.defined {
             return Err(Trap::UndefinedFunction(f.name.clone()));
         }
-        if self.frames.len() >= self.cfg.max_depth {
+        if self.frames.len() >= MAX_DEPTH {
             return Err(Trap::OutOfMemory);
         }
         let plan = &self.plans[fid.0 as usize];
@@ -601,7 +606,7 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
 
         self.stats.calls += 1;
         self.stats.max_depth = self.stats.max_depth.max(self.frames.len() as u64 + 1);
-        self.stats.cycles += self.cfg.cost.call + self.cfg.cost.call_arg * args.len() as u64;
+        self.stats.cycles += COST_MODEL.call + COST_MODEL.call_arg * args.len() as u64;
         self.frames.push(frame);
         Ok(())
     }
@@ -651,7 +656,7 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
         self.stack_top = frame.frame_base;
         // setjmp targets in dead frames are detected via their serial at
         // longjmp time (entries stay so token indices remain stable).
-        self.stats.cycles += self.cfg.cost.ret;
+        self.stats.cycles += COST_MODEL.ret;
 
         if self.frames.is_empty() {
             self.frame_pool.push(frame);
@@ -719,7 +724,6 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
         // Default: advance to the next instruction.
         self.frames.last_mut().expect("frame").idx += 1;
 
-        let cost = &self.cfg.cost;
         match inst {
             Inst::Bin {
                 dst,
@@ -732,9 +736,9 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
                 let b = self.val(rhs);
                 let v = eval_bin(*op, *k, a, b).ok_or(Trap::DivByZero)?;
                 self.stats.cycles += match op {
-                    sb_ir::ArithOp::Mul => cost.mul,
-                    sb_ir::ArithOp::Div | sb_ir::ArithOp::Rem => cost.div,
-                    _ => cost.alu,
+                    sb_ir::ArithOp::Mul => COST_MODEL.mul,
+                    sb_ir::ArithOp::Div | sb_ir::ArithOp::Rem => COST_MODEL.div,
+                    _ => COST_MODEL.alu,
                 };
                 self.set_reg(*dst, v);
             }
@@ -747,17 +751,17 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
             } => {
                 let a = self.val(lhs);
                 let b = self.val(rhs);
-                self.stats.cycles += cost.cmp;
+                self.stats.cycles += COST_MODEL.cmp;
                 self.set_reg(*dst, eval_cmp(*op, *k, a, b));
             }
             Inst::Cast { dst, k, src } => {
                 let v = k.wrap(self.val(src));
-                self.stats.cycles += cost.cast;
+                self.stats.cycles += COST_MODEL.cast;
                 self.set_reg(*dst, v);
             }
             Inst::Mov { dst, src } => {
                 let v = self.val(src);
-                self.stats.cycles += cost.mov;
+                self.stats.cycles += COST_MODEL.mov;
                 self.set_reg(*dst, v);
             }
             Inst::Alloca { dst, .. } => {
@@ -780,7 +784,7 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
                 if mem.is_ptr() {
                     self.stats.ptr_mem_ops += 1;
                 }
-                self.stats.cycles += cost.load;
+                self.stats.cycles += COST_MODEL.load;
                 self.touch(a);
                 self.set_reg(*dst, v);
             }
@@ -798,7 +802,7 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
                 if mem.is_ptr() {
                     self.stats.ptr_mem_ops += 1;
                 }
-                self.stats.cycles += cost.store;
+                self.stats.cycles += COST_MODEL.store;
                 self.touch(a);
             }
             Inst::Gep {
@@ -814,11 +818,11 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
                 let v = b
                     .wrapping_add(i.wrapping_mul(*scale as i64))
                     .wrapping_add(*offset);
-                self.stats.cycles += cost.gep;
+                self.stats.cycles += COST_MODEL.gep;
                 self.set_reg(*dst, v);
             }
             Inst::Jmp { to } => {
-                self.stats.cycles += cost.jmp;
+                self.stats.cycles += COST_MODEL.jmp;
                 let f = self.frames.last_mut().expect("frame");
                 f.block = to.0;
                 f.idx = 0;
@@ -829,7 +833,7 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
                 else_to,
             } => {
                 let c = self.val(cond);
-                self.stats.cycles += cost.branch;
+                self.stats.cycles += COST_MODEL.branch;
                 let to = if c != 0 { *then_to } else { *else_to };
                 let f = self.frames.last_mut().expect("frame");
                 f.block = to.0;
@@ -986,9 +990,9 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
                 let v = eval_bin(op, k, a, b).ok_or(Trap::DivByZero)?;
                 frame.regs[dst as usize] = v;
                 self.stats.cycles += match op {
-                    sb_ir::ArithOp::Mul => self.cfg.cost.mul,
-                    sb_ir::ArithOp::Div | sb_ir::ArithOp::Rem => self.cfg.cost.div,
-                    _ => self.cfg.cost.alu,
+                    sb_ir::ArithOp::Mul => COST_MODEL.mul,
+                    sb_ir::ArithOp::Div | sb_ir::ArithOp::Rem => COST_MODEL.div,
+                    _ => COST_MODEL.alu,
                 };
             }
             Op::Cmp {
@@ -1001,15 +1005,15 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
                 let a = rd!(lhs);
                 let b = rd!(rhs);
                 frame.regs[dst as usize] = eval_cmp(op, k, a, b);
-                self.stats.cycles += self.cfg.cost.cmp;
+                self.stats.cycles += COST_MODEL.cmp;
             }
             Op::Cast { dst, k, src } => {
                 frame.regs[dst as usize] = k.wrap(rd!(src));
-                self.stats.cycles += self.cfg.cost.cast;
+                self.stats.cycles += COST_MODEL.cast;
             }
             Op::Mov { dst, src } => {
                 frame.regs[dst as usize] = rd!(src);
-                self.stats.cycles += self.cfg.cost.mov;
+                self.stats.cycles += COST_MODEL.mov;
             }
             Op::Alloca { dst } => {
                 let cur = frame.regs[dst as usize];
@@ -1029,7 +1033,7 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
                 if mem.is_ptr() {
                     self.stats.ptr_mem_ops += 1;
                 }
-                self.stats.cycles += self.cfg.cost.load;
+                self.stats.cycles += COST_MODEL.load;
                 self.touch(a);
             }
             Op::Store { mem, addr, value } => {
@@ -1046,7 +1050,7 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
                 if mem.is_ptr() {
                     self.stats.ptr_mem_ops += 1;
                 }
-                self.stats.cycles += self.cfg.cost.store;
+                self.stats.cycles += COST_MODEL.store;
                 self.touch(a);
             }
             Op::CheckLoad {
@@ -1090,7 +1094,7 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
                 if mem.is_ptr() {
                     self.stats.ptr_mem_ops += 1;
                 }
-                self.stats.cycles += self.cfg.cost.load;
+                self.stats.cycles += COST_MODEL.load;
                 self.touch(a);
                 self.set_slot(dst, v);
             }
@@ -1130,7 +1134,7 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
                 if mem.is_ptr() {
                     self.stats.ptr_mem_ops += 1;
                 }
-                self.stats.cycles += self.cfg.cost.store;
+                self.stats.cycles += COST_MODEL.store;
                 self.touch(a);
             }
             Op::Gep {
@@ -1145,11 +1149,11 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
                 frame.regs[dst as usize] = b
                     .wrapping_add(i.wrapping_mul(scale as i64))
                     .wrapping_add(offset);
-                self.stats.cycles += self.cfg.cost.gep;
+                self.stats.cycles += COST_MODEL.gep;
             }
             Op::Jump { target } => {
                 frame.idx = target as usize;
-                self.stats.cycles += self.cfg.cost.jmp;
+                self.stats.cycles += COST_MODEL.jmp;
             }
             Op::Branch {
                 cond,
@@ -1158,7 +1162,7 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
             } => {
                 let c = rd!(cond);
                 frame.idx = if c != 0 { then_t } else { else_t } as usize;
-                self.stats.cycles += self.cfg.cost.branch;
+                self.stats.cycles += COST_MODEL.branch;
             }
             Op::Ret { vals } => {
                 let vs = &func.vals[vals.range()];
@@ -1265,7 +1269,6 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
         ptr_hint: bool,
         wrapped: bool,
     ) -> Result<Flow, Trap> {
-        let cost = self.cfg.cost;
         let set = |m: &mut Self, i: usize, v: i64| {
             if let Some(&d) = dsts.get(i) {
                 m.set_reg(d, v);
@@ -1344,13 +1347,7 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
                     self.stats.cycles += 3;
                 }
                 self.hook_range(d, eff, true)?;
-                let chunk = vec![c; 256];
-                let mut off = 0;
-                while off < eff {
-                    let len = (eff - off).min(256);
-                    self.mem.write(d + off, &chunk[..len as usize])?;
-                    off += len;
-                }
+                self.fill(d, c, eff)?;
                 self.stats.cycles += 4 + n / 8;
                 set(self, 0, d as i64);
                 if wrapped {
@@ -1410,9 +1407,12 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
                 // Clamped source: payload ends at the boundary (zero-fill
                 // behaves like an early terminator). Clamped destination:
                 // the n-byte write is truncated to the in-bounds prefix.
-                let mut buf = sv[..sv.len().min(eff_s as usize)].to_vec();
-                buf.resize(n as usize, 0);
-                self.mem.write(d, &buf[..(n.min(eff_d)) as usize])?;
+                // The zero padding after the payload is written in place,
+                // so the host allocates nothing for a huge `n`.
+                let w = n.min(eff_d);
+                let payload = &sv[..sv.len().min(eff_s as usize).min(w as usize)];
+                self.mem.write(d, payload)?;
+                self.fill(d + payload.len() as u64, 0, w - payload.len() as u64)?;
                 self.stats.cycles += 4 + n;
                 set(self, 0, d as i64);
                 if wrapped {
@@ -1629,7 +1629,6 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
                 self.stats.cycles += 2;
             }
         }
-        let _ = cost;
         Ok(Flow::Continue)
     }
 
@@ -1713,8 +1712,10 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
         r
     }
 
+    /// Copies `n` bytes through a fixed stack chunk: the host allocates
+    /// nothing, however long the guest range.
     fn copy_bytes(&mut self, dst: u64, src: u64, n: u64) -> Result<(), Trap> {
-        let mut buf = vec![0u8; 256];
+        let mut buf = [0u8; 256];
         let mut off = 0;
         while off < n {
             let len = (n - off).min(256) as usize;
@@ -1725,14 +1726,28 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
         Ok(())
     }
 
+    /// Writes `n` copies of `byte` from `dst` through a fixed stack
+    /// chunk, like [`copy_bytes`](Self::copy_bytes).
+    fn fill(&mut self, dst: u64, byte: u8, n: u64) -> Result<(), Trap> {
+        let chunk = [byte; 256];
+        let mut off = 0;
+        while off < n {
+            let len = (n - off).min(256);
+            self.mem.write(dst + off, &chunk[..len as usize])?;
+            off += len;
+        }
+        Ok(())
+    }
+
     fn emit_out(&mut self, bytes: &[u8]) {
-        if self.output.len() + bytes.len() <= self.cfg.output_limit {
+        if self.output.len() + bytes.len() <= OUTPUT_LIMIT {
             self.output.extend_from_slice(bytes);
         }
     }
 
     /// Minimal printf: `%d %u %ld %lu %x %c %s %p %%` with optional `-`,
-    /// `0` flags and width. Returns the number of bytes written.
+    /// `0` flags and width. Returns the number of bytes the format
+    /// produces (saturating), whether or not they fit the output limit.
     fn printf(&mut self, args: &[i64], wrapped: bool) -> Result<i64, Trap> {
         let fmt_ptr = args[0] as u64;
         let mut fmt = self.mem.read_cstr(fmt_ptr, 1 << 16)?;
@@ -1756,11 +1771,20 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
         let varargs = &args[1..va_end];
         let mut ai = 0usize;
         let mut out: Vec<u8> = Vec::with_capacity(fmt.len() + 16);
+        // `emit_out` drops output that would cross the limit whole, so
+        // once the logical length `len` passes what is left, `out` stops
+        // growing: a huge field width costs the host nothing. The
+        // conversions still run, so `%s` reads trap as before.
+        let budget = OUTPUT_LIMIT.saturating_sub(self.output.len());
+        let mut len = 0usize;
         let mut i = 0usize;
         while i < fmt.len() {
             let c = fmt[i];
             if c != b'%' {
-                out.push(c);
+                len = len.saturating_add(1);
+                if len <= budget {
+                    out.push(c);
+                }
                 i += 1;
                 continue;
             }
@@ -1781,7 +1805,9 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
                 i += 1;
             }
             while i < fmt.len() && fmt[i].is_ascii_digit() {
-                width = width * 10 + (fmt[i] - b'0') as usize;
+                width = width
+                    .saturating_mul(10)
+                    .saturating_add((fmt[i] - b'0') as usize);
                 i += 1;
             }
             while i < fmt.len() && fmt[i] == b'l' {
@@ -1811,19 +1837,26 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
                 other => vec![b'%', other],
             };
             let pad = width.saturating_sub(piece.len());
-            if pad > 0 && !left {
-                let fill = if zero { b'0' } else { b' ' };
-                out.extend(std::iter::repeat_n(fill, pad));
-            }
-            out.extend_from_slice(&piece);
-            if pad > 0 && left {
-                out.extend(std::iter::repeat_n(b' ', pad));
+            len = len.saturating_add(pad).saturating_add(piece.len());
+            if len <= budget {
+                if pad > 0 && !left {
+                    let fill = if zero { b'0' } else { b' ' };
+                    out.extend(std::iter::repeat_n(fill, pad));
+                }
+                out.extend_from_slice(&piece);
+                if pad > 0 && left {
+                    out.extend(std::iter::repeat_n(b' ', pad));
+                }
             }
         }
-        self.stats.cycles += 10 + out.len() as u64;
-        let n = out.len() as i64;
-        self.emit_out(&out);
-        Ok(n)
+        // Output longer than the whole limit is charged as if it were
+        // exactly that long: an uncapped charge (a 25-digit width) would
+        // wrap `cycles`.
+        self.stats.cycles += 10 + len.min(OUTPUT_LIMIT) as u64;
+        if len <= budget {
+            self.emit_out(&out);
+        }
+        Ok(i64::try_from(len).unwrap_or(i64::MAX))
     }
 }
 
@@ -2012,6 +2045,22 @@ mod tests {
     fn printf_width() {
         let r = run(r#"int main() { printf("[%5d][%-4d][%04x]", 42, 7, 11); return 0; }"#);
         assert_eq!(r.output, "[   42][7   ][000b]");
+        // Widths past the 1 MiB output limit: the output is dropped whole
+        // without being built first (building it would take 3 GB per call
+        // at 3e9, and abort at 1e11), and a width past `usize::MAX`
+        // saturates. `printf` returns the logical length, which the `int`
+        // result truncates; later output still fits.
+        for (width, len) in [
+            ("3000000000", 3_000_000_000i64),
+            ("100000000000", 100_000_000_000),
+            ("9999999999999999999999999", i64::MAX),
+        ] {
+            let r = run(&format!(
+                r#"int main() {{ long n = printf("%{width}d", 1); printf("[%3d]", 7); return n; }}"#
+            ));
+            assert_eq!(r.ret(), Some(len as i32 as i64), "{width}");
+            assert_eq!(r.output, "[  7]", "{width}");
+        }
     }
 
     #[test]
@@ -2397,7 +2446,7 @@ mod tests {
         let mut module = sb_ir::lower(&prog, "t");
         sb_ir::optimize(&mut module, sb_ir::OptLevel::PreInstrument);
         let cfg = MachineConfig {
-            cache: Some(CacheConfig::default()),
+            cache: true,
             ..MachineConfig::default()
         };
         let mut m = Machine::new(&module, cfg, NoRuntime);

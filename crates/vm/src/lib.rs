@@ -3,8 +3,8 @@
 //! A simulated 64-bit machine that executes `sb-ir` modules: byte-accurate
 //! paged [memory](mem) with global/heap/stack segments, a heap allocator
 //! with optional redzones, an [interpreter](interp) with an x86-style
-//! instruction-count cost model and optional L1 cache model, and the
-//! [`RuntimeHooks`] interface through which safety
+//! instruction-count [cost model](COST_MODEL) and an optional Core 2 L1
+//! cache model, and the [`RuntimeHooks`] interface through which safety
 //! runtimes (SoftBound and the baselines) supply semantics and cost for
 //! instrumentation-inserted runtime calls.
 //!
@@ -38,5 +38,5 @@ pub use mem::{
 pub use rt::{
     AccessSink, BuiltinViolation, CacheConfig, CacheSim, CacheStats, CostModel, ExecStats,
     NoRuntime, NoopSink, Outcome, RtCtx, RtVals, RuntimeHooks, ScratchSink, Trap,
-    ViolationDisposition,
+    ViolationDisposition, COST_MODEL,
 };

@@ -526,15 +526,18 @@ impl Heap {
         self.redzone
     }
 
-    fn class_of(size: u64) -> u64 {
-        size.next_power_of_two().max(16)
+    /// The size class of a `size`-byte block; `None` past 2^63 bytes,
+    /// where no power of two is large enough.
+    fn class_of(size: u64) -> Option<u64> {
+        size.checked_next_power_of_two().map(|c| c.max(16))
     }
 
     /// Allocates `size` bytes (16-aligned), mapping pages in `mem`.
-    /// Returns `None` when address space is exhausted.
+    /// Returns `None` when address space is exhausted — including for
+    /// sizes no block could ever hold (`calloc`'s saturated products).
     pub fn alloc(&mut self, mem: &mut Mem, size: u64) -> Option<u64> {
         let user = size.max(1);
-        let class = Self::class_of(user);
+        let class = Self::class_of(user)?;
         self.alloc_count += 1;
         let addr = if let Some(list) = self.free.get_mut(&class) {
             list.pop()
@@ -544,12 +547,12 @@ impl Heap {
         let addr = match addr {
             Some(a) => a,
             None => {
-                let total = class + 2 * self.redzone;
                 let base = self.next;
-                if base + total > self.limit {
-                    return None;
-                }
-                self.next = (base + total + 15) & !15;
+                let end = class
+                    .checked_add(2 * self.redzone)
+                    .and_then(|total| base.checked_add(total))
+                    .filter(|&end| end <= self.limit)?;
+                self.next = (end + 15) & !15;
                 base + self.redzone
             }
         };
@@ -579,10 +582,8 @@ impl Heap {
         let size = self.live.remove(&addr)?;
         self.free_count += 1;
         self.live_bytes -= size;
-        self.free
-            .entry(Self::class_of(size))
-            .or_default()
-            .push(addr);
+        let class = Self::class_of(size).expect("a live block's size has a class");
+        self.free.entry(class).or_default().push(addr);
         Some(size)
     }
 
@@ -908,6 +909,24 @@ mod tests {
             b >= a + 32 + 32,
             "redzones keep blocks apart (a={a:#x}, b={b:#x})"
         );
+    }
+
+    #[test]
+    fn heap_refuses_sizes_past_the_largest_class() {
+        // `calloc(2^62 + 1, 2)` reaches the heap as 2^63 + 2 bytes: no
+        // power of two holds it, and unchecked rounding would wrap to a
+        // 16-byte class (release) or panic (debug).
+        let mut mem = Mem::new();
+        let mut h = Heap::new(0);
+        for size in [(1u64 << 63) + 2, u64::MAX] {
+            assert_eq!(h.alloc(&mut mem, size), None, "{size:#x}");
+        }
+        // 2^63 has a class but no address space behind it, with or
+        // without redzones around it.
+        assert_eq!(h.alloc(&mut mem, 1 << 63), None);
+        assert_eq!(Heap::new(16).alloc(&mut mem, 1 << 63), None);
+        let p = h.alloc(&mut mem, 16).expect("the heap still serves");
+        assert_eq!(h.size_of(p), Some(16));
     }
 
     #[test]

@@ -205,9 +205,10 @@ impl ExecStats {
     }
 }
 
-/// Per-instruction costs in x86-equivalent instructions. Defaults follow
-/// the paper's own accounting (§5.1: shadow-space lookup ≈ 5, hash lookup
-/// ≈ 9, check ≈ 3 — the helper costs live in the runtime implementations;
+/// Per-instruction costs in x86-equivalent instructions: the shape of
+/// the machine's one cost model, [`COST_MODEL`]. It follows the paper's
+/// own accounting (§5.1: shadow-space lookup ≈ 5, hash lookup ≈ 9,
+/// check ≈ 3 — the helper costs live in the runtime implementations;
 /// these are the base program costs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CostModel {
@@ -241,28 +242,29 @@ pub struct CostModel {
     pub call_arg: u64,
 }
 
-impl Default for CostModel {
-    fn default() -> Self {
-        CostModel {
-            alu: 1,
-            mul: 3,
-            div: 22,
-            cmp: 1,
-            load: 1,
-            store: 1,
-            gep: 1,
-            mov: 0,
-            cast: 1,
-            jmp: 1,
-            branch: 1,
-            call: 4,
-            ret: 2,
-            call_arg: 1,
-        }
-    }
-}
+/// The cost every machine charges. Every cycle count the evaluation
+/// reports (Figure 2's overhead ratios, the differential suites' cycle
+/// comparisons) is measured against this one model.
+pub const COST_MODEL: CostModel = CostModel {
+    alu: 1,
+    mul: 3,
+    div: 22,
+    cmp: 1,
+    load: 1,
+    store: 1,
+    gep: 1,
+    mov: 0,
+    cast: 1,
+    jmp: 1,
+    branch: 1,
+    call: 4,
+    ret: 2,
+    call_arg: 1,
+};
 
-/// Configuration of the optional set-associative L1 model.
+/// Geometry of a set-associative L1 model. Machines model
+/// [`CacheConfig::CORE2_L1`] when `MachineConfig::cache` is on; other
+/// geometries serve [`CacheSim`]'s own unit tests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
     /// Total size in bytes.
@@ -275,17 +277,15 @@ pub struct CacheConfig {
     pub miss_penalty: u64,
 }
 
-impl Default for CacheConfig {
-    fn default() -> Self {
-        // 32 KiB, 64 B lines, 8-way, 30-cycle miss penalty: a Core 2-era
-        // L1D (the paper's evaluation machine is a 2.66 GHz Core 2).
-        CacheConfig {
-            size: 32 * 1024,
-            line: 64,
-            ways: 8,
-            miss_penalty: 30,
-        }
-    }
+impl CacheConfig {
+    /// 32 KiB, 64 B lines, 8-way, 30-cycle miss penalty: a Core 2-era
+    /// L1D (the paper's evaluation machine is a 2.66 GHz Core 2).
+    pub const CORE2_L1: CacheConfig = CacheConfig {
+        size: 32 * 1024,
+        line: 64,
+        ways: 8,
+        miss_penalty: 30,
+    };
 }
 
 /// A small set-associative cache with LRU replacement, used to model the

@@ -67,8 +67,10 @@ fn min_delta_over_attempts(mut window: impl FnMut() -> u64) -> u64 {
 
 /// Call-heavy, allocation-free program: deep recursion, wide calls,
 /// varargs, indirect calls through function pointers, and allocas — every
-/// shape the frame machinery must marshal. No printf/malloc/strings, so
-/// the program itself asks the host for nothing.
+/// shape the frame machinery must marshal — plus `memset`/`memcpy` over
+/// local arrays, which copy through fixed stack chunks. No
+/// printf/malloc/strings, so the program itself asks the host for
+/// nothing.
 const CALL_HEAVY: &str = r#"
     int add4(int a, int b, int c, int d) { return a + b + c + d; }
     int apply(int (*f)(int, int, int, int), int v) { return f(v, v, v, v); }
@@ -85,10 +87,15 @@ const CALL_HEAVY: &str = r#"
     }
     int main() {
         int total = 0;
+        char a[64];
+        char b[64];
         for (int i = 0; i < 50; i++) {
             total += add4(i, i, i, i);
             total += apply(add4, i);
             total += sum_varargs(3, i, i, i);
+            memset(a, i, 64);
+            memcpy(b, a, 64);
+            total += b[63];
         }
         total += fib(15);
         return total > 0;
@@ -141,8 +148,8 @@ fn warm_machine_reruns_without_allocating() {
     );
 }
 
-/// The pre-decoded execution lane (PR 6) shares the frame pool and
-/// scratch buffers with the tree-walk oracle, and its flat-op dispatch
+/// The pre-decoded execution lane shares the frame pool and
+/// scratch buffers with the tree-walk reference, and its flat-op dispatch
 /// adds no per-step state of its own — so a warmed machine replaying
 /// the same program through `run_predecoded` must also allocate
 /// nothing. Lowering the `ExecModule` itself allocates (that is the

@@ -2,8 +2,8 @@
 //! one compiled `Program` must observe *bit-identically* what N serial
 //! fresh runs of the same request stream observe — outcomes, captured
 //! output, dynamic statistics, runtime counters, and final-memory
-//! digests — across both metadata facilities, both execution lanes, and
-//! both safe and trapping traffic.
+//! digests — across both metadata facilities and both safe and trapping
+//! traffic.
 //!
 //! This is the concurrent analogue of `tests/instance_reuse.rs`: that
 //! suite licenses *reuse* (reset between requests is invisible), this
@@ -12,19 +12,13 @@
 //! results to mean anything.
 
 use softbound::fleet::{self, Observation};
-use softbound::{Engine, Facility, Lane, Program};
+use softbound::{Engine, Facility, Program};
 
 fn engines() -> Vec<(String, Engine)> {
-    let mut out = Vec::new();
-    for facility in [Facility::ShadowShared, Facility::HashTable] {
-        for lane in [Lane::Predecoded, Lane::TreeWalk] {
-            out.push((
-                format!("{facility:?}/{lane:?}"),
-                Engine::new().facility(facility).lane(lane),
-            ));
-        }
-    }
-    out
+    [Facility::ShadowShared, Facility::HashTable]
+        .into_iter()
+        .map(|facility| (format!("{facility:?}"), Engine::new().facility(facility)))
+        .collect()
 }
 
 /// The serial oracle: each request served by a brand-new instance, in
@@ -72,7 +66,7 @@ fn assert_fleet_matches_serial(
 }
 
 #[test]
-fn pooled_nhttpd_equals_serial_all_facilities_and_lanes() {
+fn pooled_nhttpd_equals_serial_all_facilities() {
     let daemon = sb_workloads::daemons::all()
         .into_iter()
         .find(|d| d.name == "nhttpd")
@@ -92,7 +86,7 @@ fn pooled_nhttpd_equals_serial_all_facilities_and_lanes() {
 }
 
 #[test]
-fn pooled_trapping_traffic_equals_serial_all_facilities_and_lanes() {
+fn pooled_trapping_traffic_equals_serial_all_facilities() {
     // Every third request overflows the handler's stack buffer: pooled
     // workers must report the identical trap (and identical counters)
     // the serial oracle reports, with safe requests undisturbed by a

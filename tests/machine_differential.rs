@@ -494,3 +494,80 @@ fn wraparound_pointers_trap_in_whole_programs() {
         );
     }
 }
+
+#[test]
+fn calloc_past_the_largest_size_class_returns_null() {
+    // `4611686018427387905 * 2` is 2^63 + 2 bytes: no power-of-two size
+    // class holds it, and rounding it up unchecked wraps to a 16-byte
+    // block (release) or panics (debug). A 16-byte block behind wrapper
+    // bounds of 2^63 + 2 bytes lets `p[16]` overwrite the next
+    // allocation unchecked, so the heap must refuse the request and
+    // `calloc` return NULL, under every policy.
+    let src = r#"
+        int main() {
+            char* p = (char*)calloc(4611686018427387905L, 2);
+            if (p == 0) return -1;
+            char* q = (char*)malloc(16);
+            p[16] = 99;
+            return q[0];
+        }
+    "#;
+    for policy in [
+        ViolationPolicy::Strict,
+        ViolationPolicy::Hardened,
+        ViolationPolicy::Monitor,
+    ] {
+        let obs = policy_lanes(src, policy, 0);
+        assert_eq!(obs.outcome, Outcome::Finished { ret: -1 }, "{policy:?}");
+        assert!(obs.evidence.is_empty(), "{policy:?}: {:x?}", obs.evidence);
+    }
+}
+
+#[test]
+fn strncpy_with_a_huge_length_allocates_nothing_on_the_host() {
+    // `strncpy(d, "hi", 2^40)` into a 16-byte `d`. Building the 2^40-byte
+    // zero-padded source on the host before writing its in-bounds prefix
+    // would abort the whole process under Hardened and Monitor with a
+    // failed 1 TiB allocation, which no `catch_unwind` can contain.
+    let src = r#"
+        int main() {
+            char* d = (char*)malloc(16);
+            strncpy(d, "hi", 1099511627776);   // 2^40
+            return d[0];
+        }
+    "#;
+    const D: u64 = sb_vm::HEAP_BASE;
+
+    // Strict traps in the wrapper at the first byte past `d`.
+    let strict = policy_lanes(src, ViolationPolicy::Strict, 0);
+    assert_eq!(
+        strict.outcome,
+        Outcome::Trapped(Trap::SpatialViolation {
+            scheme: "softbound-wrapper",
+            addr: D + 16,
+            write: true,
+        })
+    );
+    assert!(strict.evidence.is_empty());
+
+    // Hardened writes "hi" and zero-fills the rest of `d`, no further.
+    let hardened = policy_lanes(src, ViolationPolicy::Hardened, 0);
+    assert_eq!(hardened.outcome, Outcome::Finished { ret: 104 });
+    assert_eq!(hardened.evidence.len(), 1, "{:x?}", hardened.evidence);
+    let ev = hardened.evidence[0];
+    assert_eq!(ev.action, PolicyAction::ClampedWrite);
+    assert_eq!((ev.ptr, ev.size), (D, 1 << 40));
+    assert_eq!((ev.base, ev.bound, ev.fault_addr), (D, D + 16, D + 16));
+
+    // Monitor lets the write run on, until it leaves `d`'s mapped page.
+    let monitor = policy_lanes(src, ViolationPolicy::Monitor, 0);
+    assert_eq!(
+        monitor.outcome,
+        Outcome::Trapped(Trap::MemFault {
+            addr: D + sb_vm::PAGE_SIZE,
+            write: true,
+        })
+    );
+    assert_eq!(monitor.evidence.len(), 1, "{:x?}", monitor.evidence);
+    assert_eq!(monitor.evidence[0].action, PolicyAction::Observed);
+}

@@ -8,8 +8,8 @@
 //! store-only mode (Table 4), sub-object overflow detection (§2.1/§3.1),
 //! and wild-cast safety (§3.4).
 
-use sb_vm::{Outcome, Trap};
-use softbound::{Engine, SoftBoundConfig};
+use sb_vm::{Machine, MachineConfig, Outcome, Trap};
+use softbound::{Engine, SoftBoundConfig, SoftBoundRuntime};
 
 /// One-shot protected run through the session API — every test here
 /// compiles a distinct program, so no instance outlives its run.
@@ -399,10 +399,19 @@ fn separate_compilation_links_and_runs_protected() {
     };
     let lib = compile_one(lib_src, "lib");
     let app = compile_one(app_src, "app");
+    // A linked module has no `Program`, so it runs on a machine built
+    // directly over it, as every baseline scheme does.
+    let run_linked = |m: &sb_ir::Module| {
+        Machine::new(
+            m,
+            MachineConfig::default(),
+            SoftBoundRuntime::new_paged(&cfg),
+        )
+        .run("main", &[])
+    };
     let linked = sb_ir::link(&[app, lib], "prog").expect("links");
     sb_ir::verify(&linked).expect("verifies");
-    let engine = Engine::new().softbound_config(cfg.clone());
-    let r = engine.instantiate_module(&linked).run("main", &[]);
+    let r = run_linked(&linked);
     assert_eq!(
         r.ret(),
         Some(1),
@@ -422,7 +431,7 @@ fn separate_compilation_links_and_runs_protected() {
     let app2 = compile_one(bad_app, "app");
     let lib2 = compile_one(lib_src, "lib");
     let linked2 = sb_ir::link(&[app2, lib2], "prog").expect("links");
-    let r2 = engine.instantiate_module(&linked2).run("main", &[]);
+    let r2 = run_linked(&linked2);
     assert!(
         r2.outcome.is_spatial_violation(),
         "bounds must travel across separately compiled modules, got {:?}",
