@@ -21,11 +21,11 @@ fn main() {
     for p in &scaling {
         eprintln!(
             "fleet nhttpd: {} workers -> {:.1} req/s (p99 {} us, standing \
-             reservation {} MiB)",
+             reservation {} KiB)",
             p.workers,
             p.reqs_per_sec,
             p.p99_ns / 1000,
-            p.reservation_bytes_shared >> 20
+            p.reservation_bytes >> 10
         );
     }
 }

@@ -243,7 +243,7 @@ mod tests {
             p50_ns: 40,
             p95_ns: 90,
             p99_ns: 99,
-            reservation_bytes_shared: (1 << 28) + (4 << 22),
+            reservation_bytes: 4 << 14,
         }];
         let libc = vec![PerfRow {
             workload: "memcpy",
@@ -269,7 +269,7 @@ mod tests {
             "\"workload\": \"memcpy\"",
             "\"scaling\"",
             "\"host_cores\"",
-            "\"reservation_bytes_shared\"",
+            "\"reservation_bytes\"",
         ] {
             assert!(json.contains(key), "missing {key} in:\n{json}");
         }

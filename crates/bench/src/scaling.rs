@@ -3,9 +3,10 @@
 //! the §6.4 nhttpd daemon on a deterministic connection-batch stream.
 //!
 //! Each pool runs the default shadow space (`Facility::ShadowShared`),
-//! whose 256 MiB directory is one process-wide reservation, so the JSON
-//! also records the pool's standing metadata reservation: 8 workers stay
-//! within ~1.2× of a single worker instead of paying the directory 8×.
+//! and the JSON also records the pool's standing metadata reservation.
+//! Reset returns a worker's page frames to the process-wide pool, so an
+//! idle worker owns only its shadow directory (the 16 KiB root and the
+//! chunks it allocated), and 8 workers reserve well under 1 MiB.
 //!
 //! Rendered into `BENCH_softbound.json` (the `scaling` section) by the
 //! `perf_trajectory` binary alongside the per-lane perf rows:
@@ -19,8 +20,8 @@
 //! container every worker count shares one core and the curve is flat
 //! by construction — what the measurement then still proves is that
 //! pooling does not *collapse* (no lock convoys, no serialization
-//! through shared state; the shared directory is read-only on the
-//! check path, so there is no shared mutable state to convoy on).
+//! through shared state; the only shared state, the frame pool, is
+//! locked at page commit and reset, never on the check path).
 
 use softbound::fleet;
 use softbound::{Engine, Facility};
@@ -49,9 +50,9 @@ pub struct ScalingPoint {
     pub p95_ns: u64,
     /// 99th-percentile request latency, nanoseconds.
     pub p99_ns: u64,
-    /// Whole-pool standing metadata reservation: the shared directory
-    /// counted once plus each worker's private chunks and pages.
-    pub reservation_bytes_shared: usize,
+    /// Whole-pool standing metadata reservation
+    /// ([`FleetReport::reservation_total_bytes`](fleet::FleetReport::reservation_total_bytes)).
+    pub reservation_bytes: usize,
 }
 
 /// CPU cores visible to this process — the context that makes the
@@ -103,7 +104,7 @@ pub fn run() -> Vec<ScalingPoint> {
                 p50_ns: report.p50_ns,
                 p95_ns: report.p95_ns,
                 p99_ns: report.p99_ns,
-                reservation_bytes_shared: report.reservation_total_bytes(),
+                reservation_bytes: report.reservation_total_bytes(),
             }
         })
         .collect()
@@ -123,7 +124,7 @@ pub fn render_json(points: &[ScalingPoint]) -> String {
         s.push_str(&format!(
             "      {{\"workers\": {}, \"requests\": {}, \"wall_ns\": {}, \
              \"reqs_per_sec\": {:.1}, \"p50_ns\": {}, \"p95_ns\": {}, \
-             \"p99_ns\": {}, \"reservation_bytes_shared\": {}}}{}\n",
+             \"p99_ns\": {}, \"reservation_bytes\": {}}}{}\n",
             p.workers,
             p.requests,
             p.wall_ns,
@@ -131,7 +132,7 @@ pub fn render_json(points: &[ScalingPoint]) -> String {
             p.p50_ns,
             p.p95_ns,
             p.p99_ns,
-            p.reservation_bytes_shared,
+            p.reservation_bytes,
             if i + 1 < points.len() { "," } else { "" }
         ));
     }
@@ -149,8 +150,8 @@ mod tests {
     /// outright; on a 1-core host (this container) the best it can do
     /// is tie, so the bar is "not dramatically slower" — a lock convoy
     /// or accidental serialization through shared state would blow
-    /// straight past 3×. Run over the *shared* facility, where a
-    /// convoy on the shared directory would actually live. The stream is
+    /// straight past 3×. Run over the default shadow facility, whose
+    /// frame pool is the state workers share. The stream is
     /// long enough (a few ms for one worker) that request work, not the
     /// pool's fixed start-up — thread spawns, one instance per worker, a
     /// scheduler tick on a busy host — sets the ratio.
@@ -183,9 +184,9 @@ mod tests {
         );
     }
 
-    /// Measured on a cheap stream: an 8-worker pool's standing metadata
-    /// reservation stays within 1.2× of a single worker's (the directory
-    /// is paid once; only pages and chunk roots multiply).
+    /// Measured on a cheap stream: every idle worker owns the same
+    /// directory and no frames, so an 8-worker pool reserves exactly 8
+    /// times what one worker does, and under 1 MiB.
     #[test]
     fn eight_shared_workers_reserve_little_more_than_one() {
         let shared_engine = Engine::new().facility(Facility::ShadowShared);
@@ -198,11 +199,12 @@ mod tests {
             .reservation_total_bytes();
         let eight = fleet::serve(&shared_engine, &shared_program, "main", &stream, 8)
             .reservation_total_bytes();
-        assert!(
-            eight as f64 <= one as f64 * 1.2,
-            "8-worker shared pool reserves {eight} bytes, more than 1.2x \
-             a single worker's {one}"
+        assert_eq!(
+            eight,
+            8 * one,
+            "8-worker pool reserves {eight} bytes, a single worker {one}"
         );
+        assert!(eight < 1 << 20, "8-worker pool reserves {eight} bytes");
     }
 
     #[test]
@@ -216,7 +218,7 @@ mod tests {
                 p50_ns: 40,
                 p95_ns: 90,
                 p99_ns: 99,
-                reservation_bytes_shared: (1 << 28) + (1 << 22),
+                reservation_bytes: 1 << 14,
             },
             ScalingPoint {
                 workers: 4,
@@ -226,7 +228,7 @@ mod tests {
                 p50_ns: 40,
                 p95_ns: 90,
                 p99_ns: 99,
-                reservation_bytes_shared: (1 << 28) + (4 << 22),
+                reservation_bytes: 4 << 14,
             },
         ];
         let json = render_json(&points);
@@ -236,7 +238,7 @@ mod tests {
             "\"workers\": 1",
             "\"workers\": 4",
             "\"reqs_per_sec\"",
-            "\"reservation_bytes_shared\"",
+            "\"reservation_bytes\"",
         ] {
             assert!(json.contains(key), "missing {key} in:\n{json}");
         }

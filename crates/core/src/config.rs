@@ -29,12 +29,11 @@ pub enum CheckMode {
 /// an engine facility.)
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Facility {
-    /// The tag-less shadow space as a two-level paged direct map; ~5
-    /// instructions per access, O(1) host-side, no collisions by
-    /// construction. The 256 MiB directory is the process-wide
-    /// [`SharedShadowReservation`](crate::SharedShadowReservation),
-    /// allocated once per process; each instance overlays it with
-    /// copy-on-first-touch chunks, so a fleet pays it once.
+    /// The tag-less shadow space as a two-level paged direct map
+    /// ([`ShadowPages`](crate::ShadowPages)); ~5 instructions per
+    /// access, O(1) host-side, no collisions by construction. Each
+    /// instance owns its directory; the instances of a process share
+    /// only a bounded pool of scrubbed page frames.
     #[default]
     ShadowShared,
     /// Open-hashing table with 2^20 buckets; ~9 instructions plus

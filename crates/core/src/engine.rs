@@ -21,9 +21,10 @@
 //!   the program's pre-decoded [`ExecModule`]
 //!   ([`Machine::run_predecoded`]).
 //!   [`reset`](Instance::reset) clears program memory and metadata
-//!   between runs while keeping the shadow reservation, frame pool, and
-//!   frame plans alive, so back-to-back requests skip the per-machine
-//!   setup entirely (the `throughput` bench measures the win).
+//!   between runs while keeping the shadow directory, the interpreter's
+//!   frame pool, and frame plans alive, so back-to-back requests skip
+//!   the per-machine setup entirely (the `throughput` bench measures the
+//!   win).
 //!
 //! The tree-walk interpreter ([`Machine::run`]) is the reference those
 //! runs are held to: differential suites build a `Machine` over
@@ -270,7 +271,7 @@ macro_rules! each_machine_mut {
 /// [`run`](Instance::run) resets automatically between runs, so N
 /// back-to-back runs observe exactly what N fresh machines would —
 /// identical traps, outputs, check counts, and final memory (pinned by
-/// `tests/instance_reuse.rs`) — while reusing the shadow reservation,
+/// `tests/instance_reuse.rs`) — while reusing the shadow directory,
 /// the laid-out frame plans, and the interpreter's pooled buffers
 /// instead of rebuilding them per request.
 pub struct Instance<'p> {
@@ -295,7 +296,8 @@ impl Instance<'_> {
 
     /// Eagerly clears program memory, heap, and all pointer metadata
     /// (`live_entries()` is 0 afterwards) while keeping the shadow
-    /// reservation and machine plans alive. [`run`](Instance::run) does
+    /// directory and machine plans alive; the paged shadow's page frames
+    /// go back to the process-wide pool. [`run`](Instance::run) does
     /// this lazily; call it directly to drop a finished request's
     /// metadata footprint before the instance goes idle.
     pub fn reset(&mut self) {
@@ -313,21 +315,13 @@ impl Instance<'_> {
         each_machine!(self, m => m.hooks().live_entries())
     }
 
-    /// Bytes of host memory the metadata facility holds onto between
-    /// runs, including the shared 256 MiB directory of the paged shadow
-    /// (see
-    /// [`metadata_shared_reservation_bytes`](Self::metadata_shared_reservation_bytes)).
+    /// Bytes of host memory the metadata facility owns
+    /// ([`MetadataFacility::reservation_bytes`]): for the paged shadow,
+    /// its directory plus the page frames the current run committed
+    /// (none after a [`reset`](Instance::reset)); for the hash table,
+    /// its buckets and chains.
     pub fn metadata_reservation_bytes(&self) -> usize {
         each_machine!(self, m => m.hooks().reservation_bytes())
-    }
-
-    /// The portion of
-    /// [`metadata_reservation_bytes`](Self::metadata_reservation_bytes)
-    /// that is process-wide shared state — one copy serves every worker
-    /// over the same reservation, so a fleet counts it once per pool.
-    /// 0 for the hash table.
-    pub fn metadata_shared_reservation_bytes(&self) -> usize {
-        each_machine!(self, m => m.hooks().shared_reservation_bytes())
     }
 
     /// Bounds checks executed by the runtime since the last reset.
@@ -418,7 +412,7 @@ mod tests {
     }
 
     #[test]
-    fn shared_facility_instance_runs_resets_and_reports_split() {
+    fn shared_facility_instance_runs_resets_and_reports_reservation() {
         let src = r#"
             int main(int n) {
                 int* p = (int*)malloc(4 * sizeof(int));
@@ -438,20 +432,19 @@ mod tests {
         }
         inst.reset();
         assert_eq!(inst.live_entries(), 0);
-        // The 256 MiB directory shows up in the total but is flagged as
-        // process-shared; the private remainder is small.
-        let shared = inst.metadata_shared_reservation_bytes();
-        assert_eq!(
-            shared,
-            (1 << 28) + crate::SharedShadowReservation::frame_pool_capacity_bytes()
+        // After reset the paged shadow owns only its directory: the
+        // 16 KiB root and the chunks its runs allocated. Its page frames
+        // went back to the process-wide pool.
+        let idle = inst.metadata_reservation_bytes();
+        assert!(
+            (16 << 10..1 << 20).contains(&idle),
+            "idle reservation {idle}"
         );
-        assert!(inst.metadata_reservation_bytes() >= shared);
-        assert!(inst.metadata_reservation_bytes() - shared < 1 << 24);
-        // The hash table reports a zero shared portion.
+        // The hash table owns its 2^20 buckets of 24 bytes each.
         let hash = Engine::new()
             .facility(Facility::HashTable)
             .instantiate(&program);
-        assert_eq!(hash.metadata_shared_reservation_bytes(), 0);
+        assert!(hash.metadata_reservation_bytes() >= 24 << 20);
     }
 
     #[test]

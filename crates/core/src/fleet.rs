@@ -12,9 +12,9 @@
 //!   module and its cached pre-decoded [`ExecModule`](sb_vm::ExecModule)
 //!   by `&Program`; nothing is cloned per thread.
 //! * `Instance: Send` — each worker owns exactly one monomorphized
-//!   machine, created *inside* its thread, so all mutable state (program
-//!   memory, shadow facility, frame pool) is thread-local by
-//!   construction. No locks, no unsafe, no sharing of mutable state.
+//!   machine, created *inside* its thread, so its mutable state (program
+//!   memory, shadow facility, interpreter frame pool) is thread-local by
+//!   construction. No unsafe, and no lock on the check path.
 //!
 //! Determinism is the contract that makes the pool testable: because
 //! each request runs on a freshly-reset instance of the same program,
@@ -26,17 +26,14 @@
 //! metadata facilities.
 //!
 //! Under the default
-//! [`Facility::ShadowShared`](crate::Facility::ShadowShared) the
-//! metadata reservation is shared: every worker reads through the one
-//! process-wide
-//! [`SharedShadowReservation`](crate::SharedShadowReservation) (a 256 MiB
-//! zero prototype) and owns only copy-on-first-touch directory chunks
-//! plus its own pages — still lock-free, still `Instance: Send`.
-//! [`WorkerReport::reservation_bytes`] measures
-//! each worker's standing cost and
-//! [`WorkerReport::reservation_shared_bytes`] flags the process-shared
-//! portion, so [`FleetReport::reservation_total_bytes`] can count the
-//! shared directory once per pool instead of once per worker.
+//! [`Facility::ShadowShared`](crate::Facility::ShadowShared) each worker
+//! owns its shadow directory, and the only state workers share is the
+//! process-wide pool of scrubbed page frames, a mutex taken at page
+//! commit and reset, never on the check path. A worker that resets hands
+//! its frames to the pool, and the next commit, on any worker, takes one
+//! from it.
+//! [`WorkerReport::reservation_bytes`] measures each worker's standing
+//! cost, and [`FleetReport::reservation_total_bytes`] sums them.
 
 use crate::engine::{Engine, Instance, Program};
 use crate::policy::EvidenceRecord;
@@ -139,12 +136,6 @@ pub struct WorkerReport {
     /// facility once its stream drained and the instance reset — the
     /// idle cost a pool pays to keep this worker warm.
     pub reservation_bytes: usize,
-    /// The portion of [`reservation_bytes`](Self::reservation_bytes)
-    /// that is process-wide shared state (the shared shadow directory).
-    /// 0 for the hash table; equal across workers of a shadow-space
-    /// pool, and counted once — not per worker — by
-    /// [`FleetReport::reservation_total_bytes`].
-    pub reservation_shared_bytes: usize,
 }
 
 /// Aggregated outcome of one [`serve`] call.
@@ -182,31 +173,11 @@ impl FleetReport {
         self.per_worker.iter().map(|w| w.evidence_overflow).sum()
     }
 
-    /// The process-shared portion of the pool's standing reservation —
-    /// every worker reads through the same reservation, so the one copy
-    /// is the max across workers, not their sum. 0 for the hash table.
-    pub fn reservation_shared_bytes(&self) -> usize {
-        self.per_worker
-            .iter()
-            .map(|w| w.reservation_shared_bytes)
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Standing metadata reservation of the whole pool, counting
-    /// process-shared state **once**: `shared + Σ per-worker private`.
-    /// For the hash table this equals the plain per-worker sum; for
-    /// [`Facility::ShadowShared`](crate::Facility::ShadowShared) it is
-    /// what the pool actually pins — a naive sum of
-    /// [`WorkerReport::reservation_bytes`] would charge the one shared
-    /// directory N times.
+    /// Standing metadata reservation of the whole pool: the sum of
+    /// [`WorkerReport::reservation_bytes`]. The shadow frame pool is
+    /// process state and is charged to no worker.
     pub fn reservation_total_bytes(&self) -> usize {
-        self.reservation_shared_bytes()
-            + self
-                .per_worker
-                .iter()
-                .map(|w| w.reservation_bytes - w.reservation_shared_bytes)
-                .sum::<usize>()
+        self.per_worker.iter().map(|w| w.reservation_bytes).sum()
     }
 }
 
@@ -262,7 +233,6 @@ pub fn serve(
                         evidence: 0,
                         evidence_overflow: 0,
                         reservation_bytes: 0,
-                        reservation_shared_bytes: 0,
                     };
                     loop {
                         let index = cursor.fetch_add(1, Ordering::Relaxed);
@@ -292,7 +262,6 @@ pub fn serve(
                     // page footprint.
                     instance.reset();
                     report.reservation_bytes = instance.metadata_reservation_bytes();
-                    report.reservation_shared_bytes = instance.metadata_shared_reservation_bytes();
                     (report, results)
                 })
             })
@@ -405,12 +374,12 @@ mod tests {
         let report = serve(&engine, &program, "main", &requests, 2);
         let traps: u64 = report.per_worker.iter().map(|w| w.traps).sum();
         assert_eq!(traps, 3, "every out-of-bounds request must trap");
-        // Every worker's standing reservation includes the 256 MiB
-        // shadow directory it reads through.
+        // Every worker's standing reservation includes its 16 KiB
+        // shadow directory root.
         for w in &report.per_worker {
             assert!(
-                w.reservation_bytes >= (1 << 28),
-                "worker {} reservation {} below the directory floor",
+                w.reservation_bytes >= 16 << 10,
+                "worker {} reservation {} below the directory root",
                 w.worker,
                 w.reservation_bytes
             );
@@ -435,30 +404,14 @@ mod tests {
         let program = engine.compile(src).unwrap();
         let requests: Vec<i64> = (0..16).collect();
         let report = serve(&engine, &program, "main", &requests, 4);
-        // The process-shared portion: the 256 MiB directory prototype
-        // plus the frame pool at capacity.
-        let shared_span =
-            (1usize << 28) + crate::SharedShadowReservation::frame_pool_capacity_bytes();
-        for w in &report.per_worker {
-            assert_eq!(w.reservation_shared_bytes, shared_span);
-            assert!(w.reservation_bytes >= shared_span);
-        }
-        assert_eq!(report.reservation_shared_bytes(), shared_span);
-        let naive: usize = report.per_worker.iter().map(|w| w.reservation_bytes).sum();
+        // Each worker counts its own directory once; the pool's total is
+        // the plain sum.
+        let sum: usize = report.per_worker.iter().map(|w| w.reservation_bytes).sum();
         let total = report.reservation_total_bytes();
-        assert_eq!(
-            total,
-            naive - 3 * shared_span,
-            "the one shared reservation must be counted once, not 4 times"
-        );
-        // The pool's standing reservation stays close to a single
-        // worker's: reset returned every frame to the shared pool, so
-        // each idle worker privately owns only its chunk-root
-        // bookkeeping (a few hundred KiB, not megabytes of frames).
-        assert!(
-            total < shared_span + (1 << 22),
-            "4-worker shared pool pins {total} bytes"
-        );
+        assert_eq!(total, sum);
+        // Reset returned every frame to the process-wide pool, so each
+        // idle worker owns only its directory root and chunks.
+        assert!(total < 1 << 20, "4-worker pool reserves {total} bytes");
     }
 
     #[test]

@@ -13,13 +13,14 @@
 //! * the session-oriented [`Engine`] → [`Program`] → [`Instance`] API
 //!   (module [`engine`]): compile once, instantiate a persistent
 //!   monomorphized machine, and serve back-to-back runs that reuse the
-//!   shadow reservation instead of re-mapping it;
+//!   metadata facility instead of rebuilding it;
 //! * [`instrument`] — the compile-time [transformation](transform) over
 //!   `sb-ir` modules (checks, metadata propagation, `_sb_` function
 //!   renaming, bound shrinking, wrappers, lifecycle clearing);
 //! * the two [metadata facilities](metadata) of §5.1 — the tag-less
-//!   shadow space (one paged map over a process-wide directory
-//!   reservation, with whole-page reclamation) and the open-hash table —
+//!   shadow space (one paged map with a private directory, recycling
+//!   its page frames through a process-wide pool) and the open-hash
+//!   table —
 //!   with the paper's instruction costs;
 //! * the [runtime](mod@runtime) that plugs into the `sb-vm` machine;
 //! * a unified [`SoftBoundError`] covering every fallible pipeline
@@ -78,7 +79,7 @@ pub use engine::{Engine, Instance, Program};
 pub use error::SoftBoundError;
 pub use metadata::{
     AccessSink, HashTableFacility, Meta, MetadataFacility, NoopSink, ScratchSink,
-    ShadowHashMapFacility, ShadowPages, SharedShadowReservation,
+    ShadowHashMapFacility, ShadowPages,
 };
 pub use policy::{EvidenceRecord, EvidenceRing, PolicyAction, ViolationPolicy, EVIDENCE_CAPACITY};
 pub use runtime::SoftBoundRuntime;

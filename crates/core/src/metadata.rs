@@ -6,12 +6,11 @@
 //!
 //! * [`ShadowPages`] — the tag-less direct map of the paper's reserved
 //!   virtual-address region, realized as a two-level paged table: the high
-//!   bits of the slot index a directory, the low bits index a page
-//!   allocated on first touch. The 256 MiB directory is the process-wide
-//!   [`SharedShadowReservation`], which each facility overlays with
-//!   copy-on-first-touch chunks, so a fleet pays it once. Lookups are
-//!   O(1) and branch-light (shift, mask, add, two loads ≈ 5
-//!   instructions) with no collisions by construction.
+//!   bits of the slot index a private directory, the low bits index a
+//!   page allocated on first touch. The only state instances share is a
+//!   bounded pool of scrubbed page frames. Lookups are O(1) and
+//!   branch-light (shift, mask, add, two loads ≈ 5 instructions) with no
+//!   collisions by construction.
 //! * [`HashTableFacility`] — open hashing over (tag, base, bound) entries;
 //!   ~9 x86 instructions per lookup in the no-collision case (shift, mask,
 //!   multiply, add, three loads, compare, branch), +3 per extra probe.
@@ -33,7 +32,7 @@
 //! [`RtCtx`]: sb_vm::RtCtx
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 pub use sb_vm::{AccessSink, NoopSink, ScratchSink};
 
@@ -107,21 +106,13 @@ pub trait MetadataFacility {
     /// Number of live (non-NULL) entries — memory-overhead statistics.
     fn live_entries(&self) -> usize;
 
-    /// Bytes of host memory this facility holds onto *between* runs —
-    /// the standing reservation, not the transient per-run growth. For
-    /// the paged shadow this is dominated by the shared 256 MiB
-    /// directory (the analogue of the paper's `mmap`-reserved shadow
-    /// region); for the hash table, by the bucket array.
+    /// Bytes of host memory this facility owns: what it holds between
+    /// runs plus what the current run committed. For the paged shadow,
+    /// the directory root and chunks, the committed page frames and the
+    /// overflow map's buckets ([`reset`](Self::reset) hands the frames
+    /// to a process-wide pool charged to no instance); for the hash
+    /// table, the bucket array and the chains that ever allocated.
     fn reservation_bytes(&self) -> usize;
-
-    /// The portion of [`reservation_bytes`](Self::reservation_bytes)
-    /// that is *process-wide shared* state: one copy serves every
-    /// facility built over the same reservation, so a fleet counts it
-    /// once per pool rather than once per worker. 0 for the private
-    /// facilities; [`ShadowPages`] reports its shared reservation here.
-    fn shared_reservation_bytes(&self) -> usize {
-        0
-    }
 
     /// Forgets every entry, restoring the facility to its
     /// just-constructed state while keeping its expensive allocations
@@ -159,129 +150,78 @@ const SHADOW_PAGE_BITS: u32 = 18;
 const SHADOW_DIR_BITS: u32 = 26;
 const SHADOW_PAGE_SLOTS: u64 = 1 << SHADOW_PAGE_BITS;
 const SHADOW_DIRECT_SLOTS: u64 = 1 << (SHADOW_PAGE_BITS + SHADOW_DIR_BITS);
+/// Host bytes of one page frame (4 MiB).
+const PAGE_BYTES: usize = (SHADOW_PAGE_SLOTS as usize) * std::mem::size_of::<u128>();
 
-// The copy-on-first-touch directory splits the 2^26 directory entries
-// into 2^13 chunks of 2^13 u32 entries (32 KiB per chunk, 8192-entry
-// root).
+// The directory splits its 2^26 entries into 2^13 chunks of 2^13 u32
+// entries (32 KiB per chunk, 8192-entry root).
 const DIR_CHUNK_BITS: u32 = 13;
 const DIR_CHUNK_ENTRIES: usize = 1 << DIR_CHUNK_BITS;
 const DIR_CHUNKS: usize = 1 << (SHADOW_DIR_BITS - DIR_CHUNK_BITS);
 
-/// The process-wide shadow reservation: one 256 MiB zeroed directory
-/// that every [`ShadowPages`] reads through for directory spans it has
-/// never written — the software analogue of the kernel zero page
-/// backing the paper's `mmap`-reserved shadow region (§5.1): reserve
-/// once per process, commit per toucher.
-///
-/// The prototype is written by *no one* (each facility materializes
-/// private copy-on-first-touch chunks before its first directory
-/// write), so sharing it across a fleet is lock-free and race-free by
-/// construction; the `Arc` only manages lifetime. A fleet therefore
-/// pays the directory once, plus per-worker private bytes proportional
-/// to the address span each worker actually touched.
-#[derive(Debug)]
-pub struct SharedShadowReservation {
-    /// The zero prototype: one u32 per directory entry, never written.
-    zero_dir: Box<[u32]>,
-    /// Standing pool of scrubbed (all-zero) 4 MiB page frames, shared
-    /// by every facility on this reservation: [`MetadataFacility::reset`]
-    /// returns a facility's frames here and the next page commit —
-    /// anyone's — reuses them without touching the host allocator.
-    /// Bounded at [`Self::frame_pool_capacity_bytes`]; excess frames
-    /// are released to the host, so a fleet's *standing* frame cost is
-    /// the pool capacity once, not `workers × pages` forever. Touched
-    /// only at commit/reset (the check hot path never takes the lock).
-    frame_pool: Mutex<Vec<Box<[u128]>>>,
-}
-
-/// Frames the shared pool retains across resets (32 MiB of standing
-/// frame reservation — enough to recycle a typical pool's churn
-/// without growing with the worker count).
+/// Frames [`FRAME_POOL`] retains. The pool is process state and is
+/// charged to no instance's
+/// [`reservation_bytes`](MetadataFacility::reservation_bytes): this cap
+/// bounds it at 32 MiB of address space, mostly non-resident, because a
+/// frame is allocated zeroed and only the extent a run wrote was ever
+/// touched.
 const FRAME_POOL_CAP: usize = 8;
 
-impl SharedShadowReservation {
-    /// Allocates a fresh reservation, for tests (or embedders) that want
-    /// isolation from the process-wide one. The span is zeroed virtual
-    /// memory; nothing is committed until readers fault pages in.
-    #[allow(clippy::new_ret_no_self)]
-    pub fn new() -> Arc<Self> {
-        Arc::new(SharedShadowReservation {
-            zero_dir: vec![0u32; 1 << SHADOW_DIR_BITS].into_boxed_slice(),
-            frame_pool: Mutex::new(Vec::with_capacity(FRAME_POOL_CAP)),
-        })
-    }
+/// Scrubbed (all-zero) page frames shared by every [`ShadowPages`] in
+/// the process: [`reset`](MetadataFacility::reset) puts a facility's
+/// frames here, and the next page commit, by any instance, takes one
+/// instead of allocating. Only commit and reset take the lock; the check
+/// path never does.
+static FRAME_POOL: Mutex<Vec<Box<[u128]>>> = Mutex::new(Vec::new());
 
-    /// The process-wide reservation, allocated on first use and shared
-    /// by every facility built through [`ShadowPages::new`] thereafter.
-    pub fn global() -> Arc<Self> {
-        static GLOBAL: OnceLock<Arc<SharedShadowReservation>> = OnceLock::new();
-        GLOBAL.get_or_init(Self::new).clone()
-    }
+fn frame_pool() -> MutexGuard<'static, Vec<Box<[u128]>>> {
+    // A push or pop that panics leaves the Vec intact, so a poisoned
+    // pool still holds only all-zero frames.
+    FRAME_POOL.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
-    /// Bytes of the once-per-process reservation: the directory
-    /// prototype plus the frame pool *at capacity*. The pool is counted
-    /// at its bound, not its momentary occupancy, for the same reason
-    /// the 256 MiB directory is counted at its span: `reservation`
-    /// means address space this facility may hold, and a capacity
-    /// figure keeps fleet accounting deterministic while frames move
-    /// between workers and the pool.
-    pub fn shared_bytes(&self) -> usize {
-        self.zero_dir.len() * std::mem::size_of::<u32>() + Self::frame_pool_capacity_bytes()
-    }
+/// A pooled frame if there is one, else a freshly allocated zeroed
+/// frame. Either is all-zero, so a commit never fills.
+fn take_frame() -> Box<[u128]> {
+    let pooled = frame_pool().pop();
+    pooled.unwrap_or_else(|| vec![0u128; SHADOW_PAGE_SLOTS as usize].into_boxed_slice())
+}
 
-    /// Upper bound on host bytes the standing frame pool retains.
-    pub fn frame_pool_capacity_bytes() -> usize {
-        FRAME_POOL_CAP * (SHADOW_PAGE_SLOTS as usize) * std::mem::size_of::<u128>()
-    }
-
-    fn stash_frame(&self, frame: Box<[u128]>) {
-        let mut pool = self
-            .frame_pool
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if pool.len() < FRAME_POOL_CAP {
-            pool.push(frame);
-        }
-    }
-
-    fn take_frame(&self) -> Option<Box<[u128]>> {
-        self.frame_pool
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .pop()
+/// Pools an all-zero frame, or frees it once the pool is full.
+fn stash_frame(frame: Box<[u128]>) {
+    let mut pool = frame_pool();
+    if pool.len() < FRAME_POOL_CAP {
+        pool.push(frame);
     }
 }
 
-/// One materialized directory chunk: the page ids of
-/// `DIR_CHUNK_ENTRIES` consecutive directory entries.
+/// One directory chunk: the page ids of `DIR_CHUNK_ENTRIES` consecutive
+/// directory entries.
 type Chunk = [u32; DIR_CHUNK_ENTRIES];
 
-/// Private bytes one materialized chunk costs: the chunk and its pointer.
+/// Bytes one chunk costs: the chunk and its pointer.
 const CHUNK_BYTES: usize = std::mem::size_of::<Chunk>() + std::mem::size_of::<Box<Chunk>>();
 
-/// The copy-on-first-touch directory (slot high bits → page id + 1,
-/// 0 = no page) over the shared reservation: reads fall through to the
-/// zero prototype until this facility's first page commit in a 32 KiB
-/// span materializes a private chunk. Chunks materialize on page commit
-/// — the moment a 4 MiB page frame is needed anyway — and survive
-/// [`MetadataFacility::reset`], so the warm path never allocates.
+/// The directory (slot high bits → page id + 1, 0 = no page). A span
+/// without a chunk reads as "no page"; the first page commit in a
+/// 32 KiB span allocates its chunk — the moment a 4 MiB frame is needed
+/// anyway — and chunks survive [`MetadataFacility::reset`], so the warm
+/// path never allocates.
 #[derive(Debug)]
 struct Directory {
-    shared: Arc<SharedShadowReservation>,
-    /// Per chunk span (`DIR_CHUNKS` entries): 0 while never written,
-    /// otherwise 1 + the index of its private copy in `chunks`. Two
+    /// Per chunk span (`DIR_CHUNKS` entries): 0 while the span has no
+    /// chunk, otherwise 1 + the index of its chunk in `chunks`. Two
     /// bytes per span keep the root each instance allocates up front at
     /// 16 KiB; the allocator zeroes a root recycled from freed memory by
     /// hand, which makes all of it resident at once.
     root: Box<[u16]>,
-    /// Materialized private chunks, in first-write order.
+    /// Allocated chunks, in first-commit order.
     chunks: Vec<Box<Chunk>>,
 }
 
 impl Directory {
-    fn new(shared: Arc<SharedShadowReservation>) -> Self {
+    fn new() -> Self {
         Directory {
-            shared,
             root: vec![0; DIR_CHUNKS].into_boxed_slice(),
             chunks: Vec::new(),
         }
@@ -290,9 +230,7 @@ impl Directory {
     #[inline]
     fn get(&self, di: usize) -> u32 {
         match self.root[di >> DIR_CHUNK_BITS] {
-            // Never-written span: read the shared zero prototype
-            // (always "no page") instead of owning 256 MiB to say so.
-            0 => self.shared.zero_dir[di],
+            0 => 0,
             c => self.chunks[c as usize - 1][di & (DIR_CHUNK_ENTRIES - 1)],
         }
     }
@@ -300,8 +238,7 @@ impl Directory {
     fn set(&mut self, di: usize, pid: u32) {
         let span = &mut self.root[di >> DIR_CHUNK_BITS];
         if *span == 0 {
-            // Writing "no page" into a never-written span changes
-            // nothing; stay unmaterialized.
+            // A span without a chunk already says "no page".
             if pid == 0 {
                 return;
             }
@@ -316,9 +253,8 @@ impl Directory {
         self.chunks[*span as usize - 1][di & (DIR_CHUNK_ENTRIES - 1)] = pid;
     }
 
-    /// Host bytes this directory owns privately: the root, plus every
-    /// materialized chunk and its pointer in `chunks`.
-    fn private_bytes(&self) -> usize {
+    /// Host bytes of the root and every allocated chunk.
+    fn bytes(&self) -> usize {
         std::mem::size_of_val::<[u16]>(&self.root) + self.chunks.len() * CHUNK_BYTES
     }
 }
@@ -331,79 +267,55 @@ impl Directory {
 /// zeroed (`calloc` → anonymous mappings), so their spans stay
 /// *virtual* until individual OS pages are touched — the same
 /// demand-paging trick the paper plays by `mmap`-reserving half the
-/// address space for the shadow region. The directory is the
-/// process-wide [`SharedShadowReservation`], a 256 MiB zero prototype
-/// that this facility overlays with private 32 KiB copy-on-first-touch
-/// chunks for the spans it commits pages in; a fleet therefore pays the
-/// directory once, not once per worker. A lookup is shift, mask, a
-/// chunk lookup and two indexed loads: O(1), branch-light, no tags, no
-/// collisions, and no lock (the overlay is private, the prototype
-/// read-only).
+/// address space for the shadow region. The directory is private: a
+/// 16 KiB root whose 32 KiB chunks are allocated by the first page
+/// commit in their span, so a span this facility never touched reads as
+/// "no page" with nothing behind it. A lookup is shift, mask, a chunk
+/// lookup and two indexed loads: O(1), branch-light, no tags, no
+/// collisions, and no lock.
 ///
 /// Entries are stored as `u128` words (base in the low half, bound in
 /// the high half) so page allocation hits the zeroed-memory fast path;
 /// the all-zero word is exactly [`Meta::NULL`].
 ///
-/// ## Page reclamation
+/// ## Frame reuse
 ///
-/// Every page tracks its own live-entry count. When
-/// [`clear_range`](MetadataFacility::clear_range) covers a page end to
-/// end — a large `free`, a frame teardown, a `memset` over a
-/// pointer-bearing region — the page is **decommitted**: its id is
-/// unmapped from the directory and parked on a free list, instead of
-/// storing NULL 256 Ki times. Decommit scrubs the page's written
-/// extent back to all-zero (a few cache lines for a typical request,
-/// never a 4 MiB memset), so the next first-touch recommits it with
-/// pointer work alone — no fill, no host allocation.
-/// [`reset`](MetadataFacility::reset) decommits every page the same
-/// way, keeps the materialized directory chunks, and returns the
-/// scrubbed frames to the reservation's bounded frame pool, so an idle
-/// instance holds no frames of its own and the next commit — by any
-/// instance on the reservation — reuses them without touching the
-/// allocator.
+/// A page stays committed until [`reset`](MetadataFacility::reset),
+/// which zeroes each frame's written extent (a few cache lines for a
+/// typical request, never a 4 MiB memset), keeps the directory chunks,
+/// and hands the frames to a bounded process-wide pool. The next page
+/// commit, by this instance or any other, takes a pooled frame instead
+/// of allocating, so an idle instance holds no frames and a fleet's
+/// fresh workers reuse the frames of those that reset.
+/// [`clear_range`](MetadataFacility::clear_range) is the trait's
+/// per-slot walk, shared with the HashMap oracle.
 #[derive(Debug)]
 pub struct ShadowPages {
     dir: Directory,
-    /// Materialized pages, in first-touch order (index = page id - 1).
+    /// Committed pages, in first-touch order (index = page id - 1).
     pages: Vec<Page>,
-    /// Ids of decommitted pages, reusable on the next first-touch.
-    free_pages: Vec<u32>,
     /// Cold store for slots beyond the 47-bit simulated space.
     overflow: HashMap<u64, Meta>,
     live: usize,
 }
 
-/// One materialized shadow page plus its bookkeeping.
+/// One committed shadow page.
 #[derive(Debug)]
 struct Page {
-    /// Packed `(base, bound)` entries. Invariant: all-zero outside the
-    /// `[dirty_lo, dirty_hi)` extent, and decommitted (parked or
-    /// pooled) frames are all-zero everywhere — recommit needs no fill.
+    /// Packed `(base, bound)` entries, all-zero outside
+    /// `[dirty_lo, dirty_hi)`.
     slots: Box<[u128]>,
-    /// Live (non-NULL) entries on this page.
-    live: u32,
-    /// Directory index currently owning this page (stale once the page
-    /// is decommitted; rewritten when the id is reused).
+    /// Directory index owning this page.
     dir_index: u32,
-    /// Written-slot extent since the last scrub (`lo >= hi` = clean).
-    /// Zeroing on decommit touches only this span, so a worker that
-    /// writes a few hundred entries never pays a 4 MiB memset — the
-    /// frames stay as cheap to recycle as freshly `calloc`ed ones.
+    /// Extent of the non-NULL stores since commit (`lo >= hi` = none).
+    /// Scrubbing touches only this span, so a worker that writes a few
+    /// hundred entries never pays a 4 MiB memset — the frames stay as
+    /// cheap to recycle as freshly `calloc`ed ones.
     dirty_lo: u32,
     dirty_hi: u32,
 }
 
 impl Page {
-    fn fresh(slots: Box<[u128]>, dir_index: u32) -> Self {
-        Page {
-            slots,
-            live: 0,
-            dir_index,
-            dirty_lo: u32::MAX,
-            dirty_hi: 0,
-        }
-    }
-
     #[inline]
     fn note_write(&mut self, idx: usize) {
         let idx = idx as u32;
@@ -411,23 +323,13 @@ impl Page {
         self.dirty_hi = self.dirty_hi.max(idx + 1);
     }
 
-    /// Zeroes the written extent, restoring the all-zero invariant.
-    fn scrub(&mut self) {
+    /// The frame with its written extent zeroed: all-zero again.
+    fn into_scrubbed_frame(mut self) -> Box<[u128]> {
         if self.dirty_lo < self.dirty_hi {
             self.slots[self.dirty_lo as usize..self.dirty_hi as usize].fill(0);
         }
-        self.dirty_lo = u32::MAX;
-        self.dirty_hi = 0;
-        self.live = 0;
+        self.slots
     }
-
-    fn is_clean(&self) -> bool {
-        self.dirty_lo >= self.dirty_hi && self.live == 0
-    }
-}
-
-fn zeroed_page() -> Box<[u128]> {
-    vec![0u128; SHADOW_PAGE_SLOTS as usize].into_boxed_slice()
 }
 
 #[inline]
@@ -444,39 +346,19 @@ fn unpack(v: u128) -> Meta {
 }
 
 impl ShadowPages {
-    /// Creates an empty shadow space over the process-wide reservation
-    /// ([`SharedShadowReservation::global`]).
+    /// Creates an empty shadow space.
     pub fn new() -> Self {
-        Self::with_reservation(SharedShadowReservation::global())
-    }
-
-    /// Creates an empty shadow space over an explicit reservation —
-    /// tests, or an embedder running several isolated fleets in one
-    /// process.
-    pub fn with_reservation(shared: Arc<SharedShadowReservation>) -> Self {
         ShadowPages {
-            dir: Directory::new(shared),
+            dir: Directory::new(),
             pages: Vec::new(),
-            free_pages: Vec::new(),
             overflow: HashMap::new(),
             live: 0,
         }
     }
 
-    /// The reservation this facility reads through.
-    pub fn reservation(&self) -> &Arc<SharedShadowReservation> {
-        &self.dir.shared
-    }
-
-    /// Number of committed pages (memory-overhead statistics); excludes
-    /// decommitted pages parked on the free list.
+    /// Number of committed pages (memory-overhead statistics).
     pub fn page_count(&self) -> usize {
-        self.pages.len() - self.free_pages.len()
-    }
-
-    /// Pages decommitted and awaiting reuse (reclamation statistics).
-    pub fn decommitted_pages(&self) -> usize {
-        self.free_pages.len()
+        self.pages.len()
     }
 
     #[inline]
@@ -484,46 +366,17 @@ impl ShadowPages {
         SHADOW_BASE.wrapping_add(slot.wrapping_mul(16))
     }
 
-    /// Commits a page for directory entry `di`, reusing a parked page id
-    /// or a pooled frame when one is available. Returns the page id.
-    ///
-    /// Every frame source is already all-zero — parked frames and
-    /// pooled frames were scrubbed when they left service, fresh frames
-    /// come from the zeroed allocator — so commit is pointer work only:
-    /// no fill, no memset, regardless of where the frame came from.
+    /// Commits a page for directory entry `di` and returns its id.
     fn commit_page(&mut self, di: usize) -> u32 {
-        let pid = match self.free_pages.pop() {
-            Some(pid) => {
-                let page = &mut self.pages[(pid - 1) as usize];
-                debug_assert!(page.is_clean());
-                page.dir_index = di as u32;
-                pid
-            }
-            None => {
-                let slots = self.dir.shared.take_frame().unwrap_or_else(zeroed_page);
-                self.pages.push(Page::fresh(slots, di as u32));
-                self.pages.len() as u32
-            }
-        };
+        self.pages.push(Page {
+            slots: take_frame(),
+            dir_index: di as u32,
+            dirty_lo: u32::MAX,
+            dirty_hi: 0,
+        });
+        let pid = self.pages.len() as u32;
         self.dir.set(di, pid);
         pid
-    }
-
-    /// Decommits the page owning directory entry `di`: its live entries
-    /// leave the global count, its written extent is scrubbed back to
-    /// all-zero, and its id is parked for reuse. The frame stays owned
-    /// — and counted by
-    /// [`reservation_bytes`](MetadataFacility::reservation_bytes) —
-    /// while parked; decommit unmaps it from the directory, not from
-    /// the host. Scrubbing here (the cold path) is what lets
-    /// [`commit_page`](Self::commit_page) skip the fill on the warm
-    /// path.
-    fn decommit_page(&mut self, di: usize, pid: u32) {
-        let page = &mut self.pages[(pid - 1) as usize];
-        self.live -= page.live as usize;
-        page.scrub();
-        self.dir.set(di, 0);
-        self.free_pages.push(pid);
     }
 }
 
@@ -580,14 +433,8 @@ impl MetadataFacility for ShadowPages {
                 page.note_write(idx);
             }
             match (was_null, meta.is_null()) {
-                (true, false) => {
-                    page.live += 1;
-                    self.live += 1;
-                }
-                (false, true) => {
-                    page.live -= 1;
-                    self.live -= 1;
-                }
+                (true, false) => self.live += 1,
+                (false, true) => self.live -= 1,
                 _ => {}
             }
         } else if meta.is_null() {
@@ -599,90 +446,27 @@ impl MetadataFacility for ShadowPages {
         }
     }
 
-    /// Range clearing with whole-page reclamation: pages covered end to
-    /// end by the range are decommitted in O(1) (after bulk-reporting
-    /// the same cost and table addresses the per-slot path would), and
-    /// partial pages fall back to per-slot NULL stores — so the
-    /// observable metadata map, cost accounting, and cache traffic stay
-    /// byte-identical to the HashMap oracle's default implementation.
-    fn clear_range(&mut self, addr: u64, len: u64, sink: &mut dyn AccessSink) {
-        if len == 0 {
-            return;
-        }
-        let end = addr + len;
-        let mut s = addr >> 3;
-        let end_slot = end.div_ceil(8);
-        while s < end_slot {
-            if s >= SHADOW_DIRECT_SLOTS {
-                self.store(s << 3, Meta::NULL, sink);
-                s += 1;
-                continue;
-            }
-            let page_start = s & !(SHADOW_PAGE_SLOTS - 1);
-            let page_end = page_start + SHADOW_PAGE_SLOTS;
-            let seg_end = end_slot.min(page_end);
-            if s == page_start && seg_end == page_end {
-                // Whole page covered: report what the per-slot walk
-                // would have, then drop the page in one motion.
-                sink.add_cost(5 * SHADOW_PAGE_SLOTS);
-                if sink.wants_addresses() {
-                    for slot in s..seg_end {
-                        sink.touch(Self::table_addr(slot));
-                    }
-                }
-                let di = (s >> SHADOW_PAGE_BITS) as usize;
-                let pid = self.dir.get(di);
-                if pid != 0 {
-                    self.decommit_page(di, pid);
-                }
-            } else {
-                for slot in s..seg_end {
-                    self.store(slot << 3, Meta::NULL, sink);
-                }
-            }
-            s = seg_end;
-        }
-    }
-
     fn live_entries(&self) -> usize {
         self.live
     }
 
-    /// The sum of the shared reservation (directory prototype and frame
-    /// pool, see
-    /// [`shared_reservation_bytes`](MetadataFacility::shared_reservation_bytes)),
-    /// this facility's directory chunks, its page frames (committed *and*
-    /// parked — a parked frame is still owned host memory), and the
-    /// overflow map's actual bucket layout.
+    /// The directory's root and chunks, the committed page frames, and
+    /// the overflow map's actual bucket layout. Pooled frames belong to
+    /// no instance.
     fn reservation_bytes(&self) -> usize {
-        let pages = self
-            .pages
-            .iter()
-            .map(|p| p.slots.len() * std::mem::size_of::<u128>())
-            .sum::<usize>();
-        self.dir.private_bytes()
-            + self.dir.shared.shared_bytes()
-            + pages
+        self.dir.bytes()
+            + self.pages.len() * PAGE_BYTES
             + hash_map_reservation_bytes(&self.overflow)
     }
 
-    fn shared_reservation_bytes(&self) -> usize {
-        self.dir.shared.shared_bytes()
-    }
-
-    /// Decommits every page, zeroing only the directory entries that
-    /// were actually used; materialized directory chunks stay
-    /// materialized for the next run. Every frame is scrubbed back to
-    /// all-zero (only its written extent is touched) and returned to
-    /// the reservation's bounded frame pool, so an idle instance holds
-    /// no frames of its own and an 8-worker fleet's standing
-    /// reservation stays within a pool's width of a single worker's.
+    /// Empties every committed page, zeroing only the directory entries
+    /// that were used and only each frame's written extent, and returns
+    /// the frames to the process-wide pool; the directory chunks stay
+    /// for the next run.
     fn reset(&mut self) {
-        self.free_pages.clear();
-        for mut page in self.pages.drain(..) {
+        for page in self.pages.drain(..) {
             self.dir.set(page.dir_index as usize, 0);
-            page.scrub();
-            self.dir.shared.stash_frame(page.slots);
+            stash_frame(page.into_scrubbed_frame());
         }
         self.overflow.clear();
         self.live = 0;
@@ -876,11 +660,10 @@ impl MetadataFacility for HashTableFacility {
     }
 }
 
-// Fleet workers hold a facility each; the shared reservation crosses
-// threads by design. Compile-time proof both are Send + Sync.
+// Fleet workers each move a facility into their thread. Compile-time
+// proof the paged shadow is Send + Sync.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
-    assert_send_sync::<SharedShadowReservation>();
     assert_send_sync::<ShadowPages>();
 };
 
@@ -910,15 +693,6 @@ mod tests {
     #[test]
     fn shadow_paged_roundtrip() {
         roundtrip(&mut ShadowPages::new());
-    }
-
-    #[test]
-    fn shadow_shared_roundtrip() {
-        // Over a fresh reservation (`shadow_paged_roundtrip` covers the
-        // process-wide one).
-        roundtrip(&mut ShadowPages::with_reservation(
-            SharedShadowReservation::new(),
-        ));
     }
 
     #[test]
@@ -1306,74 +1080,10 @@ mod tests {
     }
 
     #[test]
-    fn whole_page_clear_decommits_and_reuses_page_ids() {
-        let mut f = ShadowPages::new();
-        let mut sink = NoopSink;
-        // Populate pages 1 and 2 plus a sentinel on page 0.
-        f.store(8, Meta { base: 1, bound: 2 }, &mut sink);
-        for p in 1..3u64 {
-            let mut a = p * PAGE_SPAN;
-            while a < (p + 1) * PAGE_SPAN {
-                f.store(
-                    a,
-                    Meta {
-                        base: a,
-                        bound: a + 8,
-                    },
-                    &mut sink,
-                );
-                a += 1024;
-            }
-        }
-        assert_eq!(f.page_count(), 3);
-        assert_eq!(f.decommitted_pages(), 0);
-        let live_before = f.live_entries();
-
-        // Clearing page 1 end to end decommits it in one motion.
-        f.clear_range(PAGE_SPAN, PAGE_SPAN, &mut sink);
-        assert_eq!(f.page_count(), 2, "page 1 must be decommitted");
-        assert_eq!(f.decommitted_pages(), 1);
-        assert_eq!(
-            f.live_entries(),
-            live_before - (PAGE_SPAN / 1024) as usize,
-            "exactly page 1's entries left the live count"
-        );
-        assert_eq!(f.load(PAGE_SPAN, &mut sink), Meta::NULL);
-        assert_eq!(f.load(PAGE_SPAN + 1024, &mut sink), Meta::NULL);
-        assert_eq!(f.load(8, &mut sink), Meta { base: 1, bound: 2 });
-
-        // The next first-touch — anywhere — reuses the parked page id
-        // instead of growing the page vector.
-        f.store(
-            37 * PAGE_SPAN,
-            Meta {
-                base: 0x10,
-                bound: 0x20,
-            },
-            &mut sink,
-        );
-        assert_eq!(f.decommitted_pages(), 0, "parked id was reused");
-        assert_eq!(f.page_count(), 3);
-        assert_eq!(
-            f.load(37 * PAGE_SPAN, &mut sink),
-            Meta {
-                base: 0x10,
-                bound: 0x20
-            }
-        );
-        assert_eq!(
-            f.load(37 * PAGE_SPAN + 8, &mut sink),
-            Meta::NULL,
-            "recommitted page starts zeroed"
-        );
-    }
-
-    #[test]
-    fn page_reclamation_differential_random_churn() {
+    fn clear_range_differential_random_churn() {
         // Pseudo-random stores interleaved with clears — partial spans,
-        // page-straddling spans, and multi-whole-page spans (which the
-        // paged side serves by decommit) — must leave both organizations
-        // with identical maps and live counts.
+        // page-straddling spans, and multi-whole-page spans — must leave
+        // both organizations with identical maps and live counts.
         let addr_of = |state: u64| (state % (5 * PAGE_SPAN)) & !7;
         let probes: Vec<u64> = {
             let mut v: Vec<u64> = (0..5 * PAGE_SPAN / 8).step_by(997).map(|s| s * 8).collect();
@@ -1395,8 +1105,8 @@ mod tests {
                         .wrapping_add(1442695040888963407);
                     let addr = addr_of(state);
                     if i % 149 == 0 {
-                        // Clear a whole page (the decommit path). Rare,
-                        // because the oracle pays a per-slot walk.
+                        // Clear a whole page. Rare, because each side
+                        // pays a per-slot walk.
                         f.clear_range((addr / PAGE_SPAN) * PAGE_SPAN, PAGE_SPAN, sink);
                     } else if i % 599 == 1 {
                         // Two whole pages plus a partial tail.
@@ -1422,8 +1132,8 @@ mod tests {
 
     #[test]
     fn whole_page_clear_cost_matches_oracle() {
-        // The decommit fast path must report exactly the cost and table
-        // traffic the oracle's per-slot walk reports, or the cycle
+        // A clear over a whole page must report exactly the cost and
+        // table traffic of the oracle's per-slot walk, or the cycle
         // equality the machine differential suite asserts would break.
         let mut paged = ShadowPages::new();
         let mut oracle = ShadowHashMapFacility::new();
@@ -1439,9 +1149,8 @@ mod tests {
         paged.clear_range(PAGE_SPAN, PAGE_SPAN + 24, &mut ps);
         let mut os = ScratchSink::new();
         oracle.clear_range(PAGE_SPAN, PAGE_SPAN + 24, &mut os);
-        assert_eq!(ps.cost, os.cost, "decommit fast path cost diverged");
+        assert_eq!(ps.cost, os.cost, "whole-page clear cost diverged");
         assert_eq!(ps.touched, os.touched, "table traffic diverged");
-        assert_eq!(paged.decommitted_pages(), 1, "page 1 was decommitted");
     }
 
     #[test]
@@ -1479,27 +1188,24 @@ mod tests {
             assert_eq!(fac.live_entries(), 1);
         }
 
-        // Paged specifics: every frame — the parked one included — goes
-        // back to the reservation's pool (committed and parked counts
-        // drop to zero), and the materialized directory chunk is kept
-        // (its pointer is stable across reset).
-        let mut f = ShadowPages::with_reservation(SharedShadowReservation::new());
+        // Paged specifics: every frame leaves the facility (a cleared
+        // page included), and the directory chunk is kept (its pointer
+        // is stable across reset).
+        let mut f = ShadowPages::new();
         let mut sink = NoopSink;
         f.store(0x9000, Meta { base: 1, bound: 2 }, &mut sink);
-        f.clear_range(0, 2 * PAGE_SPAN, &mut sink); // park a page id too
+        f.clear_range(0, 2 * PAGE_SPAN, &mut sink);
         f.store(5 * PAGE_SPAN, Meta { base: 5, bound: 6 }, &mut sink);
+        assert_eq!(f.page_count(), 2, "a cleared page stays committed");
         let chunk = |f: &ShadowPages| f.dir.chunks[0].as_ptr();
         let chunk_ptr = chunk(&f);
         f.reset();
         assert_eq!(f.page_count(), 0);
-        assert_eq!(f.decommitted_pages(), 0);
         assert_eq!(f.live_entries(), 0);
         assert!(
             std::ptr::eq(chunk_ptr, chunk(&f)),
             "directory chunk reallocated"
         );
-        assert!(f.reservation().take_frame().is_some(), "frame not pooled");
-        assert!(f.reservation().take_frame().is_none());
         // Every directory entry that was used is zero again.
         assert_eq!(f.load(0x9000, &mut sink), Meta::NULL);
         assert_eq!(f.load(5 * PAGE_SPAN, &mut sink), Meta::NULL);
@@ -1553,44 +1259,29 @@ mod tests {
 
     #[test]
     fn reservation_accounting_pinned_across_churn() {
-        // Pins `reservation_bytes` across a commit → whole-page-clear
-        // decommit → recommit → reset cycle: parked frames are still
-        // owned host memory and must never fall out of (or double into)
-        // the count; pooled frames belong to the reservation.
-        const PAGE_BYTES: usize = (SHADOW_PAGE_SLOTS as usize) * std::mem::size_of::<u128>();
-        let shared = SharedShadowReservation::new();
-        let mut f = ShadowPages::with_reservation(shared.clone());
+        // Pins `reservation_bytes` across a commit → whole-page clear →
+        // second commit → reset cycle: committed frames count until
+        // reset hands them to the pool, which no instance is charged for.
+        let mut f = ShadowPages::new();
         let mut sink = NoopSink;
         let idle = f.reservation_bytes();
-        assert_eq!(
-            idle,
-            shared.shared_bytes() + DIR_CHUNKS * std::mem::size_of::<u16>()
-        );
+        assert_eq!(idle, DIR_CHUNKS * std::mem::size_of::<u16>());
 
         // The first commit charges a frame and one directory chunk.
         f.store(0x100, Meta { base: 1, bound: 2 }, &mut sink);
         let chunked = idle + CHUNK_BYTES;
         assert_eq!(f.reservation_bytes(), chunked + PAGE_BYTES);
 
-        // Whole-page clear decommits the page; the parked frame stays
-        // owned and counted.
+        // Clearing the page end to end leaves it committed and counted.
         f.clear_range(0, PAGE_SPAN, &mut sink);
-        assert_eq!(f.decommitted_pages(), 1);
-        assert_eq!(
-            f.reservation_bytes(),
-            chunked + PAGE_BYTES,
-            "parked frame fell out of the accounting"
-        );
-
-        // Recommit — at a different directory entry of the same chunk —
-        // reuses the parked frame: no growth, no allocator traffic.
-        f.store(37 * PAGE_SPAN, Meta { base: 3, bound: 4 }, &mut sink);
-        assert_eq!(f.decommitted_pages(), 0);
+        assert_eq!(f.live_entries(), 0);
         assert_eq!(f.page_count(), 1);
         assert_eq!(f.reservation_bytes(), chunked + PAGE_BYTES);
 
-        // A second page is genuinely new memory.
-        f.store(0x100, Meta { base: 5, bound: 6 }, &mut sink);
+        // A page at another directory entry of the same chunk is a
+        // second frame, not a second chunk.
+        f.store(37 * PAGE_SPAN, Meta { base: 3, bound: 4 }, &mut sink);
+        assert_eq!(f.page_count(), 2);
         assert_eq!(f.reservation_bytes(), chunked + 2 * PAGE_BYTES);
 
         // Overflow entries count at the map's actual bucket layout, and
@@ -1609,113 +1300,34 @@ mod tests {
             "standing overflow reservation vanished on remove (len-based estimate)"
         );
 
-        // Reset hands both frames to the reservation's pool — no longer
-        // charged to this facility — and keeps the directory chunk and
-        // the overflow map's buckets: a warm idle worker's standing cost.
+        // Reset hands both frames to the pool — no longer charged to
+        // this facility — and keeps the directory chunk and the overflow
+        // map's buckets: a warm idle worker's standing cost.
         f.reset();
         assert_eq!(f.live_entries(), 0);
-        assert_eq!(f.decommitted_pages(), 0);
         assert_eq!(
             f.reservation_bytes(),
             with_overflow - 2 * PAGE_BYTES,
             "reset must pool frames, not keep them"
         );
 
-        // The next run's first store takes a pooled frame back.
+        // The next run's first store commits a frame again.
         f.store(0x100, Meta { base: 9, bound: 10 }, &mut sink);
         assert_eq!(f.page_count(), 1);
         assert_eq!(f.reservation_bytes(), with_overflow - PAGE_BYTES);
-        assert!(shared.take_frame().is_some(), "second frame still pooled");
-        assert!(
-            shared.take_frame().is_none(),
-            "recommit did not use the pool"
-        );
     }
 
     #[test]
-    fn shared_reservation_counted_once_per_process() {
-        let shared = SharedShadowReservation::new();
-        let mut a = ShadowPages::with_reservation(shared.clone());
-        let b = ShadowPages::with_reservation(shared.clone());
-        let mut sink = NoopSink;
-        let dir_bytes = shared.shared_bytes();
-        assert_eq!(
-            dir_bytes,
-            (1usize << SHADOW_DIR_BITS) * 4 + SharedShadowReservation::frame_pool_capacity_bytes()
-        );
-
-        // Both workers report the full reservation (they depend on it),
-        // flagging the shared portion so a pool counts it once.
-        assert_eq!(a.shared_reservation_bytes(), dir_bytes);
-        assert_eq!(b.shared_reservation_bytes(), dir_bytes);
-
-        // An untouched worker owns almost nothing privately — the chunk
-        // root, not a 256 MiB directory of its own.
-        let idle_private = b.reservation_bytes() - b.shared_reservation_bytes();
-        assert!(idle_private < 1 << 20, "idle private bytes: {idle_private}");
-
-        // Touching a page charges the frame + one directory chunk to
-        // that worker alone.
-        a.store(0x2000, Meta { base: 1, bound: 2 }, &mut sink);
-        let a_private = a.reservation_bytes() - a.shared_reservation_bytes();
-        assert!(a_private > idle_private);
-        assert_eq!(
-            b.reservation_bytes() - b.shared_reservation_bytes(),
-            idle_private,
-            "sibling charged for another worker's page"
-        );
-    }
-
-    #[test]
-    fn shared_reset_returns_frames_to_the_pool() {
-        const PAGE_BYTES: usize = (SHADOW_PAGE_SLOTS as usize) * std::mem::size_of::<u128>();
-        let shared = SharedShadowReservation::new();
-        let mut a = ShadowPages::with_reservation(shared.clone());
-        let mut b = ShadowPages::with_reservation(shared.clone());
-        let mut sink = NoopSink;
-        a.store(0x2000, Meta { base: 1, bound: 2 }, &mut sink);
-        a.store(37 * PAGE_SPAN, Meta { base: 3, bound: 4 }, &mut sink);
-        let committed = a.reservation_bytes() - a.shared_reservation_bytes();
-
-        // Reset hands both frames to the reservation's pool: the
-        // worker's private bytes drop back to chunk-root bookkeeping,
-        // and the shared figure (pool counted at capacity) is
-        // unchanged — pool occupancy never shows up as churn.
-        let shared_before = shared.shared_bytes();
-        a.reset();
-        let idle = a.reservation_bytes() - a.shared_reservation_bytes();
-        assert_eq!(
-            idle + 2 * PAGE_BYTES,
-            committed,
-            "frames still charged to the worker after reset"
-        );
-        assert_eq!(a.decommitted_pages(), 0, "reset must pool, not park");
-        assert_eq!(shared.shared_bytes(), shared_before);
-
-        // A sibling's next commit drains the pool instead of touching
-        // the host allocator: one of the two stashed frames goes to
-        // `b`, the other is still pooled.
-        b.store(0x2000, Meta { base: 5, bound: 6 }, &mut sink);
-        assert_eq!(b.load(0x2000, &mut sink), Meta { base: 5, bound: 6 });
-        assert!(shared.take_frame().is_some(), "reset did not stash frames");
-        assert!(
-            shared.take_frame().is_none(),
-            "pool held more than expected"
-        );
-    }
-
-    #[test]
-    fn shared_reset_does_not_disturb_siblings() {
-        let shared = SharedShadowReservation::new();
-        let mut a = ShadowPages::with_reservation(shared.clone());
-        let mut b = ShadowPages::with_reservation(shared);
+    fn reset_does_not_disturb_siblings() {
+        let mut a = ShadowPages::new();
+        let mut b = ShadowPages::new();
         let mut sink = NoopSink;
         let m = Meta {
             base: 0x10,
             bound: 0x20,
         };
-        // Identical simulated addresses on purpose: worker overlays
-        // must not alias each other through the shared prototype.
+        // Identical simulated addresses on purpose: a reset that pools
+        // `a`'s frames must leave `b`'s pages alone.
         a.store(0x3000, m, &mut sink);
         b.store(
             0x3000,
@@ -1741,26 +1353,26 @@ mod tests {
     }
 
     #[test]
-    fn cow_chunks_materialize_on_first_commit_only() {
-        let mut f = ShadowPages::with_reservation(SharedShadowReservation::new());
+    fn directory_chunks_allocate_on_first_commit_only() {
+        let mut f = ShadowPages::new();
         let mut sink = NoopSink;
-        let root_only = f.dir.private_bytes();
-        // Loads and NULL stores read through the shared prototype
-        // without materializing anything.
+        let root_only = f.dir.bytes();
+        // Loads and NULL stores into spans without a chunk allocate
+        // nothing.
         assert_eq!(f.load(0x4000, &mut sink), Meta::NULL);
         f.store(0x4000, Meta::NULL, &mut sink);
         f.clear_range(0, 4 * PAGE_SPAN, &mut sink);
         assert_eq!(
-            f.dir.private_bytes(),
+            f.dir.bytes(),
             root_only,
-            "read/NULL paths materialized a chunk"
+            "read/NULL paths allocated a chunk"
         );
         // The first real store commits a page and one directory chunk;
         // a second store under the same chunk reuses it.
         f.store(0x4000, Meta { base: 1, bound: 2 }, &mut sink);
-        assert_eq!(f.dir.private_bytes(), root_only + CHUNK_BYTES);
+        assert_eq!(f.dir.bytes(), root_only + CHUNK_BYTES);
         f.store(0x4008, Meta { base: 3, bound: 4 }, &mut sink);
-        assert_eq!(f.dir.private_bytes(), root_only + CHUNK_BYTES);
+        assert_eq!(f.dir.bytes(), root_only + CHUNK_BYTES);
         assert_eq!(f.load(0x4000, &mut sink), Meta { base: 1, bound: 2 });
     }
 }

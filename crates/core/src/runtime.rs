@@ -34,9 +34,9 @@ pub struct SoftBoundRuntime<F: MetadataFacility> {
 }
 
 impl SoftBoundRuntime<ShadowPages> {
-    /// Runtime over the paged shadow space on the process-wide
-    /// reservation (the default facility): one 256 MiB directory per
-    /// process, copy-on-first-touch chunks per instance.
+    /// Runtime over the paged shadow space (the default facility): a
+    /// private directory per instance, page frames recycled through a
+    /// process-wide pool.
     pub fn new_paged(cfg: &SoftBoundConfig) -> Self {
         SoftBoundRuntime::with_facility(ShadowPages::new(), cfg)
     }
@@ -105,18 +105,10 @@ impl<F: MetadataFacility> SoftBoundRuntime<F> {
         self.facility.live_entries()
     }
 
-    /// Standing host-memory reservation of the facility (what it holds
-    /// between requests).
+    /// Host memory the facility owns
+    /// ([`MetadataFacility::reservation_bytes`]).
     pub fn reservation_bytes(&self) -> usize {
         self.facility.reservation_bytes()
-    }
-
-    /// The portion of [`reservation_bytes`](Self::reservation_bytes)
-    /// that is process-wide shared state — one copy serves every worker
-    /// over the same reservation, so fleets count it once per pool. 0
-    /// for the hash table and the HashMap oracle.
-    pub fn shared_reservation_bytes(&self) -> usize {
-        self.facility.shared_reservation_bytes()
     }
 
     /// Records one evidence record for a violation a non-Strict policy
@@ -330,9 +322,10 @@ impl<F: MetadataFacility> RuntimeHooks for SoftBoundRuntime<F> {
     }
 
     /// Clears all metadata and counters while keeping the facility's
-    /// expensive allocations (shadow directory, hash buckets) alive —
-    /// what lets an [`Instance`](crate::Instance) serve back-to-back
-    /// runs without re-mapping the shadow reservation.
+    /// expensive allocations (shadow directory chunks, hash buckets)
+    /// alive — what lets an [`Instance`](crate::Instance) serve
+    /// back-to-back runs without rebuilding its facility. The paged
+    /// shadow returns its page frames to the process-wide pool.
     fn reset(&mut self) {
         self.facility.reset();
         self.check_count = 0;

@@ -9,6 +9,9 @@
 //! window (that is the caller's explicit export step, not the hot
 //! path). Under Strict the ring is empty, so a whole `fleet::observe`
 //! request — drain and memory digest included — is pinned at zero too.
+//! A separate count of 4 MiB-and-larger allocations pins that a fresh
+//! shadow-space instance takes its page frames from the process-wide
+//! pool instead of allocating them.
 
 use softbound::{fleet, CheckMode, Engine, Facility, Instance, ViolationPolicy};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -23,10 +26,26 @@ struct CountingAlloc;
 
 static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
 
+/// Allocations of at least one shadow page frame (4 MiB).
+static LARGE_ALLOCS: AtomicU64 = AtomicU64::new(0);
+const LARGE: usize = 4 << 20;
+
+fn count(layout: Layout) {
+    ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+    if layout.size() >= LARGE {
+        LARGE_ALLOCS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count(layout);
         unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count(layout);
+        unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
@@ -118,8 +137,8 @@ fn warm_hardened_instance_records_evidence_without_allocating() {
 
 /// Like [`PROBE`], but it also stores pointers into a guarded array so
 /// every iteration writes shadow-space metadata — the traffic that
-/// would expose a copy-on-first-touch directory allocating chunks (or a
-/// decommit freeing frames) on the warm path.
+/// would expose the directory allocating chunks, or a page commit
+/// allocating a frame, on the warm path.
 const SHARED_PROBE: &str = r#"
     int main(int n) {
         char buf[16];
@@ -134,12 +153,11 @@ const SHARED_PROBE: &str = r#"
 
 #[test]
 fn warm_shared_facility_run_allocates_nothing() {
-    // The shared-reservation facility overlays worker-private directory
-    // chunks on a process-wide zero prototype. Chunks materialize on
-    // first page commit and reset parks page frames instead of freeing
-    // them, so a warmed instance — metadata stores, clamped overflows,
-    // and reset churn included — must ask the host allocator for
-    // nothing.
+    // The paged shadow allocates a directory chunk on the first page
+    // commit in its span and keeps it across reset, and reset pools its
+    // page frames instead of freeing them, so a warmed instance —
+    // metadata stores, clamped overflows, and reset churn included —
+    // must ask the host allocator for nothing.
     let _guard = MEASURE.lock().expect("no poisoned measurements");
     let engine = Engine::new()
         .facility(Facility::ShadowShared)
@@ -165,6 +183,39 @@ fn warm_shared_facility_run_allocates_nothing() {
         delta, 0,
         "warm shared-facility replay (reset included) must not touch \
          the host allocator: {delta} allocations"
+    );
+}
+
+#[test]
+fn fresh_instance_takes_its_shadow_frames_from_the_pool() {
+    // Reset hands an instance's scrubbed page frames to the process-wide
+    // pool, and a page commit on any instance takes one from there: a
+    // fresh instance running after another one's reset must allocate no
+    // 4 MiB frame. Every test here holds `MEASURE`, so no other instance
+    // drains the pool in between.
+    let _guard = MEASURE.lock().expect("no poisoned measurements");
+    let engine = Engine::new()
+        .facility(Facility::ShadowShared)
+        .policy(ViolationPolicy::Hardened);
+    let program = engine.compile(SHARED_PROBE).expect("compiles");
+    let mut first = engine.instantiate(&program);
+    let r = first.run("main", &[64]);
+    assert_eq!(r.ret(), Some(1), "{:?}", r.outcome);
+    first.reset();
+
+    let before = LARGE_ALLOCS.load(Ordering::Relaxed);
+    let mut fresh = engine.instantiate(&program);
+    let r = fresh.run("main", &[64]);
+    let large = LARGE_ALLOCS.load(Ordering::Relaxed) - before;
+    assert_eq!(r.ret(), Some(1), "{:?}", r.outcome);
+    assert!(
+        fresh.metadata_reservation_bytes() >= LARGE,
+        "the probe commits a shadow page"
+    );
+    assert_eq!(
+        large, 0,
+        "a fresh instance allocated {large} page frames instead of taking \
+         them from the pool"
     );
 }
 

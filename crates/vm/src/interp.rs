@@ -109,6 +109,8 @@ impl RunResult {
 
 const RET_TOKEN_BASE: u64 = 0x5245_5400_0000_0000;
 const SETJMP_TOKEN_BASE: u64 = 0x534A_0000_0000_0000;
+/// The tag bits of a `setjmp` token; the low 48 bits are its id.
+const SETJMP_TAG_MASK: u64 = 0xFFFF_0000_0000_0000;
 /// Seed of the deterministic `rand()` stream; restored by [`Machine::reset`].
 const RNG_SEED: u64 = 0x2545_F491_4F6C_DD1D;
 
@@ -134,7 +136,6 @@ struct Frame<'m> {
     ret_dsts: &'m [RegId],
     frame_base: u64,
     expected_token: u64,
-    serial: u64,
     allocas: Vec<(u64, u64)>,
     varargs: Vec<i64>,
 }
@@ -149,18 +150,20 @@ impl Frame<'_> {
             ret_dsts: &[],
             frame_base: 0,
             expected_token: 0,
-            serial: 0,
             allocas: Vec::new(),
             varargs: Vec::new(),
         }
     }
 }
 
+/// Where a `longjmp` through one live `setjmp` token resumes.
 struct JumpPoint {
+    /// The token's id, unique within a run.
+    id: u64,
+    /// Index in `frames` of the frame that called `setjmp`.
     depth: usize,
-    serial: u64,
-    func: usize,
     block: u32,
+    /// Instruction after the `setjmp` call.
     idx: usize,
     dst: Option<RegId>,
 }
@@ -207,7 +210,13 @@ pub struct Machine<'m, H: RuntimeHooks> {
     /// path uses a fixed stack buffer; calls can be arbitrarily wide, so
     /// they share one growable scratch instead).
     call_args: Vec<i64>,
+    /// Jump points of the live frames, ordered by depth and by id. A
+    /// frame's entries are dropped when it returns or is unwound, and a
+    /// frame calling `setjmp` again at the same site reuses its entry,
+    /// so the table is bounded by the live frames' `setjmp` sites.
     setjmps: Vec<JumpPoint>,
+    /// Id of the next new jump point: every lower id was issued this run.
+    next_setjmp_id: u64,
     ctx: RtCtx,
     /// Repair order handed down by the last check's runtime response
     /// (`RtCtx::repair`), waiting for the access that check guards: the
@@ -264,6 +273,7 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
             frame_pool: Vec::new(),
             call_args: Vec::new(),
             setjmps: Vec::new(),
+            next_setjmp_id: 0,
             ctx,
             pending_clamp: None,
             pending_meta_len: None,
@@ -312,6 +322,7 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
             self.frame_pool.push(f);
         }
         self.setjmps.clear();
+        self.next_setjmp_id = 0;
         self.fuel = self.cfg.fuel;
         self.frame_serial = 0;
         self.global_addrs.clear();
@@ -557,8 +568,7 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
         self.stack_top = frame_base + plan_size;
 
         self.frame_serial += 1;
-        let serial = self.frame_serial;
-        let expected_token = RET_TOKEN_BASE | serial;
+        let expected_token = RET_TOKEN_BASE | self.frame_serial;
         self.mem
             .write_uint(frame_base + fp_slot, 8, frame_base)
             .expect("frame mapped");
@@ -575,7 +585,6 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
         frame.ret_dsts = ret_dsts;
         frame.frame_base = frame_base;
         frame.expected_token = expected_token;
-        frame.serial = serial;
         frame.regs.clear();
         frame.regs.resize(f.reg_kinds.len(), 0);
         let nparams = f.params.len();
@@ -654,8 +663,7 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
         self.hooks.on_frame_exit(&frame.allocas, &mut self.ctx);
         self.charge_ctx();
         self.stack_top = frame.frame_base;
-        // setjmp targets in dead frames are detected via their serial at
-        // longjmp time (entries stay so token indices remain stable).
+        self.drop_dead_jump_points();
         self.stats.cycles += COST_MODEL.ret;
 
         if self.frames.is_empty() {
@@ -668,6 +676,15 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
         }
         self.frame_pool.push(frame);
         Ok(None)
+    }
+
+    /// Drops the jump points of frames that returned or were unwound. A
+    /// `longjmp` through one of their tokens then finds no entry and
+    /// traps [`Trap::DeadJmpBuf`].
+    fn drop_dead_jump_points(&mut self) {
+        let live = self.frames.len();
+        let keep = self.setjmps.partition_point(|jp| jp.depth < live);
+        self.setjmps.truncate(keep);
     }
 
     // ------------------------------------------------------------ stepping
@@ -1282,9 +1299,12 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
                     args[0].max(0) as u64
                 };
                 self.stats.mallocs += 1;
-                self.stats.cycles += 30 + size / 64;
+                self.stats.cycles += 30;
                 match self.heap.alloc(&mut self.mem, size) {
                     Some(p) => {
+                        // Only a block the heap handed out costs in
+                        // proportion to its size.
+                        self.stats.cycles += size / 64;
                         self.ctx.reset(0);
                         self.hooks.on_malloc(p, size, &mut self.ctx);
                         self.charge_ctx();
@@ -1331,7 +1351,9 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
                 self.hook_range(d, eff, true)?;
                 self.copy_bytes(d, s, eff)?;
                 self.pending_meta_len = (eff < n).then_some(eff);
-                self.stats.cycles += 4 + n / 8;
+                // Charged for the bytes copied: a clamp that let 16
+                // bytes through costs 16, not the requested `n`.
+                self.stats.cycles += 4 + eff / 8;
                 set(self, 0, d as i64);
                 if wrapped {
                     set(self, 1, args[3]);
@@ -1348,7 +1370,7 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
                 }
                 self.hook_range(d, eff, true)?;
                 self.fill(d, c, eff)?;
-                self.stats.cycles += 4 + n / 8;
+                self.stats.cycles += 4 + eff / 8;
                 set(self, 0, d as i64);
                 if wrapped {
                     set(self, 1, args[3]);
@@ -1413,7 +1435,7 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
                 let payload = &sv[..sv.len().min(eff_s as usize).min(w as usize)];
                 self.mem.write(d, payload)?;
                 self.fill(d + payload.len() as u64, 0, w - payload.len() as u64)?;
-                self.stats.cycles += 4 + n;
+                self.stats.cycles += 4 + w;
                 set(self, 0, d as i64);
                 if wrapped {
                     set(self, 1, args[3]);
@@ -1527,17 +1549,31 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
                     eff = self.wrapper_check(buf, 8, args[1], args[2], true)?;
                     self.stats.checks += 1;
                 }
+                let depth = self.frames.len() - 1;
                 let frame = self.frames.last().expect("frame");
-                let jp = JumpPoint {
-                    depth: self.frames.len() - 1,
-                    serial: frame.serial,
-                    func: frame.func,
-                    block: frame.block,
-                    idx: frame.idx, // already advanced past the call
-                    dst: dsts.first().copied(),
-                };
-                let token = SETJMP_TOKEN_BASE | self.setjmps.len() as u64;
-                self.setjmps.push(jp);
+                // `idx` has already advanced past the call.
+                let (block, idx) = (frame.block, frame.idx);
+                // The calling frame's entries sit at the end of the table.
+                let same_site = self
+                    .setjmps
+                    .iter()
+                    .rev()
+                    .take_while(|jp| jp.depth == depth)
+                    .find(|jp| jp.block == block && jp.idx == idx)
+                    .map(|jp| jp.id);
+                let id = same_site.unwrap_or_else(|| {
+                    let id = self.next_setjmp_id;
+                    self.next_setjmp_id += 1;
+                    self.setjmps.push(JumpPoint {
+                        id,
+                        depth,
+                        block,
+                        idx,
+                        dst: dsts.first().copied(),
+                    });
+                    id
+                });
+                let token = SETJMP_TOKEN_BASE | id;
                 // A clamped jmp_buf write stores only the in-bounds prefix
                 // of the token; a later longjmp through it reports a
                 // corrupted buffer instead of jumping wild.
@@ -1551,18 +1587,20 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
                 let v = *args.get(1).unwrap_or(&1);
                 let token = self.mem.read_uint(buf, 8)?;
                 self.stats.cycles += 8;
-                if token & 0xFFFF_0000_0000_0000 == SETJMP_TOKEN_BASE {
-                    let idx = (token & 0xFFFF_FFFF) as usize;
-                    if idx >= self.setjmps.len() {
-                        return Err(Trap::CorruptedJmpBuf);
-                    }
-                    let jp = &self.setjmps[idx];
-                    if jp.depth >= self.frames.len() || self.frames[jp.depth].serial != jp.serial {
-                        return Err(Trap::DeadJmpBuf);
-                    }
+                if token & SETJMP_TAG_MASK == SETJMP_TOKEN_BASE {
+                    let id = token & !SETJMP_TAG_MASK;
+                    let Ok(i) = self.setjmps.binary_search_by_key(&id, |jp| jp.id) else {
+                        // An id issued this run whose frame is gone is
+                        // dead; any other was never issued.
+                        return Err(if id < self.next_setjmp_id {
+                            Trap::DeadJmpBuf
+                        } else {
+                            Trap::CorruptedJmpBuf
+                        });
+                    };
                     // Unwind to the setjmp frame.
-                    let (depth, func, block, idx_r, dst) =
-                        (jp.depth, jp.func, jp.block, jp.idx, jp.dst);
+                    let jp = &self.setjmps[i];
+                    let (depth, block, idx_r, dst) = (jp.depth, jp.block, jp.idx, jp.dst);
                     while self.frames.len() > depth + 1 {
                         let dead = self.frames.pop().expect("frame");
                         self.ctx.reset(0);
@@ -1571,8 +1609,8 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
                         self.stack_top = dead.frame_base;
                         self.frame_pool.push(dead);
                     }
+                    self.drop_dead_jump_points();
                     let f = self.frames.last_mut().expect("frame");
-                    debug_assert_eq!(f.func, func);
                     f.block = block;
                     f.idx = idx_r;
                     if let Some(d) = dst {
@@ -2170,6 +2208,46 @@ mod tests {
             matches!(r.outcome, Outcome::Trapped(Trap::DeadJmpBuf)),
             "{:?}",
             r.outcome
+        );
+    }
+
+    #[test]
+    fn setjmp_table_is_bounded_by_the_live_frames() {
+        // Two `setjmp` sites in `main` run 10,000 times each, and so does
+        // a helper that calls `setjmp` and returns. Re-entering a site
+        // reuses the frame's entry and a returning frame drops its own,
+        // so only main's two sites are left when the final `longjmp`
+        // through the helper's dead token traps.
+        let src = r#"
+            long a[8];
+            long b[8];
+            long c[8];
+            int helper() { return setjmp(c); }
+            int main() {
+                for (int i = 0; i < 10000; i++) {
+                    setjmp(a);
+                    setjmp(b);
+                    helper();
+                }
+                longjmp(c, 1);
+                return 0;
+            }
+        "#;
+        let prog = sb_cir::compile(src).expect("source compiles");
+        let mut module = sb_ir::lower(&prog, "run");
+        sb_ir::optimize(&mut module, sb_ir::OptLevel::PreInstrument);
+        sb_ir::verify(&module).expect("module verifies");
+        let mut m = Machine::uninstrumented(&module);
+        let r = m.run("main", &[]);
+        assert!(
+            matches!(r.outcome, Outcome::Trapped(Trap::DeadJmpBuf)),
+            "{:?}",
+            r.outcome
+        );
+        assert!(
+            m.setjmps.len() <= 2,
+            "{} jump points left for 2 live sites",
+            m.setjmps.len()
         );
     }
 

@@ -3,7 +3,7 @@
 //! and then serves a stream of request batches on the same `Instance`.
 //!
 //! This is the deployment shape the ROADMAP's server north star needs —
-//! one shadow reservation per worker, reset between requests — and the
+//! one shadow directory per worker, reset between requests — and the
 //! compatibility claim of §6.4 restated per request: every batch
 //! returns the unprotected checksum, with zero false positives, for
 //! both checking modes.

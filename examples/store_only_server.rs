@@ -55,7 +55,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // The session payoff: serve a stream of batches on one instance
-    // (shadow reservation + compile amortized) vs a fresh machine per
+    // (shadow directory + compile amortized) vs a fresh machine per
     // batch from the same compiled program.
     let engine = Engine::new().check_mode(CheckMode::StoreOnly);
     let program = engine.compile(daemon.source)?;
@@ -89,18 +89,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Threaded mode: the same compiled Program served by a worker pool
     // (Program is Send + Sync; each worker owns one Instance). The
-    // per-worker report shows the standing metadata reservation a
-    // shared-reservation design would amortize.
+    // report shows the pool's standing metadata reservation: each idle
+    // worker keeps its shadow directory and hands its page frames to a
+    // process-wide pool.
     let stream = softbound_repro::workloads::nhttpd_batches(16, 7);
     for workers in [1usize, 4] {
         let report = fleet::serve(&engine, &program, "main", &stream, workers);
-        let reserved_mib: usize = report
-            .per_worker
-            .iter()
-            .map(|w| w.reservation_bytes >> 20)
-            .sum();
+        let reserved_kib = report.reservation_total_bytes() >> 10;
         println!(
-            "fleet x{workers}: {} requests at {:.0} req/s (p50 {:?}, p99 {:?}, {reserved_mib} MiB reserved across pool)",
+            "fleet x{workers}: {} requests at {:.0} req/s (p50 {:?}, p99 {:?}, {reserved_kib} KiB reserved across pool)",
             report.results.len(),
             report.reqs_per_sec,
             std::time::Duration::from_nanos(report.p50_ns),

@@ -169,10 +169,10 @@ fn reuse_across_different_allocation_layouts() {
 
 #[test]
 fn shared_facility_reset_does_not_disturb_sibling_instances() {
-    // Two instances over the same process-wide shared reservation:
-    // resetting one must clear *its* metadata only. A leak through the
-    // shared directory would show up as the sibling losing entries, a
-    // changed memory digest, or a diverging subsequent run.
+    // Two shadow-space instances share the process-wide frame pool:
+    // resetting one must clear *its* metadata only. A frame pooled while
+    // the sibling still used it would show up as the sibling losing
+    // entries, a changed memory digest, or a diverging subsequent run.
     let src = r#"
         int main() {
             long** blocks = (long**)malloc(8 * sizeof(long*));

@@ -7,8 +7,8 @@
 //! workloads and the BugBench violation programs — through six lanes:
 //! the three facilities
 //!
-//! 1. `SoftBoundRuntime<ShadowPages>` (the production shadow space over
-//!    the process-wide directory reservation),
+//! 1. `SoftBoundRuntime<ShadowPages>` (the production paged shadow
+//!    space),
 //! 2. `SoftBoundRuntime<ShadowHashMapFacility>` (the HashMap oracle),
 //! 3. `SoftBoundRuntime<HashTableFacility>` (the §5.1 alternative),
 //!
@@ -227,6 +227,10 @@ struct PolicyObs {
     output: String,
     violation_count: u64,
     evidence: Vec<EvidenceRecord>,
+    /// Cost-model cycles. The hash table costs more per lookup, so
+    /// [`policy_lanes`] leaves them out of its comparison and reports
+    /// the largest count of the six lanes.
+    cycles: u64,
 }
 
 fn policy_obs<F: MetadataFacility>(
@@ -247,11 +251,13 @@ fn policy_obs<F: MetadataFacility>(
         output: r.output,
         violation_count: machine.hooks().violation_count,
         evidence: machine.hooks_mut().drain_evidence(),
+        cycles: r.stats.cycles,
     }
 }
 
 /// Runs `src` under `policy` through all six lanes, asserts they agree,
-/// and returns the paged tree-walk observation.
+/// and returns the paged tree-walk observation with the largest cycle
+/// count of the six.
 fn policy_lanes(src: &str, policy: ViolationPolicy, arg: i64) -> PolicyObs {
     let mut cfg = SoftBoundConfig::full_shadow();
     cfg.policy = policy;
@@ -259,7 +265,8 @@ fn policy_lanes(src: &str, policy: ViolationPolicy, arg: i64) -> PolicyObs {
         .softbound_config(cfg.clone())
         .compile(src)
         .expect("compiles");
-    let reference = policy_obs(&program, SoftBoundRuntime::new_paged(&cfg), arg, false);
+    let mut reference = policy_obs(&program, SoftBoundRuntime::new_paged(&cfg), arg, false);
+    let mut max_cycles = reference.cycles;
     for (lane, obs) in [
         (
             "paged/pre",
@@ -292,13 +299,24 @@ fn policy_lanes(src: &str, policy: ViolationPolicy, arg: i64) -> PolicyObs {
             policy_obs(&program, SoftBoundRuntime::new_hash(&cfg), arg, true),
         ),
     ] {
+        max_cycles = max_cycles.max(obs.cycles);
         assert_eq!(
-            reference, obs,
+            reference,
+            PolicyObs {
+                cycles: reference.cycles,
+                ..obs
+            },
             "{policy:?}: {lane} diverged from paged/tree"
         );
     }
+    reference.cycles = max_cycles;
     reference
 }
+
+/// Cycles a length-proportional builtin may charge in the tests below:
+/// far above what their small programs touch, far below what a charge
+/// for the requested length would add.
+const CYCLE_BOUND: u64 = 1_000_000;
 
 #[test]
 fn policy_behavior_invariant_across_facilities_and_lanes() {
@@ -502,10 +520,16 @@ fn calloc_past_the_largest_size_class_returns_null() {
     // block (release) or panics (debug). A 16-byte block behind wrapper
     // bounds of 2^63 + 2 bytes lets `p[16]` overwrite the next
     // allocation unchecked, so the heap must refuse the request and
-    // `calloc` return NULL, under every policy.
+    // `calloc` return NULL, under every policy. A refused request costs
+    // the flat allocator charge: 70 of them charged by size would add
+    // about 10^19 cycles.
     let src = r#"
         int main() {
-            char* p = (char*)calloc(4611686018427387905L, 2);
+            char* p = 0;
+            for (int i = 0; i < 70; i = i + 1) {
+                p = (char*)calloc(4611686018427387905L, 2);
+                if (p != 0) break;
+            }
             if (p == 0) return -1;
             char* q = (char*)malloc(16);
             p[16] = 99;
@@ -520,19 +544,28 @@ fn calloc_past_the_largest_size_class_returns_null() {
         let obs = policy_lanes(src, policy, 0);
         assert_eq!(obs.outcome, Outcome::Finished { ret: -1 }, "{policy:?}");
         assert!(obs.evidence.is_empty(), "{policy:?}: {:x?}", obs.evidence);
+        assert!(
+            obs.cycles < CYCLE_BOUND,
+            "{policy:?}: {} cycles",
+            obs.cycles
+        );
     }
 }
 
 #[test]
 fn strncpy_with_a_huge_length_allocates_nothing_on_the_host() {
-    // `strncpy(d, "hi", 2^40)` into a 16-byte `d`. Building the 2^40-byte
-    // zero-padded source on the host before writing its in-bounds prefix
-    // would abort the whole process under Hardened and Monitor with a
-    // failed 1 TiB allocation, which no `catch_unwind` can contain.
+    // `strncpy(d, "hi", 2^40)` into a 16-byte `d`, six times. Building
+    // the 2^40-byte zero-padded source on the host before writing its
+    // in-bounds prefix would abort the whole process under Hardened and
+    // Monitor with a failed 1 TiB allocation, which no `catch_unwind` can
+    // contain. A clamped copy is charged for the bytes it wrote, not for
+    // the 2^40 requested.
     let src = r#"
         int main() {
             char* d = (char*)malloc(16);
-            strncpy(d, "hi", 1099511627776);   // 2^40
+            for (int i = 0; i < 6; i = i + 1) {
+                strncpy(d, "hi", 1099511627776);   // 2^40
+            }
             return d[0];
         }
     "#;
@@ -550,14 +583,16 @@ fn strncpy_with_a_huge_length_allocates_nothing_on_the_host() {
     );
     assert!(strict.evidence.is_empty());
 
-    // Hardened writes "hi" and zero-fills the rest of `d`, no further.
+    // Hardened writes "hi" and zero-fills the rest of `d`, no further,
+    // on every call.
     let hardened = policy_lanes(src, ViolationPolicy::Hardened, 0);
     assert_eq!(hardened.outcome, Outcome::Finished { ret: 104 });
-    assert_eq!(hardened.evidence.len(), 1, "{:x?}", hardened.evidence);
-    let ev = hardened.evidence[0];
-    assert_eq!(ev.action, PolicyAction::ClampedWrite);
-    assert_eq!((ev.ptr, ev.size), (D, 1 << 40));
-    assert_eq!((ev.base, ev.bound, ev.fault_addr), (D, D + 16, D + 16));
+    assert_eq!(hardened.evidence.len(), 6, "{:x?}", hardened.evidence);
+    for ev in &hardened.evidence {
+        assert_eq!(ev.action, PolicyAction::ClampedWrite);
+        assert_eq!((ev.ptr, ev.size), (D, 1 << 40));
+        assert_eq!((ev.base, ev.bound, ev.fault_addr), (D, D + 16, D + 16));
+    }
 
     // Monitor lets the write run on, until it leaves `d`'s mapped page.
     let monitor = policy_lanes(src, ViolationPolicy::Monitor, 0);
@@ -570,4 +605,91 @@ fn strncpy_with_a_huge_length_allocates_nothing_on_the_host() {
     );
     assert_eq!(monitor.evidence.len(), 1, "{:x?}", monitor.evidence);
     assert_eq!(monitor.evidence[0].action, PolicyAction::Observed);
+    for obs in [&strict, &hardened, &monitor] {
+        assert!(obs.cycles < CYCLE_BOUND, "{} cycles", obs.cycles);
+    }
+}
+
+#[test]
+fn memset_with_a_huge_length_charges_only_the_bytes_it_wrote() {
+    // `memset(d, 65, LONG_MAX)` into a 16-byte `d`, twenty times. Strict
+    // traps in the wrapper; Hardened clamps each call to `d`'s 16 bytes
+    // and must charge for those 16, not for the 2^63 - 1 requested,
+    // which would overflow the cycle counter after two calls; Monitor
+    // runs on until the write leaves `d`'s mapped page.
+    let src = r#"
+        int main() {
+            char* d = (char*)malloc(16);
+            for (int i = 0; i < 20; i = i + 1) {
+                memset(d, 65, 9223372036854775807L);
+            }
+            return d[0];
+        }
+    "#;
+    const D: u64 = sb_vm::HEAP_BASE;
+
+    let strict = policy_lanes(src, ViolationPolicy::Strict, 0);
+    assert_eq!(
+        strict.outcome,
+        Outcome::Trapped(Trap::SpatialViolation {
+            scheme: "softbound-wrapper",
+            addr: D + 16,
+            write: true,
+        })
+    );
+    assert!(strict.evidence.is_empty());
+
+    let hardened = policy_lanes(src, ViolationPolicy::Hardened, 0);
+    assert_eq!(hardened.outcome, Outcome::Finished { ret: 65 });
+    assert_eq!(hardened.evidence.len(), 20, "{:x?}", hardened.evidence);
+    assert!(hardened
+        .evidence
+        .iter()
+        .all(|ev| ev.action == PolicyAction::ClampedWrite && ev.fault_addr == D + 16));
+
+    let monitor = policy_lanes(src, ViolationPolicy::Monitor, 0);
+    assert_eq!(
+        monitor.outcome,
+        Outcome::Trapped(Trap::MemFault {
+            addr: D + sb_vm::PAGE_SIZE,
+            write: true,
+        })
+    );
+    assert_eq!(monitor.evidence.len(), 1, "{:x?}", monitor.evidence);
+    for obs in [&strict, &hardened, &monitor] {
+        assert!(obs.cycles < CYCLE_BOUND, "{} cycles", obs.cycles);
+    }
+}
+
+#[test]
+fn setjmp_loop_behaves_identically_across_policies_and_lanes() {
+    // Two `setjmp` sites in `main` and one in a helper that returns, run
+    // `n` times; then a `longjmp` back to the second site resumes the
+    // loop once more. Every lane keeps only the live frames' jump
+    // points, and all of them must agree on the result.
+    let src = r#"
+        long a[8];
+        long b[8];
+        long c[8];
+        int helper() { return setjmp(c); }
+        int main(int n) {
+            int back = 0;
+            for (int i = 0; i < n; i = i + 1) {
+                setjmp(a);
+                if (setjmp(b) != 0) back = back + 1;
+                helper();
+            }
+            if (back == 0) longjmp(b, 1);
+            return back;
+        }
+    "#;
+    for policy in [
+        ViolationPolicy::Strict,
+        ViolationPolicy::Hardened,
+        ViolationPolicy::Monitor,
+    ] {
+        let obs = policy_lanes(src, policy, 10_000);
+        assert_eq!(obs.outcome, Outcome::Finished { ret: 1 }, "{policy:?}");
+        assert!(obs.evidence.is_empty(), "{policy:?}: {:x?}", obs.evidence);
+    }
 }
