@@ -119,7 +119,12 @@ impl Checker {
                     self.require_complete(&ty, *pos)?;
                     resolved.push((fname.clone(), ty));
                 }
-                self.types.define(id, resolved);
+                if !self.types.define(id, resolved) {
+                    return self.err(
+                        format!("struct `{tag}` is too large: its size overflows 64 bits"),
+                        *pos,
+                    );
+                }
                 self.defined_structs[id.0 as usize] = true;
             }
         }
@@ -194,7 +199,11 @@ impl Checker {
                 if n < 0 {
                     return self.err("array size must be non-negative", pos);
                 }
-                Ty::Array(Box::new(elem), n as u64)
+                let ty = Ty::Array(Box::new(elem), n as u64);
+                if self.types.checked_size_of(&ty).is_none() {
+                    return self.err("array is too large: its size overflows 64 bits", pos);
+                }
+                ty
             }
             TypeExpr::Func {
                 ret,

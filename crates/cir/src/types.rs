@@ -316,36 +316,48 @@ impl TypeTable {
     }
 
     /// Installs the fields of a previously declared aggregate and computes
-    /// its layout.
+    /// its layout. Returns false, leaving the aggregate undefined, when a
+    /// field offset or the aggregate's size does not fit in a `u64`.
     ///
     /// # Panics
     ///
     /// Panics if a field has unknown size (e.g. an incomplete struct by
     /// value); the type checker rejects such programs first.
-    pub fn define(&mut self, id: StructId, raw_fields: Vec<(String, Ty)>) {
+    #[must_use]
+    pub fn define(&mut self, id: StructId, raw_fields: Vec<(String, Ty)>) -> bool {
         let is_union = self.defs[id.0 as usize].is_union;
         let mut fields = Vec::with_capacity(raw_fields.len());
         let mut size: u64 = 0;
         let mut align: u64 = 1;
         for (name, ty) in raw_fields {
             let fa = self.align_of(&ty);
-            let fs = self.size_of(&ty);
+            let Some(fs) = self.checked_size_of(&ty) else {
+                return false;
+            };
             align = align.max(fa);
             let offset = if is_union {
                 size = size.max(fs);
                 0
             } else {
-                let off = round_up(size, fa);
-                size = off + fs;
+                let Some(off) = round_up(size, fa) else {
+                    return false;
+                };
+                let Some(end) = off.checked_add(fs) else {
+                    return false;
+                };
+                size = end;
                 off
             };
             fields.push(Field { name, ty, offset });
         }
-        let size = round_up(size.max(if fields.is_empty() { 0 } else { 1 }), align);
+        let Some(size) = round_up(size.max(if fields.is_empty() { 0 } else { 1 }), align) else {
+            return false;
+        };
         let def = &mut self.defs[id.0 as usize];
         def.fields = fields;
         def.size = size;
         def.align = align;
+        true
     }
 
     /// Looks up a struct id by tag name.
@@ -394,6 +406,18 @@ impl TypeTable {
         }
     }
 
+    /// [`size_of`](Self::size_of), or `None` when an array's size does not
+    /// fit in a `u64`. `void` and function types have no size to
+    /// overflow: they count as 0 here, and whether they may be used by
+    /// value is the type checker's call.
+    pub fn checked_size_of(&self, ty: &Ty) -> Option<u64> {
+        match ty {
+            Ty::Void | Ty::Func(_) => Some(0),
+            Ty::Array(e, n) => self.checked_size_of(e)?.checked_mul(*n),
+            _ => Some(self.size_of(ty)),
+        }
+    }
+
     /// Alignment of a type in bytes.
     pub fn align_of(&self, ty: &Ty) -> u64 {
         match ty {
@@ -426,12 +450,13 @@ impl TypeTable {
 }
 
 /// Rounds `v` up to the next multiple of `align` (which must be a power of
-/// two or any positive integer; simple arithmetic is used).
-pub fn round_up(v: u64, align: u64) -> u64 {
+/// two or any positive integer; simple arithmetic is used), or `None`
+/// when the result does not fit in a `u64`.
+pub fn round_up(v: u64, align: u64) -> Option<u64> {
     if align <= 1 {
-        v
+        Some(v)
     } else {
-        v.div_ceil(align) * align
+        v.div_ceil(align).checked_mul(align)
     }
 }
 
@@ -475,14 +500,14 @@ mod tests {
     fn struct_layout_natural_alignment() {
         let mut t = TypeTable::new();
         let id = t.declare("node", false);
-        t.define(
+        assert!(t.define(
             id,
             vec![
                 ("c".into(), Ty::char()),
                 ("i".into(), Ty::int()),
                 ("p".into(), Ty::char().ptr_to()),
             ],
-        );
+        ));
         let d = t.def(id);
         assert_eq!(d.fields[0].offset, 0);
         assert_eq!(d.fields[1].offset, 4);
@@ -495,10 +520,10 @@ mod tests {
     fn struct_tail_padding() {
         let mut t = TypeTable::new();
         let id = t.declare("s", false);
-        t.define(
+        assert!(t.define(
             id,
             vec![("p".into(), Ty::int().ptr_to()), ("c".into(), Ty::char())],
-        );
+        ));
         assert_eq!(t.def(id).size, 16);
     }
 
@@ -506,13 +531,13 @@ mod tests {
     fn union_overlays_fields() {
         let mut t = TypeTable::new();
         let id = t.declare("u", true);
-        t.define(
+        assert!(t.define(
             id,
             vec![
                 ("i".into(), Ty::long()),
                 ("c".into(), Ty::Array(Box::new(Ty::char()), 3)),
             ],
-        );
+        ));
         let d = t.def(id);
         assert_eq!(d.fields[0].offset, 0);
         assert_eq!(d.fields[1].offset, 0);
@@ -523,13 +548,13 @@ mod tests {
     fn recursive_struct_via_declare() {
         let mut t = TypeTable::new();
         let id = t.declare("list", false);
-        t.define(
+        assert!(t.define(
             id,
             vec![
                 ("v".into(), Ty::int()),
                 ("next".into(), Ty::Struct(id).ptr_to()),
             ],
-        );
+        ));
         assert_eq!(t.def(id).size, 16);
     }
 
@@ -537,17 +562,17 @@ mod tests {
     fn fat_pointers_change_layout() {
         let mut thin = TypeTable::new();
         let a = thin.declare("s", false);
-        thin.define(
+        assert!(thin.define(
             a,
             vec![("p".into(), Ty::char().ptr_to()), ("v".into(), Ty::long())],
-        );
+        ));
 
         let mut fat = TypeTable::with_layout(PtrLayout::Fat);
         let b = fat.declare("s", false);
-        fat.define(
+        assert!(fat.define(
             b,
             vec![("p".into(), Ty::char().ptr_to()), ("v".into(), Ty::long())],
-        );
+        ));
 
         assert_eq!(thin.def(a).size, 16);
         assert_eq!(
@@ -561,12 +586,12 @@ mod tests {
     fn contains_ptr_walks_aggregates() {
         let mut t = TypeTable::new();
         let inner = t.declare("inner", false);
-        t.define(inner, vec![("p".into(), Ty::void_ptr())]);
+        assert!(t.define(inner, vec![("p".into(), Ty::void_ptr())]));
         let outer = t.declare("outer", false);
-        t.define(
+        assert!(t.define(
             outer,
             vec![("arr".into(), Ty::Array(Box::new(Ty::Struct(inner)), 4))],
-        );
+        ));
         assert!(Ty::Struct(outer).contains_ptr(&t));
         assert!(!Ty::long().contains_ptr(&t));
     }
@@ -575,18 +600,49 @@ mod tests {
     fn display_types() {
         let mut t = TypeTable::new();
         let id = t.declare("n", false);
-        t.define(id, vec![]);
+        assert!(t.define(id, vec![]));
         assert_eq!(t.display(&Ty::char().ptr_to().ptr_to()), "char**");
         assert_eq!(t.display(&Ty::Array(Box::new(Ty::int()), 4)), "int[4]");
         assert_eq!(t.display(&Ty::Struct(id)), "struct n");
     }
 
     #[test]
+    fn layouts_past_two_to_the_64_bytes_are_refused() {
+        let mut t = TypeTable::new();
+        let bytes = |n| Ty::Array(Box::new(Ty::char()), n);
+        let big = Ty::Array(Box::new(bytes(2)), i64::MAX as u64);
+        assert_eq!(t.checked_size_of(&big), Some(u64::MAX - 1));
+        assert_eq!(
+            t.checked_size_of(&Ty::Array(Box::new(big.clone()), 2)),
+            None
+        );
+        // A field whose aligned offset overflows, then one whose end does.
+        let offset = t.declare("offset", false);
+        assert!(!t.define(
+            offset,
+            vec![
+                ("a".into(), big),
+                ("b".into(), Ty::char()),
+                ("c".into(), Ty::long()),
+            ],
+        ));
+        let end = t.declare("end", false);
+        assert!(!t.define(
+            end,
+            vec![
+                ("c".into(), Ty::char()),
+                ("a".into(), Ty::Array(Box::new(Ty::long()), u64::MAX / 8)),
+            ],
+        ));
+    }
+
+    #[test]
     fn round_up_works() {
-        assert_eq!(round_up(0, 8), 0);
-        assert_eq!(round_up(1, 8), 8);
-        assert_eq!(round_up(8, 8), 8);
-        assert_eq!(round_up(9, 4), 12);
-        assert_eq!(round_up(5, 1), 5);
+        assert_eq!(round_up(0, 8), Some(0));
+        assert_eq!(round_up(1, 8), Some(8));
+        assert_eq!(round_up(8, 8), Some(8));
+        assert_eq!(round_up(9, 4), Some(12));
+        assert_eq!(round_up(5, 1), Some(5));
+        assert_eq!(round_up(u64::MAX - 2, 4), None);
     }
 }

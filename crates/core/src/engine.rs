@@ -458,6 +458,11 @@ mod tests {
             "int f(int x) { return x; } \
              int main() { int (*p)(int) = f; int (*q)(int) = f; return (int)(p - q); }",
             "int f(int x) { return x; } int main() { return (int)(f - f); }",
+            // Sizes past 2^64 bytes: an array, a field offset, a struct.
+            "char g[4611686018427387904][4]; int main(int n) { return 3; }",
+            "struct s { char a[9223372036854775807][2]; char b; long c; }; \
+             int main() { return 0; }",
+            "struct s { char c; long a[2305843009213693951]; }; int main() { return 0; }",
         ] {
             let err = Engine::new().compile(src).expect_err(src);
             assert!(matches!(err, SoftBoundError::Compile(_)), "{src}: {err}");

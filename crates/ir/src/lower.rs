@@ -110,7 +110,9 @@ pub fn ptr_slots_of(ty: &Ty, types: &TypeTable) -> Vec<u64> {
 fn walk_ptr_slots(ty: &Ty, types: &TypeTable, base: u64, out: &mut Vec<u64>) {
     match ty {
         Ty::Ptr(_) => out.push(base),
-        Ty::Array(e, n) => {
+        // An element that holds no pointer has no slots, however many
+        // elements there are.
+        Ty::Array(e, n) if e.contains_ptr(types) => {
             let esz = types.size_of(e);
             for i in 0..*n {
                 walk_ptr_slots(e, types, base + i * esz, out);
@@ -998,6 +1000,20 @@ mod tests {
     fn lower_src(src: &str) -> Module {
         let prog = sb_cir::compile(src).expect("compiles");
         lower(&prog, "test")
+    }
+
+    #[test]
+    fn pointer_free_arrays_have_no_slots_however_long() {
+        let mut types = TypeTable::new();
+        let huge = Ty::Array(Box::new(Ty::char()), 1 << 40);
+        assert!(ptr_slots_of(&huge, &types).is_empty());
+        let id = types.declare("pair", false);
+        assert!(types.define(
+            id,
+            vec![("n".into(), Ty::long()), ("p".into(), Ty::char().ptr_to())],
+        ));
+        let pairs = Ty::Array(Box::new(Ty::Struct(id)), 3);
+        assert_eq!(ptr_slots_of(&pairs, &types), [8, 24, 40]);
     }
 
     #[test]

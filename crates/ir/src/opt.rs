@@ -93,7 +93,9 @@ pub fn optimize_with_stats(m: &mut Module, level: OptLevel) -> PassStats {
 }
 
 /// Evaluates a binary op on constants with kind `k` (the same semantics
-/// the VM uses).
+/// the VM uses). Inlinable across crates: both interpreter lanes call it
+/// once per arithmetic instruction.
+#[inline]
 pub fn eval_bin(op: ArithOp, k: IntKind, a: i64, b: i64) -> Option<i64> {
     let (a, b) = (k.wrap(a), k.wrap(b));
     let v = match op {
@@ -144,7 +146,9 @@ fn mask(k: IntKind) -> u64 {
     }
 }
 
-/// Evaluates a comparison on constants with kind `k`.
+/// Evaluates a comparison on constants with kind `k`. Inlinable across
+/// crates, like [`eval_bin`].
+#[inline]
 pub fn eval_cmp(op: CmpOp, k: IntKind, a: i64, b: i64) -> i64 {
     let (a, b) = (k.wrap(a), k.wrap(b));
     let r = if k.is_signed() {

@@ -3,8 +3,12 @@
 //! [`ExecModule::lower`] flattens a verified [`sb_ir::Module`] into one
 //! contiguous `Vec` of fixed-size [`Op`]s per function:
 //!
-//! * operands are pre-resolved — registers become frame-slot indices,
-//!   constants / global addresses / function addresses become immediates
+//! * every operand is a frame slot, so reading one is a single
+//!   unconditional `regs[slot]`. Registers keep their indices; each
+//!   distinct immediate of the function — a constant, a global address
+//!   or a function address — gets its own slot after the registers,
+//!   holding the value recorded in [`ExecFunc::consts`], which the
+//!   machine appends to the register file of every frame it pushes
 //!   (global layout is a pure function of the module, so addresses are
 //!   known before any machine exists);
 //! * jump targets are pre-resolved to op offsets, and blocks are laid
@@ -16,7 +20,7 @@
 //!
 //! Variable-length operand lists (call arguments, return values,
 //! destination registers) live in per-function side pools referenced by
-//! [`PoolRef`] ranges, keeping [`Op`] itself `Copy` and fixed-size.
+//! [`PoolRef`] ranges, keeping [`Op`] itself `Copy` and 32 bytes.
 //!
 //! The lowering is purely structural: it never changes which runtime
 //! helpers run or in what order. The machine dispatches it through
@@ -29,18 +33,6 @@
 use crate::mem::{fn_addr, GLOBAL_BASE};
 use sb_cir::hir::Builtin;
 use sb_ir::{ArithOp, Callee, CmpOp, Function, Inst, IntKind, MemTy, Module, RegId, RtFn, Value};
-
-/// A pre-resolved operand: a frame slot or an immediate.
-///
-/// `GlobalAddr` and `FuncAddr` operands are folded to immediates at
-/// decode time; only register reads survive to run time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OpVal {
-    /// Read frame slot (register) `n`.
-    Slot(u32),
-    /// The value itself.
-    Imm(i64),
-}
 
 /// A range into one of an [`ExecFunc`]'s side pools.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,18 +58,18 @@ impl PoolRef {
 pub enum ExecCallee {
     /// Direct call to function index `n`.
     Direct(u32),
-    /// Indirect call through a function-pointer value.
-    Indirect(OpVal),
+    /// Indirect call through the function-pointer value in a slot.
+    Indirect(u32),
     /// A VM builtin.
     Builtin(Builtin),
 }
 
 /// One fixed-size, pre-decoded instruction.
 ///
-/// Mirrors [`sb_ir::Inst`] except that operands are [`OpVal`]s, jump
-/// targets are op offsets, variable-length lists are [`PoolRef`]s, and
-/// the fused check+access superinstructions have no tree-walk
-/// counterpart.
+/// Mirrors [`sb_ir::Inst`] except that every operand (and `dst`) is a
+/// frame-slot index, jump targets are op offsets, variable-length lists
+/// are [`PoolRef`]s, and the fused check+access superinstructions have
+/// no tree-walk counterpart.
 #[derive(Debug, Clone, Copy)]
 pub enum Op {
     /// `slot[dst] = lhs op rhs`, wrapped to kind `k`.
@@ -85,67 +77,63 @@ pub enum Op {
         dst: u32,
         op: ArithOp,
         k: IntKind,
-        lhs: OpVal,
-        rhs: OpVal,
+        lhs: u32,
+        rhs: u32,
     },
     /// `slot[dst] = (lhs op rhs) ? 1 : 0`, comparing in kind `k`.
     Cmp {
         dst: u32,
         op: CmpOp,
         k: IntKind,
-        lhs: OpVal,
-        rhs: OpVal,
+        lhs: u32,
+        rhs: u32,
     },
     /// `slot[dst] = wrap_k(src)`.
-    Cast { dst: u32, k: IntKind, src: OpVal },
+    Cast { dst: u32, k: IntKind, src: u32 },
     /// `slot[dst] = src`.
-    Mov { dst: u32, src: OpVal },
+    Mov { dst: u32, src: u32 },
     /// Stack slot address — precomputed at frame entry; the op only
     /// keeps the oracle's instruction accounting.
     Alloca { dst: u32 },
     /// `slot[dst] = *(mem)addr`.
-    Load { dst: u32, mem: MemTy, addr: OpVal },
+    Load { dst: u32, mem: MemTy, addr: u32 },
     /// `*(mem)addr = value`.
-    Store {
-        mem: MemTy,
-        addr: OpVal,
-        value: OpVal,
-    },
+    Store { mem: MemTy, addr: u32, value: u32 },
     /// Fused `rt(addr, base, bound, size); slot[dst] = *(mem)addr` —
     /// one dispatch for the check and the load it guards.
     CheckLoad {
         rt: RtFn,
         dst: u32,
         mem: MemTy,
-        addr: OpVal,
-        base: OpVal,
-        bound: OpVal,
+        addr: u32,
+        base: u32,
+        bound: u32,
     },
     /// Fused `rt(addr, base, bound, size); *(mem)addr = value`.
     CheckStore {
         rt: RtFn,
         mem: MemTy,
-        addr: OpVal,
-        value: OpVal,
-        base: OpVal,
-        bound: OpVal,
+        addr: u32,
+        value: u32,
+        base: u32,
+        bound: u32,
     },
     /// `slot[dst] = base + index*scale + offset`.
     Gep {
         dst: u32,
-        base: OpVal,
-        index: OpVal,
+        base: u32,
+        index: u32,
         scale: u64,
         offset: i64,
     },
-    /// Runtime-helper call; `args` indexes the value pool, `dsts` the
+    /// Runtime-helper call; `args` indexes the slot pool, `dsts` the
     /// register pool.
     Rt {
         rt: RtFn,
         args: PoolRef,
         dsts: PoolRef,
     },
-    /// Call; `args` indexes the value pool, `dsts` the register pool.
+    /// Call; `args` indexes the slot pool, `dsts` the register pool.
     Call {
         callee: ExecCallee,
         args: PoolRef,
@@ -153,19 +141,19 @@ pub enum Op {
         ptr_hint: bool,
         wrapped: bool,
     },
-    /// Return the pooled values.
+    /// Return the pooled slots' values.
     Ret { vals: PoolRef },
     /// Unconditional jump to op offset `target`.
     Jump { target: u32 },
     /// Conditional branch to pre-resolved op offsets.
-    Branch {
-        cond: OpVal,
-        then_t: u32,
-        else_t: u32,
-    },
+    Branch { cond: u32, then_t: u32, else_t: u32 },
     /// Trips [`Trap::Unreachable`](crate::Trap::Unreachable).
     Unreachable,
 }
+
+// Dispatch copies ops out of a dense array: keep them to half a cache
+// line.
+const _: () = assert!(std::mem::size_of::<Op>() <= 32);
 
 /// One function's flat op stream plus its operand side pools.
 #[derive(Debug, Clone, Default)]
@@ -173,10 +161,14 @@ pub struct ExecFunc {
     /// The pre-decoded ops, blocks laid out in order (block 0 at
     /// offset 0). Empty for external declarations.
     pub ops: Vec<Op>,
-    /// Operand pool for calls / runtime calls / returns.
-    pub vals: Vec<OpVal>,
+    /// Operand-slot pool for calls / runtime calls / returns.
+    pub vals: Vec<u32>,
     /// Destination-register pool for calls / runtime calls.
     pub regs: Vec<RegId>,
+    /// The function's distinct immediates: slot `nregs + i` of every
+    /// frame holds `consts[i]`, where `nregs` is the function's register
+    /// count.
+    pub consts: Vec<i64>,
 }
 
 /// A module lowered to the pre-decoded execution IR.
@@ -219,8 +211,8 @@ impl ExecModule {
 /// segment. Returns the per-global addresses and the end of the segment.
 ///
 /// Shared between `Machine::layout_globals` and [`ExecModule::lower`] so
-/// the immediates decoded here are the addresses the machine maps — by
-/// construction, not by convention.
+/// the global addresses decoded into constant slots are the addresses
+/// the machine maps — by construction, not by convention.
 pub fn global_layout(module: &Module) -> (Vec<u64>, u64) {
     let mut addrs = Vec::with_capacity(module.globals.len());
     let end = global_layout_into(module, &mut addrs);
@@ -242,12 +234,35 @@ pub fn global_layout_into(module: &Module, addrs: &mut Vec<u64>) -> u64 {
     next
 }
 
-fn resolve(v: &Value, globals: &[u64]) -> OpVal {
-    match v {
-        Value::Reg(r) => OpVal::Slot(r.0),
-        Value::Const(c) => OpVal::Imm(*c),
-        Value::GlobalAddr { id, offset } => OpVal::Imm((globals[id.0 as usize] + offset) as i64),
-        Value::FuncAddr(f) => OpVal::Imm(fn_addr(f.0) as i64),
+/// Assigns operand slots while one function is lowered: registers keep
+/// their indices, and each distinct immediate gets the next slot after
+/// the registers.
+struct Slots<'g> {
+    globals: &'g [u64],
+    nregs: u32,
+    consts: Vec<i64>,
+}
+
+impl Slots<'_> {
+    fn of(&mut self, v: &Value) -> u32 {
+        let imm = match v {
+            Value::Reg(r) => return r.0,
+            Value::Const(c) => *c,
+            Value::GlobalAddr { id, offset } => (self.globals[id.0 as usize] + offset) as i64,
+            Value::FuncAddr(f) => fn_addr(f.0) as i64,
+        };
+        // A function has a handful of distinct immediates (19 at most
+        // across the benchmark kernels): scanning them costs less than
+        // hashing each one.
+        let i = self
+            .consts
+            .iter()
+            .position(|&c| c == imm)
+            .unwrap_or_else(|| {
+                self.consts.push(imm);
+                self.consts.len() - 1
+            });
+        self.nregs + i as u32
     }
 }
 
@@ -298,13 +313,18 @@ fn lower_func(f: &Function, globals: &[u64], fused_checks: &mut u64) -> ExecFunc
             off += 1;
         }
     }
-    // Pass 2: emit with resolved targets.
+    // Pass 2: emit with resolved slots and targets.
     let mut ops = Vec::with_capacity(off as usize);
     let mut vals = Vec::new();
     let mut regs = Vec::new();
-    let pool_vals = |vs: &[Value], vals: &mut Vec<OpVal>| -> PoolRef {
+    let mut slots = Slots {
+        globals,
+        nregs: f.reg_kinds.len() as u32,
+        consts: Vec::new(),
+    };
+    let pool_vals = |vs: &[Value], vals: &mut Vec<u32>, slots: &mut Slots| -> PoolRef {
         let start = vals.len() as u32;
-        vals.extend(vs.iter().map(|v| resolve(v, globals)));
+        vals.extend(vs.iter().map(|v| slots.of(v)));
         PoolRef {
             start,
             len: vs.len() as u32,
@@ -325,22 +345,22 @@ fn lower_func(f: &Function, globals: &[u64], fused_checks: &mut u64) -> ExecFunc
                 let Inst::Rt { rt, args, .. } = &b.insts[i] else {
                     unreachable!("fusible matched a non-Rt");
                 };
-                let base = resolve(&args[1], globals);
-                let bound = resolve(&args[2], globals);
+                let base = slots.of(&args[1]);
+                let bound = slots.of(&args[2]);
                 match &b.insts[i + 1] {
                     Inst::Load { dst, mem, addr } => ops.push(Op::CheckLoad {
                         rt: *rt,
                         dst: dst.0,
                         mem: *mem,
-                        addr: resolve(addr, globals),
+                        addr: slots.of(addr),
                         base,
                         bound,
                     }),
                     Inst::Store { mem, addr, value } => ops.push(Op::CheckStore {
                         rt: *rt,
                         mem: *mem,
-                        addr: resolve(addr, globals),
-                        value: resolve(value, globals),
+                        addr: slots.of(addr),
+                        value: slots.of(value),
                         base,
                         bound,
                     }),
@@ -361,8 +381,8 @@ fn lower_func(f: &Function, globals: &[u64], fused_checks: &mut u64) -> ExecFunc
                     dst: dst.0,
                     op: *op,
                     k: *k,
-                    lhs: resolve(lhs, globals),
-                    rhs: resolve(rhs, globals),
+                    lhs: slots.of(lhs),
+                    rhs: slots.of(rhs),
                 },
                 Inst::Cmp {
                     dst,
@@ -374,28 +394,28 @@ fn lower_func(f: &Function, globals: &[u64], fused_checks: &mut u64) -> ExecFunc
                     dst: dst.0,
                     op: *op,
                     k: *k,
-                    lhs: resolve(lhs, globals),
-                    rhs: resolve(rhs, globals),
+                    lhs: slots.of(lhs),
+                    rhs: slots.of(rhs),
                 },
                 Inst::Cast { dst, k, src } => Op::Cast {
                     dst: dst.0,
                     k: *k,
-                    src: resolve(src, globals),
+                    src: slots.of(src),
                 },
                 Inst::Mov { dst, src } => Op::Mov {
                     dst: dst.0,
-                    src: resolve(src, globals),
+                    src: slots.of(src),
                 },
                 Inst::Alloca { dst, .. } => Op::Alloca { dst: dst.0 },
                 Inst::Load { dst, mem, addr } => Op::Load {
                     dst: dst.0,
                     mem: *mem,
-                    addr: resolve(addr, globals),
+                    addr: slots.of(addr),
                 },
                 Inst::Store { mem, addr, value } => Op::Store {
                     mem: *mem,
-                    addr: resolve(addr, globals),
-                    value: resolve(value, globals),
+                    addr: slots.of(addr),
+                    value: slots.of(value),
                 },
                 Inst::Gep {
                     dst,
@@ -406,14 +426,14 @@ fn lower_func(f: &Function, globals: &[u64], fused_checks: &mut u64) -> ExecFunc
                     ..
                 } => Op::Gep {
                     dst: dst.0,
-                    base: resolve(base, globals),
-                    index: resolve(index, globals),
+                    base: slots.of(base),
+                    index: slots.of(index),
                     scale: *scale,
                     offset: *offset,
                 },
                 Inst::Rt { dsts, rt, args } => Op::Rt {
                     rt: *rt,
-                    args: pool_vals(args, &mut vals),
+                    args: pool_vals(args, &mut vals, &mut slots),
                     dsts: pool_regs(dsts, &mut regs),
                 },
                 Inst::Call {
@@ -425,10 +445,10 @@ fn lower_func(f: &Function, globals: &[u64], fused_checks: &mut u64) -> ExecFunc
                 } => Op::Call {
                     callee: match callee {
                         Callee::Direct(fid) => ExecCallee::Direct(fid.0),
-                        Callee::Indirect(v) => ExecCallee::Indirect(resolve(v, globals)),
+                        Callee::Indirect(v) => ExecCallee::Indirect(slots.of(v)),
                         Callee::Builtin(b) => ExecCallee::Builtin(*b),
                     },
-                    args: pool_vals(args, &mut vals),
+                    args: pool_vals(args, &mut vals, &mut slots),
                     dsts: pool_regs(dsts, &mut regs),
                     ptr_hint: *ptr_hint,
                     wrapped: *wrapped,
@@ -437,7 +457,7 @@ fn lower_func(f: &Function, globals: &[u64], fused_checks: &mut u64) -> ExecFunc
                     vals: if vs.is_empty() {
                         PoolRef::EMPTY
                     } else {
-                        pool_vals(vs, &mut vals)
+                        pool_vals(vs, &mut vals, &mut slots)
                     },
                 },
                 Inst::Jmp { to } => Op::Jump {
@@ -448,7 +468,7 @@ fn lower_func(f: &Function, globals: &[u64], fused_checks: &mut u64) -> ExecFunc
                     then_to,
                     else_to,
                 } => Op::Branch {
-                    cond: resolve(cond, globals),
+                    cond: slots.of(cond),
                     then_t: offsets[then_to.0 as usize],
                     else_t: offsets[else_to.0 as usize],
                 },
@@ -459,7 +479,12 @@ fn lower_func(f: &Function, globals: &[u64], fused_checks: &mut u64) -> ExecFunc
         }
     }
     debug_assert_eq!(ops.len(), off as usize, "pass 1/2 disagree on op count");
-    ExecFunc { ops, vals, regs }
+    ExecFunc {
+        ops,
+        vals,
+        regs,
+        consts: slots.consts,
+    }
 }
 
 #[cfg(test)]
@@ -584,5 +609,59 @@ mod tests {
         assert_eq!(exec.funcs[0].ops.len(), 3, "5 insts → 3 ops");
         assert!(matches!(exec.funcs[0].ops[0], Op::CheckStore { .. }));
         assert!(matches!(exec.funcs[0].ops[1], Op::CheckLoad { .. }));
+    }
+
+    #[test]
+    fn each_distinct_immediate_gets_one_slot_after_the_registers() {
+        use sb_ir::{Block, RegKind};
+        let m = module_of("long g[2]; int main(int n) { g[1] = n; return n; }");
+        let id = m.global_id("g").expect("g is a global");
+        let g_addr = global_layout(&m).0[id.0 as usize];
+        let mut f = Function {
+            name: "f".into(),
+            params: vec![],
+            param_kinds: vec![],
+            ret_kinds: vec![RegKind::Int],
+            reg_kinds: vec![],
+            blocks: vec![Block::default()],
+            vararg: false,
+            defined: true,
+        };
+        let (a, b) = (f.new_reg(RegKind::Int), f.new_reg(RegKind::Int));
+        let bin = |dst, lhs, rhs| Inst::Bin {
+            dst,
+            op: ArithOp::Add,
+            k: IntKind::I64,
+            lhs,
+            rhs,
+        };
+        let g1 = Value::GlobalAddr { id, offset: 8 };
+        f.blocks[0].insts = vec![
+            bin(a, Value::Const(5), Value::Const(6)),
+            bin(b, Value::Reg(a), Value::Const(5)),
+            bin(b, g1, Value::Const(g_addr as i64 + 8)),
+            Inst::Ret {
+                vals: vec![Value::Reg(b)],
+            },
+        ];
+        let m = Module {
+            name: "slots".into(),
+            globals: m.globals,
+            funcs: vec![f],
+        };
+        let ef = &ExecModule::lower(&m).funcs[0];
+        // Two registers, so the immediates start at slot 2; the second 5
+        // and the constant equal to `&g[1]` reuse their slots.
+        assert_eq!(ef.consts, [5, 6, g_addr as i64 + 8]);
+        let operands: Vec<(u32, u32)> = ef
+            .ops
+            .iter()
+            .filter_map(|op| match *op {
+                Op::Bin { lhs, rhs, .. } => Some((lhs, rhs)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(operands, [(2, 3), (0, 2), (4, 4)]);
+        assert_eq!(ef.vals, [1], "the return reads register b");
     }
 }

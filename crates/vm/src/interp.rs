@@ -6,11 +6,18 @@
 //!
 //! ## Two lanes, one semantics
 //!
-//! [`Machine::run`] walks the tree-shaped module: the reference
-//! semantics. [`Machine::run_predecoded`] dispatches the same module's
-//! flat [`ExecModule`] lowering, and is the lane a `softbound::Instance`
-//! serves. The two produce identical traps, output, counters, cycles and
-//! final memory, which `tests/machine_differential.rs` pins.
+//! [`Machine::run`] walks the tree-shaped module one [`Inst`] per
+//! `step`: the reference semantics. [`Machine::run_predecoded`]
+//! dispatches the same module's flat [`ExecModule`] lowering, and is the
+//! lane a `softbound::Instance` serves. Its one dispatch loop
+//! (`run_exec`) holds the current frame's op slice, register file and
+//! program counter in locals, reads every operand as a plain frame slot,
+//! and rebinds the frame only after a call, a return or a `longjmp`.
+//! Fuel and the instruction count tick once per IR instruction — twice
+//! for a fused check+access op — so a budget can run out between a check
+//! and its access in both lanes alike. The two produce identical
+//! traps, output, counters, cycles and final memory, which
+//! `tests/machine_differential.rs` pins.
 //!
 //! ## Control-flow realism
 //!
@@ -33,7 +40,7 @@
 //! hijacks; SoftBound-instrumented runs abort at the out-of-bounds store
 //! instead.
 
-use crate::exec::{global_layout_into, ExecCallee, ExecModule, Op, OpVal};
+use crate::exec::{global_layout_into, ExecCallee, ExecFunc, ExecModule, Op};
 use crate::mem::{decode_fn_addr, fn_addr, Heap, Mem, FN_BASE, GLOBAL_BASE, STACK_BASE};
 use crate::rt::{
     BuiltinViolation, CacheConfig, CacheSim, ExecStats, NoRuntime, Outcome, RtCtx, RuntimeHooks,
@@ -175,6 +182,93 @@ enum Flow {
     Hijacked(String),
 }
 
+/// The outcome a run that ended in `end` reports.
+fn outcome_of(end: Result<Flow, Trap>) -> Outcome {
+    match end {
+        Ok(Flow::Finished(v)) => Outcome::Finished { ret: v },
+        Ok(Flow::Exited(c)) => Outcome::Exited { code: c },
+        Ok(Flow::Hijacked(t)) => Outcome::Hijacked { target: t },
+        Ok(Flow::Continue) => unreachable!("a run ends only on a terminal flow"),
+        Err(t) => Outcome::Trapped(t),
+    }
+}
+
+/// Charges the runtime helper that just ran: its cost, and under the
+/// cache model the table addresses it touched. Takes the fields it needs
+/// rather than the machine, so the dispatch loop can call it while it
+/// holds the current frame.
+fn charge_ctx(stats: &mut ExecStats, ctx: &mut RtCtx, cache: &mut Option<CacheSim>) {
+    stats.cycles += ctx.cost;
+    stats.rt_cycles += ctx.cost;
+    if let Some(c) = cache {
+        for &a in &ctx.touched {
+            let pen = c.access(a);
+            stats.cycles += pen;
+            stats.rt_cycles += pen;
+        }
+    }
+    ctx.touched.clear();
+}
+
+/// Runs a program access at `addr` through the cache model, if any.
+#[inline]
+fn touch(stats: &mut ExecStats, cache: &mut Option<CacheSim>, addr: u64) {
+    if let Some(c) = cache {
+        stats.cycles += c.access(addr);
+    }
+}
+
+/// A program load of `ty` at `addr`, clamped to `clamp` when a repair
+/// order guards it, then counted, charged and run through the cache
+/// model. Like [`charge_ctx`], it takes the fields it needs; it is forced
+/// inline because the dispatch loop would otherwise call it out of line
+/// on every load.
+#[inline(always)]
+fn load(
+    mem: &mut Mem,
+    stats: &mut ExecStats,
+    cache: &mut Option<CacheSim>,
+    addr: u64,
+    ty: MemTy,
+    clamp: Option<(u64, u64)>,
+) -> Result<i64, Trap> {
+    let raw = match clamp {
+        Some((lo, hi)) => mem.read_uint_clamped(addr, ty.size(), lo, hi)?,
+        None => mem.read_uint(addr, ty.size())?,
+    };
+    stats.loads += 1;
+    if ty.is_ptr() {
+        stats.ptr_mem_ops += 1;
+    }
+    stats.cycles += COST_MODEL.load;
+    touch(stats, cache, addr);
+    Ok(extend(raw, ty))
+}
+
+/// The store counterpart of [`load`].
+#[inline(always)]
+fn store(
+    mem: &mut Mem,
+    stats: &mut ExecStats,
+    cache: &mut Option<CacheSim>,
+    addr: u64,
+    ty: MemTy,
+    value: i64,
+    clamp: Option<(u64, u64)>,
+) -> Result<(), Trap> {
+    match clamp {
+        Some((lo, hi)) => mem.write_uint_clamped(addr, ty.size(), value as u64, lo, hi)?,
+        None => mem.write_uint(addr, ty.size(), value as u64)?,
+    }
+    stats.stores += 1;
+    if ty.is_ptr() {
+        stats.ptr_mem_ops += 1;
+    }
+    stats.cycles += COST_MODEL.store;
+    touch(stats, cache, addr);
+    Ok(())
+}
+
 /// An executing machine bound to a module, statically specialized on its
 /// safety runtime `H`.
 ///
@@ -231,7 +325,10 @@ pub struct Machine<'m, H: RuntimeHooks> {
     /// the requested length, which would reach into the neighbouring
     /// object (see [`hand_off_meta_len`]).
     pending_meta_len: Option<u64>,
-    fuel: u64,
+    /// The instruction count at which the fuel runs out: `cfg.fuel` past
+    /// the count at the last reset. Fuel and `stats.insts` tick together,
+    /// so one counter serves both.
+    fuel_end: u64,
     frame_serial: u64,
 }
 
@@ -247,7 +344,7 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
     pub fn new(module: &'m Module, cfg: MachineConfig, hooks: H) -> Self {
         let cache = cfg.cache.then(|| CacheSim::new(CacheConfig::CORE2_L1));
         let heap = Heap::new(cfg.redzone);
-        let fuel = cfg.fuel;
+        let fuel_end = cfg.fuel;
         // Touched-table addresses are only recorded when a cache model
         // consumes them; otherwise every runtime-helper call (checks,
         // metadata accesses) runs without touching the scratch buffer.
@@ -277,7 +374,7 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
             ctx,
             pending_clamp: None,
             pending_meta_len: None,
-            fuel,
+            fuel_end,
             frame_serial: 0,
         };
         m.layout_globals();
@@ -306,9 +403,9 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
     /// between back-to-back requests.
     pub fn reset(&mut self) {
         // `Mem::reset` (rather than a fresh `Mem`) recycles the page
-        // frames of the previous run — and invalidates the last-page
-        // translation cache, which would otherwise leak one stale
-        // (page → frame) pair into the next run's different layout.
+        // frames of the previous run — and clears the page-translation
+        // cache, which would otherwise leak stale (page → frame) pairs
+        // into the next run's different layout.
         self.mem.reset();
         self.heap = Heap::new(self.cfg.redzone);
         self.cache = self.cfg.cache.then(|| CacheSim::new(CacheConfig::CORE2_L1));
@@ -323,7 +420,7 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
         }
         self.setjmps.clear();
         self.next_setjmp_id = 0;
-        self.fuel = self.cfg.fuel;
+        self.fuel_end = self.cfg.fuel;
         self.frame_serial = 0;
         self.global_addrs.clear();
         self.hooks.reset();
@@ -346,7 +443,8 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
 
     fn layout_globals(&mut self) {
         // The walk is shared with `ExecModule::lower`, which folds these
-        // addresses into immediates — the two must agree by construction.
+        // addresses into constant slots — the two must agree by
+        // construction.
         let end = global_layout_into(self.module, &mut self.global_addrs);
         self.mem.map_range(GLOBAL_BASE, end - GLOBAL_BASE + 1);
         for (i, g) in self.module.globals.iter().enumerate() {
@@ -471,9 +569,13 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
                 .map(|i| FuncId(i as u32))
         });
         let Some(fid) = fid else {
+            let stats = std::mem::take(&mut self.stats);
+            // The fuel left is `fuel_end - insts`; keep it as the count
+            // restarts from 0.
+            self.fuel_end -= stats.insts;
             return RunResult {
                 outcome: Outcome::Trapped(Trap::UndefinedFunction(entry.to_owned())),
-                stats: std::mem::take(&mut self.stats),
+                stats,
                 output: String::new(),
             };
         };
@@ -488,12 +590,7 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
                 continue;
             }
             let ctor = FuncId(i as u32);
-            let r = if predecoded {
-                self.invoke_exec(ctor, &[])
-            } else {
-                self.invoke(ctor, &[])
-            };
-            match r {
+            match self.invoke(ctor, &[], predecoded) {
                 Outcome::Finished { .. } => {}
                 other => {
                     outcome = Some(other);
@@ -501,13 +598,7 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
                 }
             }
         }
-        let outcome = outcome.unwrap_or_else(|| {
-            if predecoded {
-                self.invoke_exec(fid, args)
-            } else {
-                self.invoke(fid, args)
-            }
-        });
+        let outcome = outcome.unwrap_or_else(|| self.invoke(fid, args, predecoded));
         self.stats.cache = self.cache.as_ref().map(|c| c.stats).unwrap_or_default();
         RunResult {
             outcome,
@@ -516,42 +607,39 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
         }
     }
 
-    /// Pushes a frame for `fid` and steps it to completion.
-    fn invoke(&mut self, fid: FuncId, args: &[i64]) -> Outcome {
-        match self.push_frame(fid, args, &[]) {
-            Err(t) => Outcome::Trapped(t),
-            Ok(()) => loop {
-                match self.step() {
-                    Ok(Flow::Continue) => {}
-                    Ok(Flow::Finished(v)) => break Outcome::Finished { ret: v },
-                    Ok(Flow::Exited(c)) => break Outcome::Exited { code: c },
-                    Ok(Flow::Hijacked(t)) => break Outcome::Hijacked { target: t },
-                    Err(t) => break Outcome::Trapped(t),
-                }
-            },
-        }
+    /// Runs `fid` to completion in the chosen lane.
+    fn invoke(&mut self, fid: FuncId, args: &[i64], predecoded: bool) -> Outcome {
+        outcome_of(if predecoded {
+            self.run_exec(fid, args)
+        } else {
+            self.run_tree(fid, args)
+        })
     }
 
-    /// [`invoke`](Machine::invoke) through the pre-decoded dispatch loop.
-    fn invoke_exec(&mut self, fid: FuncId, args: &[i64]) -> Outcome {
-        let exec = self.exec.expect("exec attached");
-        match self.push_frame(fid, args, &[]) {
-            Err(t) => Outcome::Trapped(t),
-            Ok(()) => loop {
-                match self.step_exec(exec) {
-                    Ok(Flow::Continue) => {}
-                    Ok(Flow::Finished(v)) => break Outcome::Finished { ret: v },
-                    Ok(Flow::Exited(c)) => break Outcome::Exited { code: c },
-                    Ok(Flow::Hijacked(t)) => break Outcome::Hijacked { target: t },
-                    Err(t) => break Outcome::Trapped(t),
-                }
-            },
+    /// Pushes a frame for `fid` and steps the tree-shaped module until
+    /// the run ends.
+    fn run_tree(&mut self, fid: FuncId, args: &[i64]) -> Result<Flow, Trap> {
+        self.push_frame(fid, args, &[], &[])?;
+        loop {
+            match self.step()? {
+                Flow::Continue => {}
+                end => return Ok(end),
+            }
         }
     }
 
     // ------------------------------------------------------------- frames
 
-    fn push_frame(&mut self, fid: FuncId, args: &[i64], ret_dsts: &'m [RegId]) -> Result<(), Trap> {
+    /// Pushes a frame for `fid` whose register file is followed by
+    /// `consts` (the pre-decoded lane's immediate slots; empty for the
+    /// tree walk).
+    fn push_frame(
+        &mut self,
+        fid: FuncId,
+        args: &[i64],
+        ret_dsts: &'m [RegId],
+        consts: &[i64],
+    ) -> Result<(), Trap> {
         let module: &'m Module = self.module;
         let f = &module.funcs[fid.0 as usize];
         if !f.defined {
@@ -587,6 +675,7 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
         frame.expected_token = expected_token;
         frame.regs.clear();
         frame.regs.resize(f.reg_kinds.len(), 0);
+        frame.regs.extend_from_slice(consts);
         let nparams = f.params.len();
         for (i, &p) in f.params.iter().enumerate() {
             frame.regs[p.0 as usize] = args.get(i).copied().unwrap_or(0);
@@ -610,7 +699,7 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
             frame.allocas.push((addr, info.size));
             self.ctx.reset(va_count);
             self.hooks.on_alloca(addr, info, &mut self.ctx);
-            self.charge_ctx();
+            charge_ctx(&mut self.stats, &mut self.ctx, &mut self.cache);
         }
 
         self.stats.calls += 1;
@@ -661,7 +750,7 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
         let frame = self.frames.pop().expect("frame exists");
         self.ctx.reset(0);
         self.hooks.on_frame_exit(&frame.allocas, &mut self.ctx);
-        self.charge_ctx();
+        charge_ctx(&mut self.stats, &mut self.ctx, &mut self.cache);
         self.stack_top = frame.frame_base;
         self.drop_dead_jump_points();
         self.stats.cycles += COST_MODEL.ret;
@@ -689,26 +778,6 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
 
     // ------------------------------------------------------------ stepping
 
-    fn charge_ctx(&mut self) {
-        self.stats.cycles += self.ctx.cost;
-        self.stats.rt_cycles += self.ctx.cost;
-        if let Some(c) = self.cache.as_mut() {
-            // Drain without holding a borrow on self.ctx across the loop.
-            for i in 0..self.ctx.touched.len() {
-                let pen = c.access(self.ctx.touched[i]);
-                self.stats.cycles += pen;
-                self.stats.rt_cycles += pen;
-            }
-        }
-        self.ctx.touched.clear();
-    }
-
-    fn touch(&mut self, addr: u64) {
-        if let Some(c) = self.cache.as_mut() {
-            self.stats.cycles += c.access(addr);
-        }
-    }
-
     fn val(&self, v: &Value) -> i64 {
         match v {
             Value::Reg(r) => self.frames.last().expect("frame").regs[r.0 as usize],
@@ -722,16 +791,10 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
         self.frames.last_mut().expect("frame").regs[r.0 as usize] = v;
     }
 
-    #[inline]
-    fn set_slot(&mut self, slot: u32, v: i64) {
-        self.frames.last_mut().expect("frame").regs[slot as usize] = v;
-    }
-
     fn step(&mut self) -> Result<Flow, Trap> {
-        if self.fuel == 0 {
+        if self.stats.insts == self.fuel_end {
             return Err(Trap::FuelExhausted);
         }
-        self.fuel -= 1;
         self.stats.insts += 1;
 
         let module: &'m Module = self.module;
@@ -789,38 +852,29 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
             }
             Inst::Load { dst, mem, addr } => {
                 let a = self.val(addr) as u64;
-                let size = mem.size();
-                let raw = if self.pending_clamp.is_some() {
-                    let (lo, hi) = self.pending_clamp.take().expect("just checked");
-                    self.mem.read_uint_clamped(a, size, lo, hi)?
-                } else {
-                    self.mem.read_uint(a, size)?
-                };
-                let v = extend(raw, *mem);
-                self.stats.loads += 1;
-                if mem.is_ptr() {
-                    self.stats.ptr_mem_ops += 1;
-                }
-                self.stats.cycles += COST_MODEL.load;
-                self.touch(a);
+                let clamp = self.pending_clamp.take();
+                let v = load(
+                    &mut self.mem,
+                    &mut self.stats,
+                    &mut self.cache,
+                    a,
+                    *mem,
+                    clamp,
+                )?;
                 self.set_reg(*dst, v);
             }
             Inst::Store { mem, addr, value } => {
-                let a = self.val(addr) as u64;
-                let v = self.val(value);
-                if self.pending_clamp.is_some() {
-                    let (lo, hi) = self.pending_clamp.take().expect("just checked");
-                    self.mem
-                        .write_uint_clamped(a, mem.size(), v as u64, lo, hi)?;
-                } else {
-                    self.mem.write_uint(a, mem.size(), v as u64)?;
-                }
-                self.stats.stores += 1;
-                if mem.is_ptr() {
-                    self.stats.ptr_mem_ops += 1;
-                }
-                self.stats.cycles += COST_MODEL.store;
-                self.touch(a);
+                let (a, v) = (self.val(addr) as u64, self.val(value));
+                let clamp = self.pending_clamp.take();
+                store(
+                    &mut self.mem,
+                    &mut self.stats,
+                    &mut self.cache,
+                    a,
+                    *mem,
+                    v,
+                    clamp,
+                )?;
             }
             Inst::Gep {
                 dst,
@@ -906,7 +960,7 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
                     self.stats.meta_stores += 1;
                 }
                 let res = self.hooks.rt_call(*rt, avs, &mut self.mem, &mut self.ctx);
-                self.charge_ctx();
+                charge_ctx(&mut self.stats, &mut self.ctx, &mut self.cache);
                 // A repair-and-continue runtime absorbed a violation:
                 // carry its clamp order to the access this check guards
                 // (conditional, so intervening metadata ops pass through).
@@ -933,14 +987,14 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
                 avs.clear();
                 avs.extend(args.iter().map(|v| self.val(v)));
                 let result = match callee {
-                    Callee::Direct(fid) => {
-                        self.push_frame(*fid, &avs, dsts).map(|()| Flow::Continue)
-                    }
+                    Callee::Direct(fid) => self
+                        .push_frame(*fid, &avs, dsts, &[])
+                        .map(|()| Flow::Continue),
                     Callee::Indirect(v) => {
                         let target = self.val(v) as u64;
                         match decode_fn_addr(target) {
                             Some(fi) if (fi as usize) < module.funcs.len() => self
-                                .push_frame(FuncId(fi), &avs, dsts)
+                                .push_frame(FuncId(fi), &avs, dsts, &[])
                                 .map(|()| Flow::Continue),
                             _ => Err(Trap::BadIndirectCall { addr: target }),
                         }
@@ -957,9 +1011,19 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
         Ok(Flow::Continue)
     }
 
-    /// One step of the pre-decoded lane: observable semantics identical
-    /// to [`step`](Machine::step), dispatched over flat [`Op`]s with a
-    /// plain program counter (`frame.idx`; `frame.block` stays 0).
+    /// Pushes a frame for `fid` and dispatches the pre-decoded ops until
+    /// the run ends: the served lane's one loop, observably identical to
+    /// [`step`](Machine::step).
+    ///
+    /// Each pass of the outer loop binds the current frame — its op
+    /// slice, register file and program counter (`frame.idx`;
+    /// `frame.block` stays 0) — into locals, and the inner loop
+    /// dispatches ops against them. Only a call, a return or a `longjmp`
+    /// (a builtin call) changes frames: the pc is written back first and
+    /// the outer loop rebinds. Everything else an op touches — stats,
+    /// memory, the runtime and its context, the cache model — is a field
+    /// disjoint from `frames`, so it stays usable while the frame is
+    /// borrowed.
     ///
     /// The fused check+access superinstructions account for *both*
     /// halves — two fuel ticks, two instruction counts, the check's
@@ -967,312 +1031,296 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
     /// order, including the possibility of fuel exhausting between the
     /// check and the access. Only the dispatch is paid once.
     #[allow(clippy::too_many_lines)]
-    fn step_exec(&mut self, exec: &'m ExecModule) -> Result<Flow, Trap> {
-        if self.fuel == 0 {
-            return Err(Trap::FuelExhausted);
-        }
-        self.fuel -= 1;
-        self.stats.insts += 1;
-
-        let frame = self.frames.last_mut().expect("frame");
-        let (fidx, pc) = (frame.func, frame.idx);
-        frame.idx += 1;
-        // `exec` is a borrow of the Program's cached module, disjoint
-        // from `self`: matching the op in place keeps the fixed-size
-        // `Op` out of the per-step copy path. The single hoisted `frame`
-        // borrow serves every operand read and slot write directly —
-        // `self.stats`/`self.cfg`/`self.mem`/`self.hooks` are disjoint
-        // fields, so they stay usable while `frame` is live; only the
-        // `&mut self` helpers (`touch`, `charge_ctx`, frame push/pop)
-        // require `frame`'s last use to precede them.
-        let func = &exec.funcs[fidx];
-        macro_rules! rd {
-            ($v:expr) => {
-                match $v {
-                    OpVal::Slot(s) => frame.regs[s as usize],
-                    OpVal::Imm(i) => i,
-                }
-            };
-        }
-        match func.ops[pc] {
-            Op::Bin {
-                dst,
-                op,
-                k,
-                lhs,
-                rhs,
-            } => {
-                let a = rd!(lhs);
-                let b = rd!(rhs);
-                let v = eval_bin(op, k, a, b).ok_or(Trap::DivByZero)?;
-                frame.regs[dst as usize] = v;
-                self.stats.cycles += match op {
-                    sb_ir::ArithOp::Mul => COST_MODEL.mul,
-                    sb_ir::ArithOp::Div | sb_ir::ArithOp::Rem => COST_MODEL.div,
-                    _ => COST_MODEL.alu,
-                };
-            }
-            Op::Cmp {
-                dst,
-                op,
-                k,
-                lhs,
-                rhs,
-            } => {
-                let a = rd!(lhs);
-                let b = rd!(rhs);
-                frame.regs[dst as usize] = eval_cmp(op, k, a, b);
-                self.stats.cycles += COST_MODEL.cmp;
-            }
-            Op::Cast { dst, k, src } => {
-                frame.regs[dst as usize] = k.wrap(rd!(src));
-                self.stats.cycles += COST_MODEL.cast;
-            }
-            Op::Mov { dst, src } => {
-                frame.regs[dst as usize] = rd!(src);
-                self.stats.cycles += COST_MODEL.mov;
-            }
-            Op::Alloca { dst } => {
-                let cur = frame.regs[dst as usize];
-                debug_assert_ne!(cur, 0, "alloca address must be precomputed");
-                let _ = cur;
-            }
-            Op::Load { dst, mem, addr } => {
-                let a = rd!(addr) as u64;
-                let raw = if self.pending_clamp.is_some() {
-                    let (lo, hi) = self.pending_clamp.take().expect("just checked");
-                    self.mem.read_uint_clamped(a, mem.size(), lo, hi)?
-                } else {
-                    self.mem.read_uint(a, mem.size())?
-                };
-                frame.regs[dst as usize] = extend(raw, mem);
-                self.stats.loads += 1;
-                if mem.is_ptr() {
-                    self.stats.ptr_mem_ops += 1;
-                }
-                self.stats.cycles += COST_MODEL.load;
-                self.touch(a);
-            }
-            Op::Store { mem, addr, value } => {
-                let a = rd!(addr) as u64;
-                let v = rd!(value);
-                if self.pending_clamp.is_some() {
-                    let (lo, hi) = self.pending_clamp.take().expect("just checked");
-                    self.mem
-                        .write_uint_clamped(a, mem.size(), v as u64, lo, hi)?;
-                } else {
-                    self.mem.write_uint(a, mem.size(), v as u64)?;
-                }
-                self.stats.stores += 1;
-                if mem.is_ptr() {
-                    self.stats.ptr_mem_ops += 1;
-                }
-                self.stats.cycles += COST_MODEL.store;
-                self.touch(a);
-            }
-            Op::CheckLoad {
-                rt,
-                dst,
-                mem,
-                addr,
-                base,
-                bound,
-            } => {
-                // First half: the check, exactly as a standalone Rt op
-                // (empty dsts — nothing to write back).
-                let p = rd!(addr);
-                let avs = [p, rd!(base), rd!(bound), mem.size() as i64];
-                let va = frame.varargs.len() as u64;
-                self.ctx.reset(va);
-                self.ctx.pc = self.stats.insts;
-                self.stats.rt_calls += 1;
-                self.stats.checks += 1;
-                let res = self.hooks.rt_call(rt, &avs, &mut self.mem, &mut self.ctx);
-                self.charge_ctx();
-                // The fused pair consumes a repair order directly: the
-                // guarded access is the very next half of this op.
-                let repair = self.ctx.repair.take();
-                res?;
-                // Second half: the guarded load, with its own fuel and
-                // instruction tick.
-                if self.fuel == 0 {
+    fn run_exec(&mut self, fid: FuncId, args: &[i64]) -> Result<Flow, Trap> {
+        let exec: &'m ExecModule = self.exec.expect("exec attached");
+        let fuel_end = self.fuel_end;
+        self.push_frame(fid, args, &[], &exec.funcs[fid.0 as usize].consts)?;
+        loop {
+            let frame = self.frames.last_mut().expect("frame");
+            let func: &'m ExecFunc = &exec.funcs[frame.func];
+            let ops = &func.ops[..];
+            let va = frame.varargs.len() as u64;
+            let regs = &mut frame.regs[..];
+            let mut pc = frame.idx;
+            loop {
+                if self.stats.insts == fuel_end {
                     return Err(Trap::FuelExhausted);
                 }
-                self.fuel -= 1;
                 self.stats.insts += 1;
-                let a = p as u64;
-                let raw = if let Some((lo, hi)) = repair {
-                    self.mem.read_uint_clamped(a, mem.size(), lo, hi)?
-                } else {
-                    self.mem.read_uint(a, mem.size())?
-                };
-                let v = extend(raw, mem);
-                self.stats.loads += 1;
-                if mem.is_ptr() {
-                    self.stats.ptr_mem_ops += 1;
-                }
-                self.stats.cycles += COST_MODEL.load;
-                self.touch(a);
-                self.set_slot(dst, v);
-            }
-            Op::CheckStore {
-                rt,
-                mem,
-                addr,
-                value,
-                base,
-                bound,
-            } => {
-                let p = rd!(addr);
-                let v = rd!(value);
-                let avs = [p, rd!(base), rd!(bound), mem.size() as i64];
-                let va = frame.varargs.len() as u64;
-                self.ctx.reset(va);
-                self.ctx.pc = self.stats.insts;
-                self.stats.rt_calls += 1;
-                self.stats.checks += 1;
-                let res = self.hooks.rt_call(rt, &avs, &mut self.mem, &mut self.ctx);
-                self.charge_ctx();
-                let repair = self.ctx.repair.take();
-                res?;
-                if self.fuel == 0 {
-                    return Err(Trap::FuelExhausted);
-                }
-                self.fuel -= 1;
-                self.stats.insts += 1;
-                let a = p as u64;
-                if let Some((lo, hi)) = repair {
-                    self.mem
-                        .write_uint_clamped(a, mem.size(), v as u64, lo, hi)?;
-                } else {
-                    self.mem.write_uint(a, mem.size(), v as u64)?;
-                }
-                self.stats.stores += 1;
-                if mem.is_ptr() {
-                    self.stats.ptr_mem_ops += 1;
-                }
-                self.stats.cycles += COST_MODEL.store;
-                self.touch(a);
-            }
-            Op::Gep {
-                dst,
-                base,
-                index,
-                scale,
-                offset,
-            } => {
-                let b = rd!(base);
-                let i = rd!(index);
-                frame.regs[dst as usize] = b
-                    .wrapping_add(i.wrapping_mul(scale as i64))
-                    .wrapping_add(offset);
-                self.stats.cycles += COST_MODEL.gep;
-            }
-            Op::Jump { target } => {
-                frame.idx = target as usize;
-                self.stats.cycles += COST_MODEL.jmp;
-            }
-            Op::Branch {
-                cond,
-                then_t,
-                else_t,
-            } => {
-                let c = rd!(cond);
-                frame.idx = if c != 0 { then_t } else { else_t } as usize;
-                self.stats.cycles += COST_MODEL.branch;
-            }
-            Op::Ret { vals } => {
-                let vs = &func.vals[vals.range()];
-                let flow = if vs.len() <= 8 {
-                    let mut vbuf = [0i64; 8];
-                    for (i, v) in vs.iter().enumerate() {
-                        vbuf[i] = rd!(*v);
+                let op = ops[pc];
+                pc += 1;
+                match op {
+                    Op::Bin {
+                        dst,
+                        op,
+                        k,
+                        lhs,
+                        rhs,
+                    } => {
+                        let (a, b) = (regs[lhs as usize], regs[rhs as usize]);
+                        regs[dst as usize] = eval_bin(op, k, a, b).ok_or(Trap::DivByZero)?;
+                        self.stats.cycles += match op {
+                            sb_ir::ArithOp::Mul => COST_MODEL.mul,
+                            sb_ir::ArithOp::Div | sb_ir::ArithOp::Rem => COST_MODEL.div,
+                            _ => COST_MODEL.alu,
+                        };
                     }
-                    self.pop_frame(&vbuf[..vs.len()])?
-                } else {
-                    let mut out = std::mem::take(&mut self.call_args);
-                    out.clear();
-                    for v in vs {
-                        out.push(rd!(*v));
+                    Op::Cmp {
+                        dst,
+                        op,
+                        k,
+                        lhs,
+                        rhs,
+                    } => {
+                        regs[dst as usize] =
+                            eval_cmp(op, k, regs[lhs as usize], regs[rhs as usize]);
+                        self.stats.cycles += COST_MODEL.cmp;
                     }
-                    let popped = self.pop_frame(&out);
-                    self.call_args = out;
-                    popped?
-                };
-                if let Some(flow) = flow {
-                    return Ok(flow);
-                }
-            }
-            Op::Unreachable => return Err(Trap::Unreachable),
-            Op::Rt { rt, args, dsts } => {
-                let avs_src = &func.vals[args.range()];
-                debug_assert!(avs_src.len() <= 8, "rt call with {} args", avs_src.len());
-                let mut abuf = [0i64; 8];
-                for (i, v) in avs_src.iter().enumerate() {
-                    abuf[i] = rd!(*v);
-                }
-                hand_off_meta_len(&mut self.pending_meta_len, rt, &mut abuf);
-                let avs = &abuf[..avs_src.len()];
-                let va = frame.varargs.len() as u64;
-                self.ctx.reset(va);
-                self.ctx.pc = self.stats.insts;
-                self.stats.rt_calls += 1;
-                if rt.is_check() {
-                    self.stats.checks += 1;
-                } else if rt.is_meta_load() {
-                    self.stats.meta_loads += 1;
-                } else if rt.is_meta_store() {
-                    self.stats.meta_stores += 1;
-                }
-                let res = self.hooks.rt_call(rt, avs, &mut self.mem, &mut self.ctx);
-                self.charge_ctx();
-                // Un-fused checks (e.g. before pointer-typed loads, where
-                // a metadata load sits between check and access) hand
-                // their repair order to the next load/store.
-                if let Some(r) = self.ctx.repair.take() {
-                    self.pending_clamp = Some(r);
-                }
-                let vals = res?;
-                for (i, d) in func.regs[dsts.range()].iter().enumerate() {
-                    self.set_reg(*d, vals[i]);
-                }
-            }
-            Op::Call {
-                callee,
-                args,
-                dsts,
-                ptr_hint,
-                wrapped,
-            } => {
-                let ret_dsts: &'m [RegId] = &func.regs[dsts.range()];
-                let mut avs = std::mem::take(&mut self.call_args);
-                avs.clear();
-                for v in &func.vals[args.range()] {
-                    avs.push(rd!(*v));
-                }
-                let result = match callee {
-                    ExecCallee::Direct(fi) => self
-                        .push_frame(FuncId(fi), &avs, ret_dsts)
-                        .map(|()| Flow::Continue),
-                    ExecCallee::Indirect(v) => {
-                        let target = rd!(v) as u64;
-                        match decode_fn_addr(target) {
-                            Some(fi) if (fi as usize) < self.module.funcs.len() => self
-                                .push_frame(FuncId(fi), &avs, ret_dsts)
-                                .map(|()| Flow::Continue),
-                            _ => Err(Trap::BadIndirectCall { addr: target }),
+                    Op::Cast { dst, k, src } => {
+                        regs[dst as usize] = k.wrap(regs[src as usize]);
+                        self.stats.cycles += COST_MODEL.cast;
+                    }
+                    Op::Mov { dst, src } => {
+                        regs[dst as usize] = regs[src as usize];
+                        self.stats.cycles += COST_MODEL.mov;
+                    }
+                    Op::Alloca { dst } => {
+                        debug_assert_ne!(
+                            regs[dst as usize], 0,
+                            "alloca address must be precomputed"
+                        );
+                    }
+                    Op::Load { dst, mem, addr } => {
+                        let a = regs[addr as usize] as u64;
+                        let clamp = self.pending_clamp.take();
+                        regs[dst as usize] = load(
+                            &mut self.mem,
+                            &mut self.stats,
+                            &mut self.cache,
+                            a,
+                            mem,
+                            clamp,
+                        )?;
+                    }
+                    Op::Store { mem, addr, value } => {
+                        let (a, v) = (regs[addr as usize] as u64, regs[value as usize]);
+                        let clamp = self.pending_clamp.take();
+                        store(
+                            &mut self.mem,
+                            &mut self.stats,
+                            &mut self.cache,
+                            a,
+                            mem,
+                            v,
+                            clamp,
+                        )?;
+                    }
+                    Op::CheckLoad {
+                        rt,
+                        dst,
+                        mem,
+                        addr,
+                        base,
+                        bound,
+                    } => {
+                        // First half: the check, exactly as a standalone
+                        // Rt op (empty dsts — nothing to write back).
+                        let p = regs[addr as usize];
+                        let avs = [
+                            p,
+                            regs[base as usize],
+                            regs[bound as usize],
+                            mem.size() as i64,
+                        ];
+                        self.ctx.reset(va);
+                        self.ctx.pc = self.stats.insts;
+                        self.stats.rt_calls += 1;
+                        self.stats.checks += 1;
+                        let res = self.hooks.rt_call(rt, &avs, &mut self.mem, &mut self.ctx);
+                        charge_ctx(&mut self.stats, &mut self.ctx, &mut self.cache);
+                        // The fused pair consumes a repair order directly:
+                        // the guarded access is the very next half of this
+                        // op.
+                        let repair = self.ctx.repair.take();
+                        res?;
+                        // Second half: the guarded load, with its own fuel
+                        // and instruction tick.
+                        if self.stats.insts == fuel_end {
+                            return Err(Trap::FuelExhausted);
+                        }
+                        self.stats.insts += 1;
+                        regs[dst as usize] = load(
+                            &mut self.mem,
+                            &mut self.stats,
+                            &mut self.cache,
+                            p as u64,
+                            mem,
+                            repair,
+                        )?;
+                    }
+                    Op::CheckStore {
+                        rt,
+                        mem,
+                        addr,
+                        value,
+                        base,
+                        bound,
+                    } => {
+                        let (p, v) = (regs[addr as usize], regs[value as usize]);
+                        let avs = [
+                            p,
+                            regs[base as usize],
+                            regs[bound as usize],
+                            mem.size() as i64,
+                        ];
+                        self.ctx.reset(va);
+                        self.ctx.pc = self.stats.insts;
+                        self.stats.rt_calls += 1;
+                        self.stats.checks += 1;
+                        let res = self.hooks.rt_call(rt, &avs, &mut self.mem, &mut self.ctx);
+                        charge_ctx(&mut self.stats, &mut self.ctx, &mut self.cache);
+                        let repair = self.ctx.repair.take();
+                        res?;
+                        if self.stats.insts == fuel_end {
+                            return Err(Trap::FuelExhausted);
+                        }
+                        self.stats.insts += 1;
+                        let a = p as u64;
+                        store(
+                            &mut self.mem,
+                            &mut self.stats,
+                            &mut self.cache,
+                            a,
+                            mem,
+                            v,
+                            repair,
+                        )?;
+                    }
+                    Op::Gep {
+                        dst,
+                        base,
+                        index,
+                        scale,
+                        offset,
+                    } => {
+                        regs[dst as usize] = regs[base as usize]
+                            .wrapping_add(regs[index as usize].wrapping_mul(scale as i64))
+                            .wrapping_add(offset);
+                        self.stats.cycles += COST_MODEL.gep;
+                    }
+                    Op::Jump { target } => {
+                        pc = target as usize;
+                        self.stats.cycles += COST_MODEL.jmp;
+                    }
+                    Op::Branch {
+                        cond,
+                        then_t,
+                        else_t,
+                    } => {
+                        pc = if regs[cond as usize] != 0 {
+                            then_t
+                        } else {
+                            else_t
+                        } as usize;
+                        self.stats.cycles += COST_MODEL.branch;
+                    }
+                    Op::Unreachable => return Err(Trap::Unreachable),
+                    Op::Rt { rt, args, dsts } => {
+                        let srcs = &func.vals[args.range()];
+                        debug_assert!(srcs.len() <= 8, "rt call with {} args", srcs.len());
+                        let mut abuf = [0i64; 8];
+                        for (a, &s) in abuf.iter_mut().zip(srcs) {
+                            *a = regs[s as usize];
+                        }
+                        hand_off_meta_len(&mut self.pending_meta_len, rt, &mut abuf);
+                        self.ctx.reset(va);
+                        self.ctx.pc = self.stats.insts;
+                        self.stats.rt_calls += 1;
+                        if rt.is_check() {
+                            self.stats.checks += 1;
+                        } else if rt.is_meta_load() {
+                            self.stats.meta_loads += 1;
+                        } else if rt.is_meta_store() {
+                            self.stats.meta_stores += 1;
+                        }
+                        let res = self.hooks.rt_call(
+                            rt,
+                            &abuf[..srcs.len()],
+                            &mut self.mem,
+                            &mut self.ctx,
+                        );
+                        charge_ctx(&mut self.stats, &mut self.ctx, &mut self.cache);
+                        // Un-fused checks (e.g. before pointer-typed loads,
+                        // where a metadata load sits between check and
+                        // access) hand their repair order to the next
+                        // load/store.
+                        if let Some(r) = self.ctx.repair.take() {
+                            self.pending_clamp = Some(r);
+                        }
+                        let vals = res?;
+                        for (i, d) in func.regs[dsts.range()].iter().enumerate() {
+                            regs[d.0 as usize] = vals[i];
                         }
                     }
-                    ExecCallee::Builtin(b) => self.builtin(b, ret_dsts, &avs, ptr_hint, wrapped),
-                };
-                self.call_args = avs;
-                let flow = result?;
-                if !matches!(flow, Flow::Continue) {
-                    return Ok(flow);
+                    Op::Ret { vals } => {
+                        // Return values go through the call-argument
+                        // scratch (idle between calls), so a return of any
+                        // width allocates nothing once it has grown.
+                        let mut out = std::mem::take(&mut self.call_args);
+                        out.clear();
+                        out.extend(func.vals[vals.range()].iter().map(|&s| regs[s as usize]));
+                        let popped = self.pop_frame(&out);
+                        self.call_args = out;
+                        if let Some(end) = popped? {
+                            return Ok(end);
+                        }
+                        break;
+                    }
+                    Op::Call {
+                        callee,
+                        args,
+                        dsts,
+                        ptr_hint,
+                        wrapped,
+                    } => {
+                        let ret_dsts: &'m [RegId] = &func.regs[dsts.range()];
+                        let mut avs = std::mem::take(&mut self.call_args);
+                        avs.clear();
+                        avs.extend(func.vals[args.range()].iter().map(|&s| regs[s as usize]));
+                        let target = match callee {
+                            ExecCallee::Indirect(s) => regs[s as usize] as u64,
+                            _ => 0,
+                        };
+                        // Save the pc: the callee returns to it, and a
+                        // `setjmp` records it as its resume point.
+                        frame.idx = pc;
+                        let result = match callee {
+                            ExecCallee::Direct(fi) => {
+                                let consts = &exec.funcs[fi as usize].consts;
+                                self.push_frame(FuncId(fi), &avs, ret_dsts, consts)
+                                    .map(|()| Flow::Continue)
+                            }
+                            ExecCallee::Indirect(_) => match decode_fn_addr(target) {
+                                Some(fi) if (fi as usize) < self.module.funcs.len() => {
+                                    let consts = &exec.funcs[fi as usize].consts;
+                                    self.push_frame(FuncId(fi), &avs, ret_dsts, consts)
+                                        .map(|()| Flow::Continue)
+                                }
+                                _ => Err(Trap::BadIndirectCall { addr: target }),
+                            },
+                            ExecCallee::Builtin(b) => {
+                                self.builtin(b, ret_dsts, &avs, ptr_hint, wrapped)
+                            }
+                        };
+                        self.call_args = avs;
+                        match result? {
+                            Flow::Continue => break,
+                            end => return Ok(end),
+                        }
+                    }
                 }
             }
         }
-        Ok(Flow::Continue)
     }
 
     // ------------------------------------------------------------ builtins
@@ -1307,7 +1355,7 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
                         self.stats.cycles += size / 64;
                         self.ctx.reset(0);
                         self.hooks.on_malloc(p, size, &mut self.ctx);
-                        self.charge_ctx();
+                        charge_ctx(&mut self.stats, &mut self.ctx, &mut self.cache);
                         set(self, 0, p as i64);
                         if wrapped {
                             set(self, 1, p as i64);
@@ -1331,7 +1379,7 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
                     let size = self.heap.dealloc(p).ok_or(Trap::BadFree { addr: p })?;
                     self.ctx.reset(0);
                     self.hooks.on_free(p, size, ptr_hint, &mut self.ctx);
-                    self.charge_ctx();
+                    charge_ctx(&mut self.stats, &mut self.ctx, &mut self.cache);
                 }
             }
             Builtin::Memcpy => {
@@ -1605,7 +1653,7 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
                         let dead = self.frames.pop().expect("frame");
                         self.ctx.reset(0);
                         self.hooks.on_frame_exit(&dead.allocas, &mut self.ctx);
-                        self.charge_ctx();
+                        charge_ctx(&mut self.stats, &mut self.ctx, &mut self.cache);
                         self.stack_top = dead.frame_base;
                         self.frame_pool.push(dead);
                     }
@@ -1717,7 +1765,7 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
             write,
         };
         let disposition = self.hooks.on_builtin_violation(&violation, &mut self.ctx);
-        self.charge_ctx();
+        charge_ctx(&mut self.stats, &mut self.ctx, &mut self.cache);
         match disposition {
             ViolationDisposition::Trap => Err(Trap::SpatialViolation {
                 scheme: "softbound-wrapper",
@@ -1746,7 +1794,7 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
         let r = self
             .hooks
             .check_builtin_range(ptr, len, is_store, &mut self.ctx);
-        self.charge_ctx();
+        charge_ctx(&mut self.stats, &mut self.ctx, &mut self.cache);
         r
     }
 
@@ -2409,6 +2457,33 @@ mod tests {
         let mut m = Machine::new(&module, cfg, NoRuntime);
         let r = m.run("main", &[]);
         assert!(matches!(r.outcome, Outcome::Trapped(Trap::FuelExhausted)));
+    }
+
+    #[test]
+    fn runs_between_resets_share_one_fuel_budget() {
+        // A run whose entry does not exist hands back the statistics and
+        // restarts the count; the fuel left must carry over all the same.
+        let src = "int main(int n) { int s = 0; for (int i = 0; i < n; i++) s += i; return s; }";
+        let module = sb_ir::lower(&sb_cir::compile(src).expect("compiles"), "t");
+        let whole = Machine::uninstrumented(&module)
+            .run("main", &[10])
+            .stats
+            .insts;
+        let cfg = MachineConfig {
+            fuel: 2 * whole - 1,
+            ..MachineConfig::default()
+        };
+        let mut m = Machine::new(&module, cfg, NoRuntime);
+        assert_eq!(m.run("main", &[10]).ret(), Some(45));
+        assert!(matches!(
+            m.run("nope", &[]).outcome,
+            Outcome::Trapped(Trap::UndefinedFunction(_))
+        ));
+        let r = m.run("main", &[10]);
+        assert_eq!(r.outcome, Outcome::Trapped(Trap::FuelExhausted));
+        assert_eq!(r.stats.insts, whole - 1);
+        m.reset();
+        assert_eq!(m.run("main", &[10]).ret(), Some(45));
     }
 
     #[test]

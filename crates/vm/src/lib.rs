@@ -27,9 +27,7 @@ pub mod interp;
 pub mod mem;
 pub mod rt;
 
-pub use exec::{
-    global_layout, global_layout_into, ExecCallee, ExecFunc, ExecModule, Op, OpVal, PoolRef,
-};
+pub use exec::{global_layout, global_layout_into, ExecCallee, ExecFunc, ExecModule, Op, PoolRef};
 pub use interp::{is_code_addr, run_source, Machine, MachineConfig, RunResult};
 pub use mem::{
     decode_fn_addr, fn_addr, Heap, HeapBlock, Mem, MemFault, FN_BASE, GLOBAL_BASE, HEAP_BASE,

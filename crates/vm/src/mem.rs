@@ -57,17 +57,30 @@ pub struct MemFault {
     pub write: bool,
 }
 
+/// Entries in [`Mem`]'s page-translation cache.
+const TLB_ENTRIES: usize = 64;
+
+/// The translation-cache entry of a page index. Folding bits 24 and up
+/// into the low bits keeps the segments apart: the heap and stack bases
+/// both have zero low page-index bits, so with a plain low-bit index
+/// heap page 0 and stack page 0 would share an entry and evict each
+/// other whenever a loop touches both.
+#[inline]
+fn tlb_index(page: u64) -> usize {
+    (page ^ (page >> 24)) as usize % TLB_ENTRIES
+}
+
 /// Sparse paged memory.
 ///
 /// Page frames live in a flat store indexed through the page table, and
-/// the most recent translation is cached: loop-shaped access patterns
-/// (array scans, stack traffic) hit the same page repeatedly, so the
-/// common case is one comparison instead of a hash lookup. No page is
-/// ever unmapped *within* a run, so the cached slot cannot go stale
-/// mid-run; the one path that does drop mappings — [`reset`](Mem::reset)
-/// between runs of a reused machine — must (and does) invalidate the
-/// cache, because both `slot_of` and `map_range` trust it without
-/// consulting the page table.
+/// translations are cached in a small direct-mapped table: loop-shaped
+/// access patterns (array scans, stack traffic, a list walk's heap
+/// nodes) keep returning to the same few pages, so the common case is
+/// one comparison instead of a hash lookup. No page is ever unmapped
+/// *within* a run, so a cached entry cannot go stale mid-run; the one
+/// path that does drop mappings — [`reset`](Mem::reset) between runs of a
+/// reused machine — must (and does) clear the cache, because both
+/// `slot_of` and `map_range` trust it without consulting the page table.
 #[derive(Debug)]
 pub struct Mem {
     /// Page index → slot in `store`.
@@ -77,15 +90,19 @@ pub struct Mem {
     /// Frames released by [`reset`](Mem::reset), recycled (re-zeroed)
     /// by `map_range` before a fresh frame is ever allocated.
     free_frames: Vec<u32>,
-    /// Last translation `(page index, slot)`; the sentinel page index
-    /// `u64::MAX` is unreachable (addresses are `< 2^64`, so page
-    /// indices are `< 2^52`).
-    last: (u64, u32),
+    /// Direct-mapped translation cache: entry [`tlb_index`]`(page)`
+    /// holds `(page, slot)` for a mapped page. The sentinel page index
+    /// `u64::MAX` marks an empty entry; it is unreachable (addresses are
+    /// `< 2^64`, so page indices are `< 2^52`).
+    tlb: [(u64, u32); TLB_ENTRIES],
     /// Total bytes read/written (for statistics).
     pub bytes_read: u64,
     /// Total bytes written.
     pub bytes_written: u64,
 }
+
+/// An empty translation-cache entry.
+const NO_TRANSLATION: (u64, u32) = (u64::MAX, 0);
 
 impl Default for Mem {
     fn default() -> Self {
@@ -93,7 +110,7 @@ impl Default for Mem {
             pages: HashMap::new(),
             store: Vec::new(),
             free_frames: Vec::new(),
-            last: (u64::MAX, 0),
+            tlb: [NO_TRANSLATION; TLB_ENTRIES],
             bytes_read: 0,
             bytes_written: 0,
         }
@@ -106,15 +123,16 @@ impl Mem {
         Mem::default()
     }
 
-    /// Translates a page index to its store slot, through the one-entry
+    /// Translates a page index to its store slot, through the
     /// translation cache.
     #[inline]
     fn slot_of(&mut self, page: u64) -> Option<u32> {
-        if self.last.0 == page {
-            return Some(self.last.1);
+        let entry = &mut self.tlb[tlb_index(page)];
+        if entry.0 == page {
+            return Some(entry.1);
         }
         let s = *self.pages.get(&page)?;
-        self.last = (page, s);
+        *entry = (page, s);
         Some(s)
     }
 
@@ -126,10 +144,11 @@ impl Mem {
         let first = addr / PAGE_SIZE;
         let last = (addr + len - 1) / PAGE_SIZE;
         for p in first..=last {
-            // The cached translation proves the page is mapped without
-            // a hash lookup (frame setup re-maps the same stack page on
+            // A cached translation proves the page is mapped without a
+            // hash lookup (frame setup re-maps the same stack page on
             // every call).
-            if p == self.last.0 || self.pages.contains_key(&p) {
+            let entry = tlb_index(p);
+            if self.tlb[entry].0 == p || self.pages.contains_key(&p) {
                 continue;
             }
             let slot = match self.free_frames.pop() {
@@ -146,6 +165,7 @@ impl Mem {
                 }
             };
             self.pages.insert(p, slot);
+            self.tlb[entry] = (p, slot);
         }
     }
 
@@ -155,19 +175,19 @@ impl Mem {
     /// resets between requests pays the host allocator only for its
     /// high-water page count.
     ///
-    /// The one-entry translation cache must be invalidated here: it is
-    /// the one piece of state that outlives the page table. `slot_of`
-    /// returns the cached slot without consulting `pages`, and
-    /// `map_range` takes a cache hit as proof the page is already
-    /// mapped — a stale entry would let the next run silently read the
-    /// previous run's dropped frame, or skip the zero-fill of a page
-    /// the new allocation layout maps at the same address.
+    /// The translation cache must be cleared here: it is the one piece
+    /// of state that outlives the page table. `slot_of` returns a cached
+    /// slot without consulting `pages`, and `map_range` takes a cache
+    /// hit as proof the page is already mapped — a stale entry would let
+    /// the next run silently read the previous run's dropped frame, or
+    /// skip the zero-fill of a page the new allocation layout maps at
+    /// the same address.
     pub fn reset(&mut self) {
         self.pages.clear();
         self.free_frames.clear();
         self.free_frames
             .extend(0..u32::try_from(self.store.len()).expect("page-store overflow"));
-        self.last = (u64::MAX, 0);
+        self.tlb = [NO_TRANSLATION; TLB_ENTRIES];
         self.bytes_read = 0;
         self.bytes_written = 0;
     }
@@ -765,6 +785,97 @@ mod tests {
         let mut fresh = Mem::new();
         fresh.map_range(0x9000, 8);
         assert_eq!(m.content_hash(), fresh.content_hash());
+    }
+
+    /// One address on each of `n` consecutive pages of every segment:
+    /// enough pages to fill every translation-cache entry several times.
+    fn pages_across_segments(n: u64) -> Vec<u64> {
+        [GLOBAL_BASE, HEAP_BASE, STACK_BASE]
+            .iter()
+            .flat_map(|&base| (0..n).map(move |i| base + i * PAGE_SIZE + 8))
+            .collect()
+    }
+
+    #[test]
+    fn pages_mapped_before_reset_fault_after_it() {
+        let mut m = Mem::new();
+        let addrs = pages_across_segments(2 * TLB_ENTRIES as u64);
+        for &a in &addrs {
+            m.map_range(a, 8);
+            m.write_uint(a, 8, a).expect("mapped");
+        }
+        // Read back in reverse so the cache holds a mix of entries.
+        for &a in addrs.iter().rev() {
+            assert_eq!(m.read_uint(a, 8), Ok(a));
+        }
+        m.reset();
+        for &a in &addrs {
+            assert_eq!(
+                m.read_uint(a, 8),
+                Err(MemFault {
+                    addr: a,
+                    write: false
+                }),
+                "{a:#x} survived the reset"
+            );
+        }
+    }
+
+    #[test]
+    fn pages_mapped_again_onto_recycled_frames_read_zero() {
+        let mut m = Mem::new();
+        let addrs = pages_across_segments(2 * TLB_ENTRIES as u64);
+        for &a in &addrs {
+            m.map_range(a, 8);
+            m.write_uint(a, 8, !a).expect("mapped");
+        }
+        m.reset();
+        // The same pages in a different order: each lands on some other
+        // page's recycled frame, and none may show old contents.
+        for &a in addrs.iter().rev() {
+            m.map_range(a, 8);
+        }
+        for &a in &addrs {
+            assert_eq!(m.read_uint(a, 8), Ok(0), "{a:#x} kept stale bytes");
+        }
+        assert_eq!(m.mapped_pages(), addrs.len());
+    }
+
+    #[test]
+    fn pages_sharing_a_cache_entry_each_read_their_own_frame() {
+        let heap = HEAP_BASE / PAGE_SIZE;
+        let stack = STACK_BASE / PAGE_SIZE;
+        // The segments' first pages must not collide; pages a multiple of
+        // the table size apart within one segment must.
+        assert_ne!(tlb_index(heap), tlb_index(stack));
+        assert_ne!(tlb_index(heap), tlb_index(GLOBAL_BASE / PAGE_SIZE));
+        let pages = [
+            heap,
+            heap + TLB_ENTRIES as u64,
+            heap + 2 * TLB_ENTRIES as u64,
+        ];
+        assert!(pages.iter().all(|&p| tlb_index(p) == tlb_index(heap)));
+        let mut m = Mem::new();
+        for (i, &p) in pages.iter().enumerate() {
+            m.map_range(p * PAGE_SIZE, 8);
+            m.write_uint(p * PAGE_SIZE, 8, i as u64 + 1)
+                .expect("mapped");
+        }
+        // Alternate between the colliding pages, so every read evicts the
+        // previous page's translation.
+        for round in 0..3 {
+            for (i, &p) in pages.iter().enumerate().rev() {
+                assert_eq!(
+                    m.read_uint(p * PAGE_SIZE, 8),
+                    Ok(i as u64 + 1),
+                    "round {round}"
+                );
+                m.write_uint(p * PAGE_SIZE + 16, 8, round).expect("mapped");
+            }
+        }
+        for &p in &pages {
+            assert_eq!(m.read_uint(p * PAGE_SIZE + 16, 8), Ok(2));
+        }
     }
 
     /// A memory with `words` (address, value) written on freshly mapped

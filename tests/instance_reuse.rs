@@ -124,10 +124,10 @@ fn trapping_program_reuse_equals_fresh_machines() {
 
 #[test]
 fn reuse_across_different_allocation_layouts() {
-    // Regression for the `Mem` last-page translation cache: `reset` now
-    // recycles page frames instead of rebuilding the memory, so a stale
-    // cached (page → frame) pair would leak one page of the previous
-    // run's image into the next. Each argument below drives a different
+    // Regression for the `Mem` page-translation cache: `reset` recycles
+    // page frames instead of rebuilding the memory, so a stale cached
+    // (page → frame) pair would leak a page of the previous run's image
+    // into the next. Each argument below drives a different
     // allocation layout (different heap block counts/sizes and stack
     // depths), and every run's observables — final-memory digest
     // included — must match a fresh machine bit for bit.

@@ -693,3 +693,135 @@ fn setjmp_loop_behaves_identically_across_policies_and_lanes() {
         assert!(obs.evidence.is_empty(), "{policy:?}: {:x?}", obs.evidence);
     }
 }
+
+/// What a fuel-limited run exposes: how it ended and the counters a
+/// budget cuts short.
+#[derive(Debug, PartialEq)]
+struct FuelObs {
+    outcome: Outcome,
+    insts: u64,
+    cycles: u64,
+    checks: u64,
+    /// Program loads and stores: with `checks`, this locates a budget
+    /// that ends between a check and its access.
+    mem_ops: u64,
+}
+
+fn fuel_obs(program: &Program, fuel: u64, predecoded: bool) -> FuelObs {
+    let cfg = MachineConfig {
+        fuel,
+        ..MachineConfig::default()
+    };
+    let rt = SoftBoundRuntime::new_paged(&SoftBoundConfig::full_shadow());
+    let mut machine = Machine::new(program.module(), cfg, rt);
+    let r = if predecoded {
+        machine.attach_exec(program.exec());
+        machine.run_predecoded("main", &[4])
+    } else {
+        machine.run("main", &[4])
+    };
+    FuelObs {
+        outcome: r.outcome,
+        insts: r.stats.insts,
+        cycles: r.stats.cycles,
+        checks: r.stats.checks,
+        mem_ops: r.stats.mem_ops(),
+    }
+}
+
+#[test]
+fn fuel_runs_out_on_the_same_instruction_in_both_lanes() {
+    // The pre-decoded loop ticks fuel once per IR instruction, twice per
+    // fused check+access op. Sweep every budget from 0 to a whole run
+    // and require both lanes to stop on the same instruction with the
+    // same counters, including the budgets that end between a fused
+    // check and the access it guards.
+    let programs = [
+        (
+            "fused check+load/store loop",
+            r#"
+            int main(int n) {
+                int* a = (int*)malloc(8 * sizeof(int));
+                int s = 0;
+                for (int i = 0; i < 8; i = i + 1) a[i] = i * n;
+                for (int i = 0; i < 8; i = i + 1) s = s + a[i];
+                return s;
+            }
+            "#,
+            Outcome::Finished { ret: 112 },
+        ),
+        (
+            "call loading and storing pointer metadata",
+            r#"
+            int* swap_in(int** slot, int* q) {
+                int* old = *slot;
+                *slot = q;
+                return old;
+            }
+            int main(int n) {
+                int* x = (int*)malloc(sizeof(int));
+                int* y = (int*)malloc(sizeof(int));
+                *x = n;
+                *y = 2;
+                int** slot = (int**)malloc(sizeof(int*));
+                *slot = x;
+                int* old = swap_in(slot, y);
+                return *old * 10 + **slot;
+            }
+            "#,
+            Outcome::Finished { ret: 42 },
+        ),
+        (
+            "overflow that traps",
+            r#"
+            int main(int n) {
+                int* a = (int*)malloc(4 * sizeof(int));
+                for (int i = 0; i <= n; i = i + 1) a[i] = i;
+                return a[0];
+            }
+            "#,
+            Outcome::Trapped(Trap::SpatialViolation {
+                scheme: "softbound",
+                addr: sb_vm::HEAP_BASE + 16,
+                write: true,
+            }),
+        ),
+    ];
+    for (name, src, expected) in programs {
+        let program = Engine::new()
+            .softbound_config(SoftBoundConfig::full_shadow())
+            .compile(src)
+            .expect("program compiles");
+        assert!(program.exec().fused_checks > 0, "{name}: nothing fused");
+        let whole = fuel_obs(&program, u64::MAX, false);
+        assert_eq!(whole.outcome, expected, "{name}");
+        let mut runs = Vec::new();
+        for fuel in 0..=whole.insts {
+            let tree = fuel_obs(&program, fuel, false);
+            assert_eq!(
+                tree,
+                fuel_obs(&program, fuel, true),
+                "{name}: lanes diverge at fuel {fuel}"
+            );
+            let stopped = if fuel < whole.insts {
+                Outcome::Trapped(Trap::FuelExhausted)
+            } else {
+                expected.clone()
+            };
+            assert_eq!(tree.outcome, stopped, "{name}: fuel {fuel}");
+            assert_eq!(tree.insts, fuel, "{name}: fuel {fuel}");
+            runs.push(tree);
+        }
+        // Budget `b` ends between a check and its access when instruction
+        // `b` was a check and instruction `b + 1` a load or store.
+        let split = (1..runs.len() - 1)
+            .filter(|&b| {
+                runs[b].checks > runs[b - 1].checks && runs[b + 1].mem_ops > runs[b].mem_ops
+            })
+            .count();
+        assert!(
+            split > 0,
+            "{name}: no budget ends inside a check+access pair"
+        );
+    }
+}
