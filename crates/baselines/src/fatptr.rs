@@ -20,7 +20,7 @@ use sb_ir::{
     ArithOp, Callee, Function, GInit, Global, Inst, IntKind, MemTy, Module, RegId, RegKind, RtFn,
     Value,
 };
-use sb_vm::{AccessSink, Mem, RtCtx, RtVals, RuntimeHooks, Trap};
+use sb_vm::{Mem, RtCtx, RtVals, RuntimeHooks, Trap};
 use softbound::SoftBoundError;
 
 /// Function prefix for the fat-pointer transformation.
@@ -452,10 +452,6 @@ impl FatPtrRuntime {
 }
 
 impl RuntimeHooks for FatPtrRuntime {
-    fn name(&self) -> &'static str {
-        "fatptr"
-    }
-
     fn rt_call(
         &mut self,
         rt: RtFn,
@@ -466,7 +462,7 @@ impl RuntimeHooks for FatPtrRuntime {
         match rt {
             RtFn::FatCheck { is_store } => {
                 self.check_count += 1;
-                ctx.add_cost(3);
+                ctx.cost += 3;
                 let (ptr, base, bound, size) = (
                     args[0] as u64,
                     args[1] as u64,

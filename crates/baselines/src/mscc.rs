@@ -17,7 +17,7 @@
 //! cost profile differ.
 
 use sb_ir::{Module, RtFn};
-use sb_vm::{AccessSink, Mem, RtCtx, RtVals, RuntimeHooks, Trap};
+use sb_vm::{Mem, RtCtx, RtVals, RuntimeHooks, Trap};
 use softbound::SoftBoundError;
 use softbound::{instrument_flavored, Flavor, Meta, SoftBoundConfig};
 use std::collections::HashMap;
@@ -54,10 +54,6 @@ impl MsccRuntime {
 }
 
 impl RuntimeHooks for MsccRuntime {
-    fn name(&self) -> &'static str {
-        "mscc"
-    }
-
     fn rt_call(
         &mut self,
         rt: RtFn,
@@ -68,7 +64,7 @@ impl RuntimeHooks for MsccRuntime {
         match rt {
             RtFn::MsccCheck { is_store } => {
                 self.check_count += 1;
-                ctx.add_cost(MSCC_CHECK_COST);
+                ctx.cost += MSCC_CHECK_COST;
                 let (ptr, base, bound, size) = (
                     args[0] as u64,
                     args[1] as u64,
@@ -87,14 +83,14 @@ impl RuntimeHooks for MsccRuntime {
             }
             RtFn::MsccMetaLoad => {
                 let slot = (args[0] as u64) >> 3;
-                ctx.add_cost(MSCC_META_COST);
+                ctx.cost += MSCC_META_COST;
                 ctx.touch(MSCC_META_BASE + slot * 16);
                 let m = self.meta.get(&slot).copied().unwrap_or(Meta::NULL);
                 Ok([m.base as i64, m.bound as i64])
             }
             RtFn::MsccMetaStore => {
                 let slot = (args[0] as u64) >> 3;
-                ctx.add_cost(MSCC_META_COST);
+                ctx.cost += MSCC_META_COST;
                 ctx.touch(MSCC_META_BASE + slot * 16);
                 let m = Meta {
                     base: args[1] as u64,
@@ -108,7 +104,7 @@ impl RuntimeHooks for MsccRuntime {
                 Ok([0, 0])
             }
             RtFn::MsccVaCheck => {
-                ctx.add_cost(2);
+                ctx.cost += 2;
                 if args[0] < 0 || args[0] as u64 >= ctx.vararg_count {
                     Err(Trap::SpatialViolation {
                         scheme: "mscc",
@@ -125,7 +121,7 @@ impl RuntimeHooks for MsccRuntime {
                 let (dst, src, len) = (args[0] as u64, args[1] as u64, args[2] as u64);
                 let mut off = 0;
                 while off < len {
-                    ctx.add_cost(2 * MSCC_META_COST);
+                    ctx.cost += 2 * MSCC_META_COST;
                     let m = self
                         .meta
                         .get(&((src + off) >> 3))
@@ -149,7 +145,7 @@ impl RuntimeHooks for MsccRuntime {
             let mut a = addr & !7;
             while a < addr + size {
                 self.meta.remove(&(a >> 3));
-                ctx.add_cost(2);
+                ctx.cost += 2;
                 a += 8;
             }
         }

@@ -13,7 +13,7 @@
 
 use crate::splay::SplayTree;
 use sb_ir::{Inst, MemTy, Module, RtFn, Value};
-use sb_vm::{AccessSink, Mem, RtCtx, RtVals, RuntimeHooks, Trap};
+use sb_vm::{Mem, RtCtx, RtVals, RuntimeHooks, Trap};
 
 /// Synthetic address region of the object table (for the cache model).
 pub const OBJTABLE_BASE: u64 = 0x0000_1C00_0000_0000;
@@ -113,7 +113,7 @@ impl ObjectTableRuntime {
     fn charge(visited: u64, ctx: &mut RtCtx) {
         // ~6 instructions of fixed overhead per check plus ~3 per splay
         // node visited (compare + two pointer loads).
-        ctx.add_cost(6 + 3 * visited);
+        ctx.cost += 6 + 3 * visited;
         for i in 0..visited.min(8) {
             ctx.touch(OBJTABLE_BASE + i * 64);
         }
@@ -121,10 +121,6 @@ impl ObjectTableRuntime {
 }
 
 impl RuntimeHooks for ObjectTableRuntime {
-    fn name(&self) -> &'static str {
-        self.scheme.name()
-    }
-
     fn rt_call(
         &mut self,
         rt: RtFn,
@@ -188,24 +184,24 @@ impl RuntimeHooks for ObjectTableRuntime {
 
     fn on_malloc(&mut self, addr: u64, size: u64, ctx: &mut RtCtx) {
         let visited = self.tree.insert(addr, size.max(1));
-        ctx.add_cost(8 + 3 * visited);
+        ctx.cost += 8 + 3 * visited;
     }
 
     fn on_free(&mut self, addr: u64, _size: u64, _ptr_hint: bool, ctx: &mut RtCtx) {
         if let Some(visited) = self.tree.remove(addr) {
-            ctx.add_cost(6 + 3 * visited);
+            ctx.cost += 6 + 3 * visited;
         }
     }
 
     fn on_alloca(&mut self, addr: u64, info: &sb_ir::AllocaInfo, ctx: &mut RtCtx) {
         let visited = self.tree.insert(addr, info.size.max(1));
-        ctx.add_cost(8 + 3 * visited);
+        ctx.cost += 8 + 3 * visited;
     }
 
     fn on_frame_exit(&mut self, allocas: &[(u64, u64)], ctx: &mut RtCtx) {
         for &(addr, _) in allocas {
             if let Some(visited) = self.tree.remove(addr) {
-                ctx.add_cost(6 + 3 * visited);
+                ctx.cost += 6 + 3 * visited;
             }
         }
     }

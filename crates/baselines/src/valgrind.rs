@@ -12,7 +12,7 @@
 use std::collections::BTreeMap;
 
 use sb_ir::{Inst, Module, RtFn, Value};
-use sb_vm::{AccessSink, Mem, RtCtx, RtVals, RuntimeHooks, Trap, HEAP_BASE, STACK_BASE};
+use sb_vm::{Mem, RtCtx, RtVals, RuntimeHooks, Trap, HEAP_BASE, STACK_BASE};
 
 /// Synthetic address of the addressability bitmap (for the cache model).
 pub const VBITS_BASE: u64 = 0x0000_1E00_0000_0000;
@@ -86,7 +86,7 @@ impl ValgrindRuntime {
         ctx: &mut RtCtx,
     ) -> Result<(), Trap> {
         self.check_count += 1;
-        ctx.add_cost(DBI_CHECK_COST);
+        ctx.cost += DBI_CHECK_COST;
         ctx.touch(VBITS_BASE + ptr / 8);
         if !(HEAP_BASE..STACK_BASE).contains(&ptr) {
             // Stack and globals are addressable wholesale: Memcheck's
@@ -105,10 +105,6 @@ impl ValgrindRuntime {
 }
 
 impl RuntimeHooks for ValgrindRuntime {
-    fn name(&self) -> &'static str {
-        "valgrind"
-    }
-
     fn rt_call(
         &mut self,
         rt: RtFn,
@@ -127,12 +123,12 @@ impl RuntimeHooks for ValgrindRuntime {
 
     fn on_malloc(&mut self, addr: u64, size: u64, ctx: &mut RtCtx) {
         self.live.insert(addr, size.max(1));
-        ctx.add_cost(20); // redzone painting + bitmap updates
+        ctx.cost += 20; // redzone painting + bitmap updates
     }
 
     fn on_free(&mut self, addr: u64, _size: u64, _ptr_hint: bool, ctx: &mut RtCtx) {
         self.live.remove(&addr);
-        ctx.add_cost(15);
+        ctx.cost += 15;
     }
 
     fn check_builtin_range(

@@ -3,17 +3,17 @@
 //! the open-hashing table. The paper's instruction-count argument (9 vs
 //! 5) is modelled in the facilities' cost accounting; this bench measures
 //! the *host-side* data-structure cost, which is what the interpreter's
-//! check path actually pays. All accesses go through [`NoopSink`] so the
-//! numbers are pure data-structure cost — zero allocation, zero
-//! recording, exactly the configuration the VM uses when no cache model
-//! is installed.
+//! check path actually pays. All accesses go through an [`RtCtx`] without
+//! a cache model, so the numbers are data-structure cost plus one add per
+//! access — zero allocation, exactly the configuration the VM uses when
+//! no cache model is installed.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use sb_ir::RtFn;
 use sb_vm::{Mem, RtCtx, RuntimeHooks};
 use softbound::{
-    HashTableFacility, Meta, MetadataFacility, NoopSink, ShadowHashMapFacility, ShadowPages,
-    SoftBoundConfig, SoftBoundRuntime,
+    HashTableFacility, Meta, MetadataFacility, ShadowHashMapFacility, ShadowPages, SoftBoundConfig,
+    SoftBoundRuntime,
 };
 
 // Generic (monomorphized) driver: facilities are benchmarked under
@@ -28,7 +28,7 @@ fn bench_facility<F: MetadataFacility>(c: &mut Criterion, name: &str, make: impl
     // access shape of the Olden kernels where the shadow space wins.
     group.bench_function("store_load_1k_slots", |b| {
         let mut fac = make();
-        let mut sink = NoopSink;
+        let mut ctx = RtCtx::default();
         b.iter(|| {
             for i in 0..1000u64 {
                 let addr = 0x10000 + (i % 512) * 8;
@@ -38,9 +38,9 @@ fn bench_facility<F: MetadataFacility>(c: &mut Criterion, name: &str, make: impl
                         base: addr,
                         bound: addr + 64,
                     },
-                    &mut sink,
+                    &mut ctx,
                 );
-                let m = fac.load(addr, &mut sink);
+                let m = fac.load(addr, &mut ctx);
                 black_box(m);
             }
         });
@@ -48,20 +48,20 @@ fn bench_facility<F: MetadataFacility>(c: &mut Criterion, name: &str, make: impl
 
     group.bench_function("scattered_lookups", |b| {
         let mut fac = make();
-        let mut sink = NoopSink;
+        let mut ctx = RtCtx::default();
         // Pre-populate with scattered pointer slots.
         let mut state = 0x9e3779b97f4a7c15u64;
         for _ in 0..4096 {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
             let addr = (state >> 20) & !7;
-            fac.store(addr, Meta { base: 1, bound: 2 }, &mut sink);
+            fac.store(addr, Meta { base: 1, bound: 2 }, &mut ctx);
         }
         b.iter(|| {
             let mut s = 0x12345u64;
             for _ in 0..1000 {
                 s = s.wrapping_mul(6364136223846793005).wrapping_add(1);
                 let addr = (s >> 20) & !7;
-                black_box(fac.load(addr, &mut sink));
+                black_box(fac.load(addr, &mut ctx));
             }
         });
     });

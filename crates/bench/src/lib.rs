@@ -60,14 +60,15 @@ pub fn overhead(base: u64, cycles: u64) -> f64 {
 #[cfg(test)]
 mod tests {
     use crate::perf;
-    use softbound::{Engine, Meta, MetadataFacility, NoopSink, ShadowHashMapFacility, ShadowPages};
+    use sb_vm::RtCtx;
+    use softbound::{Engine, Meta, MetadataFacility, ShadowHashMapFacility, ShadowPages};
     use std::time::Instant;
 
     /// One round of the pointer-dense access pattern (the
     /// `metadata/store_load_1k_slots` microbenchmark's loop body).
     /// Generic, so each facility is measured under static dispatch.
     fn pointer_dense_round<F: MetadataFacility>(fac: &mut F) -> u64 {
-        let mut sink = NoopSink;
+        let mut ctx = RtCtx::default();
         let mut acc = 0u64;
         for i in 0..1000u64 {
             let addr = 0x10000 + (i % 512) * 8;
@@ -77,9 +78,9 @@ mod tests {
                     base: addr,
                     bound: addr + 64,
                 },
-                &mut sink,
+                &mut ctx,
             );
-            acc = acc.wrapping_add(fac.load(addr, &mut sink).bound);
+            acc = acc.wrapping_add(fac.load(addr, &mut ctx).bound);
         }
         acc
     }

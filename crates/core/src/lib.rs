@@ -77,10 +77,7 @@ pub mod transform;
 pub use config::{CheckMode, Facility, SoftBoundConfig};
 pub use engine::{Engine, Instance, Program};
 pub use error::SoftBoundError;
-pub use metadata::{
-    AccessSink, HashTableFacility, Meta, MetadataFacility, NoopSink, ScratchSink,
-    ShadowHashMapFacility, ShadowPages,
-};
+pub use metadata::{HashTableFacility, Meta, MetadataFacility, ShadowHashMapFacility, ShadowPages};
 pub use policy::{EvidenceRecord, EvidenceRing, PolicyAction, ViolationPolicy, EVIDENCE_CAPACITY};
 pub use runtime::SoftBoundRuntime;
 pub use transform::{instrument, instrument_flavored, Flavor, GLOBALS_INIT_PREFIX, SB_PREFIX};

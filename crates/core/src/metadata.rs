@@ -22,19 +22,16 @@
 //! [`SoftBoundRuntime`](crate::SoftBoundRuntime) as the oracle the paged
 //! map must match.
 //!
-//! All facilities report their *simulated table addresses* through an
-//! [`AccessSink`] so the VM's cache model sees the extra memory pressure
+//! Every access adds its cost to the machine's [`RtCtx`] and reports the
+//! simulated table line it touched through [`RtCtx::touch`], so the VM's
+//! cache model, which the context owns, charges the extra memory pressure
 //! metadata accesses cause (the effect the paper observes on
-//! treeadd/mst/health). Callers that do not model caches pass a sink whose
-//! `wants_addresses()` is false ([`NoopSink`], or an [`RtCtx`] without a
-//! cache), making the hot path allocation- and buffer-free.
-//!
-//! [`RtCtx`]: sb_vm::RtCtx
+//! treeadd/mst/health). Without a cache model a touch does nothing, so
+//! the hot path stays allocation- and buffer-free.
 
+use sb_vm::RtCtx;
 use std::collections::HashMap;
 use std::sync::{Mutex, MutexGuard, PoisonError};
-
-pub use sb_vm::{AccessSink, NoopSink, ScratchSink};
 
 /// Synthetic base address of the simulated shadow-space region (the paper
 /// reserves the middle of the virtual address space via `mmap`).
@@ -61,30 +58,28 @@ impl Meta {
     }
 }
 
-/// A metadata organization: address-of-pointer → metadata. Costs and
-/// touched-table addresses are reported through the [`AccessSink`].
+/// A metadata organization: address-of-pointer → metadata. Every access
+/// adds its cost to `ctx.cost` and touches its table lines through
+/// [`RtCtx::touch`].
 pub trait MetadataFacility {
-    /// Facility name for diagnostics.
-    fn name(&self) -> &'static str;
-
     /// Looks up the metadata for the pointer stored at `addr`. Returns
     /// [`Meta::NULL`] when absent.
-    fn load(&mut self, addr: u64, sink: &mut dyn AccessSink) -> Meta;
+    fn load(&mut self, addr: u64, ctx: &mut RtCtx) -> Meta;
 
     /// Stores metadata for the pointer stored at `addr`.
-    fn store(&mut self, addr: u64, meta: Meta, sink: &mut dyn AccessSink);
+    fn store(&mut self, addr: u64, meta: Meta, ctx: &mut RtCtx);
 
     /// Clears every pointer-slot entry in `[addr, addr+len)` (8-byte
     /// aligned slots). Zero-length ranges touch nothing, even when
     /// `addr` is unaligned (the rounded-down slot lies outside an empty
     /// range).
-    fn clear_range(&mut self, addr: u64, len: u64, sink: &mut dyn AccessSink) {
+    fn clear_range(&mut self, addr: u64, len: u64, ctx: &mut RtCtx) {
         if len == 0 {
             return;
         }
         let mut a = addr & !7;
         while a < addr + len {
-            self.store(a, Meta::NULL, sink);
+            self.store(a, Meta::NULL, ctx);
             a += 8;
         }
     }
@@ -94,11 +89,11 @@ pub trait MetadataFacility {
     /// 8-byte slot offset below `len` is copied exactly once, so an
     /// unaligned length (e.g. a 12-byte memcpy) still moves the slots at
     /// offsets 0 and 8 and nothing else.
-    fn copy_range(&mut self, dst: u64, src: u64, len: u64, sink: &mut dyn AccessSink) {
+    fn copy_range(&mut self, dst: u64, src: u64, len: u64, ctx: &mut RtCtx) {
         let mut off = 0;
         while off < len {
-            let m = self.load(src + off, sink);
-            self.store(dst + off, m, sink);
+            let m = self.load(src + off, ctx);
+            self.store(dst + off, m, ctx);
             off += 8;
         }
     }
@@ -387,16 +382,13 @@ impl Default for ShadowPages {
 }
 
 impl MetadataFacility for ShadowPages {
-    fn name(&self) -> &'static str {
-        "shadow-space"
-    }
-
     // Static dispatch only pays off if these bodies can cross the crate
     // boundary into the monomorphized machine loop.
     #[inline]
-    fn load(&mut self, addr: u64, sink: &mut dyn AccessSink) -> Meta {
+    fn load(&mut self, addr: u64, ctx: &mut RtCtx) -> Meta {
         let slot = addr >> 3;
-        sink.record(5, Self::table_addr(slot));
+        ctx.cost += 5;
+        ctx.touch(Self::table_addr(slot));
         if slot < SHADOW_DIRECT_SLOTS {
             let pid = self.dir.get((slot >> SHADOW_PAGE_BITS) as usize);
             if pid == 0 {
@@ -409,9 +401,10 @@ impl MetadataFacility for ShadowPages {
     }
 
     #[inline]
-    fn store(&mut self, addr: u64, meta: Meta, sink: &mut dyn AccessSink) {
+    fn store(&mut self, addr: u64, meta: Meta, ctx: &mut RtCtx) {
         let slot = addr >> 3;
-        sink.record(5, Self::table_addr(slot));
+        ctx.cost += 5;
+        ctx.touch(Self::table_addr(slot));
         if slot < SHADOW_DIRECT_SLOTS {
             let di = (slot >> SHADOW_PAGE_BITS) as usize;
             let mut pid = self.dir.get(di);
@@ -492,21 +485,19 @@ impl ShadowHashMapFacility {
 }
 
 impl MetadataFacility for ShadowHashMapFacility {
-    fn name(&self) -> &'static str {
-        "shadow-hashmap"
-    }
-
     #[inline]
-    fn load(&mut self, addr: u64, sink: &mut dyn AccessSink) -> Meta {
+    fn load(&mut self, addr: u64, ctx: &mut RtCtx) -> Meta {
         let slot = addr >> 3;
-        sink.record(5, ShadowPages::table_addr(slot));
+        ctx.cost += 5;
+        ctx.touch(ShadowPages::table_addr(slot));
         self.entries.get(&slot).copied().unwrap_or(Meta::NULL)
     }
 
     #[inline]
-    fn store(&mut self, addr: u64, meta: Meta, sink: &mut dyn AccessSink) {
+    fn store(&mut self, addr: u64, meta: Meta, ctx: &mut RtCtx) {
         let slot = addr >> 3;
-        sink.record(5, ShadowPages::table_addr(slot));
+        ctx.cost += 5;
+        ctx.touch(ShadowPages::table_addr(slot));
         if meta.is_null() {
             self.entries.remove(&slot);
         } else {
@@ -579,40 +570,37 @@ impl Default for HashTableFacility {
 }
 
 impl MetadataFacility for HashTableFacility {
-    fn name(&self) -> &'static str {
-        "hash-table"
-    }
-
-    fn load(&mut self, addr: u64, sink: &mut dyn AccessSink) -> Meta {
+    fn load(&mut self, addr: u64, ctx: &mut RtCtx) -> Meta {
         let slot = addr >> 3;
         let b = slot & self.mask;
-        sink.record(9, self.bucket_addr(b, 0));
+        ctx.cost += 9;
+        ctx.touch(self.bucket_addr(b, 0));
         let chain = &self.buckets[b as usize];
         for (depth, (tag, meta)) in chain.iter().enumerate() {
             if *tag == slot {
                 if depth > 0 {
-                    sink.add_cost(3 * depth as u64);
+                    ctx.cost += 3 * depth as u64;
                     self.extra_probes += depth as u64;
-                    let addr = self.bucket_addr(b, depth as u64);
-                    sink.touch(addr);
+                    ctx.touch(self.bucket_addr(b, depth as u64));
                 }
                 return *meta;
             }
         }
         let extra = chain.len().saturating_sub(1) as u64;
-        sink.add_cost(3 * extra);
+        ctx.cost += 3 * extra;
         self.extra_probes += extra;
         Meta::NULL
     }
 
-    fn store(&mut self, addr: u64, meta: Meta, sink: &mut dyn AccessSink) {
+    fn store(&mut self, addr: u64, meta: Meta, ctx: &mut RtCtx) {
         let slot = addr >> 3;
         let b = slot & self.mask;
-        sink.record(9, self.bucket_addr(b, 0));
+        ctx.cost += 9;
+        ctx.touch(self.bucket_addr(b, 0));
         let chain = &mut self.buckets[b as usize];
         if let Some(pos) = chain.iter().position(|(tag, _)| *tag == slot) {
             if pos > 0 {
-                sink.add_cost(3 * pos as u64);
+                ctx.cost += 3 * pos as u64;
                 self.extra_probes += pos as u64;
             }
             if meta.is_null() {
@@ -623,7 +611,7 @@ impl MetadataFacility for HashTableFacility {
             }
         } else if !meta.is_null() {
             let extra = chain.len() as u64;
-            sink.add_cost(3 * extra);
+            ctx.cost += 3 * extra;
             self.extra_probes += extra;
             if chain.capacity() == 0 {
                 self.allocated.push(b as usize);
@@ -670,23 +658,24 @@ const _: () = {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sb_vm::{CacheConfig, CacheSim, CacheStats};
 
     fn roundtrip(fac: &mut dyn MetadataFacility) {
-        let mut sink = ScratchSink::new();
+        let mut ctx = RtCtx::default();
         let m = Meta {
             base: 0x1000,
             bound: 0x1040,
         };
-        assert_eq!(fac.load(0x2000, &mut sink), Meta::NULL);
-        fac.store(0x2000, m, &mut sink);
-        assert_eq!(fac.load(0x2000, &mut sink), m);
+        assert_eq!(fac.load(0x2000, &mut ctx), Meta::NULL);
+        fac.store(0x2000, m, &mut ctx);
+        assert_eq!(fac.load(0x2000, &mut ctx), m);
         assert_eq!(
-            fac.load(0x2008, &mut sink),
+            fac.load(0x2008, &mut ctx),
             Meta::NULL,
             "adjacent slot distinct"
         );
-        fac.store(0x2000, Meta::NULL, &mut sink);
-        assert_eq!(fac.load(0x2000, &mut sink), Meta::NULL);
+        fac.store(0x2000, Meta::NULL, &mut ctx);
+        assert_eq!(fac.load(0x2000, &mut ctx), Meta::NULL);
         assert_eq!(fac.live_entries(), 0);
     }
 
@@ -705,39 +694,55 @@ mod tests {
         roundtrip(&mut HashTableFacility::new(10));
     }
 
+    /// A context whose cache model charges `miss_penalty` per miss.
+    fn cached(miss_penalty: u64) -> RtCtx {
+        RtCtx {
+            cache: Some(CacheSim::new(CacheConfig {
+                miss_penalty,
+                ..CacheConfig::CORE2_L1
+            })),
+            ..RtCtx::default()
+        }
+    }
+
+    /// What the cache model in `ctx` has seen so far.
+    fn cache_stats(ctx: &RtCtx) -> CacheStats {
+        ctx.cache.as_ref().expect("context has a cache").stats
+    }
+
     #[test]
     fn shadow_costs_five() {
         for fac in [
             &mut ShadowPages::new() as &mut dyn MetadataFacility,
             &mut ShadowHashMapFacility::new(),
         ] {
-            let mut sink = ScratchSink::new();
-            fac.load(0x4000, &mut sink);
-            assert_eq!(sink.cost, 5, "paper: shadow lookup ≈ 5 instructions");
-            assert_eq!(sink.touched.len(), 1);
+            let mut ctx = cached(0);
+            fac.load(0x4000, &mut ctx);
+            assert_eq!(ctx.cost, 5, "paper: shadow lookup ≈ 5 instructions");
+            assert_eq!(cache_stats(&ctx).accesses, 1);
         }
     }
 
     #[test]
     fn hash_costs_nine_no_collision() {
         let mut f = HashTableFacility::new(16);
-        let mut sink = ScratchSink::new();
-        f.load(0x4000, &mut sink);
-        assert_eq!(sink.cost, 9, "paper: hash lookup ≈ 9 instructions");
+        let mut ctx = RtCtx::default();
+        f.load(0x4000, &mut ctx);
+        assert_eq!(ctx.cost, 9, "paper: hash lookup ≈ 9 instructions");
     }
 
     #[test]
     fn hash_collisions_cost_extra() {
         // 4-bucket table: slots 0 and 16 collide (slot = addr>>3).
         let mut f = HashTableFacility::new(2);
-        let mut sink = ScratchSink::new();
+        let mut ctx = RtCtx::default();
         let m = Meta { base: 1, bound: 2 };
-        f.store(0x0, m, &mut sink); // slot 0, bucket 0
-        f.store(0x80, m, &mut sink); // slot 16, bucket 0 → chained
-        sink.reset();
-        f.load(0x80, &mut sink);
+        f.store(0x0, m, &mut ctx); // slot 0, bucket 0
+        f.store(0x80, m, &mut ctx); // slot 16, bucket 0 → chained
+        ctx.reset(0);
+        f.load(0x80, &mut ctx);
         assert_eq!(
-            sink.cost,
+            ctx.cost,
             9 + 3,
             "second chain position costs one extra probe"
         );
@@ -745,12 +750,22 @@ mod tests {
     }
 
     #[test]
-    fn noop_sink_records_nothing() {
+    fn touches_charge_misses_only_under_a_cache() {
+        // Without a cache model a touch costs nothing; with one, the
+        // store's cold line misses and the load of the same slot hits.
+        let m = Meta { base: 1, bound: 2 };
         let mut f = ShadowPages::new();
-        let mut sink = NoopSink;
-        f.store(0x2000, Meta { base: 1, bound: 2 }, &mut sink);
-        assert_eq!(f.load(0x2000, &mut sink), Meta { base: 1, bound: 2 });
-        assert!(!AccessSink::wants_addresses(&sink));
+        let mut flat = RtCtx::default();
+        f.store(0x2000, m, &mut flat);
+        assert_eq!(f.load(0x2000, &mut flat), m);
+        assert_eq!(flat.cost, 2 * 5);
+        let penalty = CacheConfig::CORE2_L1.miss_penalty;
+        let mut ctx = cached(penalty);
+        f.store(0x2000, m, &mut ctx);
+        assert_eq!(f.load(0x2000, &mut ctx), m);
+        let stats = cache_stats(&ctx);
+        assert_eq!((stats.accesses, stats.misses), (2, 1));
+        assert_eq!(ctx.cost, 2 * 5 + penalty);
     }
 
     #[test]
@@ -762,7 +777,7 @@ mod tests {
         let mut paged = ShadowPages::new();
         let mut oracle = ShadowHashMapFacility::new();
         let mut ht = HashTableFacility::new(6); // tiny → lots of collisions
-        let mut sink = ScratchSink::new();
+        let mut ctx = RtCtx::default();
         let mut state = 0x12345u64;
         let mut addrs = Vec::new();
         for i in 0..3000u64 {
@@ -779,20 +794,20 @@ mod tests {
                     bound: i * 16 + 64,
                 }
             };
-            paged.store(addr, meta, &mut sink);
-            oracle.store(addr, meta, &mut sink);
-            ht.store(addr, meta, &mut sink);
+            paged.store(addr, meta, &mut ctx);
+            oracle.store(addr, meta, &mut ctx);
+            ht.store(addr, meta, &mut ctx);
             addrs.push(addr);
         }
         for addr in addrs {
-            let expected = oracle.load(addr, &mut sink);
+            let expected = oracle.load(addr, &mut ctx);
             assert_eq!(
-                paged.load(addr, &mut sink),
+                paged.load(addr, &mut ctx),
                 expected,
                 "paged diverged at {addr:#x}"
             );
             assert_eq!(
-                ht.load(addr, &mut sink),
+                ht.load(addr, &mut ctx),
                 expected,
                 "hash diverged at {addr:#x}"
             );
@@ -807,7 +822,7 @@ mod tests {
         // page-boundary straddles, and beyond-47-bit overflow — must land
         // in distinct directory entries without aliasing.
         let mut f = ShadowPages::new();
-        let mut sink = ScratchSink::new();
+        let mut ctx = RtCtx::default();
         let page_span = 8 << SHADOW_PAGE_BITS; // addresses covered per page
         let addrs: Vec<u64> = vec![
             0x0000_0000_0001_0000, // GLOBAL_BASE
@@ -826,14 +841,14 @@ mod tests {
                 base: i as u64 + 1,
                 bound: i as u64 + 100,
             };
-            f.store(a, meta, &mut sink);
+            f.store(a, meta, &mut ctx);
         }
         for (i, &a) in addrs.iter().enumerate() {
             let expected = Meta {
                 base: i as u64 + 1,
                 bound: i as u64 + 100,
             };
-            assert_eq!(f.load(a, &mut sink), expected, "aliased at {a:#x}");
+            assert_eq!(f.load(a, &mut ctx), expected, "aliased at {a:#x}");
         }
         assert_eq!(f.live_entries(), addrs.len());
         // Adjacent-but-cross-page slots must not have merged.
@@ -844,7 +859,7 @@ mod tests {
         );
         // Clearing restores emptiness (exercises overflow removal too).
         for &a in &addrs {
-            f.store(a, Meta::NULL, &mut sink);
+            f.store(a, Meta::NULL, &mut ctx);
         }
         assert_eq!(f.live_entries(), 0);
     }
@@ -852,9 +867,9 @@ mod tests {
     #[test]
     fn null_stores_do_not_materialize_pages() {
         let mut f = ShadowPages::new();
-        let mut sink = NoopSink;
-        f.store(0x5000, Meta::NULL, &mut sink);
-        f.clear_range(0x9000, 256, &mut sink);
+        let mut ctx = RtCtx::default();
+        f.store(0x5000, Meta::NULL, &mut ctx);
+        f.clear_range(0x9000, 256, &mut ctx);
         assert_eq!(f.page_count(), 0, "null stores must not commit pages");
         assert_eq!(f.live_entries(), 0);
     }
@@ -862,34 +877,34 @@ mod tests {
     #[test]
     fn clear_range_wipes_slots() {
         let mut f = ShadowPages::new();
-        let mut sink = ScratchSink::new();
+        let mut ctx = RtCtx::default();
         for i in 0..8 {
-            f.store(0x3000 + i * 8, Meta { base: 1, bound: 2 }, &mut sink);
+            f.store(0x3000 + i * 8, Meta { base: 1, bound: 2 }, &mut ctx);
         }
-        f.clear_range(0x3000, 32, &mut sink);
+        f.clear_range(0x3000, 32, &mut ctx);
         assert_eq!(f.live_entries(), 4, "only the first 4 slots cleared");
     }
 
     #[test]
     fn copy_range_moves_metadata() {
         let mut f = ShadowPages::new();
-        let mut sink = ScratchSink::new();
+        let mut ctx = RtCtx::default();
         let m = Meta {
             base: 0x10,
             bound: 0x20,
         };
-        f.store(0x5000, m, &mut sink);
+        f.store(0x5000, m, &mut ctx);
         f.store(
             0x5008,
             Meta {
                 base: 0x30,
                 bound: 0x40,
             },
-            &mut sink,
+            &mut ctx,
         );
-        f.copy_range(0x6000, 0x5000, 16, &mut sink);
-        assert_eq!(f.load(0x6000, &mut sink), m);
-        assert_eq!(f.load(0x6008, &mut sink).base, 0x30);
+        f.copy_range(0x6000, 0x5000, 16, &mut ctx);
+        assert_eq!(f.load(0x6000, &mut ctx), m);
+        assert_eq!(f.load(0x6008, &mut ctx).base, 0x30);
     }
 
     #[test]
@@ -902,23 +917,23 @@ mod tests {
             &mut ShadowPages::new() as &mut dyn MetadataFacility,
             &mut ShadowHashMapFacility::new(),
         ] {
-            let mut sink = ScratchSink::new();
-            fac.store(0x5000, Meta { base: 1, bound: 2 }, &mut sink);
-            fac.store(0x5008, Meta { base: 3, bound: 4 }, &mut sink);
-            fac.store(0x5010, Meta { base: 5, bound: 6 }, &mut sink);
-            sink.reset();
-            fac.copy_range(0x6000, 0x5000, 12, &mut sink);
+            let mut ctx = RtCtx::default();
+            fac.store(0x5000, Meta { base: 1, bound: 2 }, &mut ctx);
+            fac.store(0x5008, Meta { base: 3, bound: 4 }, &mut ctx);
+            fac.store(0x5010, Meta { base: 5, bound: 6 }, &mut ctx);
+            let mut ctx = cached(0);
+            fac.copy_range(0x6000, 0x5000, 12, &mut ctx);
             assert_eq!(
-                sink.cost,
+                ctx.cost,
                 4 * 5,
                 "2 loads + 2 stores at 5 each: {}",
-                sink.cost
+                ctx.cost
             );
-            assert_eq!(sink.touched.len(), 4);
-            assert_eq!(fac.load(0x6000, &mut sink), Meta { base: 1, bound: 2 });
-            assert_eq!(fac.load(0x6008, &mut sink), Meta { base: 3, bound: 4 });
+            assert_eq!(cache_stats(&ctx).accesses, 4);
+            assert_eq!(fac.load(0x6000, &mut ctx), Meta { base: 1, bound: 2 });
+            assert_eq!(fac.load(0x6008, &mut ctx), Meta { base: 3, bound: 4 });
             assert_eq!(
-                fac.load(0x6010, &mut sink),
+                fac.load(0x6010, &mut ctx),
                 Meta::NULL,
                 "slot past len untouched"
             );
@@ -931,19 +946,16 @@ mod tests {
     /// Runs the same mutation script against the paged shadow and the
     /// HashMap oracle, then asserts both agree on every probed address
     /// and on the live-entry count.
-    fn differential(
-        script: impl Fn(&mut dyn MetadataFacility, &mut dyn AccessSink),
-        probes: &[u64],
-    ) {
+    fn differential(script: impl Fn(&mut dyn MetadataFacility, &mut RtCtx), probes: &[u64]) {
         let mut paged = ShadowPages::new();
         let mut oracle = ShadowHashMapFacility::new();
-        let mut sink = NoopSink;
-        script(&mut paged, &mut sink);
-        script(&mut oracle, &mut sink);
+        let mut ctx = RtCtx::default();
+        script(&mut paged, &mut ctx);
+        script(&mut oracle, &mut ctx);
         for &a in probes {
-            let expected = oracle.load(a, &mut sink);
+            let expected = oracle.load(a, &mut ctx);
             assert_eq!(
-                paged.load(a, &mut sink),
+                paged.load(a, &mut ctx),
                 expected,
                 "paged diverged from oracle at {a:#x}"
             );
@@ -958,26 +970,26 @@ mod tests {
         let lo = PAGE_SPAN - 32; // last 4 slots of page 0
         let probes: Vec<u64> = (0..12).map(|i| lo - 16 + i * 8).collect();
         differential(
-            |f, sink| {
+            |f, ctx| {
                 for i in 0..12 {
-                    f.store(lo - 16 + i * 8, Meta { base: 1, bound: 2 }, sink);
+                    f.store(lo - 16 + i * 8, Meta { base: 1, bound: 2 }, ctx);
                 }
-                f.clear_range(lo, 64, sink); // 4 slots each side of the boundary
+                f.clear_range(lo, 64, ctx); // 4 slots each side of the boundary
             },
             &probes,
         );
         // Direct structural claim: both pages stayed materialized and
         // exactly the 4 surviving neighbours remain.
         let mut f = ShadowPages::new();
-        let mut sink = NoopSink;
+        let mut ctx = RtCtx::default();
         for i in 0..12 {
-            f.store(lo - 16 + i * 8, Meta { base: 1, bound: 2 }, &mut sink);
+            f.store(lo - 16 + i * 8, Meta { base: 1, bound: 2 }, &mut ctx);
         }
         assert_eq!(f.page_count(), 2);
-        f.clear_range(lo, 64, &mut sink);
+        f.clear_range(lo, 64, &mut ctx);
         assert_eq!(f.live_entries(), 4);
-        assert_eq!(f.load(lo - 16, &mut sink), Meta { base: 1, bound: 2 });
-        assert_eq!(f.load(lo + 64, &mut sink), Meta { base: 1, bound: 2 });
+        assert_eq!(f.load(lo - 16, &mut ctx), Meta { base: 1, bound: 2 });
+        assert_eq!(f.load(lo + 64, &mut ctx), Meta { base: 1, bound: 2 });
     }
 
     #[test]
@@ -988,7 +1000,7 @@ mod tests {
         let dst = 37 * PAGE_SPAN;
         let probes: Vec<u64> = (0..6).flat_map(|i| [src + i * 8, dst + i * 8]).collect();
         differential(
-            |f, sink| {
+            |f, ctx| {
                 for i in 0..6u64 {
                     f.store(
                         src + i * 8,
@@ -996,10 +1008,10 @@ mod tests {
                             base: 10 + i,
                             bound: 100 + i,
                         },
-                        sink,
+                        ctx,
                     );
                 }
-                f.copy_range(dst, src, 48, sink);
+                f.copy_range(dst, src, 48, ctx);
             },
             &probes,
         );
@@ -1013,9 +1025,9 @@ mod tests {
         let page1 = PAGE_SPAN;
         let stride = 512; // sample the page rather than all 256Ki slots
         differential(
-            |f, sink| {
-                f.store(page1 - 8, Meta { base: 7, bound: 8 }, sink);
-                f.store(2 * PAGE_SPAN, Meta { base: 9, bound: 10 }, sink);
+            |f, ctx| {
+                f.store(page1 - 8, Meta { base: 7, bound: 8 }, ctx);
+                f.store(2 * PAGE_SPAN, Meta { base: 9, bound: 10 }, ctx);
                 let mut a = page1;
                 while a < 2 * PAGE_SPAN {
                     f.store(
@@ -1024,11 +1036,11 @@ mod tests {
                             base: a,
                             bound: a + 8,
                         },
-                        sink,
+                        ctx,
                     );
                     a += stride;
                 }
-                f.clear_range(page1, PAGE_SPAN, sink);
+                f.clear_range(page1, PAGE_SPAN, ctx);
             },
             &[
                 page1 - 8,
@@ -1039,14 +1051,14 @@ mod tests {
             ],
         );
         let mut f = ShadowPages::new();
-        let mut sink = NoopSink;
+        let mut ctx = RtCtx::default();
         let mut a = page1;
         while a < 2 * PAGE_SPAN {
-            f.store(a, Meta { base: 1, bound: 2 }, &mut sink);
+            f.store(a, Meta { base: 1, bound: 2 }, &mut ctx);
             a += stride;
         }
-        f.store(page1 - 8, Meta { base: 7, bound: 8 }, &mut sink);
-        f.clear_range(page1, PAGE_SPAN, &mut sink);
+        f.store(page1 - 8, Meta { base: 7, bound: 8 }, &mut ctx);
+        f.clear_range(page1, PAGE_SPAN, &mut ctx);
         assert_eq!(f.live_entries(), 1, "only the page-0 sentinel survives");
     }
 
@@ -1057,23 +1069,23 @@ mod tests {
         // unaligned address.
         let probes = [0x5000u64, 0x5008, PAGE_SPAN - 8, PAGE_SPAN];
         differential(
-            |f, sink| {
+            |f, ctx| {
                 for &a in &probes {
-                    f.store(a, Meta { base: 3, bound: 4 }, sink);
+                    f.store(a, Meta { base: 3, bound: 4 }, ctx);
                 }
-                f.clear_range(0x5000, 0, sink);
-                f.clear_range(0x5004, 0, sink); // unaligned
-                f.clear_range(PAGE_SPAN - 1, 0, sink); // unaligned at a boundary
-                f.copy_range(0x6000, 0x5000, 0, sink);
+                f.clear_range(0x5000, 0, ctx);
+                f.clear_range(0x5004, 0, ctx); // unaligned
+                f.clear_range(PAGE_SPAN - 1, 0, ctx); // unaligned at a boundary
+                f.copy_range(0x6000, 0x5000, 0, ctx);
             },
             &probes,
         );
         let mut f = ShadowPages::new();
-        let mut sink = NoopSink;
-        f.store(0x5000, Meta { base: 3, bound: 4 }, &mut sink);
-        f.clear_range(0x5004, 0, &mut sink);
+        let mut ctx = RtCtx::default();
+        f.store(0x5000, Meta { base: 3, bound: 4 }, &mut ctx);
+        f.clear_range(0x5004, 0, &mut ctx);
         assert_eq!(
-            f.load(0x5000, &mut sink),
+            f.load(0x5000, &mut ctx),
             Meta { base: 3, bound: 4 },
             "unaligned zero-length clear must not wipe the containing slot"
         );
@@ -1097,7 +1109,7 @@ mod tests {
             v
         };
         differential(
-            |f, sink| {
+            |f, ctx| {
                 let mut state = 0xfeed_beefu64;
                 for i in 0..1500u64 {
                     state = state
@@ -1107,13 +1119,13 @@ mod tests {
                     if i % 149 == 0 {
                         // Clear a whole page. Rare, because each side
                         // pays a per-slot walk.
-                        f.clear_range((addr / PAGE_SPAN) * PAGE_SPAN, PAGE_SPAN, sink);
+                        f.clear_range((addr / PAGE_SPAN) * PAGE_SPAN, PAGE_SPAN, ctx);
                     } else if i % 599 == 1 {
                         // Two whole pages plus a partial tail.
-                        f.clear_range((addr / PAGE_SPAN) * PAGE_SPAN, 2 * PAGE_SPAN + 72, sink);
+                        f.clear_range((addr / PAGE_SPAN) * PAGE_SPAN, 2 * PAGE_SPAN + 72, ctx);
                     } else if i % 13 == 5 {
                         // A span straddling up to two pages.
-                        f.clear_range(addr, (state >> 33) % 512 + 1, sink);
+                        f.clear_range(addr, (state >> 33) % 512 + 1, ctx);
                     } else {
                         f.store(
                             addr,
@@ -1121,7 +1133,7 @@ mod tests {
                                 base: i + 1,
                                 bound: i + 101,
                             },
-                            sink,
+                            ctx,
                         );
                     }
                 }
@@ -1137,7 +1149,7 @@ mod tests {
         // equality the machine differential suite asserts would break.
         let mut paged = ShadowPages::new();
         let mut oracle = ShadowHashMapFacility::new();
-        let mut setup = NoopSink;
+        let mut setup = RtCtx::default();
         for f in [
             &mut paged as &mut dyn MetadataFacility,
             &mut oracle as &mut dyn MetadataFacility,
@@ -1145,22 +1157,26 @@ mod tests {
             f.store(PAGE_SPAN + 64, Meta { base: 1, bound: 2 }, &mut setup);
         }
         // A span covering all of page 1 plus 3 slots of page 2.
-        let mut ps = ScratchSink::new();
+        let penalty = CacheConfig::CORE2_L1.miss_penalty;
+        let mut ps = cached(penalty);
         paged.clear_range(PAGE_SPAN, PAGE_SPAN + 24, &mut ps);
-        let mut os = ScratchSink::new();
+        let mut os = cached(penalty);
         oracle.clear_range(PAGE_SPAN, PAGE_SPAN + 24, &mut os);
         assert_eq!(ps.cost, os.cost, "whole-page clear cost diverged");
-        assert_eq!(ps.touched, os.touched, "table traffic diverged");
+        assert_eq!(cache_stats(&ps), cache_stats(&os), "table traffic diverged");
     }
 
     #[test]
     fn reset_empties_every_facility_and_reuses_reservation() {
-        for fac in [
-            &mut ShadowPages::new() as &mut dyn MetadataFacility,
-            &mut ShadowHashMapFacility::new(),
-            &mut HashTableFacility::new(8),
+        for (name, fac) in [
+            (
+                "paged",
+                &mut ShadowPages::new() as &mut dyn MetadataFacility,
+            ),
+            ("oracle", &mut ShadowHashMapFacility::new()),
+            ("hash table", &mut HashTableFacility::new(8)),
         ] {
-            let mut sink = NoopSink;
+            let mut ctx = RtCtx::default();
             for i in 0..64u64 {
                 fac.store(
                     0x8000 + i * 8,
@@ -1168,23 +1184,18 @@ mod tests {
                         base: i + 1,
                         bound: i + 2,
                     },
-                    &mut sink,
+                    &mut ctx,
                 );
             }
-            fac.store(1 << 50, Meta { base: 9, bound: 10 }, &mut sink);
-            assert_eq!(fac.live_entries(), 65, "{}", fac.name());
+            fac.store(1 << 50, Meta { base: 9, bound: 10 }, &mut ctx);
+            assert_eq!(fac.live_entries(), 65, "{name}");
             fac.reset();
-            assert_eq!(
-                fac.live_entries(),
-                0,
-                "{} not empty after reset",
-                fac.name()
-            );
-            assert_eq!(fac.load(0x8000, &mut sink), Meta::NULL, "{}", fac.name());
-            assert_eq!(fac.load(1 << 50, &mut sink), Meta::NULL, "{}", fac.name());
+            assert_eq!(fac.live_entries(), 0, "{name} not empty after reset");
+            assert_eq!(fac.load(0x8000, &mut ctx), Meta::NULL, "{name}");
+            assert_eq!(fac.load(1 << 50, &mut ctx), Meta::NULL, "{name}");
             // The facility stays fully usable after reset.
-            fac.store(0x8000, Meta { base: 3, bound: 4 }, &mut sink);
-            assert_eq!(fac.load(0x8000, &mut sink), Meta { base: 3, bound: 4 });
+            fac.store(0x8000, Meta { base: 3, bound: 4 }, &mut ctx);
+            assert_eq!(fac.load(0x8000, &mut ctx), Meta { base: 3, bound: 4 });
             assert_eq!(fac.live_entries(), 1);
         }
 
@@ -1192,10 +1203,10 @@ mod tests {
         // page included), and the directory chunk is kept (its pointer
         // is stable across reset).
         let mut f = ShadowPages::new();
-        let mut sink = NoopSink;
-        f.store(0x9000, Meta { base: 1, bound: 2 }, &mut sink);
-        f.clear_range(0, 2 * PAGE_SPAN, &mut sink);
-        f.store(5 * PAGE_SPAN, Meta { base: 5, bound: 6 }, &mut sink);
+        let mut ctx = RtCtx::default();
+        f.store(0x9000, Meta { base: 1, bound: 2 }, &mut ctx);
+        f.clear_range(0, 2 * PAGE_SPAN, &mut ctx);
+        f.store(5 * PAGE_SPAN, Meta { base: 5, bound: 6 }, &mut ctx);
         assert_eq!(f.page_count(), 2, "a cleared page stays committed");
         let chunk = |f: &ShadowPages| f.dir.chunks[0].as_ptr();
         let chunk_ptr = chunk(&f);
@@ -1207,8 +1218,8 @@ mod tests {
             "directory chunk reallocated"
         );
         // Every directory entry that was used is zero again.
-        assert_eq!(f.load(0x9000, &mut sink), Meta::NULL);
-        assert_eq!(f.load(5 * PAGE_SPAN, &mut sink), Meta::NULL);
+        assert_eq!(f.load(0x9000, &mut ctx), Meta::NULL);
+        assert_eq!(f.load(5 * PAGE_SPAN, &mut ctx), Meta::NULL);
 
         // Hash-table specifics: reset and the reservation visit only the
         // chains that ever allocated; across collision-heavy churn and
@@ -1231,10 +1242,10 @@ mod tests {
                         base: i + 1,
                         bound: i + 2,
                     },
-                    &mut sink,
+                    &mut ctx,
                 );
                 if i % 3 == 0 {
-                    ht.store(addr, Meta::NULL, &mut sink);
+                    ht.store(addr, Meta::NULL, &mut ctx);
                 }
             }
             assert_eq!(ht.live_entries(), 200);
@@ -1249,12 +1260,12 @@ mod tests {
     #[test]
     fn copy_range_zero_len_is_noop() {
         let mut f = ShadowPages::new();
-        let mut sink = ScratchSink::new();
-        f.store(0x5000, Meta { base: 1, bound: 2 }, &mut sink);
-        sink.reset();
-        f.copy_range(0x6000, 0x5000, 0, &mut sink);
-        assert_eq!(sink.cost, 0);
-        assert_eq!(f.load(0x6000, &mut sink), Meta::NULL);
+        let mut ctx = RtCtx::default();
+        f.store(0x5000, Meta { base: 1, bound: 2 }, &mut ctx);
+        ctx.reset(0);
+        f.copy_range(0x6000, 0x5000, 0, &mut ctx);
+        assert_eq!(ctx.cost, 0);
+        assert_eq!(f.load(0x6000, &mut ctx), Meta::NULL);
     }
 
     #[test]
@@ -1263,37 +1274,37 @@ mod tests {
         // second commit → reset cycle: committed frames count until
         // reset hands them to the pool, which no instance is charged for.
         let mut f = ShadowPages::new();
-        let mut sink = NoopSink;
+        let mut ctx = RtCtx::default();
         let idle = f.reservation_bytes();
         assert_eq!(idle, DIR_CHUNKS * std::mem::size_of::<u16>());
 
         // The first commit charges a frame and one directory chunk.
-        f.store(0x100, Meta { base: 1, bound: 2 }, &mut sink);
+        f.store(0x100, Meta { base: 1, bound: 2 }, &mut ctx);
         let chunked = idle + CHUNK_BYTES;
         assert_eq!(f.reservation_bytes(), chunked + PAGE_BYTES);
 
         // Clearing the page end to end leaves it committed and counted.
-        f.clear_range(0, PAGE_SPAN, &mut sink);
+        f.clear_range(0, PAGE_SPAN, &mut ctx);
         assert_eq!(f.live_entries(), 0);
         assert_eq!(f.page_count(), 1);
         assert_eq!(f.reservation_bytes(), chunked + PAGE_BYTES);
 
         // A page at another directory entry of the same chunk is a
         // second frame, not a second chunk.
-        f.store(37 * PAGE_SPAN, Meta { base: 3, bound: 4 }, &mut sink);
+        f.store(37 * PAGE_SPAN, Meta { base: 3, bound: 4 }, &mut ctx);
         assert_eq!(f.page_count(), 2);
         assert_eq!(f.reservation_bytes(), chunked + 2 * PAGE_BYTES);
 
         // Overflow entries count at the map's actual bucket layout, and
         // the standing estimate must not shrink when an entry is
         // removed — the table keeps its buckets.
-        f.store(1 << 50, Meta { base: 7, bound: 8 }, &mut sink);
+        f.store(1 << 50, Meta { base: 7, bound: 8 }, &mut ctx);
         let with_overflow = f.reservation_bytes();
         assert!(
             with_overflow > chunked + 2 * PAGE_BYTES,
             "overflow uncounted"
         );
-        f.store(1 << 50, Meta::NULL, &mut sink);
+        f.store(1 << 50, Meta::NULL, &mut ctx);
         assert_eq!(
             f.reservation_bytes(),
             with_overflow,
@@ -1312,7 +1323,7 @@ mod tests {
         );
 
         // The next run's first store commits a frame again.
-        f.store(0x100, Meta { base: 9, bound: 10 }, &mut sink);
+        f.store(0x100, Meta { base: 9, bound: 10 }, &mut ctx);
         assert_eq!(f.page_count(), 1);
         assert_eq!(f.reservation_bytes(), with_overflow - PAGE_BYTES);
     }
@@ -1321,47 +1332,47 @@ mod tests {
     fn reset_does_not_disturb_siblings() {
         let mut a = ShadowPages::new();
         let mut b = ShadowPages::new();
-        let mut sink = NoopSink;
+        let mut ctx = RtCtx::default();
         let m = Meta {
             base: 0x10,
             bound: 0x20,
         };
         // Identical simulated addresses on purpose: a reset that pools
         // `a`'s frames must leave `b`'s pages alone.
-        a.store(0x3000, m, &mut sink);
+        a.store(0x3000, m, &mut ctx);
         b.store(
             0x3000,
             Meta {
                 base: 0x30,
                 bound: 0x40,
             },
-            &mut sink,
+            &mut ctx,
         );
-        b.store(5 * PAGE_SPAN, m, &mut sink);
+        b.store(5 * PAGE_SPAN, m, &mut ctx);
         a.reset();
         assert_eq!(a.live_entries(), 0);
-        assert_eq!(a.load(0x3000, &mut sink), Meta::NULL);
+        assert_eq!(a.load(0x3000, &mut ctx), Meta::NULL);
         assert_eq!(b.live_entries(), 2, "sibling lost entries to a reset");
         assert_eq!(
-            b.load(0x3000, &mut sink),
+            b.load(0x3000, &mut ctx),
             Meta {
                 base: 0x30,
                 bound: 0x40
             }
         );
-        assert_eq!(b.load(5 * PAGE_SPAN, &mut sink), m);
+        assert_eq!(b.load(5 * PAGE_SPAN, &mut ctx), m);
     }
 
     #[test]
     fn directory_chunks_allocate_on_first_commit_only() {
         let mut f = ShadowPages::new();
-        let mut sink = NoopSink;
+        let mut ctx = RtCtx::default();
         let root_only = f.dir.bytes();
         // Loads and NULL stores into spans without a chunk allocate
         // nothing.
-        assert_eq!(f.load(0x4000, &mut sink), Meta::NULL);
-        f.store(0x4000, Meta::NULL, &mut sink);
-        f.clear_range(0, 4 * PAGE_SPAN, &mut sink);
+        assert_eq!(f.load(0x4000, &mut ctx), Meta::NULL);
+        f.store(0x4000, Meta::NULL, &mut ctx);
+        f.clear_range(0, 4 * PAGE_SPAN, &mut ctx);
         assert_eq!(
             f.dir.bytes(),
             root_only,
@@ -1369,10 +1380,10 @@ mod tests {
         );
         // The first real store commits a page and one directory chunk;
         // a second store under the same chunk reuses it.
-        f.store(0x4000, Meta { base: 1, bound: 2 }, &mut sink);
+        f.store(0x4000, Meta { base: 1, bound: 2 }, &mut ctx);
         assert_eq!(f.dir.bytes(), root_only + CHUNK_BYTES);
-        f.store(0x4008, Meta { base: 3, bound: 4 }, &mut sink);
+        f.store(0x4008, Meta { base: 3, bound: 4 }, &mut ctx);
         assert_eq!(f.dir.bytes(), root_only + CHUNK_BYTES);
-        assert_eq!(f.load(0x4000, &mut sink), Meta { base: 1, bound: 2 });
+        assert_eq!(f.load(0x4000, &mut ctx), Meta { base: 1, bound: 2 });
     }
 }

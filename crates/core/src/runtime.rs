@@ -15,9 +15,7 @@ use crate::policy::{
     first_oob_byte, EvidenceRecord, EvidenceRing, PolicyAction, ViolationPolicy, EVIDENCE_CAPACITY,
 };
 use sb_ir::RtFn;
-use sb_vm::{
-    AccessSink, BuiltinViolation, Mem, RtCtx, RtVals, RuntimeHooks, Trap, ViolationDisposition,
-};
+use sb_vm::{BuiltinViolation, Mem, RtCtx, RtVals, RuntimeHooks, Trap, ViolationDisposition};
 
 /// Cost of the bounds check itself (two compares + branch, §3.1).
 pub const CHECK_COST: u64 = 3;
@@ -111,18 +109,29 @@ impl<F: MetadataFacility> SoftBoundRuntime<F> {
         self.facility.reservation_bytes()
     }
 
-    /// Records one evidence record for a violation a non-Strict policy
-    /// absorbed. Out of line: the safe-path check never reaches it.
+    /// Decides a violation an explicit check or a libc wrapper found: the
+    /// one place the policy picks an action. Under Strict it returns
+    /// `None` and the caller traps. Otherwise it counts the violation,
+    /// records evidence of the `size`-byte access at `ptr` against
+    /// `[base, bound)`, and returns the action taken: Hardened clamps
+    /// (truncated write, zero-filled read), Monitor observes. Out of
+    /// line: the safe-path check never reaches it.
     #[cold]
-    fn record(
+    fn absorb(
         &mut self,
         ptr: u64,
         size: u64,
         (base, bound): (u64, u64),
         write: bool,
-        action: PolicyAction,
         pc: u64,
-    ) {
+    ) -> Option<PolicyAction> {
+        let action = match self.policy {
+            ViolationPolicy::Strict => return None,
+            ViolationPolicy::Hardened if write => PolicyAction::ClampedWrite,
+            ViolationPolicy::Hardened => PolicyAction::ZeroedRead,
+            ViolationPolicy::Monitor => PolicyAction::Observed,
+        };
+        self.violation_count += 1;
         self.evidence.record(EvidenceRecord {
             pc,
             ptr,
@@ -133,6 +142,7 @@ impl<F: MetadataFacility> SoftBoundRuntime<F> {
             write,
             action,
         });
+        Some(action)
     }
 
     #[inline]
@@ -150,48 +160,26 @@ impl<F: MetadataFacility> SoftBoundRuntime<F> {
         // wraps past zero would otherwise compare below `bound` and pass.
         let end_in_bounds = ptr.checked_add(size).is_some_and(|end| end <= bound);
         if ptr < base || !end_in_bounds || base == 0 {
-            self.violation_count += 1;
-            match self.policy {
-                ViolationPolicy::Strict => Err(Trap::SpatialViolation {
+            let Some(action) = self.absorb(ptr, size, (base, bound), write, ctx.pc) else {
+                // Strict counts a trapping check; a trapping wrapper
+                // (`on_builtin_violation`) stays uncounted.
+                self.violation_count += 1;
+                return Err(Trap::SpatialViolation {
                     scheme: "softbound",
                     addr: ptr,
                     write,
-                }),
-                ViolationPolicy::Hardened => {
-                    let action = if write {
-                        PolicyAction::ClampedWrite
-                    } else {
-                        PolicyAction::ZeroedRead
-                    };
-                    self.record(ptr, size, (base, bound), write, action, ctx.pc);
-                    // The machine clamps the guarded access to these
-                    // bounds (truncated write / zero-filled read).
-                    ctx.repair = Some((base, bound));
-                    Ok(())
-                }
-                ViolationPolicy::Monitor => {
-                    self.record(
-                        ptr,
-                        size,
-                        (base, bound),
-                        write,
-                        PolicyAction::Observed,
-                        ctx.pc,
-                    );
-                    Ok(())
-                }
+                });
+            };
+            if action != PolicyAction::Observed {
+                // The machine clamps the guarded access to these bounds.
+                ctx.repair = Some((base, bound));
             }
-        } else {
-            Ok(())
         }
+        Ok(())
     }
 }
 
 impl<F: MetadataFacility> RuntimeHooks for SoftBoundRuntime<F> {
-    fn name(&self) -> &'static str {
-        "softbound"
-    }
-
     #[inline]
     fn rt_call(
         &mut self,
@@ -202,7 +190,7 @@ impl<F: MetadataFacility> RuntimeHooks for SoftBoundRuntime<F> {
     ) -> Result<RtVals, Trap> {
         match rt {
             RtFn::SbCheck { is_store } => {
-                ctx.add_cost(CHECK_COST);
+                ctx.cost += CHECK_COST;
                 self.check(
                     args[0] as u64,
                     args[1] as u64,
@@ -226,7 +214,7 @@ impl<F: MetadataFacility> RuntimeHooks for SoftBoundRuntime<F> {
                 Ok([0, 0])
             }
             RtFn::SbFnCheck => {
-                ctx.add_cost(CHECK_COST);
+                ctx.cost += CHECK_COST;
                 self.check_count += 1;
                 let (ptr, base, bound) = (args[0] as u64, args[1] as u64, args[2] as u64);
                 // Function pointers are encoded base == bound == ptr (§5.2):
@@ -256,7 +244,7 @@ impl<F: MetadataFacility> RuntimeHooks for SoftBoundRuntime<F> {
                 Ok([0, 0])
             }
             RtFn::SbVaCheck => {
-                ctx.add_cost(2);
+                ctx.cost += 2;
                 let idx = args[0];
                 // Like SbFnCheck, vararg-index checks trap under every
                 // policy: there is no in-bounds vararg slot to clamp to.
@@ -283,41 +271,21 @@ impl<F: MetadataFacility> RuntimeHooks for SoftBoundRuntime<F> {
     }
 
     /// Decides what a libc-wrapper bounds failure does. Under Strict the
-    /// builtin traps exactly as before — and, as before, without touching
-    /// the runtime's violation counter (wrapper traps fire in the VM, not
-    /// in an `SbCheck`; the differential suites pin that counter). Under
-    /// Hardened/Monitor the violation is counted, evidence is recorded
-    /// with the wrapper's whole intended range as the access size, and
-    /// the builtin clamps or proceeds.
+    /// builtin traps without touching the runtime's violation counter
+    /// (wrapper traps fire in the VM, not in an `SbCheck`; the
+    /// differential suites pin that counter). Under Hardened/Monitor the
+    /// violation is counted, evidence is recorded with the wrapper's
+    /// whole intended range as the access size, and the builtin clamps or
+    /// proceeds.
     fn on_builtin_violation(
         &mut self,
         v: &BuiltinViolation,
         ctx: &mut RtCtx,
     ) -> ViolationDisposition {
-        match self.policy {
-            ViolationPolicy::Strict => ViolationDisposition::Trap,
-            ViolationPolicy::Hardened => {
-                self.violation_count += 1;
-                let action = if v.write {
-                    PolicyAction::ClampedWrite
-                } else {
-                    PolicyAction::ZeroedRead
-                };
-                self.record(v.ptr, v.len, (v.base, v.bound), v.write, action, ctx.pc);
-                ViolationDisposition::Clamp
-            }
-            ViolationPolicy::Monitor => {
-                self.violation_count += 1;
-                self.record(
-                    v.ptr,
-                    v.len,
-                    (v.base, v.bound),
-                    v.write,
-                    PolicyAction::Observed,
-                    ctx.pc,
-                );
-                ViolationDisposition::Observe
-            }
+        match self.absorb(v.ptr, v.len, (v.base, v.bound), v.write, ctx.pc) {
+            None => ViolationDisposition::Trap,
+            Some(PolicyAction::Observed) => ViolationDisposition::Observe,
+            Some(_) => ViolationDisposition::Clamp,
         }
     }
 

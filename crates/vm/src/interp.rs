@@ -43,8 +43,8 @@
 use crate::exec::{global_layout_into, ExecCallee, ExecFunc, ExecModule, Op};
 use crate::mem::{decode_fn_addr, fn_addr, Heap, Mem, FN_BASE, GLOBAL_BASE, STACK_BASE};
 use crate::rt::{
-    BuiltinViolation, CacheConfig, CacheSim, ExecStats, NoRuntime, Outcome, RtCtx, RuntimeHooks,
-    Trap, ViolationDisposition, COST_MODEL,
+    BuiltinViolation, CacheConfig, CacheSim, ExecStats, NoRuntime, Outcome, RtCtx, RtVals,
+    RuntimeHooks, Trap, ViolationDisposition, COST_MODEL,
 };
 use sb_cir::hir::Builtin;
 use sb_ir::opt::{eval_bin, eval_cmp};
@@ -193,21 +193,13 @@ fn outcome_of(end: Result<Flow, Trap>) -> Outcome {
     }
 }
 
-/// Charges the runtime helper that just ran: its cost, and under the
-/// cache model the table addresses it touched. Takes the fields it needs
-/// rather than the machine, so the dispatch loop can call it while it
-/// holds the current frame.
-fn charge_ctx(stats: &mut ExecStats, ctx: &mut RtCtx, cache: &mut Option<CacheSim>) {
-    stats.cycles += ctx.cost;
-    stats.rt_cycles += ctx.cost;
-    if let Some(c) = cache {
-        for &a in &ctx.touched {
-            let pen = c.access(a);
-            stats.cycles += pen;
-            stats.rt_cycles += pen;
-        }
+/// A context for a machine configured by `cfg`: it carries the L1 model
+/// when `cfg.cache` asks for one.
+fn fresh_ctx(cfg: &MachineConfig) -> RtCtx {
+    RtCtx {
+        cache: cfg.cache.then(|| CacheSim::new(CacheConfig::CORE2_L1)),
+        ..RtCtx::default()
     }
-    ctx.touched.clear();
 }
 
 /// Runs a program access at `addr` through the cache model, if any.
@@ -218,21 +210,54 @@ fn touch(stats: &mut ExecStats, cache: &mut Option<CacheSim>, addr: u64) {
     }
 }
 
-/// A program load of `ty` at `addr`, clamped to `clamp` when a repair
-/// order guards it, then counted, charged and run through the cache
-/// model. Like [`charge_ctx`], it takes the fields it needs; it is forced
-/// inline because the dispatch loop would otherwise call it out of line
-/// on every load.
+/// Calls runtime helper `rt` on `args` from a frame with `va` variadic
+/// arguments, the one way both lanes enter the runtime for an
+/// instrumentation call: resets the context, stamps the call-site PC,
+/// counts the call by kind, and charges the helper's cost, miss
+/// penalties included. A repair order the helper hands back stays in
+/// the context until the guarded access takes it. It takes the fields
+/// it needs rather than the machine, so the dispatch loop can call it
+/// while it holds the current frame, and is forced inline like [`load`].
+#[inline(always)]
+fn rt_call<H: RuntimeHooks>(
+    hooks: &mut H,
+    mem: &mut Mem,
+    stats: &mut ExecStats,
+    ctx: &mut RtCtx,
+    va: u64,
+    rt: RtFn,
+    args: &[i64],
+) -> Result<RtVals, Trap> {
+    ctx.reset(va);
+    ctx.pc = stats.insts;
+    stats.rt_calls += 1;
+    if rt.is_check() {
+        stats.checks += 1;
+    } else if rt.is_meta_load() {
+        stats.meta_loads += 1;
+    } else if rt.is_meta_store() {
+        stats.meta_stores += 1;
+    }
+    let res = hooks.rt_call(rt, args, mem, ctx);
+    stats.cycles += ctx.cost;
+    stats.rt_cycles += ctx.cost;
+    res
+}
+
+/// A program load of `ty` at `addr`, clamped to the bounds of the repair
+/// order a check left in `ctx`, if any, then counted, charged and run
+/// through the cache model. Like [`rt_call`], it takes the fields it
+/// needs; it is forced inline because the dispatch loop would otherwise
+/// call it out of line on every load.
 #[inline(always)]
 fn load(
     mem: &mut Mem,
     stats: &mut ExecStats,
-    cache: &mut Option<CacheSim>,
+    ctx: &mut RtCtx,
     addr: u64,
     ty: MemTy,
-    clamp: Option<(u64, u64)>,
 ) -> Result<i64, Trap> {
-    let raw = match clamp {
+    let raw = match ctx.repair.take() {
         Some((lo, hi)) => mem.read_uint_clamped(addr, ty.size(), lo, hi)?,
         None => mem.read_uint(addr, ty.size())?,
     };
@@ -241,7 +266,7 @@ fn load(
         stats.ptr_mem_ops += 1;
     }
     stats.cycles += COST_MODEL.load;
-    touch(stats, cache, addr);
+    touch(stats, &mut ctx.cache, addr);
     Ok(extend(raw, ty))
 }
 
@@ -250,13 +275,12 @@ fn load(
 fn store(
     mem: &mut Mem,
     stats: &mut ExecStats,
-    cache: &mut Option<CacheSim>,
+    ctx: &mut RtCtx,
     addr: u64,
     ty: MemTy,
     value: i64,
-    clamp: Option<(u64, u64)>,
 ) -> Result<(), Trap> {
-    match clamp {
+    match ctx.repair.take() {
         Some((lo, hi)) => mem.write_uint_clamped(addr, ty.size(), value as u64, lo, hi)?,
         None => mem.write_uint(addr, ty.size(), value as u64)?,
     }
@@ -265,7 +289,7 @@ fn store(
         stats.ptr_mem_ops += 1;
     }
     stats.cycles += COST_MODEL.store;
-    touch(stats, cache, addr);
+    touch(stats, &mut ctx.cache, addr);
     Ok(())
 }
 
@@ -290,7 +314,6 @@ pub struct Machine<'m, H: RuntimeHooks> {
     plans: Vec<FramePlan>,
     cfg: MachineConfig,
     hooks: H,
-    cache: Option<CacheSim>,
     /// Execution statistics.
     pub stats: ExecStats,
     output: Vec<u8>,
@@ -311,14 +334,13 @@ pub struct Machine<'m, H: RuntimeHooks> {
     setjmps: Vec<JumpPoint>,
     /// Id of the next new jump point: every lower id was issued this run.
     next_setjmp_id: u64,
-    ctx: RtCtx,
-    /// Repair order handed down by the last check's runtime response
-    /// (`RtCtx::repair`), waiting for the access that check guards: the
-    /// next load/store consumes it and clamps itself to these bounds.
+    /// The context every runtime call runs in. It owns the cache model,
+    /// and holds a check's repair order (`RtCtx::repair`) until the next
+    /// load/store takes it and clamps itself to those bounds.
     /// Instrumentation places each check immediately before its access
     /// (metadata ops may intervene, but never another access), so the
     /// hand-off is unambiguous in both lanes.
-    pending_clamp: Option<(u64, u64)>,
+    ctx: RtCtx,
     /// Bytes the last wrapped `memcpy` copied, when a clamping policy cut
     /// the copy short: the `SbMemcpyMeta` instrumentation places right
     /// after the call copies metadata for exactly these bytes instead of
@@ -342,16 +364,9 @@ impl<'m> Machine<'m, NoRuntime> {
 impl<'m, H: RuntimeHooks> Machine<'m, H> {
     /// Creates a machine with an installed safety runtime.
     pub fn new(module: &'m Module, cfg: MachineConfig, hooks: H) -> Self {
-        let cache = cfg.cache.then(|| CacheSim::new(CacheConfig::CORE2_L1));
         let heap = Heap::new(cfg.redzone);
         let fuel_end = cfg.fuel;
-        // Touched-table addresses are only recorded when a cache model
-        // consumes them; otherwise every runtime-helper call (checks,
-        // metadata accesses) runs without touching the scratch buffer.
-        let ctx = RtCtx {
-            record_touched: cache.is_some(),
-            ..RtCtx::default()
-        };
+        let ctx = fresh_ctx(&cfg);
         let mut m = Machine {
             module,
             exec: None,
@@ -361,7 +376,6 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
             plans: Vec::new(),
             cfg,
             hooks,
-            cache,
             stats: ExecStats::default(),
             output: Vec::new(),
             rng: RNG_SEED,
@@ -372,7 +386,6 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
             setjmps: Vec::new(),
             next_setjmp_id: 0,
             ctx,
-            pending_clamp: None,
             pending_meta_len: None,
             fuel_end,
             frame_serial: 0,
@@ -408,7 +421,7 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
         // into the next run's different layout.
         self.mem.reset();
         self.heap = Heap::new(self.cfg.redzone);
-        self.cache = self.cfg.cache.then(|| CacheSim::new(CacheConfig::CORE2_L1));
+        self.ctx = fresh_ctx(&self.cfg);
         self.stats = ExecStats::default();
         self.output.clear();
         self.rng = RNG_SEED;
@@ -424,8 +437,6 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
         self.frame_serial = 0;
         self.global_addrs.clear();
         self.hooks.reset();
-        self.ctx.reset(0);
-        self.pending_clamp = None;
         self.pending_meta_len = None;
         self.layout_globals();
     }
@@ -471,11 +482,24 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
             }
         }
         // Lifecycle events after everything is laid out.
-        for (i, g) in self.module.globals.iter().enumerate() {
-            self.ctx.reset(0);
-            self.hooks
-                .on_global(self.global_addrs[i], g.size, &mut self.ctx);
+        let module: &'m Module = self.module;
+        for (i, g) in module.globals.iter().enumerate() {
+            let addr = self.global_addrs[i];
+            self.hook(|h, ctx| h.on_global(addr, g.size, ctx));
         }
+    }
+
+    /// Runs one lifecycle hook — a global, an alloca, a frame exit, a
+    /// heap allocation or free, a builtin's range check or wrapper
+    /// violation — in a reset context stamped with the current PC, and
+    /// charges its cost. Lifecycle hooks see a vararg count of 0.
+    fn hook<R>(&mut self, call: impl FnOnce(&mut H, &mut RtCtx) -> R) -> R {
+        self.ctx.reset(0);
+        self.ctx.pc = self.stats.insts;
+        let r = call(&mut self.hooks, &mut self.ctx);
+        self.stats.cycles += self.ctx.cost;
+        self.stats.rt_cycles += self.ctx.cost;
+        r
     }
 
     fn build_plans(&mut self) {
@@ -599,7 +623,7 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
             }
         }
         let outcome = outcome.unwrap_or_else(|| self.invoke(fid, args, predecoded));
-        self.stats.cache = self.cache.as_ref().map(|c| c.stats).unwrap_or_default();
+        self.stats.cache = self.ctx.cache.as_ref().map(|c| c.stats).unwrap_or_default();
         RunResult {
             outcome,
             stats: self.stats.clone(),
@@ -684,7 +708,6 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
         frame
             .varargs
             .extend_from_slice(args.get(nparams..).unwrap_or(&[]));
-        let va_count = frame.varargs.len() as u64;
 
         // Materialize allocas now (the Alloca instructions become cheap
         // moves) and fire lifecycle events.
@@ -697,9 +720,7 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
                 unreachable!("plan indexes an alloca");
             };
             frame.allocas.push((addr, info.size));
-            self.ctx.reset(va_count);
-            self.hooks.on_alloca(addr, info, &mut self.ctx);
-            charge_ctx(&mut self.stats, &mut self.ctx, &mut self.cache);
+            self.hook(|h, ctx| h.on_alloca(addr, info, ctx));
         }
 
         self.stats.calls += 1;
@@ -747,24 +768,29 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
             return Err(Trap::CorruptedFrame);
         }
 
-        let frame = self.frames.pop().expect("frame exists");
-        self.ctx.reset(0);
-        self.hooks.on_frame_exit(&frame.allocas, &mut self.ctx);
-        charge_ctx(&mut self.stats, &mut self.ctx, &mut self.cache);
-        self.stack_top = frame.frame_base;
-        self.drop_dead_jump_points();
+        let ret_dsts = self.teardown_frame();
         self.stats.cycles += COST_MODEL.ret;
-
-        if self.frames.is_empty() {
-            self.frame_pool.push(frame);
+        let Some(caller) = self.frames.last_mut() else {
             return Ok(Some(Flow::Finished(vals.first().copied().unwrap_or(0))));
-        }
-        let caller = self.frames.last_mut().expect("caller exists");
-        for (i, dst) in frame.ret_dsts.iter().enumerate() {
+        };
+        for (i, dst) in ret_dsts.iter().enumerate() {
             caller.regs[dst.0 as usize] = vals.get(i).copied().unwrap_or(0);
         }
-        self.frame_pool.push(frame);
         Ok(None)
+    }
+
+    /// Tears down the top frame, on a return or a `longjmp` unwind: fires
+    /// `on_frame_exit` over its allocas, releases its stack, drops its
+    /// jump points and pools its buffers. Returns the caller registers
+    /// awaiting its return values.
+    fn teardown_frame(&mut self) -> &'m [RegId] {
+        let frame = self.frames.pop().expect("frame exists");
+        self.hook(|h, ctx| h.on_frame_exit(&frame.allocas, ctx));
+        self.stack_top = frame.frame_base;
+        self.drop_dead_jump_points();
+        let ret_dsts = frame.ret_dsts;
+        self.frame_pool.push(frame);
+        ret_dsts
     }
 
     /// Drops the jump points of frames that returned or were unwound. A
@@ -852,29 +878,12 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
             }
             Inst::Load { dst, mem, addr } => {
                 let a = self.val(addr) as u64;
-                let clamp = self.pending_clamp.take();
-                let v = load(
-                    &mut self.mem,
-                    &mut self.stats,
-                    &mut self.cache,
-                    a,
-                    *mem,
-                    clamp,
-                )?;
+                let v = load(&mut self.mem, &mut self.stats, &mut self.ctx, a, *mem)?;
                 self.set_reg(*dst, v);
             }
             Inst::Store { mem, addr, value } => {
                 let (a, v) = (self.val(addr) as u64, self.val(value));
-                let clamp = self.pending_clamp.take();
-                store(
-                    &mut self.mem,
-                    &mut self.stats,
-                    &mut self.cache,
-                    a,
-                    *mem,
-                    v,
-                    clamp,
-                )?;
+                store(&mut self.mem, &mut self.stats, &mut self.ctx, a, *mem, v)?;
             }
             Inst::Gep {
                 dst,
@@ -945,29 +954,16 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
                     abuf[i] = self.val(v);
                 }
                 hand_off_meta_len(&mut self.pending_meta_len, *rt, &mut abuf);
-                let avs = &abuf[..args.len()];
                 let va = self.frames.last().expect("frame").varargs.len() as u64;
-                self.ctx.reset(va);
-                self.ctx.pc = self.stats.insts;
-                self.stats.rt_calls += 1;
-                // Classification shared with the pre-decoded lane so the
-                // two can never disagree on what counts as a check.
-                if rt.is_check() {
-                    self.stats.checks += 1;
-                } else if rt.is_meta_load() {
-                    self.stats.meta_loads += 1;
-                } else if rt.is_meta_store() {
-                    self.stats.meta_stores += 1;
-                }
-                let res = self.hooks.rt_call(*rt, avs, &mut self.mem, &mut self.ctx);
-                charge_ctx(&mut self.stats, &mut self.ctx, &mut self.cache);
-                // A repair-and-continue runtime absorbed a violation:
-                // carry its clamp order to the access this check guards
-                // (conditional, so intervening metadata ops pass through).
-                if let Some(r) = self.ctx.repair.take() {
-                    self.pending_clamp = Some(r);
-                }
-                let vals = res?;
+                let vals = rt_call(
+                    &mut self.hooks,
+                    &mut self.mem,
+                    &mut self.stats,
+                    &mut self.ctx,
+                    va,
+                    *rt,
+                    &abuf[..args.len()],
+                )?;
                 for (i, d) in dsts.iter().enumerate() {
                     self.set_reg(*d, vals[i]);
                 }
@@ -1030,7 +1026,6 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
     /// runtime cost plus the access's cycle — in the oracle's exact
     /// order, including the possibility of fuel exhausting between the
     /// check and the access. Only the dispatch is paid once.
-    #[allow(clippy::too_many_lines)]
     fn run_exec(&mut self, fid: FuncId, args: &[i64]) -> Result<Flow, Trap> {
         let exec: &'m ExecModule = self.exec.expect("exec attached");
         let fuel_end = self.fuel_end;
@@ -1092,28 +1087,12 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
                     }
                     Op::Load { dst, mem, addr } => {
                         let a = regs[addr as usize] as u64;
-                        let clamp = self.pending_clamp.take();
-                        regs[dst as usize] = load(
-                            &mut self.mem,
-                            &mut self.stats,
-                            &mut self.cache,
-                            a,
-                            mem,
-                            clamp,
-                        )?;
+                        regs[dst as usize] =
+                            load(&mut self.mem, &mut self.stats, &mut self.ctx, a, mem)?;
                     }
                     Op::Store { mem, addr, value } => {
                         let (a, v) = (regs[addr as usize] as u64, regs[value as usize]);
-                        let clamp = self.pending_clamp.take();
-                        store(
-                            &mut self.mem,
-                            &mut self.stats,
-                            &mut self.cache,
-                            a,
-                            mem,
-                            v,
-                            clamp,
-                        )?;
+                        store(&mut self.mem, &mut self.stats, &mut self.ctx, a, mem, v)?;
                     }
                     Op::CheckLoad {
                         rt,
@@ -1132,31 +1111,23 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
                             regs[bound as usize],
                             mem.size() as i64,
                         ];
-                        self.ctx.reset(va);
-                        self.ctx.pc = self.stats.insts;
-                        self.stats.rt_calls += 1;
-                        self.stats.checks += 1;
-                        let res = self.hooks.rt_call(rt, &avs, &mut self.mem, &mut self.ctx);
-                        charge_ctx(&mut self.stats, &mut self.ctx, &mut self.cache);
-                        // The fused pair consumes a repair order directly:
-                        // the guarded access is the very next half of this
-                        // op.
-                        let repair = self.ctx.repair.take();
-                        res?;
+                        rt_call(
+                            &mut self.hooks,
+                            &mut self.mem,
+                            &mut self.stats,
+                            &mut self.ctx,
+                            va,
+                            rt,
+                            &avs,
+                        )?;
                         // Second half: the guarded load, with its own fuel
                         // and instruction tick.
                         if self.stats.insts == fuel_end {
                             return Err(Trap::FuelExhausted);
                         }
                         self.stats.insts += 1;
-                        regs[dst as usize] = load(
-                            &mut self.mem,
-                            &mut self.stats,
-                            &mut self.cache,
-                            p as u64,
-                            mem,
-                            repair,
-                        )?;
+                        regs[dst as usize] =
+                            load(&mut self.mem, &mut self.stats, &mut self.ctx, p as u64, mem)?;
                     }
                     Op::CheckStore {
                         rt,
@@ -1173,27 +1144,26 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
                             regs[bound as usize],
                             mem.size() as i64,
                         ];
-                        self.ctx.reset(va);
-                        self.ctx.pc = self.stats.insts;
-                        self.stats.rt_calls += 1;
-                        self.stats.checks += 1;
-                        let res = self.hooks.rt_call(rt, &avs, &mut self.mem, &mut self.ctx);
-                        charge_ctx(&mut self.stats, &mut self.ctx, &mut self.cache);
-                        let repair = self.ctx.repair.take();
-                        res?;
+                        rt_call(
+                            &mut self.hooks,
+                            &mut self.mem,
+                            &mut self.stats,
+                            &mut self.ctx,
+                            va,
+                            rt,
+                            &avs,
+                        )?;
                         if self.stats.insts == fuel_end {
                             return Err(Trap::FuelExhausted);
                         }
                         self.stats.insts += 1;
-                        let a = p as u64;
                         store(
                             &mut self.mem,
                             &mut self.stats,
-                            &mut self.cache,
-                            a,
+                            &mut self.ctx,
+                            p as u64,
                             mem,
                             v,
-                            repair,
                         )?;
                     }
                     Op::Gep {
@@ -1233,31 +1203,15 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
                             *a = regs[s as usize];
                         }
                         hand_off_meta_len(&mut self.pending_meta_len, rt, &mut abuf);
-                        self.ctx.reset(va);
-                        self.ctx.pc = self.stats.insts;
-                        self.stats.rt_calls += 1;
-                        if rt.is_check() {
-                            self.stats.checks += 1;
-                        } else if rt.is_meta_load() {
-                            self.stats.meta_loads += 1;
-                        } else if rt.is_meta_store() {
-                            self.stats.meta_stores += 1;
-                        }
-                        let res = self.hooks.rt_call(
+                        let vals = rt_call(
+                            &mut self.hooks,
+                            &mut self.mem,
+                            &mut self.stats,
+                            &mut self.ctx,
+                            va,
                             rt,
                             &abuf[..srcs.len()],
-                            &mut self.mem,
-                            &mut self.ctx,
-                        );
-                        charge_ctx(&mut self.stats, &mut self.ctx, &mut self.cache);
-                        // Un-fused checks (e.g. before pointer-typed loads,
-                        // where a metadata load sits between check and
-                        // access) hand their repair order to the next
-                        // load/store.
-                        if let Some(r) = self.ctx.repair.take() {
-                            self.pending_clamp = Some(r);
-                        }
-                        let vals = res?;
+                        )?;
                         for (i, d) in func.regs[dsts.range()].iter().enumerate() {
                             regs[d.0 as usize] = vals[i];
                         }
@@ -1325,7 +1279,6 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
 
     // ------------------------------------------------------------ builtins
 
-    #[allow(clippy::too_many_lines)]
     fn builtin(
         &mut self,
         b: Builtin,
@@ -1353,9 +1306,7 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
                         // Only a block the heap handed out costs in
                         // proportion to its size.
                         self.stats.cycles += size / 64;
-                        self.ctx.reset(0);
-                        self.hooks.on_malloc(p, size, &mut self.ctx);
-                        charge_ctx(&mut self.stats, &mut self.ctx, &mut self.cache);
+                        self.hook(|h, ctx| h.on_malloc(p, size, ctx));
                         set(self, 0, p as i64);
                         if wrapped {
                             set(self, 1, p as i64);
@@ -1377,9 +1328,7 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
                 self.stats.cycles += 15;
                 if p != 0 {
                     let size = self.heap.dealloc(p).ok_or(Trap::BadFree { addr: p })?;
-                    self.ctx.reset(0);
-                    self.hooks.on_free(p, size, ptr_hint, &mut self.ctx);
-                    charge_ctx(&mut self.stats, &mut self.ctx, &mut self.cache);
+                    self.hook(|h, ctx| h.on_free(p, size, ptr_hint, ctx));
                 }
             }
             Builtin::Memcpy => {
@@ -1650,14 +1599,8 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
                     let jp = &self.setjmps[i];
                     let (depth, block, idx_r, dst) = (jp.depth, jp.block, jp.idx, jp.dst);
                     while self.frames.len() > depth + 1 {
-                        let dead = self.frames.pop().expect("frame");
-                        self.ctx.reset(0);
-                        self.hooks.on_frame_exit(&dead.allocas, &mut self.ctx);
-                        charge_ctx(&mut self.stats, &mut self.ctx, &mut self.cache);
-                        self.stack_top = dead.frame_base;
-                        self.frame_pool.push(dead);
+                        self.teardown_frame();
                     }
-                    self.drop_dead_jump_points();
                     let f = self.frames.last_mut().expect("frame");
                     f.block = block;
                     f.idx = idx_r;
@@ -1750,13 +1693,6 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
         if lo >= base && lo.checked_add(len).is_some_and(|end| end <= bound) {
             return Ok(len);
         }
-        let va = self
-            .frames
-            .last()
-            .map(|f| f.varargs.len() as u64)
-            .unwrap_or(0);
-        self.ctx.reset(va);
-        self.ctx.pc = self.stats.insts;
         let violation = BuiltinViolation {
             ptr: lo,
             len,
@@ -1764,9 +1700,7 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
             bound,
             write,
         };
-        let disposition = self.hooks.on_builtin_violation(&violation, &mut self.ctx);
-        charge_ctx(&mut self.stats, &mut self.ctx, &mut self.cache);
-        match disposition {
+        match self.hook(|h, ctx| h.on_builtin_violation(&violation, ctx)) {
             ViolationDisposition::Trap => Err(Trap::SpatialViolation {
                 scheme: "softbound-wrapper",
                 addr: if lo < base || lo >= bound { lo } else { bound },
@@ -1785,17 +1719,7 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
     /// libc-interposition point used by object-table and addressability
     /// schemes).
     fn hook_range(&mut self, ptr: u64, len: u64, is_store: bool) -> Result<(), Trap> {
-        let va = self
-            .frames
-            .last()
-            .map(|f| f.varargs.len() as u64)
-            .unwrap_or(0);
-        self.ctx.reset(va);
-        let r = self
-            .hooks
-            .check_builtin_range(ptr, len, is_store, &mut self.ctx);
-        charge_ctx(&mut self.stats, &mut self.ctx, &mut self.cache);
-        r
+        self.hook(|h, ctx| h.check_builtin_range(ptr, len, is_store, ctx))
     }
 
     /// Copies `n` bytes through a fixed stack chunk: the host allocates

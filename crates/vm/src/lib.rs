@@ -34,7 +34,6 @@ pub use mem::{
     PAGE_SIZE, STACK_BASE,
 };
 pub use rt::{
-    AccessSink, BuiltinViolation, CacheConfig, CacheSim, CacheStats, CostModel, ExecStats,
-    NoRuntime, NoopSink, Outcome, RtCtx, RtVals, RuntimeHooks, ScratchSink, Trap,
-    ViolationDisposition, COST_MODEL,
+    BuiltinViolation, CacheConfig, CacheSim, CacheStats, CostModel, ExecStats, NoRuntime, Outcome,
+    RtCtx, RtVals, RuntimeHooks, Trap, ViolationDisposition, COST_MODEL,
 };

@@ -1,6 +1,7 @@
 //! Runtime interfaces: traps, outcomes, statistics, the x86-style cost
 //! model, an optional L1 cache model, and the [`RuntimeHooks`] trait that
-//! safety schemes (SoftBound, object tables, redzones, MSCC) implement.
+//! safety schemes (SoftBound, object tables, redzones, MSCC) implement,
+//! with the [`RtCtx`] their calls run in.
 
 use crate::mem::{Mem, MemFault};
 use sb_ir::{AllocaInfo, RtFn};
@@ -333,139 +334,55 @@ impl CacheSim {
     }
 }
 
-/// Consumer of metadata-access side effects: cost in x86-equivalent
-/// instructions and the simulated table addresses the access touched.
+/// The context a safety runtime's helper runs in: the helper adds its
+/// cost in x86-equivalent instructions and reports each simulated table
+/// line it touches through [`touch`](RtCtx::touch), and reads the VM
+/// facts it needs (current vararg count, call-site PC). A
+/// repair-and-continue runtime hands its clamp order back here.
 ///
-/// This replaces the old `(cost: &mut u64, touched: &mut Vec<u64>)`
-/// out-parameter convention. Implementations decide what to retain:
-/// [`RtCtx`] records cost always and addresses only when a cache model
-/// consumes them, [`ScratchSink`] is a reusable recorder for tests, and
-/// [`NoopSink`] discards everything (pure data-structure benchmarks).
-pub trait AccessSink {
-    /// Adds `cost` x86-equivalent instructions.
-    fn add_cost(&mut self, cost: u64);
-
-    /// Reports a touched simulated metadata-table address.
-    fn touch(&mut self, table_addr: u64);
-
-    /// Reports one complete metadata access — cost plus the table
-    /// address it touched — in a single virtual dispatch. This is the
-    /// facilities' hot-path entry point; the split methods remain for
-    /// callers that only have one half to report.
-    fn record(&mut self, cost: u64, table_addr: u64) {
-        self.add_cost(cost);
-        if self.wants_addresses() {
-            self.touch(table_addr);
-        }
-    }
-
-    /// True when [`touch`](AccessSink::touch) addresses are consumed —
-    /// lets facilities skip work that only feeds the cache model.
-    fn wants_addresses(&self) -> bool {
-        true
-    }
-}
-
-/// Sink that discards cost and addresses (for benchmarking the bare data
-/// structures).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoopSink;
-
-impl AccessSink for NoopSink {
-    fn add_cost(&mut self, _cost: u64) {}
-
-    fn touch(&mut self, _table_addr: u64) {}
-
-    fn record(&mut self, _cost: u64, _table_addr: u64) {}
-
-    fn wants_addresses(&self) -> bool {
-        false
-    }
-}
-
-/// Reusable recorder of cost and touched addresses (tests and
-/// cost-accounting harnesses).
-#[derive(Debug, Default)]
-pub struct ScratchSink {
-    /// Accumulated cost.
-    pub cost: u64,
-    /// Touched simulated table addresses, in order.
-    pub touched: Vec<u64>,
-}
-
-impl ScratchSink {
-    /// Creates an empty recorder.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Clears the recorder for reuse (keeps the buffer).
-    pub fn reset(&mut self) {
-        self.cost = 0;
-        self.touched.clear();
-    }
-}
-
-impl AccessSink for ScratchSink {
-    fn add_cost(&mut self, cost: u64) {
-        self.cost += cost;
-    }
-
-    fn touch(&mut self, table_addr: u64) {
-        self.touched.push(table_addr);
-    }
-}
-
-/// Scratch context handed to [`RuntimeHooks`] calls: the hook reports its
-/// cost and the memory addresses it touched (for the cache model), and can
-/// read VM facts (current vararg count).
+/// The machine owns one context for its whole life, and with it the
+/// optional L1 [`CacheSim`]: a touched line that misses adds its penalty
+/// to [`cost`](RtCtx::cost) at once, so the machine charges a helper by
+/// reading one number after the call.
 #[derive(Debug, Default)]
 pub struct RtCtx {
-    /// Cycles consumed by the helper (e.g. 5 for a shadow-space lookup).
+    /// Cycles consumed by the helper (e.g. 5 for a shadow-space lookup),
+    /// including the miss penalties of the table lines it touched.
     pub cost: u64,
-    /// Addresses the helper touched (metadata tables); fed to the cache.
-    pub touched: Vec<u64>,
-    /// True when a cache model is installed and consumes [`Self::touched`];
-    /// when false, [`AccessSink::touch`] is a no-op, so the interpreter's
-    /// check path does no per-access buffer work at all.
-    pub record_touched: bool,
-    /// Number of variadic arguments of the current frame (for `SbVaCheck`).
+    /// The machine's L1 cache model, when `MachineConfig::cache` is on.
+    /// Program accesses and runtime table touches share it.
+    pub cache: Option<CacheSim>,
+    /// Number of variadic arguments of the current frame (for
+    /// `SbVaCheck`). Lifecycle hooks see 0.
     pub vararg_count: u64,
     /// Dynamic instruction index at the call site — the "PC" a runtime
     /// stamps into evidence records. The machine writes it before every
-    /// check-shaped hook call; [`reset`](RtCtx::reset) leaves it alone.
+    /// hook call; [`reset`](RtCtx::reset) leaves it alone.
     pub pc: u64,
     /// Repair order from a repair-and-continue runtime: `Some((base,
     /// bound))` means "the check I just ran would have trapped; perform
-    /// the guarded access clamped to these bounds instead". The machine
-    /// consumes it on the very next load/store (check and access are
-    /// adjacent by construction of the instrumentation pass).
+    /// the guarded access clamped to these bounds instead". It waits here,
+    /// across any metadata calls in between, until the machine's very
+    /// next load/store takes it (check and access are adjacent by
+    /// construction of the instrumentation pass).
     pub repair: Option<(u64, u64)>,
 }
 
 impl RtCtx {
-    /// Resets for the next call (reusing the buffer).
+    /// Resets for the next call; the cache model, the PC and a waiting
+    /// repair order stay.
     pub fn reset(&mut self, vararg_count: u64) {
         self.cost = 0;
-        self.touched.clear();
         self.vararg_count = vararg_count;
-        self.repair = None;
-    }
-}
-
-impl AccessSink for RtCtx {
-    fn add_cost(&mut self, cost: u64) {
-        self.cost += cost;
     }
 
-    fn touch(&mut self, table_addr: u64) {
-        if self.record_touched {
-            self.touched.push(table_addr);
+    /// Reports a touched simulated metadata-table address: under the
+    /// cache model, a miss adds its penalty to [`cost`](RtCtx::cost).
+    #[inline]
+    pub fn touch(&mut self, table_addr: u64) {
+        if let Some(c) = &mut self.cache {
+            self.cost += c.access(table_addr);
         }
-    }
-
-    fn wants_addresses(&self) -> bool {
-        self.record_touched
     }
 }
 
@@ -512,9 +429,6 @@ pub type RtVals = [i64; 2];
 /// them here together with allocation-lifecycle events. Implementations
 /// live in the `softbound` and `sb-baselines` crates.
 pub trait RuntimeHooks {
-    /// Short identifier for diagnostics (e.g. `"softbound-shadow"`).
-    fn name(&self) -> &'static str;
-
     /// Executes a runtime helper.
     ///
     /// # Errors
@@ -605,10 +519,6 @@ pub trait RuntimeHooks {
 pub struct NoRuntime;
 
 impl RuntimeHooks for NoRuntime {
-    fn name(&self) -> &'static str {
-        "none"
-    }
-
     fn rt_call(
         &mut self,
         rt: RtFn,
@@ -704,12 +614,19 @@ mod tests {
     fn rtctx_reuse() {
         let mut ctx = RtCtx {
             cost: 9,
+            cache: Some(CacheSim::new(CacheConfig::CORE2_L1)),
             ..RtCtx::default()
         };
-        ctx.touched.push(0x10);
+        ctx.touch(0x10);
+        ctx.touch(0x18);
+        assert_eq!(ctx.cost, 9 + CacheConfig::CORE2_L1.miss_penalty);
         ctx.reset(3);
         assert_eq!(ctx.cost, 0);
-        assert!(ctx.touched.is_empty());
         assert_eq!(ctx.vararg_count, 3);
+        // The cache model survives the reset: the line is still warm.
+        ctx.touch(0x10);
+        assert_eq!(ctx.cost, 0);
+        let stats = ctx.cache.as_ref().expect("cache kept").stats;
+        assert_eq!((stats.accesses, stats.misses), (3, 1));
     }
 }

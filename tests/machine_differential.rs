@@ -22,7 +22,7 @@
 //! check/metadata counts, runtime violation counters, live metadata, and
 //! — for lanes sharing a cost model — identical cycles and final memory.
 
-use sb_vm::{Machine, MachineConfig, Outcome, Trap};
+use sb_vm::{CacheConfig, CacheStats, Machine, MachineConfig, Outcome, Trap};
 use softbound::{
     Engine, EvidenceRecord, MetadataFacility, PolicyAction, Program, SoftBoundConfig,
     SoftBoundRuntime, ViolationPolicy,
@@ -822,6 +822,98 @@ fn fuel_runs_out_on_the_same_instruction_in_both_lanes() {
         assert!(
             split > 0,
             "{name}: no budget ends inside a check+access pair"
+        );
+    }
+}
+
+/// Outcome, cycles and cache statistics of one run of `program`'s `main`.
+fn cache_obs<F: MetadataFacility>(
+    program: &Program,
+    rt: SoftBoundRuntime<F>,
+    arg: i64,
+    predecoded: bool,
+    cache: bool,
+) -> (Outcome, u64, CacheStats) {
+    let cfg = MachineConfig {
+        cache,
+        ..MachineConfig::default()
+    };
+    let mut machine = Machine::new(program.module(), cfg, rt);
+    let r = if predecoded {
+        machine.attach_exec(program.exec());
+        machine.run_predecoded("main", &[arg])
+    } else {
+        machine.run("main", &[arg])
+    };
+    (r.outcome, r.stats.cycles, r.stats.cache)
+}
+
+/// Runs `program` under the runtimes `make` builds, in both lanes with
+/// the cache model on, and once without it. Both lanes must agree on
+/// every field, and the model must add exactly one miss penalty per
+/// miss to the cache-free cycles.
+fn cache_lanes<F: MetadataFacility>(
+    name: &str,
+    program: &Program,
+    make: impl Fn() -> SoftBoundRuntime<F>,
+    arg: i64,
+) -> (Outcome, u64, CacheStats) {
+    let tree = cache_obs(program, make(), arg, false, true);
+    let exec = cache_obs(program, make(), arg, true, true);
+    assert_eq!(tree, exec, "{name}: cache-model lanes diverged");
+    let (outcome, flat, _) = cache_obs(program, make(), arg, true, false);
+    assert_eq!(
+        tree.0, outcome,
+        "{name}: the cache model changed the outcome"
+    );
+    assert_eq!(
+        tree.1,
+        flat + tree.2.misses * CacheConfig::CORE2_L1.miss_penalty,
+        "{name}: cycles are not the flat cycles plus the miss penalties"
+    );
+    tree
+}
+
+#[test]
+fn cache_model_identical_across_lanes() {
+    // The Figure 2 table serves the pre-decoded lane with the cache model
+    // on. Pinned: the paged shadow's Full-mode cycles, cache accesses
+    // and misses on the kernels of `safe_workloads_identical_across_all_lanes`.
+    let pins = [
+        ("compress", 4_600_324, 291_008, 35_668),
+        ("ijpeg", 21_189_839, 618_560, 268),
+        ("tsp", 1_277_452, 162_180, 270),
+        ("treeadd", 1_821_414, 92_115, 27_684),
+        ("health", 856_627, 63_553, 5_129),
+    ];
+    let cfg = SoftBoundConfig::full_shadow();
+    for (name, cycles, accesses, misses) in pins {
+        let w = sb_workloads::benchmark_by_name(name).expect("workload exists");
+        let program = Engine::new()
+            .softbound_config(cfg.clone())
+            .compile(w.source)
+            .expect("program compiles");
+        let arg = w.default_arg;
+        let paged = cache_lanes(name, &program, || SoftBoundRuntime::new_paged(&cfg), arg);
+        let oracle = cache_lanes(
+            name,
+            &program,
+            || SoftBoundRuntime::new_shadow_hashmap(&cfg),
+            arg,
+        );
+        let hash = cache_lanes(name, &program, || SoftBoundRuntime::new_hash(&cfg), arg);
+        assert!(
+            matches!(paged.0, Outcome::Finished { .. }),
+            "{name}: {:?}",
+            paged.0
+        );
+        // The shadow organizations touch the same simulated table lines.
+        assert_eq!(paged, oracle, "{name}: paged vs hashmap shadow diverged");
+        assert_eq!(paged.0, hash.0, "{name}: shadow vs hash table diverged");
+        assert_eq!(
+            (paged.1, paged.2.accesses, paged.2.misses),
+            (cycles, accesses, misses),
+            "{name}: cache-model cycles, accesses or misses moved"
         );
     }
 }
