@@ -20,7 +20,7 @@ use sb_ir::{
     ArithOp, Callee, Function, GInit, Global, Inst, IntKind, MemTy, Module, RegId, RegKind, RtFn,
     Value,
 };
-use sb_vm::{Mem, RtCtx, RtVals, RuntimeHooks, Trap};
+use sb_vm::{out_of_bounds, Mem, RtCtx, RtVals, RuntimeHooks, Trap};
 use softbound::SoftBoundError;
 
 /// Function prefix for the fat-pointer transformation.
@@ -469,7 +469,7 @@ impl RuntimeHooks for FatPtrRuntime {
                     args[2] as u64,
                     args[3] as u64,
                 );
-                if base == 0 || ptr < base || ptr.wrapping_add(size) > bound {
+                if base == 0 || out_of_bounds(ptr, size, base, bound).is_some() {
                     Err(Trap::SpatialViolation {
                         scheme: "fatptr",
                         addr: ptr,

@@ -8,7 +8,8 @@
 //!   checking over a real [splay tree](splay) (compatible but incomplete:
 //!   no sub-object overflows; Table 1/Table 4);
 //! * [`valgrind`] — Memcheck-style heap addressability with redzones
-//!   under a DBI cost model (misses stack/global overflows; Table 4);
+//!   under a DBI cost model (misses stack/global overflows; Table 4),
+//!   instrumented by Mudflap's dereference pass;
 //! * [`fatptr`] — SafeC/CCured-SEQ inline fat pointers, with the
 //!   memory-layout incompatibility made executable (§2.2, Table 1);
 //! * [`mscc`] — MSCC-style disjoint metadata without wild-cast support
@@ -28,4 +29,4 @@ pub use mscc::{instrument_mscc, run_mscc, MsccRuntime};
 pub use object_table::{instrument_object_scheme, ObjectScheme, ObjectTableRuntime};
 pub use scheme::Scheme;
 pub use splay::SplayTree;
-pub use valgrind::{instrument_valgrind, ValgrindRuntime, REDZONE};
+pub use valgrind::{ValgrindRuntime, REDZONE};

@@ -17,7 +17,7 @@
 //! cost profile differ.
 
 use sb_ir::{Module, RtFn};
-use sb_vm::{Mem, RtCtx, RtVals, RuntimeHooks, Trap};
+use sb_vm::{out_of_bounds, Mem, RtCtx, RtVals, RuntimeHooks, Trap};
 use softbound::SoftBoundError;
 use softbound::{instrument_flavored, Flavor, Meta, SoftBoundConfig};
 use std::collections::HashMap;
@@ -71,7 +71,7 @@ impl RuntimeHooks for MsccRuntime {
                     args[2] as u64,
                     args[3] as u64,
                 );
-                if ptr < base || ptr.wrapping_add(size) > bound {
+                if out_of_bounds(ptr, size, base, bound).is_some() {
                     Err(Trap::SpatialViolation {
                         scheme: "mscc",
                         addr: ptr,

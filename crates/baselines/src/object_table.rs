@@ -12,7 +12,7 @@
 //! and Table 4 report.
 
 use crate::splay::SplayTree;
-use sb_ir::{Inst, MemTy, Module, RtFn, Value};
+use sb_ir::{Inst, Module, RtFn, Value};
 use sb_vm::{Mem, RtCtx, RtVals, RuntimeHooks, Trap};
 
 /// Synthetic address region of the object table (for the cache model).
@@ -37,9 +37,12 @@ impl ObjectScheme {
     }
 }
 
-/// Instruments a module with object-table checks. No functions are
-/// renamed and no signatures change — the compatibility advantage of
-/// object-based schemes (Table 1).
+/// Instruments every load and store with a [`RtFn::DerefCheck`] of its
+/// address and size, and under Jones-Kelly every `gep` with an arithmetic
+/// check. No functions are renamed and no signatures change — the
+/// compatibility advantage of object-based schemes (Table 1). Mudflap's
+/// dereference-only pass also models Valgrind's interception of every
+/// memory access.
 pub fn instrument_object_scheme(module: &Module, scheme: ObjectScheme) -> Module {
     let mut m = module.clone();
     let arith = scheme == ObjectScheme::JonesKelly;
@@ -55,7 +58,7 @@ pub fn instrument_object_scheme(module: &Module, scheme: ObjectScheme) -> Module
                     Inst::Load { mem, addr, .. } => {
                         out.push(Inst::Rt {
                             dsts: vec![],
-                            rt: RtFn::ObjCheckDeref { is_store: false },
+                            rt: RtFn::DerefCheck { is_store: false },
                             args: vec![*addr, Value::Const(mem.size() as i64)],
                         });
                         out.push(inst);
@@ -63,7 +66,7 @@ pub fn instrument_object_scheme(module: &Module, scheme: ObjectScheme) -> Module
                     Inst::Store { mem, addr, .. } => {
                         out.push(Inst::Rt {
                             dsts: vec![],
-                            rt: RtFn::ObjCheckDeref { is_store: true },
+                            rt: RtFn::DerefCheck { is_store: true },
                             args: vec![*addr, Value::Const(mem.size() as i64)],
                         });
                         out.push(inst);
@@ -83,7 +86,6 @@ pub fn instrument_object_scheme(module: &Module, scheme: ObjectScheme) -> Module
             b.insts = out;
         }
     }
-    let _ = MemTy::I8; // (kept import small)
     m
 }
 
@@ -105,17 +107,34 @@ impl ObjectTableRuntime {
         }
     }
 
-    /// Registered object count.
-    pub fn object_count(&self) -> usize {
-        self.tree.len()
-    }
-
     fn charge(visited: u64, ctx: &mut RtCtx) {
         // ~6 instructions of fixed overhead per check plus ~3 per splay
         // node visited (compare + two pointer loads).
         ctx.cost += 6 + 3 * visited;
         for i in 0..visited.min(8) {
             ctx.touch(OBJTABLE_BASE + i * 64);
+        }
+    }
+
+    /// One whole-object check: the `size` bytes at `ptr` must lie in a
+    /// registered object.
+    fn deref_check(
+        &mut self,
+        ptr: u64,
+        size: u64,
+        write: bool,
+        ctx: &mut RtCtx,
+    ) -> Result<(), Trap> {
+        self.check_count += 1;
+        let (hit, visited) = self.tree.find_covering(ptr);
+        Self::charge(visited, ctx);
+        match hit {
+            Some((base, osize)) if ptr + size <= base + osize => Ok(()),
+            _ => Err(Trap::SpatialViolation {
+                scheme: self.scheme.name(),
+                addr: ptr,
+                write,
+            }),
         }
     }
 }
@@ -129,19 +148,9 @@ impl RuntimeHooks for ObjectTableRuntime {
         ctx: &mut RtCtx,
     ) -> Result<RtVals, Trap> {
         match rt {
-            RtFn::ObjCheckDeref { is_store } => {
-                self.check_count += 1;
-                let (ptr, size) = (args[0] as u64, args[1] as u64);
-                let (hit, visited) = self.tree.find_covering(ptr);
-                Self::charge(visited, ctx);
-                match hit {
-                    Some((base, osize)) if ptr + size <= base + osize => Ok([0, 0]),
-                    _ => Err(Trap::SpatialViolation {
-                        scheme: self.scheme.name(),
-                        addr: ptr,
-                        write: is_store,
-                    }),
-                }
+            RtFn::DerefCheck { is_store } => {
+                self.deref_check(args[0] as u64, args[1] as u64, is_store, ctx)?;
+                Ok([0, 0])
             }
             RtFn::ObjCheckArith => {
                 self.check_count += 1;
@@ -210,26 +219,18 @@ impl RuntimeHooks for ObjectTableRuntime {
         self.tree.insert(addr, size.max(1));
     }
 
+    /// The libc wrappers of object-based tools: one whole-object check
+    /// per buffer, by address alone.
     fn check_builtin_range(
         &mut self,
         ptr: u64,
         len: u64,
-        is_store: bool,
+        write: bool,
+        _bounds: Option<(u64, u64)>,
         ctx: &mut RtCtx,
-    ) -> Result<(), Trap> {
-        // The libc wrappers of object-based tools: one whole-object check
-        // per buffer.
-        self.check_count += 1;
-        let (hit, visited) = self.tree.find_covering(ptr);
-        Self::charge(visited, ctx);
-        match hit {
-            Some((base, osize)) if ptr + len <= base + osize => Ok(()),
-            _ => Err(Trap::SpatialViolation {
-                scheme: self.scheme.name(),
-                addr: ptr,
-                write: is_store,
-            }),
-        }
+    ) -> Result<u64, Trap> {
+        self.deref_check(ptr, len, write, ctx)?;
+        Ok(len)
     }
 
     fn reset(&mut self) {

@@ -4,7 +4,7 @@
 use crate::fatptr::{self, FatPtrRuntime};
 use crate::mscc::{instrument_mscc, MsccRuntime};
 use crate::object_table::{instrument_object_scheme, ObjectScheme, ObjectTableRuntime};
-use crate::valgrind::{instrument_valgrind, ValgrindRuntime, REDZONE};
+use crate::valgrind::{ValgrindRuntime, REDZONE};
 use sb_ir::Module;
 use sb_vm::{Machine, MachineConfig, NoRuntime, RunResult, RuntimeHooks};
 use softbound::{Engine, Facility, SoftBoundConfig, SoftBoundError, SoftBoundRuntime};
@@ -69,8 +69,11 @@ impl Scheme {
         let mut m = match self {
             Scheme::Uninstrumented => module,
             Scheme::JonesKelly => instrument_object_scheme(&module, ObjectScheme::JonesKelly),
-            Scheme::Mudflap => instrument_object_scheme(&module, ObjectScheme::Mudflap),
-            Scheme::Valgrind => instrument_valgrind(&module),
+            // Valgrind intercepts every access, as Mudflap's pass checks
+            // every dereference.
+            Scheme::Mudflap | Scheme::Valgrind => {
+                instrument_object_scheme(&module, ObjectScheme::Mudflap)
+            }
             Scheme::Mscc => instrument_mscc(&module),
             Scheme::SoftBound(_) | Scheme::FatPointer => unreachable!("handled above"),
         };
@@ -170,10 +173,32 @@ mod tests {
         }
     "#;
 
+    /// `strncmp` over an unterminated block that holds exactly `n` bytes:
+    /// the compare reads no byte past it.
+    const EXACT_STRNCMP: &str = r#"
+        int main() {
+            char* p = (char*)malloc(4);
+            for (int i = 0; i < 4; i++) p[i] = 'a' + i;
+            return strncmp(p, "abcd", 4) == 0;
+        }
+    "#;
+
     const HEAP_OVERFLOW: &str = r#"
         int main() {
             char* p = (char*)malloc(8);
             p[8] = 'x';
+            return 0;
+        }
+    "#;
+
+    /// A 4-byte store at 2^64 - 2 through a pointer carrying a 16-byte
+    /// heap object's bounds: `ptr + 4` wraps past zero.
+    const WRAPAROUND_STORE: &str = r#"
+        int main() {
+            char* p = (char*)malloc(16);
+            long k = -(long)p - 2;   // p + k == 0xffff_ffff_ffff_fffe
+            int* q = (int*)(p + k);
+            *q = 1;
             return 0;
         }
     "#;
@@ -190,8 +215,10 @@ mod tests {
             Scheme::FatPointer,
             Scheme::Mscc,
         ] {
-            let r = scheme.run(SAFE, "main", &[]).expect("compiles");
-            assert_eq!(r.ret(), Some(1), "{}: {:?}", scheme.label(), r.outcome);
+            for src in [SAFE, EXACT_STRNCMP] {
+                let r = scheme.run(src, "main", &[]).expect("compiles");
+                assert_eq!(r.ret(), Some(1), "{}: {:?}", scheme.label(), r.outcome);
+            }
         }
     }
 
@@ -209,6 +236,22 @@ mod tests {
             assert!(
                 r.outcome.is_spatial_violation(),
                 "{} should detect the heap overflow: {:?}",
+                scheme.label(),
+                r.outcome
+            );
+        }
+        // The pointer-based schemes bound the access by the pointer's
+        // metadata, wraparound included. (Valgrind treats addresses
+        // outside the heap as addressable.)
+        for scheme in [
+            Scheme::SoftBound(SoftBoundConfig::full_shadow()),
+            Scheme::FatPointer,
+            Scheme::Mscc,
+        ] {
+            let r = scheme.run(WRAPAROUND_STORE, "main", &[]).expect("compiles");
+            assert!(
+                r.outcome.is_spatial_violation(),
+                "{} should detect the wrapping store: {:?}",
                 scheme.label(),
                 r.outcome
             );

@@ -8,10 +8,17 @@
 //! **global** array overflows (no redzones there), plus all sub-object
 //! overflows. Costs model DBI: a large fixed per-memory-access penalty
 //! (Memcheck typically slows programs 10–30×).
+//!
+//! Memcheck intercepts every memory access and needs no recompilation,
+//! so the baseline instruments with Mudflap's dereference pass
+//! ([`instrument_object_scheme`](crate::object_table::instrument_object_scheme)
+//! with [`ObjectScheme::Mudflap`](crate::object_table::ObjectScheme::Mudflap)): a
+//! [`RtFn::DerefCheck`] before each load and store, which this runtime
+//! answers from its addressability map.
 
 use std::collections::BTreeMap;
 
-use sb_ir::{Inst, Module, RtFn, Value};
+use sb_ir::RtFn;
 use sb_vm::{Mem, RtCtx, RtVals, RuntimeHooks, Trap, HEAP_BASE, STACK_BASE};
 
 /// Synthetic address of the addressability bitmap (for the cache model).
@@ -23,45 +30,6 @@ pub const DBI_CHECK_COST: u64 = 22;
 /// Redzone padding the harness should configure on the heap allocator
 /// when running this baseline.
 pub const REDZONE: u64 = 16;
-
-/// Instruments every load/store with an addressability check (modelling
-/// Memcheck's interception of all memory accesses). No IR beyond checks —
-/// binary instrumentation needs no recompilation.
-pub fn instrument_valgrind(module: &Module) -> Module {
-    let mut m = module.clone();
-    for f in &mut m.funcs {
-        if !f.defined {
-            continue;
-        }
-        for b in &mut f.blocks {
-            let insts = std::mem::take(&mut b.insts);
-            let mut out = Vec::with_capacity(insts.len() * 2);
-            for inst in insts {
-                match &inst {
-                    Inst::Load { mem, addr, .. } => {
-                        out.push(Inst::Rt {
-                            dsts: vec![],
-                            rt: RtFn::VgCheck { is_store: false },
-                            args: vec![*addr, Value::Const(mem.size() as i64)],
-                        });
-                        out.push(inst);
-                    }
-                    Inst::Store { mem, addr, .. } => {
-                        out.push(Inst::Rt {
-                            dsts: vec![],
-                            rt: RtFn::VgCheck { is_store: true },
-                            args: vec![*addr, Value::Const(mem.size() as i64)],
-                        });
-                        out.push(inst);
-                    }
-                    _ => out.push(inst),
-                }
-            }
-            b.insts = out;
-        }
-    }
-    m
-}
 
 /// The Memcheck-like runtime: a live-heap-block map standing in for the
 /// addressability bitmap.
@@ -113,7 +81,7 @@ impl RuntimeHooks for ValgrindRuntime {
         ctx: &mut RtCtx,
     ) -> Result<RtVals, Trap> {
         match rt {
-            RtFn::VgCheck { is_store } => {
+            RtFn::DerefCheck { is_store } => {
                 self.heap_check(args[0] as u64, args[1] as u64, is_store, ctx)?;
                 Ok([0, 0])
             }
@@ -131,14 +99,18 @@ impl RuntimeHooks for ValgrindRuntime {
         ctx.cost += 15;
     }
 
+    /// Memcheck sees a libc call's accesses like any other: one
+    /// addressability check per buffer, by address alone.
     fn check_builtin_range(
         &mut self,
         ptr: u64,
         len: u64,
-        is_store: bool,
+        write: bool,
+        _bounds: Option<(u64, u64)>,
         ctx: &mut RtCtx,
-    ) -> Result<(), Trap> {
-        self.heap_check(ptr, len, is_store, ctx)
+    ) -> Result<u64, Trap> {
+        self.heap_check(ptr, len, write, ctx)?;
+        Ok(len)
     }
 
     fn reset(&mut self) {
@@ -150,13 +122,14 @@ impl RuntimeHooks for ValgrindRuntime {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::object_table::{instrument_object_scheme, ObjectScheme};
     use sb_vm::{Machine, MachineConfig};
 
     fn run_vg(src: &str) -> sb_vm::RunResult {
         let prog = sb_cir::compile(src).expect("compiles");
         let mut m = sb_ir::lower(&prog, "t");
         sb_ir::optimize(&mut m, sb_ir::OptLevel::PreInstrument);
-        let m = instrument_valgrind(&m);
+        let m = instrument_object_scheme(&m, ObjectScheme::Mudflap);
         sb_ir::verify(&m).expect("verifies");
         let cfg = MachineConfig {
             redzone: REDZONE,

@@ -43,11 +43,6 @@ pub fn run_uninstrumented(w: &Workload) -> RunResult {
     machine.run("main", &[w.default_arg])
 }
 
-/// Percentage formatter (one decimal).
-pub fn pct(x: f64) -> String {
-    format!("{:.1}%", 100.0 * x)
-}
-
 /// Overhead of `cycles` relative to `base` as a fraction (0.79 = 79%).
 pub fn overhead(base: u64, cycles: u64) -> f64 {
     if base == 0 {

@@ -139,6 +139,29 @@ impl Builtin {
         })
     }
 
+    /// How many of [`sig`](Builtin::sig)'s parameters are pointers,
+    /// without building the signature: a call a pointer-based pass wraps
+    /// (§5.2) carries one `(base, bound)` pair for each.
+    pub fn ptr_params(self) -> usize {
+        match self {
+            Builtin::Memcpy
+            | Builtin::Strcpy
+            | Builtin::Strncpy
+            | Builtin::Strcmp
+            | Builtin::Strncmp
+            | Builtin::Strcat => 2,
+            Builtin::Free
+            | Builtin::Memset
+            | Builtin::Strlen
+            | Builtin::Printf
+            | Builtin::Puts
+            | Builtin::Setjmp
+            | Builtin::Longjmp
+            | Builtin::Setbound => 1,
+            _ => 0,
+        }
+    }
+
     /// The builtin's signature (`vararg` for printf).
     pub fn sig(self) -> FuncSig {
         let vp = Ty::void_ptr;
@@ -453,6 +476,14 @@ mod tests {
         assert_eq!(m.params, vec![Ty::long()]);
         assert!(!m.vararg);
         assert!(Builtin::Printf.sig().vararg);
+        let names = "malloc calloc free memcpy memset strcpy strncpy strlen strcmp strncmp \
+                     strcat printf puts putchar abort exit assert setjmp longjmp rand srand \
+                     setbound va_count va_arg_long va_arg_ptr";
+        for name in names.split_whitespace() {
+            let b = Builtin::from_name(name).expect("a builtin");
+            let ptrs = b.sig().params.iter().filter(|t| t.is_ptr()).count();
+            assert_eq!(b.ptr_params(), ptrs, "{name}");
+        }
     }
 
     #[test]

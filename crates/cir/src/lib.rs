@@ -43,6 +43,13 @@ pub use parser::parse;
 pub use typeck::{check, check_with_layout};
 pub use types::{IntKind, PtrLayout, Ty, TypeTable};
 
+/// Guest memory a program may use in each segment, 256 MiB: a declared
+/// object or a global segment past it is a compile error, the heap
+/// returns NULL past it, and a call whose frame would grow the stack past
+/// it traps `OutOfMemory`. What a guest commits of host memory is bounded
+/// by this, not by a size the guest names.
+pub const MEMORY_LIMIT: u64 = 256 << 20;
+
 /// Parses and type-checks a CIR-C source string in one call.
 ///
 /// # Errors

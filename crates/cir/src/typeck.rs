@@ -13,6 +13,7 @@ use crate::ast::{
 use crate::error::{CompileError, Pos, Result};
 use crate::hir::*;
 use crate::types::{FuncSig, IntKind, PtrLayout, Ty, TypeTable};
+use crate::MEMORY_LIMIT;
 use std::collections::HashMap;
 
 /// Type-checks a parsed unit with the default thin-pointer layout.
@@ -60,6 +61,8 @@ struct Checker {
     func_sigs: HashMap<String, FuncSig>,
     funcs: Vec<FuncDef>,
     strings: Vec<Vec<u8>>,
+    /// Bytes the globals declared so far take, laid out in order.
+    global_bytes: u64,
     // Per-function state.
     locals: Vec<Local>,
     scopes: Vec<HashMap<String, LocalId>>,
@@ -78,6 +81,7 @@ impl Checker {
             func_sigs: HashMap::new(),
             funcs: Vec::new(),
             strings: Vec::new(),
+            global_bytes: 0,
             locals: Vec::new(),
             scopes: Vec::new(),
             ret_ty: Ty::Void,
@@ -162,6 +166,23 @@ impl Checker {
             Ty::Func(_) => self.err("function type is not a value type", pos),
             _ => Ok(()),
         }
+    }
+
+    /// Returns the size of an object of (complete) type `ty`, rejecting
+    /// one past [`MEMORY_LIMIT`]: no run could hold it, and lowering would
+    /// walk every pointer slot in it.
+    fn require_fits(&self, ty: &Ty, pos: Pos) -> Result<u64> {
+        let size = self.types.size_of(ty);
+        if size > MEMORY_LIMIT {
+            return self.err(
+                format!(
+                    "object is too large: {size} bytes, past the {} MiB memory limit",
+                    MEMORY_LIMIT >> 20
+                ),
+                pos,
+            );
+        }
+        Ok(size)
     }
 
     fn resolve_ty(&mut self, t: &TypeExpr, pos: Pos) -> Result<Ty> {
@@ -299,6 +320,18 @@ impl Checker {
                     rty = Ty::Array(elem.clone(), n);
                 }
                 self.require_complete(&rty, *pos)?;
+                let size = self.require_fits(&rty, *pos)?;
+                let align = self.types.align_of(&rty).max(1);
+                self.global_bytes = self.global_bytes.div_ceil(align) * align + size.max(1);
+                if self.global_bytes > MEMORY_LIMIT {
+                    return self.err(
+                        format!(
+                            "global segment is too large: past the {} MiB memory limit",
+                            MEMORY_LIMIT >> 20
+                        ),
+                        *pos,
+                    );
+                }
                 if self.global_tys.contains_key(name) {
                     return self.err(format!("duplicate global `{name}`"), *pos);
                 }
@@ -623,6 +656,7 @@ impl Checker {
                     rty = Ty::Array(elem.clone(), n);
                 }
                 self.require_complete(&rty, pos)?;
+                self.require_fits(&rty, pos)?;
                 let id = LocalId(self.locals.len() as u32);
                 self.locals.push(Local {
                     name: name.clone(),

@@ -292,11 +292,6 @@ impl TypeTable {
         }
     }
 
-    /// The pointer layout in effect.
-    pub fn ptr_layout(&self) -> PtrLayout {
-        self.layout
-    }
-
     /// Reserves an id for a named struct before its fields are known,
     /// enabling recursive types (`struct list { struct list* next; }`).
     pub fn declare(&mut self, name: &str, is_union: bool) -> StructId {

@@ -463,6 +463,14 @@ mod tests {
             "struct s { char a[9223372036854775807][2]; char b; long c; }; \
              int main() { return 0; }",
             "struct s { char c; long a[2305843009213693951]; }; int main() { return 0; }",
+            // Objects past the 256 MiB memory limit: lowering would walk
+            // 2^27 pointer slots, an instance would commit 4 GiB of
+            // globals, a frame would map 512 MiB.
+            "char* g[134217728]; int main(int n) { return 3; }",
+            "char g[4294967296]; int main(int n) { return 3; }",
+            "int main() { char b[536870912]; b[0] = 1; return b[0]; }",
+            // A global segment past it, each object within.
+            "char a[209715200]; char b[209715200]; int main() { return 0; }",
         ] {
             let err = Engine::new().compile(src).expect_err(src);
             assert!(matches!(err, SoftBoundError::Compile(_)), "{src}: {err}");

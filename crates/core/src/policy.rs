@@ -27,6 +27,8 @@
 //! "clamped" control transfer, and continuing past either would turn a
 //! detected hijack into undefined behaviour.
 
+pub use sb_vm::first_oob_byte;
+
 /// How the runtime responds when a bounds check fails (the checks
 /// themselves are identical under every policy).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -98,18 +100,6 @@ pub struct EvidenceRecord {
     pub write: bool,
     /// What the policy did about it.
     pub action: PolicyAction,
-}
-
-/// Normalizes a violating access to its first out-of-bounds byte: the
-/// pointer itself when it starts outside `[base, bound)` (including the
-/// NULL-bounds `base == bound == 0` encoding), otherwise `bound` — the
-/// convention wrapper traps established and evidence records share.
-pub fn first_oob_byte(ptr: u64, base: u64, bound: u64) -> u64 {
-    if ptr < base || ptr >= bound {
-        ptr
-    } else {
-        bound
-    }
 }
 
 /// Records each non-Strict instance's evidence ring holds between

@@ -15,7 +15,7 @@ use crate::policy::{
     first_oob_byte, EvidenceRecord, EvidenceRing, PolicyAction, ViolationPolicy, EVIDENCE_CAPACITY,
 };
 use sb_ir::RtFn;
-use sb_vm::{BuiltinViolation, Mem, RtCtx, RtVals, RuntimeHooks, Trap, ViolationDisposition};
+use sb_vm::{out_of_bounds, Mem, RtCtx, RtVals, RuntimeHooks, Trap};
 
 /// Cost of the bounds check itself (two compares + branch, §3.1).
 pub const CHECK_COST: u64 = 3;
@@ -156,13 +156,10 @@ impl<F: MetadataFacility> SoftBoundRuntime<F> {
         ctx: &mut RtCtx,
     ) -> Result<(), Trap> {
         self.check_count += 1;
-        // `ptr + size` must not wrap: a huge pointer or size whose sum
-        // wraps past zero would otherwise compare below `bound` and pass.
-        let end_in_bounds = ptr.checked_add(size).is_some_and(|end| end <= bound);
-        if ptr < base || !end_in_bounds || base == 0 {
+        if base == 0 || out_of_bounds(ptr, size, base, bound).is_some() {
             let Some(action) = self.absorb(ptr, size, (base, bound), write, ctx.pc) else {
                 // Strict counts a trapping check; a trapping wrapper
-                // (`on_builtin_violation`) stays uncounted.
+                // (`check_builtin_range`) stays uncounted.
                 self.violation_count += 1;
                 return Err(Trap::SpatialViolation {
                     scheme: "softbound",
@@ -270,22 +267,36 @@ impl<F: MetadataFacility> RuntimeHooks for SoftBoundRuntime<F> {
         }
     }
 
-    /// Decides what a libc-wrapper bounds failure does. Under Strict the
-    /// builtin traps without touching the runtime's violation counter
-    /// (wrapper traps fire in the VM, not in an `SbCheck`; the
-    /// differential suites pin that counter). Under Hardened/Monitor the
-    /// violation is counted, evidence is recorded with the wrapper's
-    /// whole intended range as the access size, and the builtin clamps or
-    /// proceeds.
-    fn on_builtin_violation(
+    /// The §5.2 libc-wrapper check of one buffer, before the builtin
+    /// touches it. Out of bounds, Strict traps `"softbound-wrapper"` at
+    /// the first out-of-bounds byte without touching the violation
+    /// counter (the differential suites pin that counter to the explicit
+    /// checks). Hardened and Monitor count the violation and record
+    /// evidence with the whole buffer as the access size; Hardened then
+    /// lets the builtin touch only the in-bounds prefix (none when the
+    /// buffer starts outside), Monitor all of it.
+    fn check_builtin_range(
         &mut self,
-        v: &BuiltinViolation,
+        ptr: u64,
+        len: u64,
+        write: bool,
+        bounds: Option<(u64, u64)>,
         ctx: &mut RtCtx,
-    ) -> ViolationDisposition {
-        match self.absorb(v.ptr, v.len, (v.base, v.bound), v.write, ctx.pc) {
-            None => ViolationDisposition::Trap,
-            Some(PolicyAction::Observed) => ViolationDisposition::Observe,
-            Some(_) => ViolationDisposition::Clamp,
+    ) -> Result<u64, Trap> {
+        let Some((base, bound)) = bounds else {
+            return Ok(len);
+        };
+        let Some(fault) = out_of_bounds(ptr, len, base, bound) else {
+            return Ok(len);
+        };
+        match self.absorb(ptr, len, (base, bound), write, ctx.pc) {
+            None => Err(Trap::SpatialViolation {
+                scheme: "softbound-wrapper",
+                addr: fault,
+                write,
+            }),
+            Some(PolicyAction::Observed) => Ok(len),
+            Some(_) => Ok(fault - ptr),
         }
     }
 
@@ -574,21 +585,22 @@ mod tests {
 
     #[test]
     fn builtin_violation_disposition_follows_policy() {
-        let v = BuiltinViolation {
-            ptr: 0x1030,
-            len: 0x20,
-            base: 0x1000,
-            bound: 0x1040,
-            write: true,
-        };
-        let mut ctx = RtCtx {
-            pc: 7,
-            ..RtCtx::default()
+        // A 0x20-byte write at 0x1030 into [0x1000, 0x1040).
+        let check = |rt: &mut SoftBoundRuntime<ShadowPages>| {
+            let mut ctx = RtCtx {
+                pc: 7,
+                ..RtCtx::default()
+            };
+            rt.check_builtin_range(0x1030, 0x20, true, Some((0x1000, 0x1040)), &mut ctx)
         };
         let mut strict = SoftBoundRuntime::new_paged(&SoftBoundConfig::default());
         assert_eq!(
-            strict.on_builtin_violation(&v, &mut ctx),
-            ViolationDisposition::Trap
+            check(&mut strict),
+            Err(Trap::SpatialViolation {
+                scheme: "softbound-wrapper",
+                addr: 0x1040,
+                write: true
+            })
         );
         assert_eq!(
             strict.violation_count, 0,
@@ -596,10 +608,7 @@ mod tests {
         );
 
         let mut hardened = SoftBoundRuntime::new_paged(&SoftBoundConfig::hardened());
-        assert_eq!(
-            hardened.on_builtin_violation(&v, &mut ctx),
-            ViolationDisposition::Clamp
-        );
+        assert_eq!(check(&mut hardened), Ok(0x10), "in-bounds prefix");
         let ev = hardened.drain_evidence();
         assert_eq!(ev[0].fault_addr, 0x1040, "in-bounds start clamps at bound");
         assert_eq!(ev[0].size, 0x20);
@@ -608,10 +617,7 @@ mod tests {
         assert_eq!(hardened.violation_count, 1);
 
         let mut monitor = SoftBoundRuntime::new_paged(&SoftBoundConfig::monitor());
-        assert_eq!(
-            monitor.on_builtin_violation(&v, &mut ctx),
-            ViolationDisposition::Observe
-        );
+        assert_eq!(check(&mut monitor), Ok(0x20), "the whole buffer");
         assert_eq!(monitor.drain_evidence()[0].action, PolicyAction::Observed);
     }
 

@@ -572,7 +572,8 @@ fn rewrite_builtin(
     }
     // Library-wrapper behaviour (§5.2): append (base, bound) for each
     // pointer parameter, in declaration order, after all arguments. The VM
-    // builtins read them positionally and perform the wrapper checks.
+    // hands each pair, with the buffer it bounds, to the runtime's
+    // `check_builtin_range`.
     let sig = b.sig();
     let mut new_args = args.clone();
     for (i, pty) in sig.params.iter().enumerate() {

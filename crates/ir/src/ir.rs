@@ -147,13 +147,10 @@ pub enum RtFn {
     /// Object-table arithmetic check (Jones-Kelly): args `[src, result]`;
     /// result must stay in (or one past) src's object.
     ObjCheckArith,
-    /// Object-table dereference check (Mudflap-style): args `[ptr, size]`.
-    ObjCheckDeref {
-        /// True for store checks.
-        is_store: bool,
-    },
-    /// Valgrind/Memcheck-style addressability check: args `[ptr, size]`.
-    VgCheck {
+    /// Address-based dereference check: args `[ptr, size]`. The
+    /// object-table schemes look the address up in their registry,
+    /// Valgrind/Memcheck in its addressability map.
+    DerefCheck {
         /// True for store checks.
         is_store: bool,
     },
@@ -193,8 +190,7 @@ impl RtFn {
         matches!(
             self,
             RtFn::SbCheck { .. }
-                | RtFn::ObjCheckDeref { .. }
-                | RtFn::VgCheck { .. }
+                | RtFn::DerefCheck { .. }
                 | RtFn::MsccCheck { .. }
                 | RtFn::FatCheck { .. }
                 | RtFn::ObjCheckArith

@@ -53,10 +53,7 @@ fn rt_arg_count(rt: RtFn) -> usize {
     match rt {
         RtFn::SbCheck { .. } | RtFn::MsccCheck { .. } | RtFn::FatCheck { .. } => 4,
         RtFn::SbMetaStore | RtFn::SbMemcpyMeta | RtFn::MsccMetaStore | RtFn::SbFnCheck => 3,
-        RtFn::SbMetaClear
-        | RtFn::ObjCheckArith
-        | RtFn::ObjCheckDeref { .. }
-        | RtFn::VgCheck { .. } => 2,
+        RtFn::SbMetaClear | RtFn::ObjCheckArith | RtFn::DerefCheck { .. } => 2,
         RtFn::SbMetaLoad | RtFn::SbVaCheck | RtFn::MsccMetaLoad | RtFn::MsccVaCheck => 1,
     }
 }

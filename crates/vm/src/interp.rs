@@ -41,12 +41,13 @@
 //! instead.
 
 use crate::exec::{global_layout_into, ExecCallee, ExecFunc, ExecModule, Op};
-use crate::mem::{decode_fn_addr, fn_addr, Heap, Mem, FN_BASE, GLOBAL_BASE, STACK_BASE};
+use crate::mem::{decode_fn_addr, fn_addr, Heap, Mem, GLOBAL_BASE, STACK_BASE};
 use crate::rt::{
-    BuiltinViolation, CacheConfig, CacheSim, ExecStats, NoRuntime, Outcome, RtCtx, RtVals,
-    RuntimeHooks, Trap, ViolationDisposition, COST_MODEL,
+    CacheConfig, CacheSim, ExecStats, NoRuntime, Outcome, RtCtx, RtVals, RuntimeHooks, Trap,
+    COST_MODEL,
 };
 use sb_cir::hir::Builtin;
+use sb_cir::MEMORY_LIMIT;
 use sb_ir::opt::{eval_bin, eval_cmp};
 use sb_ir::{Callee, FuncId, Inst, MemTy, Module, RegId, RtFn, Value};
 
@@ -65,7 +66,8 @@ fn hand_off_meta_len(pending: &mut Option<u64>, rt: RtFn, args: &mut [i64]) {
 
 /// Machine configuration: only what a caller varies. Every machine
 /// charges the same [`COST_MODEL`], captures at most 1 MiB of program
-/// output, and traps `OutOfMemory` past 100 000 nested calls.
+/// output, and traps `OutOfMemory` past 100 000 nested calls or a stack
+/// of [`MEMORY_LIMIT`] bytes.
 #[derive(Debug, Clone)]
 pub struct MachineConfig {
     /// Model the Core 2 L1 data cache ([`CacheConfig::CORE2_L1`]);
@@ -90,7 +92,8 @@ impl Default for MachineConfig {
 /// Captured program output is cut off at this many bytes: a `printf` or
 /// `puts` piece that would cross it is dropped whole.
 const OUTPUT_LIMIT: usize = 1 << 20;
-/// Call depth past which a call traps `OutOfMemory`.
+/// Call depth past which a call traps `OutOfMemory`, as does a call
+/// that would grow the stack past [`MEMORY_LIMIT`] bytes.
 const MAX_DEPTH: usize = 100_000;
 
 /// The result of one execution.
@@ -446,12 +449,6 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
         &mut self.hooks
     }
 
-    /// Address of a named global (for tests and attack drivers).
-    pub fn global_addr(&self, name: &str) -> Option<u64> {
-        let id = self.module.global_id(name)?;
-        Some(self.global_addrs[id.0 as usize])
-    }
-
     fn layout_globals(&mut self) {
         // The walk is shared with `ExecModule::lower`, which folds these
         // addresses into constant slots — the two must agree by
@@ -490,9 +487,9 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
     }
 
     /// Runs one lifecycle hook — a global, an alloca, a frame exit, a
-    /// heap allocation or free, a builtin's range check or wrapper
-    /// violation — in a reset context stamped with the current PC, and
-    /// charges its cost. Lifecycle hooks see a vararg count of 0.
+    /// heap allocation or free, a builtin's range check — in a reset
+    /// context stamped with the current PC, and charges its cost.
+    /// Lifecycle hooks see a vararg count of 0.
     fn hook<R>(&mut self, call: impl FnOnce(&mut H, &mut RtCtx) -> R) -> R {
         self.ctx.reset(0);
         self.ctx.pc = self.stats.insts;
@@ -669,13 +666,16 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
         if !f.defined {
             return Err(Trap::UndefinedFunction(f.name.clone()));
         }
-        if self.frames.len() >= MAX_DEPTH {
-            return Err(Trap::OutOfMemory);
-        }
         let plan = &self.plans[fid.0 as usize];
         let (plan_size, fp_slot, token_slot) = (plan.size, plan.fp_slot, plan.token_slot);
         let n_allocas = plan.allocas.len();
         let frame_base = self.stack_top.div_ceil(16) * 16;
+        // Every frame page is mapped below, so the stack is bounded in
+        // bytes as well as in depth.
+        let stack_end = (frame_base - STACK_BASE).saturating_add(plan_size);
+        if self.frames.len() >= MAX_DEPTH || stack_end > MEMORY_LIMIT {
+            return Err(Trap::OutOfMemory);
+        }
         self.mem.map_range(frame_base, plan_size);
         self.stack_top = frame_base + plan_size;
 
@@ -1292,6 +1292,14 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
                 m.set_reg(d, v);
             }
         };
+        // A wrapped builtin that returns a pointer also returns its bounds.
+        let set_bounds = |m: &mut Self, bounds: Option<(u64, u64)>| {
+            if let Some((lo, hi)) = bounds {
+                set(m, 1, lo as i64);
+                set(m, 2, hi as i64);
+            }
+        };
+        let (args, bounds) = wrapped_operands(b, args, wrapped);
         match b {
             Builtin::Malloc | Builtin::Calloc => {
                 let size = if b == Builtin::Calloc {
@@ -1301,26 +1309,18 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
                 };
                 self.stats.mallocs += 1;
                 self.stats.cycles += 30;
-                match self.heap.alloc(&mut self.mem, size) {
-                    Some(p) => {
-                        // Only a block the heap handed out costs in
-                        // proportion to its size.
-                        self.stats.cycles += size / 64;
-                        self.hook(|h, ctx| h.on_malloc(p, size, ctx));
-                        set(self, 0, p as i64);
-                        if wrapped {
-                            set(self, 1, p as i64);
-                            set(self, 2, (p + size) as i64);
-                        }
-                    }
-                    None => {
-                        set(self, 0, 0);
-                        if wrapped {
-                            set(self, 1, 0);
-                            set(self, 2, 0);
-                        }
-                    }
+                let block = self.heap.alloc(&mut self.mem, size);
+                if let Some(p) = block {
+                    // Only a block the heap handed out costs in
+                    // proportion to its size.
+                    self.stats.cycles += size / 64;
+                    self.hook(|h, ctx| h.on_malloc(p, size, ctx));
                 }
+                set(self, 0, block.unwrap_or(0) as i64);
+                set_bounds(
+                    self,
+                    wrapped.then(|| block.map_or((0, 0), |p| (p, p + size))),
+                );
             }
             Builtin::Free => {
                 let p = args[0] as u64;
@@ -1333,46 +1333,35 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
             }
             Builtin::Memcpy => {
                 let (d, s, n) = (args[0] as u64, args[1] as u64, args[2].max(0) as u64);
-                let mut eff = n;
+                // One check per buffer, at the start (§5.2). A clamping
+                // policy truncates the copy to what both buffers can
+                // legally provide/receive.
+                let es = self.check_range(s, n, false, bounds(1))?;
+                let ed = self.check_range(d, n, true, bounds(0))?;
+                let eff = es.min(ed);
                 if wrapped {
-                    // One check per buffer, at the start (§5.2). A
-                    // clamping policy truncates the copy to what both
-                    // buffers can legally provide/receive.
-                    let es = self.wrapper_check(s, n, args[3 + 2], args[3 + 3], false)?; // src bounds
-                    let ed = self.wrapper_check(d, n, args[3], args[3 + 1], true)?; // dst bounds
-                    eff = es.min(ed);
                     self.stats.checks += 2;
                     self.stats.cycles += 6;
                 }
-                self.hook_range(s, eff, false)?;
-                self.hook_range(d, eff, true)?;
                 self.copy_bytes(d, s, eff)?;
                 self.pending_meta_len = (eff < n).then_some(eff);
                 // Charged for the bytes copied: a clamp that let 16
                 // bytes through costs 16, not the requested `n`.
                 self.stats.cycles += 4 + eff / 8;
                 set(self, 0, d as i64);
-                if wrapped {
-                    set(self, 1, args[3]);
-                    set(self, 2, args[4]);
-                }
+                set_bounds(self, bounds(0));
             }
             Builtin::Memset => {
                 let (d, c, n) = (args[0] as u64, args[1] as u8, args[2].max(0) as u64);
-                let mut eff = n;
+                let eff = self.check_range(d, n, true, bounds(0))?;
                 if wrapped {
-                    eff = self.wrapper_check(d, n, args[3], args[4], true)?;
                     self.stats.checks += 1;
                     self.stats.cycles += 3;
                 }
-                self.hook_range(d, eff, true)?;
                 self.fill(d, c, eff)?;
                 self.stats.cycles += 4 + eff / 8;
                 set(self, 0, d as i64);
-                if wrapped {
-                    set(self, 1, args[3]);
-                    set(self, 2, args[4]);
-                }
+                set_bounds(self, bounds(0));
             }
             Builtin::Strcpy | Builtin::Strcat => {
                 let (d, s) = (args[0] as u64, args[1] as u64);
@@ -1383,10 +1372,9 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
                     0
                 };
                 let n = sv.len() as u64 + 1;
-                let (mut eff_s, mut eff_d) = (n, n);
+                let eff_s = self.check_range(s, n, false, bounds(1))?;
+                let eff_d = self.check_range(d + dlen, n, true, bounds(0))?;
                 if wrapped {
-                    eff_s = self.wrapper_check(s, n, args[4], args[5], false)?;
-                    eff_d = self.wrapper_check(d + dlen, n, args[2], args[3], true)?;
                     self.stats.checks += 2;
                     self.stats.cycles += 6;
                 }
@@ -1396,8 +1384,6 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
                 // still fits).
                 let payload = &sv[..sv.len().min(eff_s as usize)];
                 let w = (payload.len() as u64 + 1).min(eff_d);
-                self.hook_range(s, eff_s.min(n), false)?;
-                self.hook_range(d + dlen, w, true)?;
                 self.mem
                     .write(d + dlen, &payload[..payload.len().min(w as usize)])?;
                 if w > payload.len() as u64 {
@@ -1405,24 +1391,18 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
                 }
                 self.stats.cycles += 4 + n;
                 set(self, 0, d as i64);
-                if wrapped {
-                    set(self, 1, args[2]);
-                    set(self, 2, args[3]);
-                }
+                set_bounds(self, bounds(0));
             }
             Builtin::Strncpy => {
                 let (d, s, n) = (args[0] as u64, args[1] as u64, args[2].max(0) as u64);
                 let sv = self.mem.read_cstr(s, n)?;
                 let src_len = (sv.len() as u64 + 1).min(n);
-                let (mut eff_d, mut eff_s) = (n, src_len);
+                let eff_d = self.check_range(d, n, true, bounds(0))?;
+                let eff_s = self.check_range(s, src_len, false, bounds(1))?;
                 if wrapped {
-                    eff_d = self.wrapper_check(d, n, args[3], args[4], true)?;
-                    eff_s = self.wrapper_check(s, src_len, args[5], args[6], false)?;
                     self.stats.checks += 2;
                     self.stats.cycles += 6;
                 }
-                self.hook_range(s, eff_s.min(src_len), false)?;
-                self.hook_range(d, eff_d.min(n), true)?;
                 // Clamped source: payload ends at the boundary (zero-fill
                 // behaves like an early terminator). Clamped destination:
                 // the n-byte write is truncated to the in-bounds prefix.
@@ -1434,60 +1414,36 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
                 self.fill(d + payload.len() as u64, 0, w - payload.len() as u64)?;
                 self.stats.cycles += 4 + w;
                 set(self, 0, d as i64);
-                if wrapped {
-                    set(self, 1, args[3]);
-                    set(self, 2, args[4]);
-                }
+                set_bounds(self, bounds(0));
             }
             Builtin::Strlen => {
                 let s = args[0] as u64;
                 let sv = self.mem.read_cstr(s, 1 << 20)?;
-                let n = sv.len() as u64 + 1;
-                let mut eff = n;
+                let eff = self.check_range(s, sv.len() as u64 + 1, false, bounds(0))?;
                 if wrapped {
-                    eff = self.wrapper_check(s, n, args[1], args[2], false)?;
                     self.stats.checks += 1;
                     self.stats.cycles += 3;
                 }
-                self.hook_range(s, eff.min(n), false)?;
                 self.stats.cycles += 2 + sv.len() as u64;
                 // A clamped scan stops at the boundary: the zero-fill
                 // past the object reads as a terminator.
                 set(self, 0, (sv.len() as u64).min(eff) as i64);
             }
             Builtin::Strcmp | Builtin::Strncmp => {
-                let a = self.mem.read_cstr(args[0] as u64, 1 << 20)?;
-                let c = self.mem.read_cstr(args[1] as u64, 1 << 20)?;
-                let (a, c, alen, clen) = if b == Builtin::Strncmp {
-                    let n = args[2].max(0) as usize;
-                    // A bounded compare touches at most n bytes of each
-                    // string: the terminator is only read when the string
-                    // ends before the limit.
-                    let alen = (a.len() as u64 + 1).min(n as u64);
-                    let clen = (c.len() as u64 + 1).min(n as u64);
-                    let (a, c) = (a[..a.len().min(n)].to_vec(), c[..c.len().min(n)].to_vec());
-                    (a, c, alen, clen)
-                } else {
-                    let (alen, clen) = (a.len() as u64 + 1, c.len() as u64 + 1);
-                    (a, c, alen, clen)
+                // A bounded compare reads at most n bytes of each string:
+                // the terminator only when a string ends before the limit.
+                let n = match b {
+                    Builtin::Strncmp => args[2].max(0) as u64,
+                    _ => u64::MAX,
                 };
-                let (mut eff_a, mut eff_c) = (alen, clen);
+                let (pa, pc) = (args[0] as u64, args[1] as u64);
+                let a = self.mem.read_cstr(pa, n.min(1 << 20))?;
+                let c = self.mem.read_cstr(pc, n.min(1 << 20))?;
+                let a_len = (a.len() as u64 + 1).min(n);
+                let c_len = (c.len() as u64 + 1).min(n);
+                let eff_a = self.check_range(pa, a_len, false, bounds(0))?;
+                let eff_c = self.check_range(pc, c_len, false, bounds(1))?;
                 if wrapped {
-                    let boff = if b == Builtin::Strncmp { 3 } else { 2 };
-                    eff_a = self.wrapper_check(
-                        args[0] as u64,
-                        alen,
-                        args[boff],
-                        args[boff + 1],
-                        false,
-                    )?;
-                    eff_c = self.wrapper_check(
-                        args[1] as u64,
-                        clen,
-                        args[boff + 2],
-                        args[boff + 3],
-                        false,
-                    )?;
                     self.stats.checks += 2;
                     self.stats.cycles += 6;
                 }
@@ -1495,8 +1451,6 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
                 // terminator), so a clamped compare sees the truncation.
                 let a = &a[..a.len().min(eff_a as usize)];
                 let c = &c[..c.len().min(eff_c as usize)];
-                self.hook_range(args[0] as u64, a.len() as u64 + 1, false)?;
-                self.hook_range(args[1] as u64, c.len() as u64 + 1, false)?;
                 self.stats.cycles += 2 + a.len().min(c.len()) as u64;
                 set(
                     self,
@@ -1509,18 +1463,16 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
                 );
             }
             Builtin::Printf => {
-                let n = self.printf(args, wrapped)?;
+                let n = self.printf(args, bounds(0))?;
                 set(self, 0, n);
             }
             Builtin::Puts => {
-                let s = self.mem.read_cstr(args[0] as u64, 1 << 20)?;
-                let n = s.len() as u64 + 1;
-                let mut eff = n;
+                let p = args[0] as u64;
+                let s = self.mem.read_cstr(p, 1 << 20)?;
+                let eff = self.check_range(p, s.len() as u64 + 1, false, bounds(0))?;
                 if wrapped {
-                    eff = self.wrapper_check(args[0] as u64, n, args[1], args[2], false)?;
                     self.stats.checks += 1;
                 }
-                self.hook_range(args[0] as u64, eff.min(n), false)?;
                 self.stats.cycles += 2 + s.len() as u64;
                 self.emit_out(&s[..s.len().min(eff as usize)]);
                 self.emit_out(b"\n");
@@ -1543,7 +1495,7 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
                 let buf = args[0] as u64;
                 let mut eff = 8u64;
                 if wrapped {
-                    eff = self.wrapper_check(buf, 8, args[1], args[2], true)?;
+                    eff = self.check_range(buf, 8, true, bounds(0))?;
                     self.stats.checks += 1;
                 }
                 let depth = self.frames.len() - 1;
@@ -1652,8 +1604,7 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
                 if wrapped && b == Builtin::VaArgPtr {
                     // Pointers decoded from varargs get NULL bounds — the
                     // safe default of §5.2 (any dereference traps).
-                    set(self, 1, 0);
-                    set(self, 2, 0);
+                    set_bounds(self, Some((0, 0)));
                 }
                 self.stats.cycles += 2;
             }
@@ -1661,65 +1612,17 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
         Ok(Flow::Continue)
     }
 
-    /// Wrapper-mode range check (the paper's library wrappers, §5.2):
-    /// `base <= lo && lo + len <= bound`, routed through the installed
-    /// runtime's violation policy. Returns how many bytes of the
-    /// intended range the builtin may touch:
-    ///
-    /// * in bounds — the full `len` (the common path; the runtime is
-    ///   not consulted, so a trap-policy run pays nothing here);
-    /// * violation, policy traps — `Trap::SpatialViolation` with scheme
-    ///   `"softbound-wrapper"`. The wrapper runs *before* the builtin
-    ///   touches memory, so nothing has been accessed yet; the reported
-    ///   address is the first out-of-bounds byte the builtin *would*
-    ///   have touched — `lo` when the access starts outside the object,
-    ///   otherwise `bound` (the first byte past the object an upward
-    ///   walk reaches). The libc conformance harness pins this address
-    ///   against the per-byte check path, which traps at the same byte;
-    /// * violation, policy clamps — the in-bounds prefix (`bound - lo`,
-    ///   or 0 when the range starts outside the object entirely);
-    /// * violation, policy observes — the full `len`.
-    fn wrapper_check(
+    /// Asks the installed runtime how many of the `len` bytes at `ptr` a
+    /// builtin may touch ([`RuntimeHooks::check_builtin_range`]);
+    /// `bounds` are the pointer's when the call is wrapped.
+    fn check_range(
         &mut self,
-        lo: u64,
+        ptr: u64,
         len: u64,
-        base: i64,
-        bound: i64,
         write: bool,
+        bounds: Option<(u64, u64)>,
     ) -> Result<u64, Trap> {
-        let (base, bound) = (base as u64, bound as u64);
-        // `lo + len` must not wrap: a near-`u64::MAX` pointer would
-        // otherwise wrap past zero and pass the bound comparison.
-        if lo >= base && lo.checked_add(len).is_some_and(|end| end <= bound) {
-            return Ok(len);
-        }
-        let violation = BuiltinViolation {
-            ptr: lo,
-            len,
-            base,
-            bound,
-            write,
-        };
-        match self.hook(|h, ctx| h.on_builtin_violation(&violation, ctx)) {
-            ViolationDisposition::Trap => Err(Trap::SpatialViolation {
-                scheme: "softbound-wrapper",
-                addr: if lo < base || lo >= bound { lo } else { bound },
-                write,
-            }),
-            ViolationDisposition::Clamp => Ok(if lo < base || lo >= bound {
-                0
-            } else {
-                bound - lo
-            }),
-            ViolationDisposition::Observe => Ok(len),
-        }
-    }
-
-    /// Reports a builtin-touched buffer to the installed runtime (the
-    /// libc-interposition point used by object-table and addressability
-    /// schemes).
-    fn hook_range(&mut self, ptr: u64, len: u64, is_store: bool) -> Result<(), Trap> {
-        self.hook(|h, ctx| h.check_builtin_range(ptr, len, is_store, ctx))
+        self.hook(|h, ctx| h.check_builtin_range(ptr, len, write, bounds, ctx))
     }
 
     /// Copies `n` bytes through a fixed stack chunk: the host allocates
@@ -1758,27 +1661,17 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
     /// Minimal printf: `%d %u %ld %lu %x %c %s %p %%` with optional `-`,
     /// `0` flags and width. Returns the number of bytes the format
     /// produces (saturating), whether or not they fit the output limit.
-    fn printf(&mut self, args: &[i64], wrapped: bool) -> Result<i64, Trap> {
+    /// Only a wrapped call (`fmt_bounds`) consults the runtime, which may
+    /// clamp the format scan at the boundary.
+    fn printf(&mut self, args: &[i64], fmt_bounds: Option<(u64, u64)>) -> Result<i64, Trap> {
         let fmt_ptr = args[0] as u64;
         let mut fmt = self.mem.read_cstr(fmt_ptr, 1 << 16)?;
-        // In wrapper mode the last two args are the fmt bounds.
-        let va_end = if wrapped {
-            args.len().saturating_sub(2)
-        } else {
-            args.len()
-        };
-        if wrapped {
-            // Routed through the shared wrapper check so the format
-            // string's trap address follows the same first-out-of-bounds
-            // byte convention as every other wrapper (it used to report
-            // `lo` unconditionally), and so non-trap policies can clamp
-            // the scan at the boundary instead.
-            let n = fmt.len() as u64 + 1;
-            let eff = self.wrapper_check(fmt_ptr, n, args[va_end], args[va_end + 1], false)?;
+        if fmt_bounds.is_some() {
+            let eff = self.check_range(fmt_ptr, fmt.len() as u64 + 1, false, fmt_bounds)?;
             fmt.truncate(fmt.len().min(eff as usize));
             self.stats.checks += 1;
         }
-        let varargs = &args[1..va_end];
+        let varargs = &args[1..];
         let mut ai = 0usize;
         let mut out: Vec<u8> = Vec::with_capacity(fmt.len() + 16);
         // `emit_out` drops output that would cross the limit whole, so
@@ -1870,6 +1763,25 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
     }
 }
 
+/// Splits a builtin call's operands into its C arguments and a reader of
+/// the bounds a wrapping pass appended after them (§5.2): one `(base,
+/// bound)` pair per pointer parameter, in declaration order, after all
+/// arguments, printf's varargs included. The reader returns `None` for
+/// an unwrapped call.
+fn wrapped_operands(
+    b: Builtin,
+    args: &[i64],
+    wrapped: bool,
+) -> (&[i64], impl Fn(usize) -> Option<(u64, u64)> + '_) {
+    let pairs = if wrapped { b.ptr_params() } else { 0 };
+    let (args, bounds) = args.split_at(args.len().saturating_sub(2 * pairs));
+    let read = |k: usize| {
+        let pair = bounds.get(2 * k..2 * k + 2)?;
+        Some((pair[0] as u64, pair[1] as u64))
+    };
+    (args, read)
+}
+
 fn extend(raw: u64, mem: MemTy) -> i64 {
     match mem {
         MemTy::I8 => raw as u8 as i8 as i64,
@@ -1895,11 +1807,6 @@ pub fn run_source(src: &str, entry: &str, args: &[i64]) -> RunResult {
     sb_ir::verify(&module).expect("module verifies");
     let mut m = Machine::uninstrumented(&module);
     m.run(entry, args)
-}
-
-/// True if `addr` is in the synthetic code segment.
-pub fn is_code_addr(addr: u64) -> bool {
-    addr >= FN_BASE
 }
 
 #[cfg(test)]

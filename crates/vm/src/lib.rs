@@ -28,12 +28,12 @@ pub mod mem;
 pub mod rt;
 
 pub use exec::{global_layout, global_layout_into, ExecCallee, ExecFunc, ExecModule, Op, PoolRef};
-pub use interp::{is_code_addr, run_source, Machine, MachineConfig, RunResult};
+pub use interp::{run_source, Machine, MachineConfig, RunResult};
 pub use mem::{
-    decode_fn_addr, fn_addr, Heap, HeapBlock, Mem, MemFault, FN_BASE, GLOBAL_BASE, HEAP_BASE,
-    PAGE_SIZE, STACK_BASE,
+    decode_fn_addr, fn_addr, Heap, Mem, MemFault, FN_BASE, GLOBAL_BASE, HEAP_BASE, PAGE_SIZE,
+    STACK_BASE,
 };
 pub use rt::{
-    BuiltinViolation, CacheConfig, CacheSim, CacheStats, CostModel, ExecStats, NoRuntime, Outcome,
-    RtCtx, RtVals, RuntimeHooks, Trap, ViolationDisposition, COST_MODEL,
+    first_oob_byte, out_of_bounds, CacheConfig, CacheSim, CacheStats, CostModel, ExecStats,
+    NoRuntime, Outcome, RtCtx, RtVals, RuntimeHooks, Trap, COST_MODEL,
 };

@@ -18,6 +18,7 @@
 //! silent corruption — exactly the behaviour that makes spatial bugs
 //! dangerous and bounds checking worthwhile.
 
+use sb_cir::MEMORY_LIMIT;
 use std::collections::HashMap;
 
 /// Page size in bytes.
@@ -495,16 +496,8 @@ fn fmix64(mut x: u64) -> u64 {
     x ^ (x >> 33)
 }
 
-/// One live heap allocation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HeapBlock {
-    /// User address.
-    pub addr: u64,
-    /// User-visible size.
-    pub size: u64,
-}
-
-/// Bump allocator with size-class free lists and optional redzones.
+/// Bump allocator with size-class free lists and optional redzones, over
+/// [`MEMORY_LIMIT`] bytes of address space from [`HEAP_BASE`].
 ///
 /// Redzones (`redzone > 0`) pad each allocation on both sides; the
 /// Valgrind-like baseline marks them unaddressable to catch heap
@@ -530,7 +523,7 @@ impl Heap {
     pub fn new(redzone: u64) -> Self {
         Heap {
             next: HEAP_BASE,
-            limit: HEAP_BASE + (64 << 30), // 64 GiB of address space
+            limit: HEAP_BASE + MEMORY_LIMIT,
             redzone,
             free: HashMap::new(),
             live: HashMap::new(),
@@ -553,8 +546,9 @@ impl Heap {
     }
 
     /// Allocates `size` bytes (16-aligned), mapping pages in `mem`.
-    /// Returns `None` when address space is exhausted — including for
-    /// sizes no block could ever hold (`calloc`'s saturated products).
+    /// Returns `None` when the heap's [`MEMORY_LIMIT`] bytes of address
+    /// space are exhausted — including for sizes no block could ever
+    /// hold (`calloc`'s saturated products).
     pub fn alloc(&mut self, mem: &mut Mem, size: u64) -> Option<u64> {
         let user = size.max(1);
         let class = Self::class_of(user)?;
@@ -610,24 +604,6 @@ impl Heap {
     /// User size of a live block.
     pub fn size_of(&self, addr: u64) -> Option<u64> {
         self.live.get(&addr).copied()
-    }
-
-    /// Iterates over live blocks.
-    pub fn live_blocks(&self) -> impl Iterator<Item = HeapBlock> + '_ {
-        self.live
-            .iter()
-            .map(|(&addr, &size)| HeapBlock { addr, size })
-    }
-
-    /// True if `addr` falls inside a live user block (used by the
-    /// Valgrind-like baseline's addressability map).
-    pub fn find_block(&self, addr: u64) -> Option<HeapBlock> {
-        // Linear probe over live blocks; fine for workload-scale heaps and
-        // only used by baselines that model their own lookup cost anyway.
-        self.live
-            .iter()
-            .find(|(&a, &s)| addr >= a && addr < a + s)
-            .map(|(&a, &s)| HeapBlock { addr: a, size: s })
     }
 }
 
@@ -1038,15 +1014,6 @@ mod tests {
         assert_eq!(Heap::new(16).alloc(&mut mem, 1 << 63), None);
         let p = h.alloc(&mut mem, 16).expect("the heap still serves");
         assert_eq!(h.size_of(p), Some(16));
-    }
-
-    #[test]
-    fn find_block_contains() {
-        let mut mem = Mem::new();
-        let mut h = Heap::new(0);
-        let a = h.alloc(&mut mem, 40).expect("alloc");
-        assert_eq!(h.find_block(a + 39).map(|b| b.addr), Some(a));
-        assert_eq!(h.find_block(a + 40), None);
     }
 
     #[test]

@@ -386,38 +386,32 @@ impl RtCtx {
     }
 }
 
-/// One §5.2 wrapper-check violation, reported to the installed runtime
-/// *before* the builtin touches memory. The VM describes the whole range
-/// the builtin wanted (`[ptr, ptr + len)`) against the pointer's bounds
-/// (`[base, bound)`); the runtime decides how the machine responds via
-/// [`ViolationDisposition`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BuiltinViolation {
-    /// First byte the builtin would touch.
-    pub ptr: u64,
-    /// Length of the intended access in bytes.
-    pub len: u64,
-    /// Lower bound of the pointed-to object.
-    pub base: u64,
-    /// One past the last valid byte of the object.
-    pub bound: u64,
-    /// True if the builtin would write through this pointer.
-    pub write: bool,
+/// The bounds test every pointer-based check shares: `None` when the
+/// `len`-byte access at `ptr` lies inside `[base, bound)`, otherwise its
+/// [first out-of-bounds byte](first_oob_byte). The end is a checked add:
+/// an access whose last byte would wrap past zero is out of bounds, not
+/// a tiny range below `bound`.
+#[inline]
+pub fn out_of_bounds(ptr: u64, len: u64, base: u64, bound: u64) -> Option<u64> {
+    if ptr >= base && ptr.checked_add(len).is_some_and(|end| end <= bound) {
+        None
+    } else {
+        Some(first_oob_byte(ptr, base, bound))
+    }
 }
 
-/// How the installed runtime wants the VM to respond to a wrapper
-/// (builtin) range violation — the §5.2 `check_range` analogue of the
-/// violation policy applied on explicit checks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ViolationDisposition {
-    /// Abort with a `"softbound-wrapper"` [`Trap::SpatialViolation`]
-    /// (the paper's behaviour, and the default).
-    Trap,
-    /// Clamp the builtin's access to the in-bounds prefix of the range
-    /// (zero bytes when the range starts out of bounds) and continue.
-    Clamp,
-    /// Perform the full access anyway and continue (monitor-only mode).
-    Observe,
+/// The first byte a violating access touches out of bounds: the pointer
+/// itself when it starts outside `[base, bound)` (including the
+/// NULL-bounds `base == bound == 0` encoding), otherwise `bound`, the
+/// first byte past the object an upward walk reaches. Wrapper traps
+/// report it, and evidence records name it for every violation.
+#[inline]
+pub fn first_oob_byte(ptr: u64, base: u64, bound: u64) -> u64 {
+    if ptr < base || ptr >= bound {
+        ptr
+    } else {
+        bound
+    }
 }
 
 /// Return values of a runtime helper (at most 2: base and bound).
@@ -470,10 +464,17 @@ pub trait RuntimeHooks {
     }
 
     /// Interposition point for C-library builtins (memcpy/strcpy/…): the
-    /// VM reports each buffer a builtin is about to touch. Schemes that
-    /// check by *address* (object tables, addressability maps) implement
-    /// their libc wrappers here; pointer-based schemes use explicit
-    /// metadata arguments instead and keep the default no-op.
+    /// VM reports each buffer of `len` bytes at `ptr` a builtin is about
+    /// to touch, before it touches any, and touches only as many bytes
+    /// as this returns. `bounds` is the pointer's `(base, bound)` when a
+    /// pointer-based pass wrapped the call (§5.2), `None` otherwise.
+    ///
+    /// The default is the paper's Strict wrapper check: it traps
+    /// `"softbound-wrapper"` at the [first out-of-bounds
+    /// byte](first_oob_byte) of a wrapped buffer and passes the rest
+    /// whole. SoftBound applies its violation policy instead; schemes
+    /// that check by *address* (object tables, addressability maps)
+    /// ignore `bounds` and check the range themselves.
     ///
     /// # Errors
     ///
@@ -482,27 +483,19 @@ pub trait RuntimeHooks {
         &mut self,
         ptr: u64,
         len: u64,
-        is_store: bool,
+        write: bool,
+        bounds: Option<(u64, u64)>,
         ctx: &mut RtCtx,
-    ) -> Result<(), Trap> {
-        let _ = (ptr, len, is_store, ctx);
-        Ok(())
-    }
-
-    /// A §5.2 wrapper range check failed. The returned
-    /// [`ViolationDisposition`] tells the VM whether to trap (the
-    /// default, the paper's behaviour), clamp the builtin's access to
-    /// the in-bounds prefix, or perform it anyway — the seam a
-    /// repair-and-continue violation policy plugs into. Implementations
-    /// typically record evidence here; `ctx.pc` carries the dynamic
-    /// instruction index of the builtin call.
-    fn on_builtin_violation(
-        &mut self,
-        violation: &BuiltinViolation,
-        ctx: &mut RtCtx,
-    ) -> ViolationDisposition {
-        let _ = (violation, ctx);
-        ViolationDisposition::Trap
+    ) -> Result<u64, Trap> {
+        let _ = ctx;
+        match bounds.and_then(|(base, bound)| out_of_bounds(ptr, len, base, bound)) {
+            None => Ok(len),
+            Some(addr) => Err(Trap::SpatialViolation {
+                scheme: "softbound-wrapper",
+                addr,
+                write,
+            }),
+        }
     }
 
     /// Clears all per-execution state (metadata tables, counters) so a

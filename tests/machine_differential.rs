@@ -661,6 +661,70 @@ fn memset_with_a_huge_length_charges_only_the_bytes_it_wrote() {
     }
 }
 
+/// Runs `src` uninstrumented and under every policy in all six lanes;
+/// each run must end in `expected` without recording evidence.
+fn ends_everywhere(src: &str, expected: &Outcome) {
+    let base = sb_vm::run_source(src, "main", &[0]);
+    assert_eq!(&base.outcome, expected, "uninstrumented");
+    for policy in [
+        ViolationPolicy::Strict,
+        ViolationPolicy::Hardened,
+        ViolationPolicy::Monitor,
+    ] {
+        let obs = policy_lanes(src, policy, 0);
+        assert_eq!(&obs.outcome, expected, "{policy:?}");
+        assert!(obs.evidence.is_empty(), "{policy:?}: {:x?}", obs.evidence);
+    }
+}
+
+#[test]
+fn strncmp_reads_at_most_n_bytes() {
+    // `strncmp(p, "aaaa", 4)` on a page-sized block of 'a's that ends the
+    // heap: a read of `p` past its 4th byte runs on to the unmapped page
+    // after the block. C reads at most n bytes of each string: 0.
+    let src = r#"
+        int main() {
+            char* p = (char*)malloc(4096);
+            for (int i = 0; i < 4096; i = i + 1) p[i] = 'a';
+            return strncmp(p, "aaaa", 4);
+        }
+    "#;
+    ends_everywhere(src, &Outcome::Finished { ret: 0 });
+}
+
+#[test]
+fn malloc_past_the_memory_limit_returns_null() {
+    // `malloc(1L << 34)` would map 2^22 page frames, 16 GiB of host
+    // memory. The heap spans `MEMORY_LIMIT` bytes, so it refuses.
+    let src = r#"
+        int main() {
+            char* p = (char*)malloc(17179869184L);   // 2^34
+            return p == 0;
+        }
+    "#;
+    ends_everywhere(src, &Outcome::Finished { ret: 1 });
+}
+
+#[test]
+fn recursion_past_the_stack_limit_traps_out_of_memory() {
+    // Every frame page is mapped, and each frame holds a 64 KiB local:
+    // 100 000 nested calls would commit about 6 GiB of host memory. The
+    // call that would grow the stack past `MEMORY_LIMIT` traps instead.
+    // The stack is the machine's, so one policy's lanes suffice (each
+    // run maps the whole 256 MiB).
+    let src = r#"
+        int down(int n) {
+            char buf[65536];
+            buf[n & 65535] = (char)n;
+            return down(n + 1) + buf[0];
+        }
+        int main() { return down(0); }
+    "#;
+    let oom = Outcome::Trapped(Trap::OutOfMemory);
+    assert_eq!(sb_vm::run_source(src, "main", &[0]).outcome, oom);
+    assert_eq!(policy_lanes(src, ViolationPolicy::Strict, 0).outcome, oom);
+}
+
 #[test]
 fn setjmp_loop_behaves_identically_across_policies_and_lanes() {
     // Two `setjmp` sites in `main` and one in a helper that returns, run
