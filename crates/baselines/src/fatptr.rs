@@ -7,24 +7,21 @@
 //! everywhere in real C — breaks. That is the source-compatibility
 //! problem the paper's disjoint metadata removes.
 //!
-//! Mechanically, metadata travels inline: loading a pointer performs three
-//! loads (value, base, bound); storing performs three stores. There is no
-//! metadata table at all — the only runtime call is the bounds check —
+//! This module holds the layout ([`compile_fat`]) and the runtime
+//! ([`FatPtrRuntime`]). The transformation is the shared pointer-based
+//! pass, [`softbound::instrument_flavored`] with [`Flavor::Fat`]: the
+//! metadata travels inline, so loading a pointer performs three loads
+//! (value, base, bound) and storing one performs three stores. There is
+//! no metadata table at all — the only runtime call is the bounds check —
 //! so the *performance* profile differs from SoftBound exactly as the
 //! paper describes: cheaper metadata access, at the price of layout
 //! incompatibility (and of metadata corruptibility through wild writes,
 //! the CCured-WILD problem).
 
 use sb_cir::PtrLayout;
-use sb_ir::{
-    ArithOp, Callee, Function, GInit, Global, Inst, IntKind, MemTy, Module, RegId, RegKind, RtFn,
-    Value,
-};
+use sb_ir::{Module, RtFn};
 use sb_vm::{out_of_bounds, Mem, RtCtx, RtVals, RuntimeHooks, Trap};
-use softbound::SoftBoundError;
-
-/// Function prefix for the fat-pointer transformation.
-pub const FAT_PREFIX: &str = "_fat_";
+use softbound::{instrument_flavored, Flavor, SoftBoundConfig, SoftBoundError};
 
 /// Compiles a CIR-C source with the fat (24-byte) pointer layout.
 ///
@@ -41,399 +38,7 @@ pub fn compile_fat(src: &str, name: &str) -> Result<Module, sb_cir::CompileError
 /// Applies the fat-pointer transformation. The module must have been
 /// lowered with the fat layout (24-byte pointer slots).
 pub fn instrument_fat(module: &Module) -> Module {
-    let mut m = module.clone();
-    let orig_params: Vec<Vec<RegKind>> = m.funcs.iter().map(|f| f.param_kinds.clone()).collect();
-    let orig_rets: Vec<Vec<RegKind>> = m.funcs.iter().map(|f| f.ret_kinds.clone()).collect();
-    let global_sizes: Vec<u64> = m.globals.iter().map(|g| g.size).collect();
-    for f in &mut m.funcs {
-        transform_fn(f, &orig_params, &orig_rets, &global_sizes);
-    }
-    let init = build_globals_init(&m.globals, &m.name);
-    m.funcs.push(init);
-    m
-}
-
-/// Writes inline base/bound words for pointer-valued global initializers
-/// (plain stores at `slot+8` / `slot+16` — no metadata table exists).
-fn build_globals_init(globals: &[Global], module_name: &str) -> Function {
-    let mut f = Function {
-        name: format!("__ctor.fat_globals.{module_name}"),
-        params: vec![],
-        param_kinds: vec![],
-        ret_kinds: vec![],
-        reg_kinds: vec![],
-        blocks: vec![],
-        vararg: false,
-        defined: true,
-    };
-    let b = f.new_block();
-    for (gi, g) in globals.iter().enumerate() {
-        for (off, init) in &g.init {
-            if g.ptr_slots.binary_search(off).is_err() {
-                continue;
-            }
-            let (base, bound) = match init {
-                GInit::GlobalAddr { id, .. } => (
-                    Value::GlobalAddr { id: *id, offset: 0 },
-                    Value::GlobalAddr {
-                        id: *id,
-                        offset: globals[id.0 as usize].size,
-                    },
-                ),
-                GInit::FuncAddr(fid) => (Value::FuncAddr(*fid), Value::FuncAddr(*fid)),
-                GInit::Bytes(_) => continue,
-            };
-            let slot = Value::GlobalAddr {
-                id: sb_ir::GlobalId(gi as u32),
-                offset: off + 8,
-            };
-            let slot2 = Value::GlobalAddr {
-                id: sb_ir::GlobalId(gi as u32),
-                offset: off + 16,
-            };
-            f.blocks[b.0 as usize].insts.push(Inst::Store {
-                mem: MemTy::I64,
-                addr: slot,
-                value: base,
-            });
-            f.blocks[b.0 as usize].insts.push(Inst::Store {
-                mem: MemTy::I64,
-                addr: slot2,
-                value: bound,
-            });
-        }
-    }
-    f.blocks[b.0 as usize]
-        .insts
-        .push(Inst::Ret { vals: vec![] });
-    f
-}
-
-struct Cx<'a> {
-    shadows: Vec<Option<(RegId, RegId)>>,
-    orig_params: &'a [Vec<RegKind>],
-    orig_rets: &'a [Vec<RegKind>],
-    global_sizes: &'a [u64],
-    ret_was_ptr: bool,
-}
-
-impl Cx<'_> {
-    fn meta_of(&self, v: &Value) -> (Value, Value) {
-        match v {
-            Value::Reg(r) => self.shadows[r.0 as usize]
-                .map(|(b, e)| (Value::Reg(b), Value::Reg(e)))
-                .unwrap_or((Value::Const(0), Value::Const(0))),
-            Value::Const(_) => (Value::Const(0), Value::Const(0)),
-            Value::GlobalAddr { id, .. } => (
-                Value::GlobalAddr { id: *id, offset: 0 },
-                Value::GlobalAddr {
-                    id: *id,
-                    offset: self.global_sizes[id.0 as usize],
-                },
-            ),
-            Value::FuncAddr(f) => (Value::FuncAddr(*f), Value::FuncAddr(*f)),
-        }
-    }
-
-    fn shadow(&self, r: RegId) -> (RegId, RegId) {
-        self.shadows[r.0 as usize].expect("pointer register has shadows")
-    }
-}
-
-fn transform_fn(
-    f: &mut Function,
-    orig_params: &[Vec<RegKind>],
-    orig_rets: &[Vec<RegKind>],
-    global_sizes: &[u64],
-) {
-    if f.name.starts_with(FAT_PREFIX) {
-        return;
-    }
-    let nregs = f.reg_kinds.len();
-    let mut cx = Cx {
-        shadows: vec![None; nregs],
-        orig_params,
-        orig_rets,
-        global_sizes,
-        ret_was_ptr: f.ret_kinds == [RegKind::Ptr],
-    };
-    let ptr_param_regs: Vec<RegId> = f
-        .params
-        .iter()
-        .zip(&f.param_kinds)
-        .filter(|(_, k)| **k == RegKind::Ptr)
-        .map(|(r, _)| *r)
-        .collect();
-    for preg in ptr_param_regs {
-        let b = f.new_reg(RegKind::Int);
-        let e = f.new_reg(RegKind::Int);
-        f.params.push(b);
-        f.params.push(e);
-        f.param_kinds.push(RegKind::Int);
-        f.param_kinds.push(RegKind::Int);
-        cx.shadows[preg.0 as usize] = Some((b, e));
-    }
-    if cx.ret_was_ptr {
-        f.ret_kinds = vec![RegKind::Ptr, RegKind::Int, RegKind::Int];
-    }
-    f.name = format!("{FAT_PREFIX}{}", f.name);
-    if !f.defined {
-        return;
-    }
-    for r in 0..nregs {
-        if f.reg_kinds[r] == RegKind::Ptr && cx.shadows[r].is_none() {
-            let b = f.new_reg(RegKind::Int);
-            let e = f.new_reg(RegKind::Int);
-            cx.shadows[r] = Some((b, e));
-        }
-    }
-
-    for bi in 0..f.blocks.len() {
-        let insts = std::mem::take(&mut f.blocks[bi].insts);
-        let mut out = Vec::with_capacity(insts.len() * 2);
-        for inst in insts {
-            rewrite(inst, f, &mut cx, &mut out, bi);
-        }
-        f.blocks[bi].insts = out;
-    }
-}
-
-/// Helper: `tmp = addr + disp` into a fresh scratch register. Scratch
-/// registers are appended to the function (allowed — reg_kinds grows).
-fn addr_plus(
-    f: &Function,
-    out: &mut Vec<Inst>,
-    scratch: &mut Vec<RegId>,
-    addr: Value,
-    disp: i64,
-) -> Value {
-    let _ = f;
-    let r = scratch.pop().expect("scratch preallocated");
-    out.push(Inst::Gep {
-        dst: r,
-        base: addr,
-        index: Value::Const(0),
-        scale: 0,
-        offset: disp,
-        field_size: None,
-    });
-    Value::Reg(r)
-}
-
-fn rewrite(inst: Inst, f: &mut Function, cx: &mut Cx<'_>, out: &mut Vec<Inst>, _bi: usize) {
-    match inst {
-        Inst::Load { dst, mem, addr } => {
-            let (b, e) = cx.meta_of(&addr);
-            out.push(Inst::Rt {
-                dsts: vec![],
-                rt: RtFn::FatCheck { is_store: false },
-                args: vec![addr, b, e, Value::Const(mem.size() as i64)],
-            });
-            if mem.is_ptr() {
-                // Load the inline metadata words first (addr may be
-                // clobbered when dst == addr), then the value.
-                let (db, de) = cx.shadow(dst);
-                let mut scratch = vec![f.new_reg(RegKind::Ptr), f.new_reg(RegKind::Ptr)];
-                let a8 = addr_plus(f, out, &mut scratch, addr, 8);
-                out.push(Inst::Load {
-                    dst: db,
-                    mem: MemTy::I64,
-                    addr: a8,
-                });
-                let a16 = addr_plus(f, out, &mut scratch, addr, 16);
-                out.push(Inst::Load {
-                    dst: de,
-                    mem: MemTy::I64,
-                    addr: a16,
-                });
-            }
-            out.push(Inst::Load { dst, mem, addr });
-        }
-        Inst::Store { mem, addr, value } => {
-            let (b, e) = cx.meta_of(&addr);
-            out.push(Inst::Rt {
-                dsts: vec![],
-                rt: RtFn::FatCheck { is_store: true },
-                args: vec![addr, b, e, Value::Const(mem.size() as i64)],
-            });
-            out.push(Inst::Store { mem, addr, value });
-            if mem.is_ptr() {
-                let (vb, ve) = cx.meta_of(&value);
-                let mut scratch = vec![f.new_reg(RegKind::Ptr), f.new_reg(RegKind::Ptr)];
-                let a8 = addr_plus(f, out, &mut scratch, addr, 8);
-                out.push(Inst::Store {
-                    mem: MemTy::I64,
-                    addr: a8,
-                    value: vb,
-                });
-                let a16 = addr_plus(f, out, &mut scratch, addr, 16);
-                out.push(Inst::Store {
-                    mem: MemTy::I64,
-                    addr: a16,
-                    value: ve,
-                });
-            }
-        }
-        Inst::Alloca { dst, info } => {
-            let size = info.size;
-            out.push(Inst::Alloca { dst, info });
-            let (db, de) = cx.shadow(dst);
-            out.push(Inst::Mov {
-                dst: db,
-                src: Value::Reg(dst),
-            });
-            out.push(Inst::Bin {
-                dst: de,
-                op: ArithOp::Add,
-                k: IntKind::I64,
-                lhs: Value::Reg(dst),
-                rhs: Value::Const(size as i64),
-            });
-        }
-        Inst::Gep {
-            dst,
-            base,
-            index,
-            scale,
-            offset,
-            field_size,
-        } => {
-            out.push(Inst::Gep {
-                dst,
-                base,
-                index,
-                scale,
-                offset,
-                field_size,
-            });
-            let (db, de) = cx.shadow(dst);
-            match field_size {
-                Some(sz) => {
-                    out.push(Inst::Mov {
-                        dst: db,
-                        src: Value::Reg(dst),
-                    });
-                    out.push(Inst::Bin {
-                        dst: de,
-                        op: ArithOp::Add,
-                        k: IntKind::I64,
-                        lhs: Value::Reg(dst),
-                        rhs: Value::Const(sz as i64),
-                    });
-                }
-                None => {
-                    let (bb, be) = cx.meta_of(&base);
-                    out.push(Inst::Mov { dst: db, src: bb });
-                    out.push(Inst::Mov { dst: de, src: be });
-                }
-            }
-        }
-        Inst::Mov { dst, src } => {
-            out.push(Inst::Mov { dst, src });
-            if f.reg_kind(dst) == RegKind::Ptr {
-                let (sb, se) = cx.meta_of(&src);
-                let (db, de) = cx.shadow(dst);
-                out.push(Inst::Mov { dst: db, src: sb });
-                out.push(Inst::Mov { dst: de, src: se });
-            }
-        }
-        Inst::Ret { mut vals } => {
-            if cx.ret_was_ptr {
-                let (b, e) = cx.meta_of(&vals[0]);
-                vals.push(b);
-                vals.push(e);
-            }
-            out.push(Inst::Ret { vals });
-        }
-        Inst::Call {
-            mut dsts,
-            callee,
-            args,
-            ptr_hint,
-            ..
-        } => match callee {
-            Callee::Direct(fid) => {
-                let pkinds = &cx.orig_params[fid.0 as usize];
-                let mut metas = Vec::new();
-                for (i, k) in pkinds.iter().enumerate() {
-                    if *k == RegKind::Ptr {
-                        let (b, e) = cx.meta_of(args.get(i).unwrap_or(&Value::Const(0)));
-                        metas.push(b);
-                        metas.push(e);
-                    }
-                }
-                let mut new_args = Vec::with_capacity(args.len() + metas.len());
-                let fixed = pkinds.len().min(args.len());
-                new_args.extend_from_slice(&args[..fixed]);
-                new_args.extend(metas);
-                new_args.extend_from_slice(&args[fixed..]);
-                if cx.orig_rets[fid.0 as usize] == [RegKind::Ptr] && !dsts.is_empty() {
-                    let (db, de) = cx.shadow(dsts[0]);
-                    dsts.push(db);
-                    dsts.push(de);
-                }
-                out.push(Inst::Call {
-                    dsts,
-                    callee: Callee::Direct(fid),
-                    args: new_args,
-                    ptr_hint,
-                    wrapped: false,
-                });
-            }
-            Callee::Indirect(target) => {
-                let mut new_args = args.clone();
-                for a in &args {
-                    let is_ptr = match a {
-                        Value::Reg(r) => f.reg_kind(*r) == RegKind::Ptr,
-                        Value::GlobalAddr { .. } | Value::FuncAddr(_) => true,
-                        Value::Const(_) => false,
-                    };
-                    if is_ptr {
-                        let (b, e) = cx.meta_of(a);
-                        new_args.push(b);
-                        new_args.push(e);
-                    }
-                }
-                if dsts.first().map(|d| f.reg_kind(*d)) == Some(RegKind::Ptr) {
-                    let (db, de) = cx.shadow(dsts[0]);
-                    dsts.push(db);
-                    dsts.push(de);
-                }
-                out.push(Inst::Call {
-                    dsts,
-                    callee: Callee::Indirect(target),
-                    args: new_args,
-                    ptr_hint,
-                    wrapped: false,
-                });
-            }
-            Callee::Builtin(b) => {
-                let sig = b.sig();
-                let mut new_args = args.clone();
-                for (i, pty) in sig.params.iter().enumerate() {
-                    if pty.is_ptr() {
-                        let (mb, me) = cx.meta_of(args.get(i).unwrap_or(&Value::Const(0)));
-                        new_args.push(mb);
-                        new_args.push(me);
-                    }
-                }
-                if sig.ret.is_ptr() && !dsts.is_empty() {
-                    let (db, de) = cx.shadow(dsts[0]);
-                    dsts.push(db);
-                    dsts.push(de);
-                }
-                out.push(Inst::Call {
-                    dsts,
-                    callee: Callee::Builtin(b),
-                    args: new_args,
-                    ptr_hint,
-                    wrapped: true,
-                });
-            }
-        },
-        Inst::Rt { .. } => panic!("module already instrumented"),
-        other => out.push(other),
-    }
+    instrument_flavored(module, &SoftBoundConfig::default(), Flavor::Fat)
 }
 
 /// Runtime for the fat-pointer scheme: only the bounds check — metadata
@@ -504,6 +109,7 @@ pub fn compile_fat_protected(src: &str) -> Result<Module, SoftBoundError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sb_ir::Inst;
     use sb_vm::{Machine, MachineConfig};
 
     fn run_fat(src: &str) -> sb_vm::RunResult {

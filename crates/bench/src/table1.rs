@@ -133,13 +133,14 @@ fn probe_detects(scheme: &Scheme, src: &str) -> bool {
         .unwrap_or(false)
 }
 
-fn probe_dyn_link(scheme: &Scheme) -> bool {
-    // Compile library and application separately under the scheme, link,
-    // and run. (The fat scheme fails the layout half of the criterion
-    // even though two fat modules link with each other.)
+/// Compiles the library and the application separately under the
+/// scheme, links them and runs the result: whether it returns 1.
+fn probe_links(scheme: &Scheme) -> bool {
     let compile = |src: &str, name: &str| -> Option<sb_ir::Module> {
         match scheme {
-            Scheme::FatPointer => sb_baselines::compile_fat_protected(src).ok(),
+            Scheme::FatPointer => Some(sb_baselines::instrument_fat(
+                &sb_baselines::compile_fat(src, name).ok()?,
+            )),
             Scheme::SoftBound(cfg) => {
                 let prog = sb_cir::compile(src).ok()?;
                 let mut m = sb_ir::lower(&prog, name);
@@ -181,8 +182,7 @@ fn probe_dyn_link(scheme: &Scheme) -> bool {
     if sb_ir::verify(&linked).is_err() {
         return false;
     }
-    let links_ok = scheme.run_module(&linked, "main", &[]).ret() == Some(1);
-    links_ok && probe_ret(scheme, LAYOUT_PROBE) == Some(1)
+    scheme.run_module(&linked, "main", &[]).ret() == Some(1)
 }
 
 fn row(scheme: Scheme, paper_counterpart: &'static str, paper_row: [bool; 5]) -> Row {
@@ -199,7 +199,9 @@ fn row(scheme: Scheme, paper_counterpart: &'static str, paper_row: [bool; 5]) ->
         complete_subfield,
         layout_unchanged,
         arb_casts: wild_ok && d_plain == d_laundered,
-        dyn_link: probe_dyn_link(&scheme),
+        // A layout-changing scheme fails the criterion even when two of
+        // its own modules link with each other.
+        dyn_link: layout_unchanged && probe_links(&scheme),
     }
 }
 
@@ -311,6 +313,9 @@ mod tests {
         assert!(!fat.layout_unchanged);
         assert!(!fat.dyn_link);
         assert!(fat.complete_subfield);
+        // Two fat modules do link with each other, and the linked
+        // program runs: only the layout half of the criterion fails.
+        assert!(probe_links(&Scheme::FatPointer));
     }
 
     #[test]

@@ -1,8 +1,15 @@
-//! The SoftBound compile-time transformation (§3, §5).
+//! The pointer-based compile-time transformation (§3, §5).
+//!
+//! One pass serves the three pointer-based schemes of §2.2 and Table 1:
+//! SoftBound itself, the MSCC-like baseline and SafeC/CCured-SEQ fat
+//! pointers, each a [`Flavor`]. All three carry `(base, bound)` with
+//! every pointer and check it at each dereference; they differ in where
+//! the metadata lives and in how casts and sub-objects are bounded.
 //!
 //! An intra-procedural IR→IR pass. For every pointer-kind register `r` it
 //! maintains two shadow registers `r_base`/`r_bound` (the paper's
-//! per-pointer intermediate values) and rewrites:
+//! per-pointer intermediate values) and rewrites, in the SoftBound
+//! flavor:
 //!
 //! * **dereferences** — a spatial check before every load/store (loads
 //!   skipped in store-only mode);
@@ -18,8 +25,22 @@
 //!   checked wrappers; `setbound` is compiled away into explicit bounds;
 //! * **lifecycle** — metadata cleared for pointer-bearing stack slots on
 //!   return and (via runtime hooks) for freed heap blocks (§5.2), and a
-//!   synthesized `__sb_globals_init.<module>` seeds metadata for
-//!   pointer-valued global initializers (§5.2).
+//!   synthesized constructor `__ctor.sb_globals.<module>` seeds metadata
+//!   for pointer-valued global initializers (§5.2).
+//!
+//! What the flavor decides:
+//!
+//! | | SoftBound | MSCC | fat |
+//! |---|---|---|---|
+//! | function prefix | `_sb_` | `_mscc_` | `_fat_` |
+//! | check helper | `SbCheck` | `MsccCheck` | `FatCheck` |
+//! | metadata of a loaded or stored pointer | `SbMetaLoad`/`SbMetaStore` | `MsccMetaLoad`/`MsccMetaStore` | plain `I64` loads/stores at `+8` and `+16` |
+//! | global-initializer constructor | one table store per pointer slot | one table store per pointer slot | two plain stores per pointer slot |
+//! | bounds at field GEPs | shrink to the field | whole object | shrink to the field |
+//! | forged (int-to-pointer) pointers | NULL bounds | unbounded | NULL bounds |
+//! | frame clearing on return, function-pointer checks | emitted | none | none |
+//! | `setbound` | compiled away | compiled away | wrapped builtin |
+//! | vararg checks, memcpy metadata | emitted | emitted | none |
 //!
 //! The pass is purely local — no whole-program analysis — which is what
 //! makes separate compilation work (Table 1).
@@ -27,7 +48,8 @@
 use crate::config::{CheckMode, SoftBoundConfig};
 use sb_cir::hir::Builtin;
 use sb_ir::{
-    ArithOp, Callee, Function, GInit, Global, Inst, IntKind, Module, RegId, RegKind, RtFn, Value,
+    ArithOp, Callee, Function, GInit, Global, GlobalId, Inst, IntKind, MemTy, Module, RegId,
+    RegKind, RtFn, Value,
 };
 
 /// Prefix applied to transformed function names (§3.3).
@@ -40,28 +62,35 @@ pub const SB_PREFIX: &str = "_sb_";
 /// separate compilation: after linking, every module's constructor runs.
 pub const GLOBALS_INIT_PREFIX: &str = "__ctor.sb_globals";
 
-/// A pointer-based-transformation *flavor*: SoftBound itself, or the
-/// MSCC-like baseline (§2.2, §6.5) that shares its transformation.
+/// A flavor of the pointer-based transformation (§2.2, Table 1); the
+/// [module documentation](crate::transform) tabulates what each one decides.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Flavor {
-    /// SoftBound: bounds shrink at field GEPs (§3.1), forged
-    /// (int-to-pointer) values get NULL bounds, and the §5.2 frame
-    /// clearing and function-pointer checks are emitted. Functions are
-    /// renamed with [`SB_PREFIX`] and call `Sb*` runtime helpers.
+    /// SoftBound: disjoint table metadata, bounds shrunk at field GEPs
+    /// (§3.1), NULL bounds for forged pointers, and every §5.2 mechanism.
     SoftBound,
-    /// MSCC's fast configuration (\[34\]): whole-object bounds (so
-    /// sub-object overflows are missed), forged pointers unbounded
-    /// (`[0, u64::MAX)`, i.e. unchecked), no frame clearing or
-    /// function-pointer checks. Functions are renamed `_mscc_<name>`
-    /// and call `Mscc*` runtime helpers.
+    /// MSCC's fast configuration (\[34\]): its own metadata table,
+    /// whole-object bounds (so sub-object overflows are missed), and
+    /// forged pointers unbounded (`[0, u64::MAX)`, i.e. unchecked); no
+    /// frame clearing or function-pointer checks.
     Mscc,
+    /// SafeC/CCured-SEQ fat pointers: the module must be lowered with the
+    /// 24-byte `{value, base, bound}` layout, so the metadata is the two
+    /// plain words after the pointer and `memcpy` copies it as data.
+    /// Bounds shrink at field GEPs and forged pointers get NULL bounds;
+    /// `setbound` stays a wrapped builtin, and none of the other §5.2
+    /// mechanisms is emitted.
+    Fat,
 }
 
 impl Flavor {
+    /// The name prefix of transformed functions; it also names the
+    /// global-initializer constructor (`__ctor.<prefix>globals.<module>`).
     fn prefix(self) -> &'static str {
         match self {
             Flavor::SoftBound => SB_PREFIX,
             Flavor::Mscc => "_mscc_",
+            Flavor::Fat => "_fat_",
         }
     }
 
@@ -69,27 +98,35 @@ impl Flavor {
         match self {
             Flavor::SoftBound => RtFn::SbCheck { is_store },
             Flavor::Mscc => RtFn::MsccCheck { is_store },
+            Flavor::Fat => RtFn::FatCheck { is_store },
         }
     }
 
-    fn meta_load(self) -> RtFn {
+    /// The metadata table's `(load, store)` helpers; `None` for fat
+    /// pointers, whose metadata is inline (see [`inline_meta`]).
+    fn table(self) -> Option<(RtFn, RtFn)> {
         match self {
-            Flavor::SoftBound => RtFn::SbMetaLoad,
-            Flavor::Mscc => RtFn::MsccMetaLoad,
+            Flavor::SoftBound => Some((RtFn::SbMetaLoad, RtFn::SbMetaStore)),
+            Flavor::Mscc => Some((RtFn::MsccMetaLoad, RtFn::MsccMetaStore)),
+            Flavor::Fat => None,
         }
     }
 
-    fn meta_store(self) -> RtFn {
+    fn va_check(self) -> Option<RtFn> {
         match self {
-            Flavor::SoftBound => RtFn::SbMetaStore,
-            Flavor::Mscc => RtFn::MsccMetaStore,
+            Flavor::SoftBound => Some(RtFn::SbVaCheck),
+            Flavor::Mscc => Some(RtFn::MsccVaCheck),
+            Flavor::Fat => None,
         }
     }
 
-    fn va_check(self) -> RtFn {
+    /// Bounds of a pointer forged from an integer register (§5.2): NULL,
+    /// so a dereference traps, except under MSCC, which cannot bound it
+    /// and leaves it unchecked.
+    fn forged(self) -> (Value, Value) {
         match self {
-            Flavor::SoftBound => RtFn::SbVaCheck,
-            Flavor::Mscc => RtFn::MsccVaCheck,
+            Flavor::Mscc => (Value::Const(0), Value::Const(-1)),
+            Flavor::SoftBound | Flavor::Fat => (Value::Const(0), Value::Const(0)),
         }
     }
 }
@@ -101,7 +138,7 @@ pub fn instrument(module: &Module, cfg: &SoftBoundConfig) -> Module {
 }
 
 /// Applies the pointer-based transformation with an explicit [`Flavor`]
-/// (used by the MSCC-like baseline).
+/// (used by the MSCC-like and fat-pointer baselines).
 pub fn instrument_flavored(module: &Module, cfg: &SoftBoundConfig, flavor: Flavor) -> Module {
     let mut m = module.clone();
 
@@ -122,10 +159,11 @@ pub fn instrument_flavored(module: &Module, cfg: &SoftBoundConfig, flavor: Flavo
     m
 }
 
-/// Builds `__sb_globals_init.<module>`: one metadata store per
-/// pointer-valued global initializer (§5.2 "Global variables"). The VM
-/// runs every function with this prefix before `main`, which keeps
-/// separately compiled modules working after linking.
+/// Builds the constructor `__ctor.<prefix>globals.<module>`: the
+/// metadata of every pointer-valued global initializer (§5.2 "Global
+/// variables"), one table store each, or two plain stores for fat
+/// pointers. The VM runs every `__ctor.` function before `main`, which
+/// keeps separately compiled modules working after linking.
 fn build_globals_init(globals: &[Global], module_name: &str, flavor: Flavor) -> Function {
     let mut f = Function {
         name: format!(
@@ -141,6 +179,7 @@ fn build_globals_init(globals: &[Global], module_name: &str, flavor: Flavor) -> 
         defined: true,
     };
     let b = f.new_block();
+    let insts = &mut f.blocks[b.0 as usize].insts;
     for (gi, g) in globals.iter().enumerate() {
         for (off, init) in &g.init {
             if g.ptr_slots.binary_search(off).is_err() {
@@ -157,24 +196,51 @@ fn build_globals_init(globals: &[Global], module_name: &str, flavor: Flavor) -> 
                 GInit::FuncAddr(fid) => (Value::FuncAddr(*fid), Value::FuncAddr(*fid)),
                 GInit::Bytes(_) => continue, // zero/integer patterns: NULL bounds
             };
-            f.blocks[b.0 as usize].insts.push(Inst::Rt {
-                dsts: vec![],
-                rt: flavor.meta_store(),
-                args: vec![
-                    Value::GlobalAddr {
-                        id: sb_ir::GlobalId(gi as u32),
-                        offset: *off,
-                    },
-                    base,
-                    bound,
-                ],
-            });
+            let id = GlobalId(gi as u32);
+            match flavor.table() {
+                Some((_, store)) => insts.push(Inst::Rt {
+                    dsts: vec![],
+                    rt: store,
+                    args: vec![Value::GlobalAddr { id, offset: *off }, base, bound],
+                }),
+                None => {
+                    for (disp, value) in [(8, base), (16, bound)] {
+                        insts.push(Inst::Store {
+                            mem: MemTy::I64,
+                            addr: Value::GlobalAddr {
+                                id,
+                                offset: off + disp,
+                            },
+                            value,
+                        });
+                    }
+                }
+            }
         }
     }
-    f.blocks[b.0 as usize]
-        .insts
-        .push(Inst::Ret { vals: vec![] });
+    insts.push(Inst::Ret { vals: vec![] });
     f
+}
+
+/// A fat pointer's inline metadata words at `addr + 8` (base) and
+/// `addr + 16` (bound): for each, the GEP that computes its address into
+/// a fresh pointer register, and that register. Both registers are
+/// allocated before either GEP, and the second one points at `+8`: the
+/// numbering is part of the printed module that `optimizer_golden` pins.
+fn inline_meta(f: &mut Function, addr: Value) -> [(Inst, Value); 2] {
+    let at16 = f.new_reg(RegKind::Ptr);
+    let at8 = f.new_reg(RegKind::Ptr);
+    [(at8, 8), (at16, 16)].map(|(dst, offset)| {
+        let gep = Inst::Gep {
+            dst,
+            base: addr,
+            index: Value::Const(0),
+            scale: 0,
+            offset,
+            field_size: None,
+        };
+        (gep, Value::Reg(dst))
+    })
 }
 
 struct Cx<'a> {
@@ -190,15 +256,16 @@ struct Cx<'a> {
 }
 
 impl Cx<'_> {
-    /// `(base, bound)` metadata values for an operand (§3.1):
-    /// registers use their shadows, global addresses have compile-time
+    /// `(base, bound)` metadata values for an operand (§3.1): pointer
+    /// registers use their shadows, an integer register is a forged
+    /// pointer ([`Flavor::forged`]), global addresses have compile-time
     /// constant bounds, function addresses use the zero-sized encoding,
-    /// and raw integers get NULL bounds.
+    /// and constants get NULL bounds.
     fn meta_of(&self, v: &Value) -> (Value, Value) {
         match v {
             Value::Reg(r) => self.shadows[r.0 as usize]
                 .map(|(b, e)| (Value::Reg(b), Value::Reg(e)))
-                .unwrap_or((Value::Const(0), Value::Const(0))),
+                .unwrap_or_else(|| self.flavor.forged()),
             Value::Const(_) => (Value::Const(0), Value::Const(0)),
             Value::GlobalAddr { id, .. } => (
                 Value::GlobalAddr { id: *id, offset: 0 },
@@ -302,7 +369,7 @@ fn transform_fn(
     }
 }
 
-fn rewrite(inst: Inst, f: &Function, cx: &Cx<'_>, out: &mut Vec<Inst>) {
+fn rewrite(inst: Inst, f: &mut Function, cx: &Cx<'_>, out: &mut Vec<Inst>) {
     let cfg = cx.cfg;
     match inst {
         Inst::Load { dst, mem, addr } => {
@@ -318,11 +385,23 @@ fn rewrite(inst: Inst, f: &Function, cx: &Cx<'_>, out: &mut Vec<Inst>) {
             // itself when dst == addr (e.g. `p = *p`).
             if mem.is_ptr() {
                 let (db, de) = cx.shadow(dst);
-                out.push(Inst::Rt {
-                    dsts: vec![db, de],
-                    rt: cx.flavor.meta_load(),
-                    args: vec![addr],
-                });
+                match cx.flavor.table() {
+                    Some((load, _)) => out.push(Inst::Rt {
+                        dsts: vec![db, de],
+                        rt: load,
+                        args: vec![addr],
+                    }),
+                    None => {
+                        for ((gep, word), dst) in inline_meta(f, addr).into_iter().zip([db, de]) {
+                            out.push(gep);
+                            out.push(Inst::Load {
+                                dst,
+                                mem: MemTy::I64,
+                                addr: word,
+                            });
+                        }
+                    }
+                }
             }
             out.push(Inst::Load { dst, mem, addr });
         }
@@ -336,11 +415,23 @@ fn rewrite(inst: Inst, f: &Function, cx: &Cx<'_>, out: &mut Vec<Inst>) {
             out.push(Inst::Store { mem, addr, value });
             if mem.is_ptr() {
                 let (vb, ve) = cx.meta_of(&value);
-                out.push(Inst::Rt {
-                    dsts: vec![],
-                    rt: cx.flavor.meta_store(),
-                    args: vec![addr, vb, ve],
-                });
+                match cx.flavor.table() {
+                    Some((_, store)) => out.push(Inst::Rt {
+                        dsts: vec![],
+                        rt: store,
+                        args: vec![addr, vb, ve],
+                    }),
+                    None => {
+                        for ((gep, word), value) in inline_meta(f, addr).into_iter().zip([vb, ve]) {
+                            out.push(gep);
+                            out.push(Inst::Store {
+                                mem: MemTy::I64,
+                                addr: word,
+                                value,
+                            });
+                        }
+                    }
+                }
             }
         }
         Inst::Alloca { dst, info } => {
@@ -376,7 +467,7 @@ fn rewrite(inst: Inst, f: &Function, cx: &Cx<'_>, out: &mut Vec<Inst>) {
                 field_size,
             });
             let (db, de) = cx.shadow(dst);
-            match field_size.filter(|_| cx.flavor == Flavor::SoftBound) {
+            match field_size.filter(|_| cx.flavor != Flavor::Mscc) {
                 Some(sz) => {
                     // Shrink to the sub-object (§3.1): base = &field,
                     // bound = &field + sizeof(field).
@@ -404,16 +495,7 @@ fn rewrite(inst: Inst, f: &Function, cx: &Cx<'_>, out: &mut Vec<Inst>) {
         Inst::Mov { dst, src } => {
             out.push(Inst::Mov { dst, src });
             if f.reg_kind(dst) == RegKind::Ptr {
-                // An integer *register* flowing into a pointer register is
-                // an int-to-pointer cast (§5.2): NULL bounds for SoftBound;
-                // unbounded (unchecked) for schemes that cannot handle
-                // arbitrary casts.
-                let int_to_ptr = matches!(src, Value::Reg(r) if f.reg_kind(r) == RegKind::Int);
-                let (sb, se) = if int_to_ptr && cx.flavor == Flavor::Mscc {
-                    (Value::Const(0), Value::Const(-1))
-                } else {
-                    cx.meta_of(&src)
-                };
+                let (sb, se) = cx.meta_of(&src);
                 let (db, de) = cx.shadow(dst);
                 out.push(Inst::Mov { dst: db, src: sb });
                 out.push(Inst::Mov { dst: de, src: se });
@@ -541,7 +623,8 @@ fn rewrite_builtin(
 ) {
     // `setbound(p, size)` compiles away entirely: the result is p with the
     // explicit bounds [p, p+size) (§5.2 "Creating pointers from integers").
-    if b == Builtin::Setbound {
+    // Fat pointers keep it a wrapped builtin.
+    if b == Builtin::Setbound && cx.flavor != Flavor::Fat {
         if let Some(&d) = dsts.first() {
             let (db, de) = cx.shadow(d);
             out.push(Inst::Mov {
@@ -563,12 +646,14 @@ fn rewrite_builtin(
         return;
     }
     // Variadic decode checks (§5.2 "Variable argument functions").
-    if matches!(b, Builtin::VaArgLong | Builtin::VaArgPtr) {
-        out.push(Inst::Rt {
-            dsts: vec![],
-            rt: cx.flavor.va_check(),
-            args: vec![args[0]],
-        });
+    if let Some(rt) = cx.flavor.va_check() {
+        if matches!(b, Builtin::VaArgLong | Builtin::VaArgPtr) {
+            out.push(Inst::Rt {
+                dsts: vec![],
+                rt,
+                args: vec![args[0]],
+            });
+        }
     }
     // Library-wrapper behaviour (§5.2): append (base, bound) for each
     // pointer parameter, in declaration order, after all arguments. The VM
@@ -596,10 +681,11 @@ fn rewrite_builtin(
         ptr_hint,
         wrapped: true,
     });
-    // memcpy metadata handling (§5.2): copy pointer metadata unless the
-    // type heuristic proves the buffers hold no pointers.
+    // memcpy metadata handling (§5.2): copy the table's pointer metadata
+    // unless the type heuristic proves the buffers hold no pointers. Fat
+    // pointers' inline words travel with the copied bytes.
     if let Some((d, s, n)) = memcpy_args {
-        if ptr_hint {
+        if ptr_hint && cx.flavor.table().is_some() {
             out.push(Inst::Rt {
                 dsts: vec![],
                 rt: RtFn::SbMemcpyMeta,

@@ -13,6 +13,9 @@
 //! * `fat`: `sb_baselines::fatptr::compile_fat_protected`;
 //! * `mscc`: `instrument_mscc` + `optimize_with_stats(PostInstrument)`.
 //!
+//! All five run the one pointer-based pass, `softbound::transform`: the
+//! first three in its SoftBound flavor, `fat` and `mscc` in the other two.
+//!
 //! Each row pins an FNV-1a-64 digest of the printed module, the
 //! optimizer's `PassStats`, and, for `Engine` programs, the exec
 //! lowering's fused check count. The optimizer caps every function at
@@ -156,6 +159,78 @@ fn optimizer_output_matches_the_golden_table() {
         actual.join("\n")
     );
 }
+
+/// A source that reaches the paths where the three flavors of the
+/// pointer-based pass differ and that no corpus source reaches:
+/// `setbound`, the variadic decode checks, an indirect call through a
+/// function-pointer global, a `memcpy` of a pointer-holding struct, a
+/// field GEP into `char tag[8]`, pointer-valued global initializers, a
+/// pointer return and `free`. It forges no pointer from an integer. It
+/// stays out of [`corpus`], whose totals the benchmark reports.
+const FLAVOR_PROBE: &str = r#"
+struct rec { char tag[8]; long* data; };
+long counter = 3;
+long* gp = &counter;
+int twice(int x) { return 2 * x; }
+int (*op)(int) = twice;
+long sum_va(int n, ...) {
+    long s = va_arg_long(0);
+    long* p = (long*)va_arg_ptr(1);
+    return p == gp ? s : 0;
+}
+long* pick(struct rec* r) { return r->data; }
+int main() {
+    struct rec a;
+    struct rec b;
+    long* buf = (long*)malloc(4 * sizeof(long));
+    buf[0] = 5;
+    long* w = (long*)setbound(buf, 2 * sizeof(long));
+    w[1] = 6;
+    a.data = w;
+    a.tag[0] = 'x';
+    memcpy(&b, &a, sizeof(struct rec));
+    char* t = b.tag;
+    t[1] = 'y';
+    long r = sum_va(2, 7, gp) + *pick(&b) + op(2);
+    free(buf);
+    return (int)r;
+}
+"#;
+
+#[test]
+fn flavor_dependent_paths_match_the_pinned_rows() {
+    let name = "flavor_probe";
+    let actual = [
+        engine_row(name, "strict", &Engine::new(), FLAVOR_PROBE),
+        engine_row(
+            name,
+            "store",
+            &Engine::new().check_mode(CheckMode::StoreOnly),
+            FLAVOR_PROBE,
+        ),
+        engine_row(
+            name,
+            "hardened",
+            &Engine::new().policy(ViolationPolicy::Hardened),
+            FLAVOR_PROBE,
+        ),
+        fat_row(name, FLAVOR_PROBE),
+        mscc_row(name, FLAVOR_PROBE),
+    ];
+    let expected: Vec<&str> = FLAVOR_PROBE_GOLDEN
+        .lines()
+        .filter(|l| !l.is_empty())
+        .collect();
+    assert_eq!(actual.as_slice(), expected.as_slice());
+}
+
+const FLAVOR_PROBE_GOLDEN: &str = "
+flavor_probe strict 809af40cd8a1f47e 12 0 6
+flavor_probe store 67793fd42e48d7f8 13 0 5
+flavor_probe hardened 809af40cd8a1f47e 12 0 6
+flavor_probe fat 08f546f28983b0e3 10 0 -
+flavor_probe mscc e383e3d920606b77 16 0 -
+";
 
 /// The `strict` corpus totals the repository benchmark reports as its
 /// deterministic compile counts.
