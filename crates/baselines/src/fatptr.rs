@@ -12,9 +12,10 @@
 //! pass, [`softbound::instrument_flavored`] with [`Flavor::Fat`]: the
 //! metadata travels inline, so loading a pointer performs three loads
 //! (value, base, bound) and storing one performs three stores. There is
-//! no metadata table at all — the only runtime call is the bounds check —
-//! so the *performance* profile differs from SoftBound exactly as the
-//! paper describes: cheaper metadata access, at the price of layout
+//! no metadata table at all — the only runtime call is the bounds check,
+//! SoftBound's `SbCheck`, which this runtime prices and reports as its
+//! own — so the *performance* profile differs from SoftBound exactly as
+//! the paper describes: cheaper metadata access, at the price of layout
 //! incompatibility (and of metadata corruptibility through wild writes,
 //! the CCured-WILD problem).
 
@@ -65,7 +66,7 @@ impl RuntimeHooks for FatPtrRuntime {
         ctx: &mut RtCtx,
     ) -> Result<RtVals, Trap> {
         match rt {
-            RtFn::FatCheck { is_store } => {
+            RtFn::SbCheck { is_store } => {
                 self.check_count += 1;
                 ctx.cost += 3;
                 let (ptr, base, bound, size) = (
@@ -213,7 +214,7 @@ mod tests {
 
     #[test]
     fn metadata_is_plain_memory_traffic() {
-        // No metadata runtime calls exist: only FatCheck.
+        // No metadata runtime calls exist: only SbCheck.
         let m = compile_fat_protected("int* g; int main() { int* p = g; g = p; return 0; }")
             .expect("compiles");
         let rt_kinds: Vec<RtFn> = m
@@ -226,9 +227,7 @@ mod tests {
             })
             .collect();
         assert!(
-            rt_kinds
-                .iter()
-                .all(|rt| matches!(rt, RtFn::FatCheck { .. })),
+            rt_kinds.iter().all(|rt| matches!(rt, RtFn::SbCheck { .. })),
             "{rt_kinds:?}"
         );
     }

@@ -21,7 +21,9 @@
 //! The two pointer-based baselines have no pass of their own: they are
 //! the [`Flavor::Mscc`](softbound::Flavor::Mscc) and
 //! [`Flavor::Fat`](softbound::Flavor::Fat) flavors of SoftBound's
-//! transformation, [`softbound::instrument_flavored`].
+//! transformation, [`softbound::instrument_flavored`], which emits
+//! SoftBound's helpers for both; their runtimes give those helpers the
+//! scheme's semantics and cost.
 
 pub mod fatptr;
 pub mod mscc;

@@ -15,8 +15,10 @@
 //! This module holds the runtime. The transformation is SoftBound's own,
 //! [`softbound::instrument_flavored`] with [`Flavor::Mscc`], which gives
 //! whole-object bounds at field GEPs and unbounded metadata to any pointer
-//! forged from an integer; only the flavor and the runtime cost profile
-//! differ.
+//! forged from an integer. It emits SoftBound's helpers (`SbCheck`,
+//! `SbMetaLoad`, `SbMetaStore`); this runtime gives them MSCC's costs,
+//! its own table and no NULL-bounds special case. The wrapped builtins
+//! hand it a pointer-holding `memcpy` through `on_memcpy`.
 
 use sb_ir::{Module, RtFn};
 use sb_vm::{out_of_bounds, Mem, RtCtx, RtVals, RuntimeHooks, Trap};
@@ -63,7 +65,7 @@ impl RuntimeHooks for MsccRuntime {
         ctx: &mut RtCtx,
     ) -> Result<RtVals, Trap> {
         match rt {
-            RtFn::MsccCheck { is_store } => {
+            RtFn::SbCheck { is_store } => {
                 self.check_count += 1;
                 ctx.cost += MSCC_CHECK_COST;
                 let (ptr, base, bound, size) = (
@@ -82,14 +84,14 @@ impl RuntimeHooks for MsccRuntime {
                     Ok([0, 0])
                 }
             }
-            RtFn::MsccMetaLoad => {
+            RtFn::SbMetaLoad => {
                 let slot = (args[0] as u64) >> 3;
                 ctx.cost += MSCC_META_COST;
                 ctx.touch(MSCC_META_BASE + slot * 16);
                 let m = self.meta.get(&slot).copied().unwrap_or(Meta::NULL);
                 Ok([m.base as i64, m.bound as i64])
             }
-            RtFn::MsccMetaStore => {
+            RtFn::SbMetaStore => {
                 let slot = (args[0] as u64) >> 3;
                 ctx.cost += MSCC_META_COST;
                 ctx.touch(MSCC_META_BASE + slot * 16);
@@ -101,39 +103,6 @@ impl RuntimeHooks for MsccRuntime {
                     self.meta.remove(&slot);
                 } else {
                     self.meta.insert(slot, m);
-                }
-                Ok([0, 0])
-            }
-            RtFn::MsccVaCheck => {
-                ctx.cost += 2;
-                if args[0] < 0 || args[0] as u64 >= ctx.vararg_count {
-                    Err(Trap::SpatialViolation {
-                        scheme: "mscc",
-                        addr: args[0] as u64,
-                        write: false,
-                    })
-                } else {
-                    Ok([0, 0])
-                }
-            }
-            // The shared transformation emits these family-neutral
-            // helpers for memcpy metadata movement.
-            RtFn::SbMemcpyMeta => {
-                let (dst, src, len) = (args[0] as u64, args[1] as u64, args[2] as u64);
-                let mut off = 0;
-                while off < len {
-                    ctx.cost += 2 * MSCC_META_COST;
-                    let m = self
-                        .meta
-                        .get(&((src + off) >> 3))
-                        .copied()
-                        .unwrap_or(Meta::NULL);
-                    if m.is_null() {
-                        self.meta.remove(&((dst + off) >> 3));
-                    } else {
-                        self.meta.insert((dst + off) >> 3, m);
-                    }
-                    off += 8;
                 }
                 Ok([0, 0])
             }
@@ -149,6 +118,26 @@ impl RuntimeHooks for MsccRuntime {
                 ctx.cost += 2;
                 a += 8;
             }
+        }
+    }
+
+    /// Copies the metadata of each 8-byte slot the `memcpy` copied, at
+    /// two table accesses per slot.
+    fn on_memcpy(&mut self, dst: u64, src: u64, len: u64, ctx: &mut RtCtx) {
+        let mut off = 0;
+        while off < len {
+            ctx.cost += 2 * MSCC_META_COST;
+            let m = self
+                .meta
+                .get(&((src + off) >> 3))
+                .copied()
+                .unwrap_or(Meta::NULL);
+            if m.is_null() {
+                self.meta.remove(&((dst + off) >> 3));
+            } else {
+                self.meta.insert((dst + off) >> 3, m);
+            }
+            off += 8;
         }
     }
 

@@ -4,7 +4,7 @@
 use crate::fatptr::{self, FatPtrRuntime};
 use crate::mscc::{instrument_mscc, MsccRuntime};
 use crate::object_table::{instrument_object_scheme, ObjectScheme, ObjectTableRuntime};
-use crate::valgrind::{ValgrindRuntime, REDZONE};
+use crate::valgrind::ValgrindRuntime;
 use sb_ir::Module;
 use sb_vm::{Machine, MachineConfig, NoRuntime, RunResult, RuntimeHooks};
 use softbound::{Engine, Facility, SoftBoundConfig, SoftBoundError, SoftBoundRuntime};
@@ -87,59 +87,34 @@ impl Scheme {
     /// Runs `module` through [`Machine::run`] on a machine
     /// monomorphized for this scheme's concrete runtime — the
     /// statically-dispatched path every harness entry point funnels
-    /// into, the same for SoftBound as for every baseline.
-    fn dispatch(
-        &self,
-        module: &Module,
-        cfg: MachineConfig,
-        entry: &str,
-        args: &[i64],
-    ) -> RunResult {
-        fn go<H: RuntimeHooks>(
-            module: &Module,
-            cfg: MachineConfig,
-            hooks: H,
-            entry: &str,
-            args: &[i64],
-        ) -> RunResult {
-            let mut machine = Machine::new(module, cfg, hooks);
-            machine.run(entry, args)
+    /// into, the same for SoftBound as for every baseline. The runtime
+    /// decides the heap's redzones ([`RuntimeHooks::REDZONE`]).
+    fn dispatch(&self, module: &Module, entry: &str, args: &[i64]) -> RunResult {
+        fn go<H: RuntimeHooks>(module: &Module, hooks: H, entry: &str, args: &[i64]) -> RunResult {
+            Machine::new(module, MachineConfig::default(), hooks).run(entry, args)
         }
         match self {
-            Scheme::Uninstrumented => go(module, cfg, NoRuntime, entry, args),
+            Scheme::Uninstrumented => go(module, NoRuntime, entry, args),
             Scheme::SoftBound(sb) => match sb.facility {
-                Facility::ShadowShared => {
-                    go(module, cfg, SoftBoundRuntime::new_paged(sb), entry, args)
-                }
-                Facility::HashTable => go(module, cfg, SoftBoundRuntime::new_hash(sb), entry, args),
+                Facility::ShadowShared => go(module, SoftBoundRuntime::new_paged(sb), entry, args),
+                Facility::HashTable => go(module, SoftBoundRuntime::new_hash(sb), entry, args),
             },
             Scheme::JonesKelly => go(
                 module,
-                cfg,
                 ObjectTableRuntime::new(ObjectScheme::JonesKelly),
                 entry,
                 args,
             ),
             Scheme::Mudflap => go(
                 module,
-                cfg,
                 ObjectTableRuntime::new(ObjectScheme::Mudflap),
                 entry,
                 args,
             ),
-            Scheme::Valgrind => go(module, cfg, ValgrindRuntime::new(), entry, args),
-            Scheme::FatPointer => go(module, cfg, FatPtrRuntime::new(), entry, args),
-            Scheme::Mscc => go(module, cfg, MsccRuntime::new(), entry, args),
+            Scheme::Valgrind => go(module, ValgrindRuntime::new(), entry, args),
+            Scheme::FatPointer => go(module, FatPtrRuntime::new(), entry, args),
+            Scheme::Mscc => go(module, MsccRuntime::new(), entry, args),
         }
-    }
-
-    /// Machine configuration (Valgrind gets heap redzones).
-    pub fn machine_config(&self) -> MachineConfig {
-        let mut cfg = MachineConfig::default();
-        if matches!(self, Scheme::Valgrind) {
-            cfg.redzone = REDZONE;
-        }
-        cfg
     }
 
     /// Compile + run in one call.
@@ -149,13 +124,13 @@ impl Scheme {
     /// Pipeline errors from [`Scheme::compile`].
     pub fn run(&self, src: &str, entry: &str, args: &[i64]) -> Result<RunResult, SoftBoundError> {
         let module = self.compile(src)?;
-        Ok(self.dispatch(&module, self.machine_config(), entry, args))
+        Ok(self.dispatch(&module, entry, args))
     }
 
     /// Runs a precompiled module (must have been produced by
     /// [`Scheme::compile`] on the same scheme).
     pub fn run_module(&self, module: &Module, entry: &str, args: &[i64]) -> RunResult {
-        self.dispatch(module, self.machine_config(), entry, args)
+        self.dispatch(module, entry, args)
     }
 }
 

@@ -27,8 +27,8 @@ pub const VBITS_BASE: u64 = 0x0000_1E00_0000_0000;
 /// Per-access DBI + bitmap-check cost in x86-equivalent instructions.
 pub const DBI_CHECK_COST: u64 = 22;
 
-/// Redzone padding the harness should configure on the heap allocator
-/// when running this baseline.
+/// Redzone padding the heap puts around every block under this runtime
+/// ([`RuntimeHooks::REDZONE`]).
 pub const REDZONE: u64 = 16;
 
 /// The Memcheck-like runtime: a live-heap-block map standing in for the
@@ -73,6 +73,8 @@ impl ValgrindRuntime {
 }
 
 impl RuntimeHooks for ValgrindRuntime {
+    const REDZONE: u64 = REDZONE;
+
     fn rt_call(
         &mut self,
         rt: RtFn,
@@ -131,11 +133,7 @@ mod tests {
         sb_ir::optimize(&mut m, sb_ir::OptLevel::PreInstrument);
         let m = instrument_object_scheme(&m, ObjectScheme::Mudflap);
         sb_ir::verify(&m).expect("verifies");
-        let cfg = MachineConfig {
-            redzone: REDZONE,
-            ..MachineConfig::default()
-        };
-        let mut machine = Machine::new(&m, cfg, ValgrindRuntime::new());
+        let mut machine = Machine::new(&m, MachineConfig::default(), ValgrindRuntime::new());
         machine.run("main", &[])
     }
 

@@ -76,14 +76,14 @@ fn bench_rt_call(c: &mut Criterion) {
         let mut acc = 0i64;
         for i in 0..1000i64 {
             let addr = 0x10000 + (i % 512) * 8;
-            ctx.reset(0);
+            ctx.reset();
             rt.rt_call(RtFn::SbMetaStore, &[addr, addr, addr + 64], mem, ctx)
                 .expect("store ok");
-            ctx.reset(0);
+            ctx.reset();
             let m = rt
                 .rt_call(RtFn::SbMetaLoad, &[addr], mem, ctx)
                 .expect("load ok");
-            ctx.reset(0);
+            ctx.reset();
             rt.rt_call(
                 RtFn::SbCheck { is_store: false },
                 &[m[0], m[0], m[1], 8],

@@ -1,11 +1,11 @@
 //! Recursive-descent parser for CIR-C.
 //!
-//! The grammar is the pragmatic C subset described in `DESIGN.md`: full
-//! expression syntax with C precedence, statements (`if`/`while`/`for`/
-//! `do`/`return`/`break`/`continue`/blocks), struct and union definitions,
-//! globals with brace initializers, function definitions and prototypes,
-//! and function-pointer declarators of the common `ret (*name)(params)`
-//! shape.
+//! The grammar is the pragmatic C subset the [crate documentation](crate)
+//! describes: full expression syntax with C precedence, statements
+//! (`if`/`while`/`for`/`do`/`return`/`break`/`continue`/blocks), struct
+//! and union definitions, globals with brace initializers, function
+//! definitions and prototypes, and function-pointer declarators of the
+//! common `ret (*name)(params)` shape.
 
 use crate::ast::*;
 use crate::error::{CompileError, Pos, Result};

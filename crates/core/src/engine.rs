@@ -59,7 +59,7 @@ use sb_vm::{ExecModule, Machine, MachineConfig, RunResult};
 ///
 /// An engine owns no per-program state — it is a builder over
 /// [`SoftBoundConfig`] (checking mode, metadata facility, violation
-/// policy) and [`MachineConfig`] (L1 model, redzones, fuel). Build one
+/// policy) and [`MachineConfig`] (L1 model, fuel). Build one
 /// per deployment configuration, then [`compile`](Engine::compile)
 /// programs and [`instantiate`](Engine::instantiate) long-lived machines
 /// from it.
@@ -103,7 +103,7 @@ impl Engine {
         self
     }
 
-    /// Replaces the machine configuration (L1 model, redzones, fuel).
+    /// Replaces the machine configuration (L1 model, fuel).
     pub fn machine_config(mut self, cfg: MachineConfig) -> Self {
         self.machine = cfg;
         self

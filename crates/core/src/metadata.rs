@@ -739,7 +739,7 @@ mod tests {
         let m = Meta { base: 1, bound: 2 };
         f.store(0x0, m, &mut ctx); // slot 0, bucket 0
         f.store(0x80, m, &mut ctx); // slot 16, bucket 0 → chained
-        ctx.reset(0);
+        ctx.reset();
         f.load(0x80, &mut ctx);
         assert_eq!(
             ctx.cost,
@@ -1262,7 +1262,7 @@ mod tests {
         let mut f = ShadowPages::new();
         let mut ctx = RtCtx::default();
         f.store(0x5000, Meta { base: 1, bound: 2 }, &mut ctx);
-        ctx.reset(0);
+        ctx.reset();
         f.copy_range(0x6000, 0x5000, 0, &mut ctx);
         assert_eq!(ctx.cost, 0);
         assert_eq!(f.load(0x6000, &mut ctx), Meta::NULL);

@@ -22,10 +22,11 @@
 //!   by the fleet.
 //!
 //! Two responses the policy deliberately does **not** soften:
-//! function-pointer checks (`SbFnCheck`) and vararg-index checks
-//! (`SbVaCheck`) trap under every policy — there is no meaningful
-//! "clamped" control transfer, and continuing past either would turn a
-//! detected hijack into undefined behaviour.
+//! function-pointer checks (`SbFnCheck`) and the wrapped `va_arg_*`
+//! builtins' index checks (in the VM, which owns the frame's vararg
+//! count) trap under every policy — there is no meaningful "clamped"
+//! control transfer or vararg slot, and continuing past either would
+//! turn a detected hijack into undefined behaviour.
 
 pub use sb_vm::first_oob_byte;
 

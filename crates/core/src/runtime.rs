@@ -235,26 +235,6 @@ impl<F: MetadataFacility> RuntimeHooks for SoftBoundRuntime<F> {
                     .clear_range(args[0] as u64, args[1] as u64, ctx);
                 Ok([0, 0])
             }
-            RtFn::SbMemcpyMeta => {
-                self.facility
-                    .copy_range(args[0] as u64, args[1] as u64, args[2] as u64, ctx);
-                Ok([0, 0])
-            }
-            RtFn::SbVaCheck => {
-                ctx.cost += 2;
-                let idx = args[0];
-                // Like SbFnCheck, vararg-index checks trap under every
-                // policy: there is no in-bounds vararg slot to clamp to.
-                if idx < 0 || idx as u64 >= ctx.vararg_count {
-                    Err(Trap::SpatialViolation {
-                        scheme: "softbound",
-                        addr: idx as u64,
-                        write: false,
-                    })
-                } else {
-                    Ok([0, 0])
-                }
-            }
             other => panic!("softbound runtime received foreign rt call {other:?}"),
         }
     }
@@ -265,6 +245,12 @@ impl<F: MetadataFacility> RuntimeHooks for SoftBoundRuntime<F> {
         if ptr_hint {
             self.facility.clear_range(addr, size, ctx);
         }
+    }
+
+    /// §5.2 `memcpy` handling: the metadata of every pointer slot in the
+    /// copied bytes moves with them.
+    fn on_memcpy(&mut self, dst: u64, src: u64, len: u64, ctx: &mut RtCtx) {
+        self.facility.copy_range(dst, src, len, ctx);
     }
 
     /// The §5.2 libc-wrapper check of one buffer, before the builtin
@@ -480,22 +466,6 @@ mod tests {
     }
 
     #[test]
-    fn va_check_respects_count() {
-        let mut rt = paged();
-        let mut mem = Mem::new();
-        let mut ctx = RtCtx {
-            vararg_count: 3,
-            ..RtCtx::default()
-        };
-        assert!(rt
-            .rt_call(RtFn::SbVaCheck, &[2], &mut mem, &mut ctx)
-            .is_ok());
-        assert!(rt
-            .rt_call(RtFn::SbVaCheck, &[3], &mut mem, &mut ctx)
-            .is_err());
-    }
-
-    #[test]
     fn hardened_check_absorbs_orders_repair_and_records_evidence() {
         let mut rt = SoftBoundRuntime::new_paged(&SoftBoundConfig::hardened());
         let mut mem = Mem::new();
@@ -560,14 +530,11 @@ mod tests {
     }
 
     #[test]
-    fn fn_and_va_checks_trap_under_every_policy() {
+    fn fn_checks_trap_under_every_policy() {
         for cfg in [SoftBoundConfig::hardened(), SoftBoundConfig::monitor()] {
             let mut rt = SoftBoundRuntime::new_paged(&cfg);
             let mut mem = Mem::new();
-            let mut ctx = RtCtx {
-                vararg_count: 1,
-                ..RtCtx::default()
-            };
+            let mut ctx = RtCtx::default();
             assert!(rt
                 .rt_call(
                     RtFn::SbFnCheck,
@@ -575,9 +542,6 @@ mod tests {
                     &mut mem,
                     &mut ctx
                 )
-                .is_err());
-            assert!(rt
-                .rt_call(RtFn::SbVaCheck, &[3], &mut mem, &mut ctx)
                 .is_err());
             assert_eq!(ctx.repair, None);
         }
@@ -644,7 +608,7 @@ mod tests {
     fn memcpy_meta_copies() {
         let mut rt = SoftBoundRuntime::new_hash(&SoftBoundConfig::default());
         call(&mut rt, RtFn::SbMetaStore, &[0x2000, 0x10, 0x20]).expect("store");
-        call(&mut rt, RtFn::SbMemcpyMeta, &[0x3000, 0x2000, 8]).expect("copy");
+        rt.on_memcpy(0x3000, 0x2000, 8, &mut RtCtx::default());
         assert_eq!(
             call(&mut rt, RtFn::SbMetaLoad, &[0x3000]).expect("load"),
             [0x10, 0x20]

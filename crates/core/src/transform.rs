@@ -33,14 +33,17 @@
 //! | | SoftBound | MSCC | fat |
 //! |---|---|---|---|
 //! | function prefix | `_sb_` | `_mscc_` | `_fat_` |
-//! | check helper | `SbCheck` | `MsccCheck` | `FatCheck` |
-//! | metadata of a loaded or stored pointer | `SbMetaLoad`/`SbMetaStore` | `MsccMetaLoad`/`MsccMetaStore` | plain `I64` loads/stores at `+8` and `+16` |
+//! | metadata of a loaded or stored pointer | `SbMetaLoad`/`SbMetaStore` | `SbMetaLoad`/`SbMetaStore` | plain `I64` loads/stores at `+8` and `+16` |
 //! | global-initializer constructor | one table store per pointer slot | one table store per pointer slot | two plain stores per pointer slot |
 //! | bounds at field GEPs | shrink to the field | whole object | shrink to the field |
 //! | forged (int-to-pointer) pointers | NULL bounds | unbounded | NULL bounds |
 //! | frame clearing on return, function-pointer checks | emitted | none | none |
-//! | `setbound` | compiled away | compiled away | wrapped builtin |
-//! | vararg checks, memcpy metadata | emitted | emitted | none |
+//!
+//! Every flavor checks with `SbCheck` and compiles `setbound` away; the
+//! installed runtime gives the helpers its scheme's semantics and cost.
+//! The wrapped builtins decode varargs with a count check and hand a
+//! pointer-holding `memcpy` to the runtime's `on_memcpy`, so those §5.2
+//! mechanisms need no instructions here.
 //!
 //! The pass is purely local — no whole-program analysis — which is what
 //! makes separate compilation work (Table 1).
@@ -78,8 +81,7 @@ pub enum Flavor {
     /// 24-byte `{value, base, bound}` layout, so the metadata is the two
     /// plain words after the pointer and `memcpy` copies it as data.
     /// Bounds shrink at field GEPs and forged pointers get NULL bounds;
-    /// `setbound` stays a wrapped builtin, and none of the other §5.2
-    /// mechanisms is emitted.
+    /// no frame clearing or function-pointer checks.
     Fat,
 }
 
@@ -94,30 +96,11 @@ impl Flavor {
         }
     }
 
-    fn check(self, is_store: bool) -> RtFn {
-        match self {
-            Flavor::SoftBound => RtFn::SbCheck { is_store },
-            Flavor::Mscc => RtFn::MsccCheck { is_store },
-            Flavor::Fat => RtFn::FatCheck { is_store },
-        }
-    }
-
-    /// The metadata table's `(load, store)` helpers; `None` for fat
-    /// pointers, whose metadata is inline (see [`inline_meta`]).
-    fn table(self) -> Option<(RtFn, RtFn)> {
-        match self {
-            Flavor::SoftBound => Some((RtFn::SbMetaLoad, RtFn::SbMetaStore)),
-            Flavor::Mscc => Some((RtFn::MsccMetaLoad, RtFn::MsccMetaStore)),
-            Flavor::Fat => None,
-        }
-    }
-
-    fn va_check(self) -> Option<RtFn> {
-        match self {
-            Flavor::SoftBound => Some(RtFn::SbVaCheck),
-            Flavor::Mscc => Some(RtFn::MsccVaCheck),
-            Flavor::Fat => None,
-        }
+    /// True when pointer metadata lives in the runtime's table
+    /// (`SbMetaLoad`/`SbMetaStore`); false for fat pointers, whose
+    /// metadata is inline (see [`inline_meta`]).
+    fn table(self) -> bool {
+        self != Flavor::Fat
     }
 
     /// Bounds of a pointer forged from an integer register (§5.2): NULL,
@@ -197,23 +180,22 @@ fn build_globals_init(globals: &[Global], module_name: &str, flavor: Flavor) -> 
                 GInit::Bytes(_) => continue, // zero/integer patterns: NULL bounds
             };
             let id = GlobalId(gi as u32);
-            match flavor.table() {
-                Some((_, store)) => insts.push(Inst::Rt {
+            if flavor.table() {
+                insts.push(Inst::Rt {
                     dsts: vec![],
-                    rt: store,
+                    rt: RtFn::SbMetaStore,
                     args: vec![Value::GlobalAddr { id, offset: *off }, base, bound],
-                }),
-                None => {
-                    for (disp, value) in [(8, base), (16, bound)] {
-                        insts.push(Inst::Store {
-                            mem: MemTy::I64,
-                            addr: Value::GlobalAddr {
-                                id,
-                                offset: off + disp,
-                            },
-                            value,
-                        });
-                    }
+                });
+            } else {
+                for (disp, value) in [(8, base), (16, bound)] {
+                    insts.push(Inst::Store {
+                        mem: MemTy::I64,
+                        addr: Value::GlobalAddr {
+                            id,
+                            offset: off + disp,
+                        },
+                        value,
+                    });
                 }
             }
         }
@@ -377,7 +359,7 @@ fn rewrite(inst: Inst, f: &mut Function, cx: &Cx<'_>, out: &mut Vec<Inst>) {
                 let (b, e) = cx.meta_of(&addr);
                 out.push(Inst::Rt {
                     dsts: vec![],
-                    rt: cx.flavor.check(false),
+                    rt: RtFn::SbCheck { is_store: false },
                     args: vec![addr, b, e, Value::Const(mem.size() as i64)],
                 });
             }
@@ -385,21 +367,20 @@ fn rewrite(inst: Inst, f: &mut Function, cx: &Cx<'_>, out: &mut Vec<Inst>) {
             // itself when dst == addr (e.g. `p = *p`).
             if mem.is_ptr() {
                 let (db, de) = cx.shadow(dst);
-                match cx.flavor.table() {
-                    Some((load, _)) => out.push(Inst::Rt {
+                if cx.flavor.table() {
+                    out.push(Inst::Rt {
                         dsts: vec![db, de],
-                        rt: load,
+                        rt: RtFn::SbMetaLoad,
                         args: vec![addr],
-                    }),
-                    None => {
-                        for ((gep, word), dst) in inline_meta(f, addr).into_iter().zip([db, de]) {
-                            out.push(gep);
-                            out.push(Inst::Load {
-                                dst,
-                                mem: MemTy::I64,
-                                addr: word,
-                            });
-                        }
+                    });
+                } else {
+                    for ((gep, word), dst) in inline_meta(f, addr).into_iter().zip([db, de]) {
+                        out.push(gep);
+                        out.push(Inst::Load {
+                            dst,
+                            mem: MemTy::I64,
+                            addr: word,
+                        });
                     }
                 }
             }
@@ -409,27 +390,26 @@ fn rewrite(inst: Inst, f: &mut Function, cx: &Cx<'_>, out: &mut Vec<Inst>) {
             let (b, e) = cx.meta_of(&addr);
             out.push(Inst::Rt {
                 dsts: vec![],
-                rt: cx.flavor.check(true),
+                rt: RtFn::SbCheck { is_store: true },
                 args: vec![addr, b, e, Value::Const(mem.size() as i64)],
             });
             out.push(Inst::Store { mem, addr, value });
             if mem.is_ptr() {
                 let (vb, ve) = cx.meta_of(&value);
-                match cx.flavor.table() {
-                    Some((_, store)) => out.push(Inst::Rt {
+                if cx.flavor.table() {
+                    out.push(Inst::Rt {
                         dsts: vec![],
-                        rt: store,
+                        rt: RtFn::SbMetaStore,
                         args: vec![addr, vb, ve],
-                    }),
-                    None => {
-                        for ((gep, word), value) in inline_meta(f, addr).into_iter().zip([vb, ve]) {
-                            out.push(gep);
-                            out.push(Inst::Store {
-                                mem: MemTy::I64,
-                                addr: word,
-                                value,
-                            });
-                        }
+                    });
+                } else {
+                    for ((gep, word), value) in inline_meta(f, addr).into_iter().zip([vb, ve]) {
+                        out.push(gep);
+                        out.push(Inst::Store {
+                            mem: MemTy::I64,
+                            addr: word,
+                            value,
+                        });
                     }
                 }
             }
@@ -623,8 +603,7 @@ fn rewrite_builtin(
 ) {
     // `setbound(p, size)` compiles away entirely: the result is p with the
     // explicit bounds [p, p+size) (§5.2 "Creating pointers from integers").
-    // Fat pointers keep it a wrapped builtin.
-    if b == Builtin::Setbound && cx.flavor != Flavor::Fat {
+    if b == Builtin::Setbound {
         if let Some(&d) = dsts.first() {
             let (db, de) = cx.shadow(d);
             out.push(Inst::Mov {
@@ -645,20 +624,12 @@ fn rewrite_builtin(
         }
         return;
     }
-    // Variadic decode checks (§5.2 "Variable argument functions").
-    if let Some(rt) = cx.flavor.va_check() {
-        if matches!(b, Builtin::VaArgLong | Builtin::VaArgPtr) {
-            out.push(Inst::Rt {
-                dsts: vec![],
-                rt,
-                args: vec![args[0]],
-            });
-        }
-    }
     // Library-wrapper behaviour (§5.2): append (base, bound) for each
     // pointer parameter, in declaration order, after all arguments. The VM
     // hands each pair, with the buffer it bounds, to the runtime's
-    // `check_builtin_range`.
+    // `check_builtin_range`; a wrapped `va_arg_*` checks its index against
+    // the arguments passed, and a wrapped `memcpy` whose `ptr_hint` the
+    // type heuristic set copies metadata through `on_memcpy`.
     let sig = b.sig();
     let mut new_args = args.clone();
     for (i, pty) in sig.params.iter().enumerate() {
@@ -673,7 +644,6 @@ fn rewrite_builtin(
         dsts.push(db);
         dsts.push(de);
     }
-    let memcpy_args = (b == Builtin::Memcpy).then(|| (args[0], args[1], args[2]));
     out.push(Inst::Call {
         dsts,
         callee: Callee::Builtin(b),
@@ -681,18 +651,6 @@ fn rewrite_builtin(
         ptr_hint,
         wrapped: true,
     });
-    // memcpy metadata handling (§5.2): copy the table's pointer metadata
-    // unless the type heuristic proves the buffers hold no pointers. Fat
-    // pointers' inline words travel with the copied bytes.
-    if let Some((d, s, n)) = memcpy_args {
-        if ptr_hint && cx.flavor.table().is_some() {
-            out.push(Inst::Rt {
-                dsts: vec![],
-                rt: RtFn::SbMemcpyMeta,
-                args: vec![d, s, n],
-            });
-        }
-    }
 }
 
 #[cfg(test)]
@@ -874,6 +832,8 @@ mod tests {
 
     #[test]
     fn memcpy_heuristic_controls_meta_copy() {
+        // The type heuristic's verdict rides on the wrapped call as
+        // `ptr_hint`; the VM copies metadata (`on_memcpy`) only when set.
         let with_ptrs = r#"
             struct holder { char* p; };
             int main() {
@@ -888,21 +848,24 @@ mod tests {
                 memcpy(b, a, 8);
                 return 0;
             }"#;
-        let cfg = SoftBoundConfig::default();
-        assert_eq!(
-            count_rt(&instrumented(with_ptrs, &cfg), |rt| matches!(
-                rt,
-                RtFn::SbMemcpyMeta
-            )),
-            1
-        );
-        assert_eq!(
-            count_rt(&instrumented(no_ptrs, &cfg), |rt| matches!(
-                rt,
-                RtFn::SbMemcpyMeta
-            )),
-            0
-        );
+        let memcpy_call = |src| {
+            let m = instrumented(src, &SoftBoundConfig::default());
+            m.funcs
+                .iter()
+                .flat_map(|f| f.blocks.iter().flat_map(|b| &b.insts))
+                .find_map(|i| match i {
+                    Inst::Call {
+                        callee: Callee::Builtin(Builtin::Memcpy),
+                        ptr_hint,
+                        wrapped,
+                        ..
+                    } => Some((*ptr_hint, *wrapped)),
+                    _ => None,
+                })
+                .expect("memcpy call present")
+        };
+        assert_eq!(memcpy_call(with_ptrs), (true, true));
+        assert_eq!(memcpy_call(no_ptrs), (false, true));
     }
 
     #[test]
@@ -913,7 +876,7 @@ mod tests {
         // The MSCC flavor shares the transformation but clears nothing.
         let mscc = flavored(src, &SoftBoundConfig::default(), Flavor::Mscc);
         assert_eq!(count_rt(&mscc, |rt| matches!(rt, RtFn::SbMetaClear)), 0);
-        assert!(count_rt(&mscc, |rt| matches!(rt, RtFn::MsccMetaStore)) >= 1);
+        assert!(count_rt(&mscc, |rt| matches!(rt, RtFn::SbMetaStore)) >= 1);
     }
 
     #[test]

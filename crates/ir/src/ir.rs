@@ -118,20 +118,23 @@ pub struct AllocaInfo {
     pub ptr_slots: Vec<u64>,
 }
 
-/// Runtime helper functions inserted by instrumentation passes. The VM
+/// Runtime helper functions inserted by instrumentation passes. Each
+/// names what is checked or moved, never which scheme does it: the VM
 /// forwards these to the installed `RuntimeHooks` implementation (see
-/// `sb-vm`), which supplies semantics and cost.
+/// `sb-vm`), which supplies the scheme's semantics and cost. SoftBound,
+/// MSCC and fat pointers all emit `SbCheck`; the two with a metadata
+/// table also emit `SbMetaLoad` and `SbMetaStore`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RtFn {
-    /// SoftBound spatial check (§3.1): args `[ptr, base, bound, size]`;
-    /// aborts unless `base <= ptr && ptr+size <= bound`.
+    /// Pointer-based spatial check (§3.1): args `[ptr, base, bound,
+    /// size]`; aborts unless `base <= ptr && ptr+size <= bound`.
     SbCheck {
         /// True for store checks (store-only mode keeps only these).
         is_store: bool,
     },
-    /// SoftBound metadata load (§3.2): args `[addr]`, dsts `[base, bound]`.
+    /// Metadata-table load (§3.2): args `[addr]`, dsts `[base, bound]`.
     SbMetaLoad,
-    /// SoftBound metadata store (§3.2): args `[addr, base, bound]`.
+    /// Metadata-table store (§3.2): args `[addr, base, bound]`.
     SbMetaStore,
     /// SoftBound function-pointer check (§5.2): args `[ptr, base, bound]`;
     /// requires `base == bound == ptr`.
@@ -139,11 +142,6 @@ pub enum RtFn {
     /// Clear metadata for every pointer slot in `[addr, addr+len)`:
     /// args `[addr, len]`.
     SbMetaClear,
-    /// Copy metadata for pointer slots from `src` to `dst` over `len`
-    /// bytes: args `[dst, src, len]` (memcpy handling, §5.2).
-    SbMemcpyMeta,
-    /// Variadic-argument decode check (§5.2): args `[index, count]`.
-    SbVaCheck,
     /// Object-table arithmetic check (Jones-Kelly): args `[src, result]`;
     /// result must stay in (or one past) src's object.
     ObjCheckArith,
@@ -154,31 +152,13 @@ pub enum RtFn {
         /// True for store checks.
         is_store: bool,
     },
-    /// MSCC-style metadata load: args `[addr]`, dsts `[base, bound]`.
-    MsccMetaLoad,
-    /// MSCC-style metadata store: args `[addr, base, bound]`.
-    MsccMetaStore,
-    /// MSCC-style spatial check: args `[ptr, base, bound, size]`.
-    MsccCheck {
-        /// True for store checks.
-        is_store: bool,
-    },
-    /// MSCC-style variadic decode check: args `[index]`.
-    MsccVaCheck,
-    /// Fat-pointer (SafeC/CCured-SEQ) spatial check: args
-    /// `[ptr, base, bound, size]`. Metadata movement itself is plain
-    /// loads/stores of the inline fat-pointer words.
-    FatCheck {
-        /// True for store checks.
-        is_store: bool,
-    },
 }
 
 impl RtFn {
     /// Number of result registers this helper produces.
     pub fn result_count(self) -> usize {
         match self {
-            RtFn::SbMetaLoad | RtFn::MsccMetaLoad => 2,
+            RtFn::SbMetaLoad => 2,
             _ => 0,
         }
     }
@@ -189,23 +169,8 @@ impl RtFn {
     pub fn is_check(self) -> bool {
         matches!(
             self,
-            RtFn::SbCheck { .. }
-                | RtFn::DerefCheck { .. }
-                | RtFn::MsccCheck { .. }
-                | RtFn::FatCheck { .. }
-                | RtFn::ObjCheckArith
-                | RtFn::SbFnCheck
+            RtFn::SbCheck { .. } | RtFn::DerefCheck { .. } | RtFn::ObjCheckArith | RtFn::SbFnCheck
         )
-    }
-
-    /// True for metadata-table loads (`meta_loads` statistic).
-    pub fn is_meta_load(self) -> bool {
-        matches!(self, RtFn::SbMetaLoad | RtFn::MsccMetaLoad)
-    }
-
-    /// True for metadata-table stores (`meta_stores` statistic).
-    pub fn is_meta_store(self) -> bool {
-        matches!(self, RtFn::SbMetaStore | RtFn::MsccMetaStore)
     }
 }
 
@@ -590,7 +555,6 @@ mod tests {
     fn rtfn_result_counts() {
         assert_eq!(RtFn::SbMetaLoad.result_count(), 2);
         assert_eq!(RtFn::SbCheck { is_store: false }.result_count(), 0);
-        assert_eq!(RtFn::MsccMetaLoad.result_count(), 2);
     }
 
     #[test]

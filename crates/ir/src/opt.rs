@@ -488,11 +488,10 @@ fn simplify_cfg(f: &mut Function) -> bool {
 /// bound` depends only on these operand *values* (checks read no memory),
 /// so two checks with equal keys test the same predicate. The `is_store`
 /// flag is deliberately not part of the key — it only selects the trap's
-/// diagnostic, not the condition. The access size *is* part of the key:
-/// a wider check does not subsume a narrower one, because the runtime
-/// compares with `ptr.wrapping_add(size)` and a pointer near the top of
-/// the address space can pass a size-8 check by wrapping while a size-4
-/// check on the same operands would trap.
+/// diagnostic, not the condition. The access size *is* part of the key,
+/// because keys match textually. The runtime's end compare is a checked
+/// add, so a passed wider check does imply a narrower one on the same
+/// operands; subsuming across sizes is ROADMAP item 4, rung 2.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct CheckKey {
     /// 0 = dereference-check family, 1 = function-pointer check.
@@ -512,7 +511,7 @@ fn check_key(inst: &Inst) -> Option<CheckKey> {
         return None;
     };
     match rt {
-        RtFn::SbCheck { .. } | RtFn::MsccCheck { .. } | RtFn::FatCheck { .. } => {
+        RtFn::SbCheck { .. } => {
             // Non-constant sizes are not emitted by any pass; skip if seen.
             let Value::Const(size) = args[3] else {
                 return None;
@@ -555,11 +554,11 @@ fn check_key(inst: &Inst) -> Option<CheckKey> {
 ///   the resumed path, so the facts are re-established dynamically.
 ///
 /// Ordinary calls, pointer stores, and the metadata helpers
-/// (`SbMetaStore`/`SbMetaClear`/`SbMemcpyMeta`) mutate memory and
-/// metadata tables, which checks never read; killing on them (as this
-/// pass originally did) suppressed every elimination in call- or
-/// store-carrying loops — the `checks_eliminated: 0` rows on compress,
-/// tsp, and treeadd in `BENCH_softbound.json`.
+/// (`SbMetaStore`/`SbMetaClear`) mutate memory and metadata tables,
+/// which checks never read; killing on them (as this pass originally
+/// did) suppressed every elimination in call- or store-carrying loops —
+/// the `checks_eliminated: 0` rows on compress, tsp, and treeadd in
+/// `BENCH_softbound.json`.
 fn clobbers_all_checks(inst: &Inst) -> bool {
     matches!(
         inst,

@@ -51,10 +51,10 @@ fn err(f: &Function, msg: impl Into<String>) -> VerifyError {
 /// instructions during check elimination) must both preserve these.
 fn rt_arg_count(rt: RtFn) -> usize {
     match rt {
-        RtFn::SbCheck { .. } | RtFn::MsccCheck { .. } | RtFn::FatCheck { .. } => 4,
-        RtFn::SbMetaStore | RtFn::SbMemcpyMeta | RtFn::MsccMetaStore | RtFn::SbFnCheck => 3,
+        RtFn::SbCheck { .. } => 4,
+        RtFn::SbMetaStore | RtFn::SbFnCheck => 3,
         RtFn::SbMetaClear | RtFn::ObjCheckArith | RtFn::DerefCheck { .. } => 2,
-        RtFn::SbMetaLoad | RtFn::SbVaCheck | RtFn::MsccMetaLoad | RtFn::MsccVaCheck => 1,
+        RtFn::SbMetaLoad => 1,
     }
 }
 

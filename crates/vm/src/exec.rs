@@ -99,19 +99,17 @@ pub enum Op {
     Load { dst: u32, mem: MemTy, addr: u32 },
     /// `*(mem)addr = value`.
     Store { mem: MemTy, addr: u32, value: u32 },
-    /// Fused `rt(addr, base, bound, size); slot[dst] = *(mem)addr` —
-    /// one dispatch for the check and the load it guards.
+    /// Fused `SbCheck(addr, base, bound, size); slot[dst] = *(mem)addr`
+    /// — one dispatch for the check and the load it guards.
     CheckLoad {
-        rt: RtFn,
         dst: u32,
         mem: MemTy,
         addr: u32,
         base: u32,
         bound: u32,
     },
-    /// Fused `rt(addr, base, bound, size); *(mem)addr = value`.
+    /// Fused `SbCheck(addr, base, bound, size); *(mem)addr = value`.
     CheckStore {
-        rt: RtFn,
         mem: MemTy,
         addr: u32,
         value: u32,
@@ -269,20 +267,18 @@ impl Slots<'_> {
 /// True when the instruction at `i` is a spatial check guarding exactly
 /// the access at `i + 1`, so the pair can fuse into one superinstruction.
 ///
-/// The check must be of the 4-operand `[ptr, base, bound, size]` family,
+/// The check must be an `SbCheck` (`[ptr, base, bound, size]`, what every
+/// pointer-based flavor emits) guarding an access in its own direction,
 /// produce no results, and its pointer/size operands must textually match
-/// the access (the shape every instrumentation flavor emits). Fusion is
+/// the access. Fusion is
 /// safe because jumps only ever target block starts: control cannot
 /// enter between the check and its access.
 fn fusible(insts: &[Inst], i: usize) -> bool {
     let Inst::Rt { dsts, rt, args } = &insts[i] else {
         return false;
     };
-    let is_store = match rt {
-        RtFn::SbCheck { is_store } | RtFn::MsccCheck { is_store } | RtFn::FatCheck { is_store } => {
-            *is_store
-        }
-        _ => return false,
+    let RtFn::SbCheck { is_store } = *rt else {
+        return false;
     };
     if !dsts.is_empty() || args.len() != 4 {
         return false;
@@ -342,14 +338,13 @@ fn lower_func(f: &Function, globals: &[u64], fused_checks: &mut u64) -> ExecFunc
         let mut i = 0;
         while i < b.insts.len() {
             if fusible(&b.insts, i) {
-                let Inst::Rt { rt, args, .. } = &b.insts[i] else {
+                let Inst::Rt { args, .. } = &b.insts[i] else {
                     unreachable!("fusible matched a non-Rt");
                 };
                 let base = slots.of(&args[1]);
                 let bound = slots.of(&args[2]);
                 match &b.insts[i + 1] {
                     Inst::Load { dst, mem, addr } => ops.push(Op::CheckLoad {
-                        rt: *rt,
                         dst: dst.0,
                         mem: *mem,
                         addr: slots.of(addr),
@@ -357,7 +352,6 @@ fn lower_func(f: &Function, globals: &[u64], fused_checks: &mut u64) -> ExecFunc
                         bound,
                     }),
                     Inst::Store { mem, addr, value } => ops.push(Op::CheckStore {
-                        rt: *rt,
                         mem: *mem,
                         addr: slots.of(addr),
                         value: slots.of(value),

@@ -51,30 +51,16 @@ use sb_cir::MEMORY_LIMIT;
 use sb_ir::opt::{eval_bin, eval_cmp};
 use sb_ir::{Callee, FuncId, Inst, MemTy, Module, RegId, RtFn, Value};
 
-/// Hands a clamped `memcpy`'s effective length (`pending`, see
-/// `Machine::pending_meta_len`) to the `SbMemcpyMeta` helper call that
-/// follows the `memcpy`, rewriting its length operand. Any other helper
-/// call drops the hand-off unused.
-#[inline]
-fn hand_off_meta_len(pending: &mut Option<u64>, rt: RtFn, args: &mut [i64]) {
-    if let Some(len) = pending.take() {
-        if rt == RtFn::SbMemcpyMeta {
-            args[2] = len as i64;
-        }
-    }
-}
-
 /// Machine configuration: only what a caller varies. Every machine
 /// charges the same [`COST_MODEL`], captures at most 1 MiB of program
 /// output, and traps `OutOfMemory` past 100 000 nested calls or a stack
-/// of [`MEMORY_LIMIT`] bytes.
+/// of [`MEMORY_LIMIT`] bytes. The installed runtime decides the heap's
+/// redzones ([`RuntimeHooks::REDZONE`]).
 #[derive(Debug, Clone)]
 pub struct MachineConfig {
     /// Model the Core 2 L1 data cache ([`CacheConfig::CORE2_L1`]);
     /// `false` = flat memory.
     pub cache: bool,
-    /// Heap redzone bytes (used by the Valgrind-like baseline; 0 normally).
-    pub redzone: u64,
     /// Dynamic instruction budget (runaway guard).
     pub fuel: u64,
 }
@@ -83,7 +69,6 @@ impl Default for MachineConfig {
     fn default() -> Self {
         MachineConfig {
             cache: false,
-            redzone: 0,
             fuel: 2_000_000_000,
         }
     }
@@ -213,9 +198,8 @@ fn touch(stats: &mut ExecStats, cache: &mut Option<CacheSim>, addr: u64) {
     }
 }
 
-/// Calls runtime helper `rt` on `args` from a frame with `va` variadic
-/// arguments, the one way both lanes enter the runtime for an
-/// instrumentation call: resets the context, stamps the call-site PC,
+/// Calls runtime helper `rt` on `args`, the one way both lanes enter the
+/// runtime for an instrumentation call: resets the context, stamps the call-site PC,
 /// counts the call by kind, and charges the helper's cost, miss
 /// penalties included. A repair order the helper hands back stays in
 /// the context until the guarded access takes it. It takes the fields
@@ -227,18 +211,17 @@ fn rt_call<H: RuntimeHooks>(
     mem: &mut Mem,
     stats: &mut ExecStats,
     ctx: &mut RtCtx,
-    va: u64,
     rt: RtFn,
     args: &[i64],
 ) -> Result<RtVals, Trap> {
-    ctx.reset(va);
+    ctx.reset();
     ctx.pc = stats.insts;
     stats.rt_calls += 1;
     if rt.is_check() {
         stats.checks += 1;
-    } else if rt.is_meta_load() {
+    } else if rt == RtFn::SbMetaLoad {
         stats.meta_loads += 1;
-    } else if rt.is_meta_store() {
+    } else if rt == RtFn::SbMetaStore {
         stats.meta_stores += 1;
     }
     let res = hooks.rt_call(rt, args, mem, ctx);
@@ -344,12 +327,6 @@ pub struct Machine<'m, H: RuntimeHooks> {
     /// (metadata ops may intervene, but never another access), so the
     /// hand-off is unambiguous in both lanes.
     ctx: RtCtx,
-    /// Bytes the last wrapped `memcpy` copied, when a clamping policy cut
-    /// the copy short: the `SbMemcpyMeta` instrumentation places right
-    /// after the call copies metadata for exactly these bytes instead of
-    /// the requested length, which would reach into the neighbouring
-    /// object (see [`hand_off_meta_len`]).
-    pending_meta_len: Option<u64>,
     /// The instruction count at which the fuel runs out: `cfg.fuel` past
     /// the count at the last reset. Fuel and `stats.insts` tick together,
     /// so one counter serves both.
@@ -367,7 +344,7 @@ impl<'m> Machine<'m, NoRuntime> {
 impl<'m, H: RuntimeHooks> Machine<'m, H> {
     /// Creates a machine with an installed safety runtime.
     pub fn new(module: &'m Module, cfg: MachineConfig, hooks: H) -> Self {
-        let heap = Heap::new(cfg.redzone);
+        let heap = Heap::new(H::REDZONE);
         let fuel_end = cfg.fuel;
         let ctx = fresh_ctx(&cfg);
         let mut m = Machine {
@@ -389,7 +366,6 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
             setjmps: Vec::new(),
             next_setjmp_id: 0,
             ctx,
-            pending_meta_len: None,
             fuel_end,
             frame_serial: 0,
         };
@@ -423,7 +399,7 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
         // cache, which would otherwise leak stale (page → frame) pairs
         // into the next run's different layout.
         self.mem.reset();
-        self.heap = Heap::new(self.cfg.redzone);
+        self.heap = Heap::new(H::REDZONE);
         self.ctx = fresh_ctx(&self.cfg);
         self.stats = ExecStats::default();
         self.output.clear();
@@ -440,7 +416,6 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
         self.frame_serial = 0;
         self.global_addrs.clear();
         self.hooks.reset();
-        self.pending_meta_len = None;
         self.layout_globals();
     }
 
@@ -487,11 +462,11 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
     }
 
     /// Runs one lifecycle hook — a global, an alloca, a frame exit, a
-    /// heap allocation or free, a builtin's range check — in a reset
-    /// context stamped with the current PC, and charges its cost.
-    /// Lifecycle hooks see a vararg count of 0.
+    /// heap allocation or free, a builtin's range check or `memcpy`
+    /// metadata copy — in a reset context stamped with the current PC,
+    /// and charges its cost.
     fn hook<R>(&mut self, call: impl FnOnce(&mut H, &mut RtCtx) -> R) -> R {
-        self.ctx.reset(0);
+        self.ctx.reset();
         self.ctx.pc = self.stats.insts;
         let r = call(&mut self.hooks, &mut self.ctx);
         self.stats.cycles += self.ctx.cost;
@@ -953,14 +928,11 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
                 for (i, v) in args.iter().enumerate() {
                     abuf[i] = self.val(v);
                 }
-                hand_off_meta_len(&mut self.pending_meta_len, *rt, &mut abuf);
-                let va = self.frames.last().expect("frame").varargs.len() as u64;
                 let vals = rt_call(
                     &mut self.hooks,
                     &mut self.mem,
                     &mut self.stats,
                     &mut self.ctx,
-                    va,
                     *rt,
                     &abuf[..args.len()],
                 )?;
@@ -1034,7 +1006,6 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
             let frame = self.frames.last_mut().expect("frame");
             let func: &'m ExecFunc = &exec.funcs[frame.func];
             let ops = &func.ops[..];
-            let va = frame.varargs.len() as u64;
             let regs = &mut frame.regs[..];
             let mut pc = frame.idx;
             loop {
@@ -1095,7 +1066,6 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
                         store(&mut self.mem, &mut self.stats, &mut self.ctx, a, mem, v)?;
                     }
                     Op::CheckLoad {
-                        rt,
                         dst,
                         mem,
                         addr,
@@ -1116,8 +1086,7 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
                             &mut self.mem,
                             &mut self.stats,
                             &mut self.ctx,
-                            va,
-                            rt,
+                            RtFn::SbCheck { is_store: false },
                             &avs,
                         )?;
                         // Second half: the guarded load, with its own fuel
@@ -1130,7 +1099,6 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
                             load(&mut self.mem, &mut self.stats, &mut self.ctx, p as u64, mem)?;
                     }
                     Op::CheckStore {
-                        rt,
                         mem,
                         addr,
                         value,
@@ -1149,8 +1117,7 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
                             &mut self.mem,
                             &mut self.stats,
                             &mut self.ctx,
-                            va,
-                            rt,
+                            RtFn::SbCheck { is_store: true },
                             &avs,
                         )?;
                         if self.stats.insts == fuel_end {
@@ -1202,13 +1169,11 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
                         for (a, &s) in abuf.iter_mut().zip(srcs) {
                             *a = regs[s as usize];
                         }
-                        hand_off_meta_len(&mut self.pending_meta_len, rt, &mut abuf);
                         let vals = rt_call(
                             &mut self.hooks,
                             &mut self.mem,
                             &mut self.stats,
                             &mut self.ctx,
-                            va,
                             rt,
                             &abuf[..srcs.len()],
                         )?;
@@ -1339,12 +1304,12 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
                 let es = self.check_range(s, n, false, bounds(1))?;
                 let ed = self.check_range(d, n, true, bounds(0))?;
                 let eff = es.min(ed);
-                if wrapped {
-                    self.stats.checks += 2;
-                    self.stats.cycles += 6;
-                }
                 self.copy_bytes(d, s, eff)?;
-                self.pending_meta_len = (eff < n).then_some(eff);
+                // The §5.2 type heuristic: metadata moves with the bytes
+                // copied unless the buffers cannot hold pointers.
+                if wrapped && ptr_hint {
+                    self.hook(|h, ctx| h.on_memcpy(d, s, eff, ctx));
+                }
                 // Charged for the bytes copied: a clamp that let 16
                 // bytes through costs 16, not the requested `n`.
                 self.stats.cycles += 4 + eff / 8;
@@ -1354,10 +1319,6 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
             Builtin::Memset => {
                 let (d, c, n) = (args[0] as u64, args[1] as u8, args[2].max(0) as u64);
                 let eff = self.check_range(d, n, true, bounds(0))?;
-                if wrapped {
-                    self.stats.checks += 1;
-                    self.stats.cycles += 3;
-                }
                 self.fill(d, c, eff)?;
                 self.stats.cycles += 4 + eff / 8;
                 set(self, 0, d as i64);
@@ -1374,10 +1335,6 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
                 let n = sv.len() as u64 + 1;
                 let eff_s = self.check_range(s, n, false, bounds(1))?;
                 let eff_d = self.check_range(d + dlen, n, true, bounds(0))?;
-                if wrapped {
-                    self.stats.checks += 2;
-                    self.stats.cycles += 6;
-                }
                 // A clamped source read zero-fills past its bound, so the
                 // effective payload ends there; a clamped destination
                 // truncates the write (terminator included only if it
@@ -1399,10 +1356,6 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
                 let src_len = (sv.len() as u64 + 1).min(n);
                 let eff_d = self.check_range(d, n, true, bounds(0))?;
                 let eff_s = self.check_range(s, src_len, false, bounds(1))?;
-                if wrapped {
-                    self.stats.checks += 2;
-                    self.stats.cycles += 6;
-                }
                 // Clamped source: payload ends at the boundary (zero-fill
                 // behaves like an early terminator). Clamped destination:
                 // the n-byte write is truncated to the in-bounds prefix.
@@ -1420,10 +1373,6 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
                 let s = args[0] as u64;
                 let sv = self.mem.read_cstr(s, 1 << 20)?;
                 let eff = self.check_range(s, sv.len() as u64 + 1, false, bounds(0))?;
-                if wrapped {
-                    self.stats.checks += 1;
-                    self.stats.cycles += 3;
-                }
                 self.stats.cycles += 2 + sv.len() as u64;
                 // A clamped scan stops at the boundary: the zero-fill
                 // past the object reads as a terminator.
@@ -1443,10 +1392,6 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
                 let c_len = (c.len() as u64 + 1).min(n);
                 let eff_a = self.check_range(pa, a_len, false, bounds(0))?;
                 let eff_c = self.check_range(pc, c_len, false, bounds(1))?;
-                if wrapped {
-                    self.stats.checks += 2;
-                    self.stats.cycles += 6;
-                }
                 // Clamped reads end at the boundary (zero-fill acts as a
                 // terminator), so a clamped compare sees the truncation.
                 let a = &a[..a.len().min(eff_a as usize)];
@@ -1470,9 +1415,6 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
                 let p = args[0] as u64;
                 let s = self.mem.read_cstr(p, 1 << 20)?;
                 let eff = self.check_range(p, s.len() as u64 + 1, false, bounds(0))?;
-                if wrapped {
-                    self.stats.checks += 1;
-                }
                 self.stats.cycles += 2 + s.len() as u64;
                 self.emit_out(&s[..s.len().min(eff as usize)]);
                 self.emit_out(b"\n");
@@ -1493,11 +1435,11 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
             }
             Builtin::Setjmp => {
                 let buf = args[0] as u64;
-                let mut eff = 8u64;
-                if wrapped {
-                    eff = self.check_range(buf, 8, true, bounds(0))?;
-                    self.stats.checks += 1;
-                }
+                let eff = if wrapped {
+                    self.check_range(buf, 8, true, bounds(0))?
+                } else {
+                    8
+                };
                 let depth = self.frames.len() - 1;
                 let frame = self.frames.last().expect("frame");
                 // `idx` has already advanced past the call.
@@ -1582,13 +1524,9 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
                 self.stats.cycles += 1;
             }
             Builtin::Setbound => {
-                // Identity at runtime; the SoftBound pass gives the result
-                // the explicit bounds [p, p+size) (§5.2).
+                // Identity at runtime; the pointer-based pass compiles the
+                // call away into the explicit bounds [p, p+size) (§5.2).
                 set(self, 0, args[0]);
-                if wrapped {
-                    set(self, 1, args[0]);
-                    set(self, 2, args[0].wrapping_add(args[1]));
-                }
                 self.stats.cycles += 1;
             }
             Builtin::VaCount => {
@@ -1597,9 +1535,23 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
                 self.stats.cycles += 1;
             }
             Builtin::VaArgLong | Builtin::VaArgPtr => {
-                let i = args[0].max(0) as usize;
-                let frame = self.frames.last().expect("frame");
-                let v = frame.varargs.get(i).copied().unwrap_or(0);
+                let i = args[0];
+                let varargs = &self.frames.last().expect("frame").varargs;
+                let passed = usize::try_from(i).is_ok_and(|i| i < varargs.len());
+                let v = varargs.get(i.max(0) as usize).copied().unwrap_or(0);
+                if wrapped {
+                    // The wrapper's decode check (§5.2): an index outside
+                    // the arguments passed traps under every policy, as
+                    // there is no in-bounds vararg slot to clamp to.
+                    self.stats.cycles += 2;
+                    if !passed {
+                        return Err(Trap::SpatialViolation {
+                            scheme: "softbound-wrapper",
+                            addr: i as u64,
+                            write: false,
+                        });
+                    }
+                }
                 set(self, 0, v);
                 if wrapped && b == Builtin::VaArgPtr {
                     // Pointers decoded from varargs get NULL bounds — the
@@ -1614,7 +1566,9 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
 
     /// Asks the installed runtime how many of the `len` bytes at `ptr` a
     /// builtin may touch ([`RuntimeHooks::check_builtin_range`]);
-    /// `bounds` are the pointer's when the call is wrapped.
+    /// `bounds` are the pointer's when the call is wrapped. A wrapper's
+    /// check of its buffer counts and costs like an explicit `SbCheck`,
+    /// whether it passes or traps.
     fn check_range(
         &mut self,
         ptr: u64,
@@ -1622,6 +1576,10 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
         write: bool,
         bounds: Option<(u64, u64)>,
     ) -> Result<u64, Trap> {
+        if bounds.is_some() {
+            self.stats.checks += 1;
+            self.stats.cycles += 3;
+        }
         self.hook(|h, ctx| h.check_builtin_range(ptr, len, write, bounds, ctx))
     }
 
@@ -1669,7 +1627,6 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
         if fmt_bounds.is_some() {
             let eff = self.check_range(fmt_ptr, fmt.len() as u64 + 1, false, fmt_bounds)?;
             fmt.truncate(fmt.len().min(eff as usize));
-            self.stats.checks += 1;
         }
         let varargs = &args[1..];
         let mut ai = 0usize;

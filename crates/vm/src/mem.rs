@@ -534,11 +534,6 @@ impl Heap {
         }
     }
 
-    /// The configured redzone size.
-    pub fn redzone(&self) -> u64 {
-        self.redzone
-    }
-
     /// The size class of a `size`-byte block; `None` past 2^63 bytes,
     /// where no power of two is large enough.
     fn class_of(size: u64) -> Option<u64> {

@@ -336,9 +336,9 @@ impl CacheSim {
 
 /// The context a safety runtime's helper runs in: the helper adds its
 /// cost in x86-equivalent instructions and reports each simulated table
-/// line it touches through [`touch`](RtCtx::touch), and reads the VM
-/// facts it needs (current vararg count, call-site PC). A
-/// repair-and-continue runtime hands its clamp order back here.
+/// line it touches through [`touch`](RtCtx::touch), and reads the
+/// call-site PC. A repair-and-continue runtime hands its clamp order
+/// back here.
 ///
 /// The machine owns one context for its whole life, and with it the
 /// optional L1 [`CacheSim`]: a touched line that misses adds its penalty
@@ -352,9 +352,6 @@ pub struct RtCtx {
     /// The machine's L1 cache model, when `MachineConfig::cache` is on.
     /// Program accesses and runtime table touches share it.
     pub cache: Option<CacheSim>,
-    /// Number of variadic arguments of the current frame (for
-    /// `SbVaCheck`). Lifecycle hooks see 0.
-    pub vararg_count: u64,
     /// Dynamic instruction index at the call site — the "PC" a runtime
     /// stamps into evidence records. The machine writes it before every
     /// hook call; [`reset`](RtCtx::reset) leaves it alone.
@@ -371,9 +368,8 @@ pub struct RtCtx {
 impl RtCtx {
     /// Resets for the next call; the cache model, the PC and a waiting
     /// repair order stay.
-    pub fn reset(&mut self, vararg_count: u64) {
+    pub fn reset(&mut self) {
         self.cost = 0;
-        self.vararg_count = vararg_count;
     }
 
     /// Reports a touched simulated metadata-table address: under the
@@ -420,9 +416,15 @@ pub type RtVals = [i64; 2];
 /// The interface between the VM and a safety runtime.
 ///
 /// Instrumentation passes insert [`RtFn`] instructions; the VM forwards
-/// them here together with allocation-lifecycle events. Implementations
-/// live in the `softbound` and `sb-baselines` crates.
+/// them here together with allocation-lifecycle events and the libc
+/// wrappers' range checks and metadata copies. Implementations live in
+/// the `softbound` and `sb-baselines` crates.
 pub trait RuntimeHooks {
+    /// Bytes of unaddressable padding the heap puts on both sides of
+    /// every block: Memcheck-style redzones for a runtime that detects
+    /// overflows by address. A runtime that checks bounds needs none.
+    const REDZONE: u64 = 0;
+
     /// Executes a runtime helper.
     ///
     /// # Errors
@@ -445,6 +447,15 @@ pub trait RuntimeHooks {
     /// A heap block is being freed.
     fn on_free(&mut self, addr: u64, size: u64, ptr_hint: bool, ctx: &mut RtCtx) {
         let _ = (addr, size, ptr_hint, ctx);
+    }
+
+    /// A wrapped `memcpy` whose type heuristic says the buffers may hold
+    /// pointers copied `len` bytes from `src` to `dst` (§5.2): a runtime
+    /// with a metadata table copies the pointer slots' metadata along.
+    /// `len` is what the builtin actually copied, which a clamping
+    /// policy may have cut short of the requested length.
+    fn on_memcpy(&mut self, dst: u64, src: u64, len: u64, ctx: &mut RtCtx) {
+        let _ = (dst, src, len, ctx);
     }
 
     /// A stack allocation materialized at `addr`.
@@ -613,9 +624,8 @@ mod tests {
         ctx.touch(0x10);
         ctx.touch(0x18);
         assert_eq!(ctx.cost, 9 + CacheConfig::CORE2_L1.miss_penalty);
-        ctx.reset(3);
+        ctx.reset();
         assert_eq!(ctx.cost, 0);
-        assert_eq!(ctx.vararg_count, 3);
         // The cache model survives the reset: the line is still warm.
         ctx.touch(0x10);
         assert_eq!(ctx.cost, 0);

@@ -2,8 +2,8 @@
 //!
 //! Re-exports every crate of the SoftBound (PLDI 2009) reproduction
 //! workspace under one roof, so examples and integration tests can say
-//! `use softbound_repro::...`. See `README.md` for the tour and
-//! `DESIGN.md` for the system inventory.
+//! `use softbound_repro::...`. See `README.md` for the tour and its
+//! "Workspace layout" section for the crate inventory.
 
 pub use sb_baselines as baselines;
 pub use sb_bench as bench;

@@ -24,8 +24,9 @@
 //! table exactly. On a mismatch the test prints the whole table it
 //! computed, for review and re-pinning of a deliberate change.
 
+use sb_baselines::Scheme;
 use sb_ir::{Module, OptLevel, PassStats};
-use softbound::{CheckMode, Engine, ViolationPolicy};
+use softbound::{CheckMode, Engine, SoftBoundConfig, ViolationPolicy};
 
 /// One corpus source, labelled as the repository benchmark labels it.
 struct Source {
@@ -160,13 +161,14 @@ fn optimizer_output_matches_the_golden_table() {
     );
 }
 
-/// A source that reaches the paths where the three flavors of the
-/// pointer-based pass differ and that no corpus source reaches:
-/// `setbound`, the variadic decode checks, an indirect call through a
-/// function-pointer global, a `memcpy` of a pointer-holding struct, a
-/// field GEP into `char tag[8]`, pointer-valued global initializers, a
-/// pointer return and `free`. It forges no pointer from an integer. It
-/// stays out of [`corpus`], whose totals the benchmark reports.
+/// A source that reaches paths no corpus source reaches, several of
+/// which the three flavors of the pointer-based pass treat differently:
+/// `setbound`, the wrapped `va_arg_*` decode checks, an indirect call
+/// through a function-pointer global, a `memcpy` of a pointer-holding
+/// struct, a field GEP into `char tag[8]`, pointer-valued global
+/// initializers, a pointer return and `free`. It forges no pointer from
+/// an integer. It stays out of [`corpus`], whose totals the benchmark
+/// reports.
 const FLAVOR_PROBE: &str = r#"
 struct rec { char tag[8]; long* data; };
 long counter = 3;
@@ -224,12 +226,40 @@ fn flavor_dependent_paths_match_the_pinned_rows() {
     assert_eq!(actual.as_slice(), expected.as_slice());
 }
 
+/// The probe's run under the three pointer-based schemes: outcome,
+/// instructions, cycles, runtime calls and checks, one row each.
+#[test]
+fn flavor_probe_runs_match_the_pinned_counts() {
+    let actual: Vec<String> = [
+        ("strict", Scheme::SoftBound(SoftBoundConfig::default())),
+        ("fat", Scheme::FatPointer),
+        ("mscc", Scheme::Mscc),
+    ]
+    .iter()
+    .map(|(label, scheme)| {
+        let r = scheme.run(FLAVOR_PROBE, "main", &[]).expect("compiles");
+        let s = &r.stats;
+        format!(
+            "{label} {:?} {} {} {} {}",
+            r.outcome, s.insts, s.cycles, s.rt_calls, s.checks
+        )
+    })
+    .collect();
+    assert_eq!(actual, FLAVOR_PROBE_RUNS);
+}
+
+const FLAVOR_PROBE_RUNS: [&str; 3] = [
+    "strict Finished { ret: 16 } 68 243 20 13",
+    "fat Finished { ret: 16 } 82 191 10 12",
+    "mscc Finished { ret: 16 } 61 303 17 12",
+];
+
 const FLAVOR_PROBE_GOLDEN: &str = "
-flavor_probe strict 809af40cd8a1f47e 12 0 6
-flavor_probe store 67793fd42e48d7f8 13 0 5
-flavor_probe hardened 809af40cd8a1f47e 12 0 6
-flavor_probe fat 08f546f28983b0e3 10 0 -
-flavor_probe mscc e383e3d920606b77 16 0 -
+flavor_probe strict e98023b6493422f3 12 0 6
+flavor_probe store 0c1dbd35b753eaf1 13 0 5
+flavor_probe hardened e98023b6493422f3 12 0 6
+flavor_probe fat fc279672813b1d61 12 0 -
+flavor_probe mscc 71bfead13039fd7d 16 0 -
 ";
 
 /// The `strict` corpus totals the repository benchmark reports as its
@@ -266,243 +296,243 @@ const GOLDEN: &str = "
 go strict 73388e1a9e47b579 24 0 12
 go store 9a211ee4fe84aae6 24 0 6
 go hardened 73388e1a9e47b579 24 0 12
-go fat 8a7458717a6e78c3 24 0 -
-go mscc bfd8e8dee6188f5e 24 0 -
+go fat a8a9a18a157657db 24 0 -
+go mscc 2da7c4e3de33128a 24 0 -
 lbm strict 0a9086fe713e3433 52 0 26
 lbm store b4c870b10d748104 52 0 9
 lbm hardened 0a9086fe713e3433 52 0 26
-lbm fat 06d967367ac381d1 52 0 -
-lbm mscc 759c7b163b419a17 52 0 -
+lbm fat ee9990b9c30a3c21 52 0 -
+lbm mscc 9d98e260761928cf 52 0 -
 hmmer strict 6b39791ce483b5c0 52 0 14
 hmmer store 902cd145e5b1ac0b 52 0 6
 hmmer hardened 6b39791ce483b5c0 52 0 14
-hmmer fat 5d21a0cc6716aa42 52 0 -
-hmmer mscc c0329ba9d8c3414e 52 0 -
+hmmer fat 338d004a3cc01690 52 0 -
+hmmer mscc d33246de3a01d5a6 52 0 -
 compress strict 5c533976f122d441 22 0 12
 compress store 99d7f9f968034053 22 0 6
 compress hardened 5c533976f122d441 22 0 12
-compress fat ae8e1aca96bda92b 22 0 -
-compress mscc c4b9825739ab2679 22 0 -
+compress fat b096f34af92894f7 22 0 -
+compress mscc c264c27db82f109d 22 0 -
 ijpeg strict be0b87b2596d4fee 20 0 10
 ijpeg store 4ef3dfd349ed6cb1 20 0 5
 ijpeg hardened be0b87b2596d4fee 20 0 10
-ijpeg fat 86afdc0b05be3f64 20 0 -
-ijpeg mscc 45892c672d4a9e2c 20 0 -
+ijpeg fat a2b0acc91d6b4676 20 0 -
+ijpeg mscc 2a53ec388345b76a 20 0 -
 bh strict e1daaba053207c36 62 0 35
 bh store 99f90c0cd75eeeff 87 0 13
 bh hardened e1daaba053207c36 62 0 35
-bh fat 38481ec96fd61f4f 62 0 -
-bh mscc 173845ff1c5cd305 100 0 -
+bh fat d15c5331a0808e4d 62 0 -
+bh mscc e7e50ba530cf7258 100 0 -
 tsp strict 1b14ef7801323a24 24 0 11
 tsp store fc2c43a581d715ac 30 0 6
 tsp hardened 1b14ef7801323a24 24 0 11
-tsp fat 9205cbe9bee626b4 24 0 -
-tsp mscc e4ff2dc3716beeb2 24 0 -
+tsp fat be28664419525750 24 0 -
+tsp mscc 335606333c707e8c 24 0 -
 libquantum strict 38911998a9b8a9ca 63 0 35
 libquantum store cc2be73898ce3a3b 89 0 11
 libquantum hardened 38911998a9b8a9ca 63 0 35
-libquantum fat 9fa79086b00643ca 63 0 -
-libquantum mscc 608adb311047ff30 82 0 -
+libquantum fat 138e841f66d4cbb6 63 0 -
+libquantum mscc cef04725e791182d 82 0 -
 perimeter strict b2bbce97a8424300 97 0 46
 perimeter store 52ba3a6ac6ce1258 135 0 14
 perimeter hardened b2bbce97a8424300 97 0 46
-perimeter fat 03633dbd306f7240 97 0 -
-perimeter mscc 174f2d5a09fa8259 138 0 -
+perimeter fat 12e9de53a474f524 97 0 -
+perimeter mscc b226d7e0614e4d57 138 0 -
 health strict f902e3734a7cdfc8 64 1 40
 health store bb6c5b3c2f626b6b 89 0 26
 health hardened b50608dd57db587d 63 0 41
-health fat a82dc119d4d627a9 64 1 -
-health mscc 7a5b82809ba47bce 111 1 -
+health fat bf6b43bf23e8881b 64 1 -
+health mscc 19a38dbf42b9cb31 111 1 -
 bisort strict 7ed8c7af99649086 23 0 17
 bisort store 4addfde59ab0fc8a 36 0 10
 bisort hardened 7ed8c7af99649086 23 0 17
-bisort fat b97bf27f9b8ba1a7 23 0 -
-bisort mscc a35ea1d97d0be0a0 46 0 -
+bisort fat 19d6db17de6085f3 23 0 -
+bisort mscc 197f3019892c51f1 46 0 -
 mst strict da4383f610bec4da 46 2 23
 mst store a4644910fc62cece 59 0 16
 mst hardened 31f9b4db70b27605 44 0 24
-mst fat 922aa85d5e0eb4bb 46 2 -
-mst mscc 718ddf6a9b17c1c8 62 2 -
+mst fat bcd674ecb0bd16f7 46 2 -
+mst mscc 6d4abfa77c141399 62 2 -
 li strict 74c59cba1886d0aa 31 3 20
 li store 8eae0727734b6188 40 0 13
 li hardened a2b2372c883ebc2c 28 0 22
-li fat 6b4a107b61cd9751 31 3 -
-li mscc ae94d477bb30bbde 53 3 -
+li fat 9d54c925258dbde1 31 3 -
+li mscc 0d4cd5f7dc0a81d0 53 3 -
 em3d strict 33e61d262eddccc3 41 0 16
 em3d store 8fc8ca9e3fa7689b 53 0 11
 em3d hardened 33e61d262eddccc3 41 0 16
-em3d fat fa52de7293b10be1 41 0 -
-em3d mscc 0c79116ead263c95 50 0 -
+em3d fat 111e28014275dad7 41 0 -
+em3d mscc 5d5dfb2082de2f19 50 0 -
 treeadd strict 61b52f69e2e07ac7 8 0 6
 treeadd store 671ee4aefc80f4a5 11 0 5
 treeadd hardened 61b52f69e2e07ac7 8 0 6
-treeadd fat 7e889a8199948937 8 0 -
-treeadd mscc f1b59e8afffab1bb 16 0 -
+treeadd fat a885429788fa8051 8 0 -
+treeadd mscc a99889c9f88c46ab 16 0 -
 libc.memcpy strict e11a711f0f559fb4 4 0 2
 libc.memcpy store 8d15e67536177c1d 4 0 1
 libc.memcpy hardened e11a711f0f559fb4 4 0 2
-libc.memcpy fat 58576d820772c592 4 0 -
-libc.memcpy mscc 544fa291dda712d6 4 0 -
+libc.memcpy fat a6356fcd319cce9c 4 0 -
+libc.memcpy mscc 1a10540cde64f4f0 4 0 -
 libc.memmove strict d482491d28dd7119 8 0 4
 libc.memmove store 6b04bb7698d5fcef 8 0 2
 libc.memmove hardened d482491d28dd7119 8 0 4
-libc.memmove fat ab20948ea1c8f6cf 8 0 -
-libc.memmove mscc 0be1d311e8a03b01 8 0 -
+libc.memmove fat de6af6a525feb5eb 8 0 -
+libc.memmove mscc dc692e4adfe23c1b 8 0 -
 libc.memset strict 92d527870986f070 2 0 1
 libc.memset store 36c212549f68e610 4 0 0
 libc.memset hardened 92d527870986f070 2 0 1
-libc.memset fat a33246c52779c5ba 2 0 -
-libc.memset mscc 8bd98275c6d6f105 2 0 -
+libc.memset fat 79f922d1c72f6f3e 2 0 -
+libc.memset mscc 6e1decabdf4a9ec2 2 0 -
 libc.strcpy strict 7685081c9845751d 4 0 2
 libc.strcpy store 7685081c9845751d 4 0 2
 libc.strcpy hardened 7685081c9845751d 4 0 2
-libc.strcpy fat 09398ece955cd075 4 0 -
-libc.strcpy mscc cef163e6148174ab 4 0 -
+libc.strcpy fat 30130d418507c8f3 4 0 -
+libc.strcpy mscc 80fcacada33d1827 4 0 -
 libc.strncpy strict 766972603e13d9bb 6 0 3
 libc.strncpy store 52f88430e51156aa 6 0 2
 libc.strncpy hardened 766972603e13d9bb 6 0 3
-libc.strncpy fat 1ea00d2950489947 6 0 -
-libc.strncpy mscc 0aa13c3363c23866 6 0 -
+libc.strncpy fat 526d509d3475d9a1 6 0 -
+libc.strncpy mscc 0abc80a9898f40cd 6 0 -
 libc.strcmp strict 85d894d9014406a3 8 0 4
 libc.strcmp store 85d894d9014406a3 8 0 4
 libc.strcmp hardened 85d894d9014406a3 8 0 4
-libc.strcmp fat f04157eb2a6a2cc3 8 0 -
-libc.strcmp mscc 5b3b9e481085a78b 8 0 -
+libc.strcmp fat c7b969ca8a8f5211 8 0 -
+libc.strcmp mscc ce223235520fb6c1 8 0 -
 libc.strtok strict 736587904d557bd4 4 0 2
 libc.strtok store e125a795995131da 4 0 1
 libc.strtok hardened 736587904d557bd4 4 0 2
-libc.strtok fat 0d3b82dbbff834f8 4 0 -
-libc.strtok mscc 48217dc7e326cc32 4 0 -
+libc.strtok fat d76540226c8e6122 4 0 -
+libc.strtok mscc 6eb0fcab89e29e6c 4 0 -
 libc.sprintf strict 3faffde4a8a8046e 10 0 5
 libc.sprintf store b51dedc526c8d70a 10 0 4
 libc.sprintf hardened 3faffde4a8a8046e 10 0 5
-libc.sprintf fat 174dd1f65ddcd5da 10 0 -
-libc.sprintf mscc ebf2cffd18d56287 10 0 -
+libc.sprintf fat 5b763b548aeab26e 10 0 -
+libc.sprintf mscc 9df469608b8cdb1e 10 0 -
 libc.strcpy_off_by_one strict f5e54f66a537c362 10 0 5
 libc.strcpy_off_by_one store 18ff54bbf62a65d6 10 0 3
 libc.strcpy_off_by_one hardened f5e54f66a537c362 10 0 5
-libc.strcpy_off_by_one fat 42d84761bc3001d8 10 0 -
-libc.strcpy_off_by_one mscc 5a4fa1943d5b18af 10 0 -
+libc.strcpy_off_by_one fat b1970c6623f7eb2a 10 0 -
+libc.strcpy_off_by_one mscc 7e1b8047672e674a 10 0 -
 libc.negindex strict 3ac3366c16dfe91a 4 0 2
 libc.negindex store 7f7c14566a57ecd6 4 0 1
 libc.negindex hardened 3ac3366c16dfe91a 4 0 2
-libc.negindex fat e0a3010a4c25f596 4 0 -
-libc.negindex mscc 84f3d2ccf9e0cbca 4 0 -
+libc.negindex fat e9552114333e5348 4 0 -
+libc.negindex mscc 8b365d0ce5f30808 4 0 -
 libc.header strict 98449e1a26ea597d 4 0 2
 libc.header store cd57966ef95baf61 4 0 1
 libc.header hardened 98449e1a26ea597d 4 0 2
-libc.header fat a52ba76cb1425271 4 0 -
-libc.header mscc a95c4934d22bba0f 4 0 -
+libc.header fat 83ce60d518361b69 4 0 -
+libc.header mscc 497331bdcc8bbd71 4 0 -
 daemon.tinyftp strict 0c308cc26c44a70c 174 2 77
 daemon.tinyftp store 02c70bfe8cb8872a 203 0 53
 daemon.tinyftp hardened d15d5a26d04a84ac 172 0 77
-daemon.tinyftp fat c256e4cf15498e37 174 2 -
-daemon.tinyftp mscc 6c8d9801bfb8fa1d 228 2 -
+daemon.tinyftp fat befd141f91753d03 174 2 -
+daemon.tinyftp mscc afbf60259062c050 228 2 -
 daemon.nhttpd strict 8ef5ac8ca2f5c787 122 1 55
 daemon.nhttpd store 3c382222a79e8f70 124 0 26
 daemon.nhttpd hardened 074fbcdf2ca02680 121 0 56
-daemon.nhttpd fat 4c9ab0a84cdfc58b 122 1 -
-daemon.nhttpd mscc 21ba8592dbee09ee 129 1 -
+daemon.nhttpd fat 7eaaaea708fc6639 122 1 -
+daemon.nhttpd mscc d93ac36bf945aef5 129 1 -
 attack.01 strict e715d7f5da1d92b4 3 0 1
 attack.01 store e715d7f5da1d92b4 3 0 1
 attack.01 hardened e715d7f5da1d92b4 3 0 1
-attack.01 fat 34e05336d9d7ce90 3 0 -
-attack.01 mscc 11638c4c57423417 3 0 -
+attack.01 fat 036fa2a5d8976dee 3 0 -
+attack.01 mscc a8512f68b1c8965e 3 0 -
 attack.02 strict d1b38e0aba568f24 9 0 3
 attack.02 store d1b38e0aba568f24 9 0 3
 attack.02 hardened d1b38e0aba568f24 9 0 3
-attack.02 fat ca1c58c36f94234e 9 0 -
-attack.02 mscc d9272b78aeecb129 9 0 -
+attack.02 fat a9fba67004f49272 9 0 -
+attack.02 mscc 9a60484798701966 9 0 -
 attack.03 strict 28a75704e0831ab5 5 1 2
 attack.03 store 28a75704e0831ab5 4 0 2
 attack.03 hardened 623b7f0500ce1d47 4 0 2
-attack.03 fat f3b60f8a5a865dee 5 1 -
-attack.03 mscc a476faaf0142fb55 5 1 -
+attack.03 fat 8114b3d1dc4c2904 5 1 -
+attack.03 mscc 96c55259a98d83e7 5 1 -
 attack.04 strict 694b4fad2a25b412 5 1 2
 attack.04 store 694b4fad2a25b412 4 0 2
 attack.04 hardened a501b81f5f377817 4 0 2
-attack.04 fat ba0a402469aff329 5 1 -
-attack.04 mscc a6e8cabd8b78895c 5 1 -
+attack.04 fat 816f38ba18bd356b 5 1 -
+attack.04 mscc 8d3c32e10d7e8aa2 5 1 -
 attack.05 strict 04e4fd92f3d0e593 2 0 1
 attack.05 store 04e4fd92f3d0e593 2 0 1
 attack.05 hardened 04e4fd92f3d0e593 2 0 1
-attack.05 fat 57f297067d00fdbd 2 0 -
-attack.05 mscc 0156b9ed2442946c 2 0 -
+attack.05 fat df7659b288b59503 2 0 -
+attack.05 mscc 49df24cd956b69bf 2 0 -
 attack.06 strict 5b2874062c62e214 5 1 3
 attack.06 store 5b2874062c62e214 4 0 3
 attack.06 hardened 7809ee311c97fc5a 4 0 3
-attack.06 fat 32e826650f84f9a5 5 1 -
-attack.06 mscc bbf7f355e22c3598 5 1 -
+attack.06 fat c914a11d79545a27 5 1 -
+attack.06 mscc eacc3b0593000833 5 1 -
 attack.07 strict 271a4bfd533537bf 2 0 1
 attack.07 store 37e33c352d10942e 2 0 1
 attack.07 hardened 271a4bfd533537bf 2 0 1
-attack.07 fat 7fc1870f365de301 2 0 -
-attack.07 mscc 91da03e50fa55645 2 0 -
+attack.07 fat edb9535c599348d9 2 0 -
+attack.07 mscc c1d38c6fb9108eb3 2 0 -
 attack.08 strict 5f0d60c6df9086ec 2 0 1
 attack.08 store 5f0d60c6df9086ec 2 0 1
 attack.08 hardened 5f0d60c6df9086ec 2 0 1
-attack.08 fat c91baafb9683c59a 2 0 -
-attack.08 mscc 2ba0e5a33c29c148 2 0 -
+attack.08 fat 8a4d4e4fa3852ae6 2 0 -
+attack.08 mscc 70b76eb0a55b1c0d 2 0 -
 attack.09 strict 4db558a1fafa2fce 5 1 3
 attack.09 store 4db558a1fafa2fce 4 0 3
 attack.09 hardened 2f6d88611f2c63d3 4 0 3
-attack.09 fat 3595419e142eee10 5 1 -
-attack.09 mscc 43c8f05c60116a9b 5 1 -
+attack.09 fat a439ec7b16555f4c 5 1 -
+attack.09 mscc 4b4024f75a803270 5 1 -
 attack.10 strict ee0542b3954ede55 8 1 5
 attack.10 store ee0542b3954ede55 7 0 5
 attack.10 hardened 41b46064974a3d5c 7 0 5
-attack.10 fat c426ce39ac29b747 8 1 -
-attack.10 mscc be9ab8e9b15b6746 8 1 -
+attack.10 fat c5beb5141377e689 8 1 -
+attack.10 mscc cc8f589c0b6d07d5 8 1 -
 attack.11 strict f7de376c45eb019f 7 2 4
 attack.11 store f7de376c45eb019f 5 0 4
 attack.11 hardened 0be459bd91da0757 5 0 4
-attack.11 fat e2c4e25d40d12a12 7 2 -
-attack.11 mscc 10b727be65f6d29f 7 2 -
+attack.11 fat 67aecdc329306fba 7 2 -
+attack.11 mscc fab81d40ed4b8f6b 7 2 -
 attack.12 strict 873135c1dcb0df42 7 2 4
 attack.12 store 873135c1dcb0df42 5 0 4
 attack.12 hardened f8ad8e06185376f1 5 0 4
-attack.12 fat 421458be4a55a461 7 2 -
-attack.12 mscc 410f58ec679bd1d2 7 2 -
+attack.12 fat c645c68bede73381 7 2 -
+attack.12 mscc 9732e09bc16f54f2 7 2 -
 attack.13 strict 6501ca561facc81e 3 1 3
 attack.13 store 6501ca561facc81e 2 0 3
 attack.13 hardened 58b1b6f6304d3fcc 2 0 3
-attack.13 fat 8d3781796c4d0570 3 1 -
-attack.13 mscc 954305afd6ccb1d7 3 1 -
+attack.13 fat a930d7d131dd9212 3 1 -
+attack.13 mscc 144d2dd7a1e36a5c 3 1 -
 attack.14 strict 0ecf7689a00534d6 7 2 5
 attack.14 store 0ecf7689a00534d6 5 0 5
 attack.14 hardened d19df97006fcc460 5 0 5
-attack.14 fat 56836ec10df035ed 7 2 -
-attack.14 mscc a3d05d23111c947c 7 2 -
+attack.14 fat 08af0574af37c279 7 2 -
+attack.14 mscc 8ec089a68ec2d9fb 7 2 -
 attack.15 strict c9f11d83cbe62343 6 0 3
 attack.15 store 57d284d0f1b2f065 7 0 3
 attack.15 hardened c9f11d83cbe62343 6 0 3
-attack.15 fat 6c2f6a5835195b7a 6 0 -
-attack.15 mscc cb43ded50289373a 9 0 -
+attack.15 fat 268c4f3abea1da78 6 0 -
+attack.15 mscc 0a404d99ba3ea3b4 9 0 -
 attack.16 strict be9cbc161d9ddced 8 0 5
 attack.16 store 721642e6db61c72e 9 0 5
 attack.16 hardened be9cbc161d9ddced 8 0 5
-attack.16 fat d137ca12fb20d773 8 0 -
-attack.16 mscc fc8403b2d559e3aa 11 0 -
+attack.16 fat bd6cba0dd05036f9 8 0 -
+attack.16 mscc e232170f95e605b6 11 0 -
 attack.17 strict 3658e57a8cc30f78 3 1 3
 attack.17 store 698b5f3e9ded47e0 2 0 3
 attack.17 hardened 9c99fca0dc2c98c9 2 0 3
-attack.17 fat f45087b298e55c15 3 1 -
-attack.17 mscc 3efd30c954fcab43 3 1 -
+attack.17 fat 50f9f27f8c4c733d 3 1 -
+attack.17 mscc 2f97e36588c35905 3 1 -
 attack.18 strict 8e88ff2ec04351cc 7 0 3
 attack.18 store 138f2974661bc47e 8 0 3
 attack.18 hardened 8e88ff2ec04351cc 7 0 3
-attack.18 fat 426327727f9dc862 7 0 -
-attack.18 mscc 9f25520f8d7cd9f2 10 0 -
+attack.18 fat 196c3d4202df440e 7 0 -
+attack.18 mscc 70144a59ff4c9440 10 0 -
 bugbench.go strict e887a80aadaa026b 9 0 3
 bugbench.go store c92042db3edf734b 10 0 2
 bugbench.go hardened e887a80aadaa026b 9 0 3
-bugbench.go fat d7100fdd05721169 9 0 -
-bugbench.go mscc 74dbf53597d84554 12 0 -
+bugbench.go fat fdcc22f3a9431895 9 0 -
+bugbench.go mscc 2e5182d912df289b 12 0 -
 bugbench.compress strict da89ed8746b8f0bc 2 0 2
 bugbench.compress store e38421928a11e941 2 0 1
 bugbench.compress hardened da89ed8746b8f0bc 2 0 2
-bugbench.compress fat f8cc10a891348d26 2 0 -
-bugbench.compress mscc c04d1ac729302a26 2 0 -
+bugbench.compress fat 98f1d4d81522602e 2 0 -
+bugbench.compress mscc 20da42f93992923e 2 0 -
 bugbench.polymorph strict 6636288913378fba 1 0 0
 bugbench.polymorph store 6636288913378fba 1 0 0
 bugbench.polymorph hardened 6636288913378fba 1 0 0
@@ -511,6 +541,6 @@ bugbench.polymorph mscc 3fdfadbbf880a8dc 1 0 -
 bugbench.gzip strict 59e65a83860cd7c6 2 0 2
 bugbench.gzip store 0f8c289528f89972 2 0 1
 bugbench.gzip hardened 59e65a83860cd7c6 2 0 2
-bugbench.gzip fat 566ae02db107d1d6 2 0 -
-bugbench.gzip mscc ef2a3c51def9bf4c 2 0 -
+bugbench.gzip fat b61112a735c0d13c 2 0 -
+bugbench.gzip mscc 6c6a8f1a371b94ac 2 0 -
 ";

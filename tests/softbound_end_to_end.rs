@@ -8,6 +8,7 @@
 //! store-only mode (Table 4), sub-object overflow detection (§2.1/§3.1),
 //! and wild-cast safety (§3.4).
 
+use sb_baselines::Scheme;
 use sb_vm::{Machine, MachineConfig, Outcome, Trap};
 use softbound::{Engine, SoftBoundConfig, SoftBoundRuntime};
 
@@ -468,21 +469,38 @@ fn global_pointer_initializers_have_bounds() {
 
 #[test]
 fn vararg_over_decode_trapped() {
-    for cfg in full_configs() {
-        let r = protect(
-            r#"
-            int sum_all(int n, ...) {
-                int s = 0;
-                for (int i = 0; i < n; i++) s += (int)va_arg_long(i);
-                return s;
-            }
-            int main() { return sum_all(5, 1, 2); } // lies about the count
-            "#,
-            &cfg,
-        );
+    // `sum_all` decodes 5 varargs where 2 were passed. Decoding index 2
+    // traps (§5.2) under every configuration and violation policy, since
+    // there is no in-bounds vararg slot to clamp to, and under both
+    // pointer-based baselines.
+    const SRC: &str = r#"
+        int sum_all(int n, ...) {
+            int s = 0;
+            for (int i = 0; i < n; i++) s += (int)va_arg_long(i);
+            return s;
+        }
+        int main() { return sum_all(5, 1, 2); } // lies about the count
+    "#;
+    let mut runs: Vec<(String, sb_vm::RunResult)> = all_configs()
+        .into_iter()
+        .chain([SoftBoundConfig::hardened(), SoftBoundConfig::monitor()])
+        .map(|cfg| (cfg.label(), protect(SRC, &cfg)))
+        .collect();
+    for scheme in [Scheme::Mscc, Scheme::FatPointer] {
+        let r = scheme.run(SRC, "main", &[]).expect("compiles");
+        runs.push((scheme.label(), r));
+    }
+    for (label, r) in runs {
         assert!(
-            r.outcome.is_spatial_violation(),
-            "decoding more varargs than passed must trap (§5.2), got {:?}",
+            matches!(
+                r.outcome,
+                Outcome::Trapped(Trap::SpatialViolation {
+                    addr: 2,
+                    write: false,
+                    ..
+                })
+            ),
+            "{label}: decoding vararg 2 of 2 must trap (§5.2), got {:?}",
             r.outcome
         );
     }
@@ -555,4 +573,31 @@ fn memfault_trap_distinct_from_violation() {
         &[],
     );
     assert!(matches!(r.outcome, Outcome::Trapped(Trap::MemFault { .. })));
+}
+
+#[test]
+fn every_wrapper_check_is_counted_and_charged() {
+    // One wrapped builtin each. Every buffer a wrapper checks adds one
+    // check and its 3 cycles, like an explicit `SbCheck`, and a check
+    // that traps is counted too: `memcpy`'s 8-byte source passes and its
+    // 4-byte destination traps.
+    let pins = [
+        (r#"int main() { puts("hi"); return 0; }"#, 1, 19),
+        (r#"int main() { printf("hi\n"); return 0; }"#, 1, 28),
+        (r#"int main() { long jb[8]; setjmp(jb); return 0; }"#, 1, 22),
+        (
+            r#"int main() { char a[4]; char b[8]; memcpy(a, b, 8); return 0; }"#,
+            2,
+            18,
+        ),
+    ];
+    for (src, checks, cycles) in pins {
+        let r = protect(src, &SoftBoundConfig::default());
+        assert_eq!(
+            (r.stats.checks, r.stats.cycles),
+            (checks, cycles),
+            "{src}: {:?}",
+            r.outcome
+        );
+    }
 }
