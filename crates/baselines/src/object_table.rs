@@ -207,7 +207,7 @@ impl RuntimeHooks for ObjectTableRuntime {
         ctx.cost += 8 + 3 * visited;
     }
 
-    fn on_frame_exit(&mut self, allocas: &[(u64, u64)], ctx: &mut RtCtx) {
+    fn on_frame_exit(&mut self, allocas: &[(u64, &sb_ir::AllocaInfo)], ctx: &mut RtCtx) {
         for &(addr, _) in allocas {
             if let Some(visited) = self.tree.remove(addr) {
                 ctx.cost += 6 + 3 * visited;

@@ -3,8 +3,8 @@
 //! metadata organization (§5.1) — plus the violation policy.
 //!
 //! The §5.2 mechanisms are part of the scheme, not switches: the memcpy
-//! type heuristic, metadata clearing on `free` and on function return,
-//! and function-pointer checks are always on.
+//! type heuristic, metadata clearing on `free` and on frame exit (return
+//! or `longjmp`), and function-pointer checks are always on.
 
 use crate::policy::ViolationPolicy;
 

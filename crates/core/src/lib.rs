@@ -16,13 +16,14 @@
 //!   metadata facility instead of rebuilding it;
 //! * [`instrument`] — the compile-time [transformation](transform) over
 //!   `sb-ir` modules (checks, metadata propagation, `_sb_` function
-//!   renaming, bound shrinking, wrappers, lifecycle clearing);
+//!   renaming, bound shrinking, wrappers, global-metadata constructor);
 //! * the two [metadata facilities](metadata) of §5.1 — the tag-less
 //!   shadow space (one paged map with a private directory, recycling
 //!   its page frames through a process-wide pool) and the open-hash
 //!   table —
 //!   with the paper's instruction costs;
-//! * the [runtime](mod@runtime) that plugs into the `sb-vm` machine;
+//! * the [runtime](mod@runtime) that plugs into the `sb-vm` machine and
+//!   clears stale metadata on `free` and on frame exit;
 //! * a unified [`SoftBoundError`] covering every fallible pipeline
 //!   stage, including verifier failures that used to panic.
 //!

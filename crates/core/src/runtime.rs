@@ -14,7 +14,7 @@ use crate::metadata::{
 use crate::policy::{
     first_oob_byte, EvidenceRecord, EvidenceRing, PolicyAction, ViolationPolicy, EVIDENCE_CAPACITY,
 };
-use sb_ir::RtFn;
+use sb_ir::{AllocaInfo, RtFn};
 use sb_vm::{out_of_bounds, Mem, RtCtx, RtVals, RuntimeHooks, Trap};
 
 /// Cost of the bounds check itself (two compares + branch, §3.1).
@@ -230,11 +230,6 @@ impl<F: MetadataFacility> RuntimeHooks for SoftBoundRuntime<F> {
                     })
                 }
             }
-            RtFn::SbMetaClear => {
-                self.facility
-                    .clear_range(args[0] as u64, args[1] as u64, ctx);
-                Ok([0, 0])
-            }
             other => panic!("softbound runtime received foreign rt call {other:?}"),
         }
     }
@@ -244,6 +239,17 @@ impl<F: MetadataFacility> RuntimeHooks for SoftBoundRuntime<F> {
         // blocks whose static type suggests they held pointers.
         if ptr_hint {
             self.facility.clear_range(addr, size, ctx);
+        }
+    }
+
+    /// The same §5.2 clear for a dead frame, on a return or a `longjmp`
+    /// unwind: a later frame reusing the stack sees NULL bounds in every
+    /// stack slot that held a pointer.
+    fn on_frame_exit(&mut self, allocas: &[(u64, &AllocaInfo)], ctx: &mut RtCtx) {
+        for &(addr, info) in allocas {
+            if info.holds_ptrs {
+                self.facility.clear_range(addr, info.size, ctx);
+            }
         }
     }
 
@@ -463,6 +469,29 @@ mod tests {
         call(&mut rt, RtFn::SbMetaStore, &[0x9000, 1, 2]).expect("store");
         rt.on_free(0x9000, 16, false, &mut ctx);
         assert_eq!(rt.live_entries(), 1);
+    }
+
+    #[test]
+    fn frame_exit_clears_only_the_allocas_that_hold_pointers() {
+        let mut rt = paged();
+        for addr in [0x9000, 0x9008, 0x9010, 0x9018] {
+            call(&mut rt, RtFn::SbMetaStore, &[addr, 1, 2]).expect("store");
+        }
+        let alloca = |holds_ptrs| AllocaInfo {
+            name: String::new(),
+            size: 16,
+            align: 8,
+            holds_ptrs,
+        };
+        let (ptrs, bytes) = (alloca(true), alloca(false));
+        rt.on_frame_exit(&[(0x9000, &ptrs), (0x9010, &bytes)], &mut RtCtx::default());
+        let meta = |rt: &mut SoftBoundRuntime<ShadowPages>, addr| {
+            call(rt, RtFn::SbMetaLoad, &[addr]).expect("load")
+        };
+        assert_eq!(meta(&mut rt, 0x9000), [0, 0]);
+        assert_eq!(meta(&mut rt, 0x9008), [0, 0]);
+        assert_eq!(meta(&mut rt, 0x9010), [1, 2]);
+        assert_eq!(meta(&mut rt, 0x9018), [1, 2]);
     }
 
     #[test]

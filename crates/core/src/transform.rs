@@ -23,10 +23,9 @@
 //!   returns, §3.3); indirect calls check the `base == bound == ptr`
 //!   function-pointer encoding (§5.2); builtin ("library") calls become
 //!   checked wrappers; `setbound` is compiled away into explicit bounds;
-//! * **lifecycle** — metadata cleared for pointer-bearing stack slots on
-//!   return and (via runtime hooks) for freed heap blocks (§5.2), and a
-//!   synthesized constructor `__ctor.sb_globals.<module>` seeds metadata
-//!   for pointer-valued global initializers (§5.2).
+//! * **global initializers** — a synthesized constructor
+//!   `__ctor.sb_globals.<module>` seeds metadata for pointer-valued
+//!   global initializers (§5.2).
 //!
 //! What the flavor decides:
 //!
@@ -37,13 +36,15 @@
 //! | global-initializer constructor | one table store per pointer slot | one table store per pointer slot | two plain stores per pointer slot |
 //! | bounds at field GEPs | shrink to the field | whole object | shrink to the field |
 //! | forged (int-to-pointer) pointers | NULL bounds | unbounded | NULL bounds |
-//! | frame clearing on return, function-pointer checks | emitted | none | none |
+//! | function-pointer checks | emitted | none | none |
 //!
 //! Every flavor checks with `SbCheck` and compiles `setbound` away; the
 //! installed runtime gives the helpers its scheme's semantics and cost.
 //! The wrapped builtins decode varargs with a count check and hand a
-//! pointer-holding `memcpy` to the runtime's `on_memcpy`, so those §5.2
-//! mechanisms need no instructions here.
+//! pointer-holding `memcpy` to the runtime's `on_memcpy`, and the
+//! SoftBound runtime clears stale metadata (§5.2) in its `on_free` and
+//! `on_frame_exit` hooks, the latter on a return and a `longjmp` unwind
+//! alike, so those §5.2 mechanisms need no instructions here.
 //!
 //! The pass is purely local — no whole-program analysis — which is what
 //! makes separate compilation work (Table 1).
@@ -70,18 +71,19 @@ pub const GLOBALS_INIT_PREFIX: &str = "__ctor.sb_globals";
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Flavor {
     /// SoftBound: disjoint table metadata, bounds shrunk at field GEPs
-    /// (§3.1), NULL bounds for forged pointers, and every §5.2 mechanism.
+    /// (§3.1), NULL bounds for forged pointers, and function-pointer
+    /// checks (§5.2).
     SoftBound,
     /// MSCC's fast configuration (\[34\]): its own metadata table,
     /// whole-object bounds (so sub-object overflows are missed), and
     /// forged pointers unbounded (`[0, u64::MAX)`, i.e. unchecked); no
-    /// frame clearing or function-pointer checks.
+    /// function-pointer checks.
     Mscc,
     /// SafeC/CCured-SEQ fat pointers: the module must be lowered with the
     /// 24-byte `{value, base, bound}` layout, so the metadata is the two
     /// plain words after the pointer and `memcpy` copies it as data.
     /// Bounds shrink at field GEPs and forged pointers get NULL bounds;
-    /// no frame clearing or function-pointer checks.
+    /// no function-pointer checks.
     Fat,
 }
 
@@ -165,9 +167,6 @@ fn build_globals_init(globals: &[Global], module_name: &str, flavor: Flavor) -> 
     let insts = &mut f.blocks[b.0 as usize].insts;
     for (gi, g) in globals.iter().enumerate() {
         for (off, init) in &g.init {
-            if g.ptr_slots.binary_search(off).is_err() {
-                continue;
-            }
             let (base, bound) = match init {
                 GInit::GlobalAddr { id, .. } => (
                     Value::GlobalAddr { id: *id, offset: 0 },
@@ -232,8 +231,6 @@ struct Cx<'a> {
     global_sizes: &'a [u64],
     cfg: &'a SoftBoundConfig,
     flavor: Flavor,
-    /// Allocas with pointer slots, for return-time metadata clearing.
-    ptr_allocas: Vec<(RegId, u64)>,
     ret_was_ptr: bool,
 }
 
@@ -292,7 +289,6 @@ fn transform_fn(
         global_sizes,
         cfg,
         flavor,
-        ptr_allocas: Vec::new(),
         ret_was_ptr: f.ret_kinds == [RegKind::Ptr],
     };
 
@@ -329,15 +325,6 @@ fn transform_fn(
             let b = f.new_reg(RegKind::Int);
             let e = f.new_reg(RegKind::Int);
             cx.shadows[r] = Some((b, e));
-        }
-    }
-
-    // Collect pointer-bearing allocas (for §5.2 return-time clearing).
-    for inst in &f.blocks[0].insts {
-        if let Inst::Alloca { dst, info } = inst {
-            if !info.ptr_slots.is_empty() {
-                cx.ptr_allocas.push((*dst, info.size));
-            }
         }
     }
 
@@ -482,17 +469,6 @@ fn rewrite(inst: Inst, f: &mut Function, cx: &Cx<'_>, out: &mut Vec<Inst>) {
             }
         }
         Inst::Ret { mut vals } => {
-            // §5.2: pointer-bearing stack slots lose their metadata on
-            // return, so a later frame reusing them sees NULL bounds.
-            if cx.flavor == Flavor::SoftBound {
-                for &(areg, size) in &cx.ptr_allocas {
-                    out.push(Inst::Rt {
-                        dsts: vec![],
-                        rt: RtFn::SbMetaClear,
-                        args: vec![Value::Reg(areg), Value::Const(size as i64)],
-                    });
-                }
-            }
             if cx.ret_was_ptr {
                 let (b, e) = cx.meta_of(&vals[0]);
                 vals.push(b);
@@ -866,17 +842,6 @@ mod tests {
         };
         assert_eq!(memcpy_call(with_ptrs), (true, true));
         assert_eq!(memcpy_call(no_ptrs), (false, true));
-    }
-
-    #[test]
-    fn frame_clearing_emitted_for_pointer_locals() {
-        let src = "int main() { char* arr[4]; arr[0] = (char*)arr; return arr[0] != 0; }";
-        let m = instrumented(src, &SoftBoundConfig::default());
-        assert!(count_rt(&m, |rt| matches!(rt, RtFn::SbMetaClear)) >= 1);
-        // The MSCC flavor shares the transformation but clears nothing.
-        let mscc = flavored(src, &SoftBoundConfig::default(), Flavor::Mscc);
-        assert_eq!(count_rt(&mscc, |rt| matches!(rt, RtFn::SbMetaClear)), 0);
-        assert!(count_rt(&mscc, |rt| matches!(rt, RtFn::SbMetaStore)) >= 1);
     }
 
     #[test]

@@ -112,10 +112,10 @@ pub struct AllocaInfo {
     pub size: u64,
     /// Required alignment.
     pub align: u64,
-    /// Byte offsets of pointer-typed slots inside the allocation (for
-    /// metadata clearing on frame exit, §5.2 "memory reuse and stale
-    /// metadata").
-    pub ptr_slots: Vec<u64>,
+    /// True when the allocation's type contains a pointer: SoftBound
+    /// clears the metadata of its bytes when the frame dies, on a return
+    /// or a `longjmp` unwind (§5.2 "memory reuse and stale metadata").
+    pub holds_ptrs: bool,
 }
 
 /// Runtime helper functions inserted by instrumentation passes. Each
@@ -123,7 +123,9 @@ pub struct AllocaInfo {
 /// forwards these to the installed `RuntimeHooks` implementation (see
 /// `sb-vm`), which supplies the scheme's semantics and cost. SoftBound,
 /// MSCC and fat pointers all emit `SbCheck`; the two with a metadata
-/// table also emit `SbMetaLoad` and `SbMetaStore`.
+/// table also emit `SbMetaLoad` and `SbMetaStore`. No helper clears
+/// metadata: the runtime does that when a heap block is freed or a frame
+/// is torn down.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RtFn {
     /// Pointer-based spatial check (§3.1): args `[ptr, base, bound,
@@ -139,9 +141,6 @@ pub enum RtFn {
     /// SoftBound function-pointer check (§5.2): args `[ptr, base, bound]`;
     /// requires `base == bound == ptr`.
     SbFnCheck,
-    /// Clear metadata for every pointer slot in `[addr, addr+len)`:
-    /// args `[addr, len]`.
-    SbMetaClear,
     /// Object-table arithmetic check (Jones-Kelly): args `[src, result]`;
     /// result must stay in (or one past) src's object.
     ObjCheckArith,
@@ -451,9 +450,6 @@ pub struct Global {
     pub align: u64,
     /// Sparse initializer; memory is zero elsewhere.
     pub init: Vec<(u64, GInit)>,
-    /// Byte offsets of pointer-typed slots (for SoftBound's global metadata
-    /// initialization, §5.2, and for object-table registration).
-    pub ptr_slots: Vec<u64>,
 }
 
 /// A compiled module.

@@ -36,6 +36,6 @@ pub use ir::{
     Inst, IntKind, MemTy, Module, RegId, RegKind, RtFn, Value,
 };
 pub use link::{link, LinkError};
-pub use lower::{lower, ptr_slots_of};
+pub use lower::lower;
 pub use opt::{optimize, optimize_with_stats, OptLevel, PassStats};
 pub use verify::{verify, VerifyError};

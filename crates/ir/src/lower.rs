@@ -45,7 +45,6 @@ pub fn lower(prog: &Program, module_name: &str) -> Module {
             size: prog.types.size_of(&g.ty),
             align: prog.types.align_of(&g.ty).max(1),
             init: Vec::new(), // filled after ids are known
-            ptr_slots: ptr_slots_of(&g.ty, &prog.types),
         });
     }
     let mut str_gids = Vec::with_capacity(prog.strings.len());
@@ -59,7 +58,6 @@ pub fn lower(prog: &Program, module_name: &str) -> Module {
             size: bytes.len() as u64,
             align: 1,
             init: vec![(0, GInit::Bytes(bytes))],
-            ptr_slots: Vec::new(),
         });
     }
 
@@ -98,33 +96,6 @@ pub fn lower(prog: &Program, module_name: &str) -> Module {
         module.funcs.push(lowered);
     }
     module
-}
-
-/// Byte offsets of all pointer slots inside a value of type `ty`.
-pub fn ptr_slots_of(ty: &Ty, types: &TypeTable) -> Vec<u64> {
-    let mut out = Vec::new();
-    walk_ptr_slots(ty, types, 0, &mut out);
-    out
-}
-
-fn walk_ptr_slots(ty: &Ty, types: &TypeTable, base: u64, out: &mut Vec<u64>) {
-    match ty {
-        Ty::Ptr(_) => out.push(base),
-        // An element that holds no pointer has no slots, however many
-        // elements there are.
-        Ty::Array(e, n) if e.contains_ptr(types) => {
-            let esz = types.size_of(e);
-            for i in 0..*n {
-                walk_ptr_slots(e, types, base + i * esz, out);
-            }
-        }
-        Ty::Struct(id) => {
-            for f in types.fields(*id) {
-                walk_ptr_slots(&f.ty, types, base + f.offset, out);
-            }
-        }
-        _ => {}
-    }
 }
 
 /// Where a local lives after lowering.
@@ -296,7 +267,7 @@ impl<'a> FnCx<'a> {
             name: l.name.clone(),
             size: self.types().size_of(&l.ty),
             align: self.types().align_of(&l.ty).max(1),
-            ptr_slots: ptr_slots_of(&l.ty, self.types()),
+            holds_ptrs: l.ty.contains_ptr(self.types()),
         };
         self.emit(Inst::Alloca { dst: addr, info });
         addr
@@ -1003,17 +974,23 @@ mod tests {
     }
 
     #[test]
-    fn pointer_free_arrays_have_no_slots_however_long() {
-        let mut types = TypeTable::new();
-        let huge = Ty::Array(Box::new(Ty::char()), 1 << 40);
-        assert!(ptr_slots_of(&huge, &types).is_empty());
-        let id = types.declare("pair", false);
-        assert!(types.define(
-            id,
-            vec![("n".into(), Ty::long()), ("p".into(), Ty::char().ptr_to())],
-        ));
-        let pairs = Ty::Array(Box::new(Ty::Struct(id)), 3);
-        assert_eq!(ptr_slots_of(&pairs, &types), [8, 24, 40]);
+    fn allocas_record_whether_they_hold_pointers() {
+        let m = lower_src(
+            r#"
+            struct pair { long n; char* p; };
+            int f() { struct pair a[3]; char b[64]; a[0].p = b; return a[0].p == b; }
+        "#,
+        );
+        let f = m.func("f").expect("exists");
+        let holds: Vec<(&str, bool)> = f.blocks[0]
+            .insts
+            .iter()
+            .filter_map(|i| match i {
+                Inst::Alloca { info, .. } => Some((info.name.as_str(), info.holds_ptrs)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(holds, [("a", true), ("b", false)]);
     }
 
     #[test]
@@ -1106,18 +1083,6 @@ mod tests {
             .find(|g| g.name.starts_with(".str."))
             .expect("string global");
         assert_eq!(s.size, 6); // "hello" + NUL
-    }
-
-    #[test]
-    fn global_ptr_slots_recorded() {
-        let m = lower_src(
-            r#"
-            struct pair { char* a; long n; char* b; };
-            struct pair g;
-        "#,
-        );
-        let g = m.globals.iter().find(|g| g.name == "g").expect("global g");
-        assert_eq!(g.ptr_slots, vec![0, 16]);
     }
 
     #[test]

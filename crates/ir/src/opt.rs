@@ -553,11 +553,11 @@ fn check_key(inst: &Inst) -> Option<CheckKey> {
 ///   site — and those same checks re-execute with the current values on
 ///   the resumed path, so the facts are re-established dynamically.
 ///
-/// Ordinary calls, pointer stores, and the metadata helpers
-/// (`SbMetaStore`/`SbMetaClear`) mutate memory and metadata tables,
-/// which checks never read; killing on them (as this pass originally
-/// did) suppressed every elimination in call- or store-carrying loops —
-/// the `checks_eliminated: 0` rows on compress, tsp, and treeadd in
+/// Ordinary calls, pointer stores, and the metadata helper
+/// (`SbMetaStore`) mutate memory and the metadata table, which checks
+/// never read; killing on them (as this pass originally did) suppressed
+/// every elimination in call- or store-carrying loops — the
+/// `checks_eliminated: 0` rows on compress, tsp, and treeadd in
 /// `BENCH_softbound.json`.
 fn clobbers_all_checks(inst: &Inst) -> bool {
     matches!(

@@ -8,15 +8,11 @@ use std::fmt;
 pub fn print_module(m: &Module, f: &mut fmt::Formatter<'_>) -> fmt::Result {
     writeln!(f, "; module {}", m.name)?;
     for (i, g) in m.globals.iter().enumerate() {
-        write!(
+        writeln!(
             f,
             "@{} = global \"{}\" size {} align {}",
             i, g.name, g.size, g.align
         )?;
-        if !g.ptr_slots.is_empty() {
-            write!(f, " ptr_slots {:?}", g.ptr_slots)?;
-        }
-        writeln!(f)?;
     }
     for (i, func) in m.funcs.iter().enumerate() {
         print_function(i, func, f)?;
@@ -96,11 +92,7 @@ pub fn fmt_inst(inst: &Inst) -> String {
             info.name,
             info.size,
             info.align,
-            if info.ptr_slots.is_empty() {
-                String::new()
-            } else {
-                format!(" ptr_slots {:?}", info.ptr_slots)
-            }
+            if info.holds_ptrs { " holds_ptrs" } else { "" }
         ),
         Inst::Load { dst, mem, addr } => format!("r{} = load.{:?} [{}]", dst.0, mem, val(addr)),
         Inst::Store { mem, addr, value } => {

@@ -53,7 +53,7 @@ fn rt_arg_count(rt: RtFn) -> usize {
     match rt {
         RtFn::SbCheck { .. } => 4,
         RtFn::SbMetaStore | RtFn::SbFnCheck => 3,
-        RtFn::SbMetaClear | RtFn::ObjCheckArith | RtFn::DerefCheck { .. } => 2,
+        RtFn::ObjCheckArith | RtFn::DerefCheck { .. } => 2,
         RtFn::SbMetaLoad => 1,
     }
 }

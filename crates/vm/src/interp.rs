@@ -49,7 +49,7 @@ use crate::rt::{
 use sb_cir::hir::Builtin;
 use sb_cir::MEMORY_LIMIT;
 use sb_ir::opt::{eval_bin, eval_cmp};
-use sb_ir::{Callee, FuncId, Inst, MemTy, Module, RegId, RtFn, Value};
+use sb_ir::{AllocaInfo, Callee, FuncId, Inst, MemTy, Module, RegId, RtFn, Value};
 
 /// Machine configuration: only what a caller varies. Every machine
 /// charges the same [`COST_MODEL`], captures at most 1 MiB of program
@@ -109,9 +109,9 @@ const SETJMP_TAG_MASK: u64 = 0xFFFF_0000_0000_0000;
 /// Seed of the deterministic `rand()` stream; restored by [`Machine::reset`].
 const RNG_SEED: u64 = 0x2545_F491_4F6C_DD1D;
 
-struct FramePlan {
-    /// (dst register, frame offset, alloca info index into the entry block)
-    allocas: Vec<(RegId, u64, usize)>,
+struct FramePlan<'m> {
+    /// (dst register, frame offset, alloca info) per entry-block alloca
+    allocas: Vec<(RegId, u64, &'m AllocaInfo)>,
     /// Offset of the saved-frame-pointer slot.
     fp_slot: u64,
     /// Offset of the return-token slot.
@@ -131,7 +131,7 @@ struct Frame<'m> {
     ret_dsts: &'m [RegId],
     frame_base: u64,
     expected_token: u64,
-    allocas: Vec<(u64, u64)>,
+    allocas: Vec<(u64, &'m AllocaInfo)>,
     varargs: Vec<i64>,
 }
 
@@ -297,7 +297,7 @@ pub struct Machine<'m, H: RuntimeHooks> {
     /// The heap allocator.
     pub heap: Heap,
     global_addrs: Vec<u64>,
-    plans: Vec<FramePlan>,
+    plans: Vec<FramePlan<'m>>,
     cfg: MachineConfig,
     hooks: H,
     /// Execution statistics.
@@ -475,15 +475,16 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
     }
 
     fn build_plans(&mut self) {
-        for f in &self.module.funcs {
+        let module: &'m Module = self.module;
+        for f in &module.funcs {
             let mut allocas = Vec::new();
             let mut off: u64 = 0;
             if f.defined {
-                for (ii, inst) in f.blocks[0].insts.iter().enumerate() {
+                for inst in &f.blocks[0].insts {
                     if let Inst::Alloca { dst, info } = inst {
                         let a = info.align.max(1);
                         off = off.div_ceil(a) * a;
-                        allocas.push((*dst, off, ii));
+                        allocas.push((*dst, off, info));
                         off += info.size.max(1);
                     }
                 }
@@ -518,9 +519,9 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
         self.exec = Some(exec);
     }
 
-    /// Runs `entry` (falling back to `_sb_<entry>` for transformed
-    /// modules) with the given integer arguments, walking the
-    /// tree-shaped module: the reference lane the differential suites
+    /// Runs `entry` (falling back to one scheme prefix, `_<tag>_<entry>`,
+    /// for transformed modules) with the given integer arguments, walking
+    /// the tree-shaped module: the reference lane the differential suites
     /// hold [`run_predecoded`](Machine::run_predecoded) to.
     ///
     /// Functions whose name starts with `__ctor.` run first, in module
@@ -549,18 +550,19 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
     }
 
     fn run_lane(&mut self, entry: &str, args: &[i64], predecoded: bool) -> RunResult {
-        // Transformed modules rename functions with a scheme prefix
-        // (`_sb_`, `_fat_`, `_mscc_`, …); fall back to any such renaming.
+        // Transformed modules rename functions with one scheme prefix
+        // (`_sb_`, `_fat_`, `_mscc_`, …); fall back to exactly one such
+        // renaming, so `_sb_x_main` is not taken for `main`.
         let fid = self.module.func_id(entry).or_else(|| {
             self.module
                 .funcs
                 .iter()
                 .position(|f| {
                     f.defined
-                        && f.name.starts_with('_')
-                        && f.name.ends_with(entry)
-                        && f.name.len() > entry.len()
-                        && f.name.as_bytes()[f.name.len() - entry.len() - 1] == b'_'
+                        && f.name
+                            .strip_prefix('_')
+                            .and_then(|s| s.split_once('_'))
+                            .is_some_and(|(_, rest)| rest == entry)
                 })
                 .map(|i| FuncId(i as u32))
         });
@@ -688,13 +690,10 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
         // moves) and fire lifecycle events.
         frame.allocas.clear();
         for i in 0..n_allocas {
-            let (dst, off, ii) = self.plans[fid.0 as usize].allocas[i];
+            let (dst, off, info) = self.plans[fid.0 as usize].allocas[i];
             let addr = frame_base + off;
             frame.regs[dst.0 as usize] = addr as i64;
-            let Inst::Alloca { info, .. } = &f.blocks[0].insts[ii] else {
-                unreachable!("plan indexes an alloca");
-            };
-            frame.allocas.push((addr, info.size));
+            frame.allocas.push((addr, info));
             self.hook(|h, ctx| h.on_alloca(addr, info, ctx));
         }
 

@@ -463,9 +463,11 @@ pub trait RuntimeHooks {
         let _ = (addr, info, ctx);
     }
 
-    /// A frame is being torn down; `allocas` lists its `(addr, size)`
-    /// stack allocations.
-    fn on_frame_exit(&mut self, allocas: &[(u64, u64)], ctx: &mut RtCtx) {
+    /// A frame is being torn down, on a return or a `longjmp` unwind
+    /// alike; `allocas` lists its stack allocations as `(addr, info)`, in
+    /// frame-layout order. SoftBound clears the metadata of those that
+    /// hold pointers (§5.2), the object-table schemes unregister them.
+    fn on_frame_exit(&mut self, allocas: &[(u64, &AllocaInfo)], ctx: &mut RtCtx) {
         let _ = (allocas, ctx);
     }
 

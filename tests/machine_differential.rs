@@ -758,6 +758,39 @@ fn setjmp_loop_behaves_identically_across_policies_and_lanes() {
     }
 }
 
+#[test]
+fn a_dead_frame_loses_its_pointer_metadata_on_return_and_on_longjmp() {
+    // `f` stores `target`'s bounds in its pointer slots and leaves; `g`
+    // reuses the same stack, loads the stale slot and writes through it.
+    // A frame's pointer metadata is cleared when the frame is torn down
+    // (§5.2), whether it returns or a `longjmp` unwinds it, so the stale
+    // pointer has NULL bounds and the write traps.
+    for (how, leave) in [("return", ""), ("longjmp", "longjmp(jb, 1);")] {
+        let src = format!(
+            r#"
+            long jb[8];
+            char target[16];
+            void f() {{ char* slots[2]; slots[0] = target; slots[1] = target; {leave} }}
+            int g() {{ char* q[2]; char* p = q[0]; p[15] = 'x'; return p == target; }}
+            int main() {{ if (setjmp(jb) == 0) {{ f(); }} return g(); }}
+            "#
+        );
+        let o = run_all_lanes(how, &src, &SoftBoundConfig::full_shadow(), 0);
+        assert!(
+            matches!(
+                o.outcome,
+                Outcome::Trapped(Trap::SpatialViolation {
+                    scheme: "softbound",
+                    write: true,
+                    ..
+                })
+            ),
+            "{how}: {:?}",
+            o.outcome
+        );
+    }
+}
+
 /// What a fuel-limited run exposes: how it ended and the counters a
 /// budget cuts short.
 #[derive(Debug, PartialEq)]

@@ -249,17 +249,17 @@ fn flavor_probe_runs_match_the_pinned_counts() {
 }
 
 const FLAVOR_PROBE_RUNS: [&str; 3] = [
-    "strict Finished { ret: 16 } 68 243 20 13",
+    "strict Finished { ret: 16 } 66 243 18 13",
     "fat Finished { ret: 16 } 82 191 10 12",
     "mscc Finished { ret: 16 } 61 303 17 12",
 ];
 
 const FLAVOR_PROBE_GOLDEN: &str = "
-flavor_probe strict e98023b6493422f3 12 0 6
-flavor_probe store 0c1dbd35b753eaf1 13 0 5
-flavor_probe hardened e98023b6493422f3 12 0 6
-flavor_probe fat fc279672813b1d61 12 0 -
-flavor_probe mscc 71bfead13039fd7d 16 0 -
+flavor_probe strict e039a1e09020392a 12 0 6
+flavor_probe store 7e33c3f4044a8880 13 0 5
+flavor_probe hardened e039a1e09020392a 12 0 6
+flavor_probe fat ab3d24b99b76f27d 12 0 -
+flavor_probe mscc a590858181618be1 16 0 -
 ";
 
 /// The `strict` corpus totals the repository benchmark reports as its
@@ -289,7 +289,7 @@ fn strict_corpus_totals_match_the_benchmark_counts() {
         }
     }
     // lowered, instrumented, post-opt, removed, checks eliminated, fused
-    assert_eq!(totals, [5_596, 7_364, 6_267, 1_097, 22, 546]);
+    assert_eq!(totals, [5_596, 7_350, 6_253, 1_097, 22, 546]);
 }
 
 const GOLDEN: &str = "
@@ -348,16 +348,16 @@ bisort store 4addfde59ab0fc8a 36 0 10
 bisort hardened 7ed8c7af99649086 23 0 17
 bisort fat 19d6db17de6085f3 23 0 -
 bisort mscc 197f3019892c51f1 46 0 -
-mst strict da4383f610bec4da 46 2 23
-mst store a4644910fc62cece 59 0 16
-mst hardened 31f9b4db70b27605 44 0 24
-mst fat bcd674ecb0bd16f7 46 2 -
-mst mscc 6d4abfa77c141399 62 2 -
-li strict 74c59cba1886d0aa 31 3 20
-li store 8eae0727734b6188 40 0 13
-li hardened a2b2372c883ebc2c 28 0 22
-li fat 9d54c925258dbde1 31 3 -
-li mscc 0d4cd5f7dc0a81d0 53 3 -
+mst strict 1e52d5a7570d52a8 46 2 23
+mst store 2fd830f53219a7dc 59 0 16
+mst hardened f7d1a7bb680edcd3 44 0 24
+mst fat 9ca5b5466cdff9b1 46 2 -
+mst mscc dd707369527ea773 62 2 -
+li strict f9771c3fc8fc67bc 31 3 20
+li store a59ffc58bede33a6 40 0 13
+li hardened 6ae16522484d07fa 28 0 22
+li fat 7d44ed1d76f27c43 31 3 -
+li mscc 78eaa0cae31cd8ce 53 3 -
 em3d strict 33e61d262eddccc3 41 0 16
 em3d store 8fc8ca9e3fa7689b 53 0 11
 em3d hardened 33e61d262eddccc3 41 0 16
@@ -423,16 +423,16 @@ libc.header store cd57966ef95baf61 4 0 1
 libc.header hardened 98449e1a26ea597d 4 0 2
 libc.header fat 83ce60d518361b69 4 0 -
 libc.header mscc 497331bdcc8bbd71 4 0 -
-daemon.tinyftp strict 0c308cc26c44a70c 174 2 77
-daemon.tinyftp store 02c70bfe8cb8872a 203 0 53
-daemon.tinyftp hardened d15d5a26d04a84ac 172 0 77
-daemon.tinyftp fat befd141f91753d03 174 2 -
-daemon.tinyftp mscc afbf60259062c050 228 2 -
-daemon.nhttpd strict 8ef5ac8ca2f5c787 122 1 55
-daemon.nhttpd store 3c382222a79e8f70 124 0 26
-daemon.nhttpd hardened 074fbcdf2ca02680 121 0 56
-daemon.nhttpd fat 7eaaaea708fc6639 122 1 -
-daemon.nhttpd mscc d93ac36bf945aef5 129 1 -
+daemon.tinyftp strict 12d647ee42f8cf48 174 2 77
+daemon.tinyftp store 146e7fd5c7ada516 203 0 53
+daemon.tinyftp hardened 7291102decb7f3f0 172 0 77
+daemon.tinyftp fat f40d006c1fa50c7d 174 2 -
+daemon.tinyftp mscc edf000d04efabe72 228 2 -
+daemon.nhttpd strict d726d3803ea561ef 122 1 55
+daemon.nhttpd store ce4ced746b76a128 124 0 26
+daemon.nhttpd hardened 124d902636539988 121 0 56
+daemon.nhttpd fat 82d98e5aa274e41b 122 1 -
+daemon.nhttpd mscc 58d9b9fba1c907b5 129 1 -
 attack.01 strict e715d7f5da1d92b4 3 0 1
 attack.01 store e715d7f5da1d92b4 3 0 1
 attack.01 hardened e715d7f5da1d92b4 3 0 1
@@ -443,66 +443,66 @@ attack.02 store d1b38e0aba568f24 9 0 3
 attack.02 hardened d1b38e0aba568f24 9 0 3
 attack.02 fat a9fba67004f49272 9 0 -
 attack.02 mscc 9a60484798701966 9 0 -
-attack.03 strict 28a75704e0831ab5 5 1 2
-attack.03 store 28a75704e0831ab5 4 0 2
-attack.03 hardened 623b7f0500ce1d47 4 0 2
-attack.03 fat 8114b3d1dc4c2904 5 1 -
-attack.03 mscc 96c55259a98d83e7 5 1 -
-attack.04 strict 694b4fad2a25b412 5 1 2
-attack.04 store 694b4fad2a25b412 4 0 2
-attack.04 hardened a501b81f5f377817 4 0 2
-attack.04 fat 816f38ba18bd356b 5 1 -
-attack.04 mscc 8d3c32e10d7e8aa2 5 1 -
+attack.03 strict 3fd18c472892d839 5 1 2
+attack.03 store 3fd18c472892d839 4 0 2
+attack.03 hardened de501556429afacb 4 0 2
+attack.03 fat 2eb4822cb377de16 5 1 -
+attack.03 mscc ebc6dffdf75b7135 5 1 -
+attack.04 strict 0434cd91b10a938d 5 1 2
+attack.04 store 0434cd91b10a938d 4 0 2
+attack.04 hardened c7cca9ea5412f014 4 0 2
+attack.04 fat 8abe36bddc269af1 5 1 -
+attack.04 mscc dac1420197c02b1c 5 1 -
 attack.05 strict 04e4fd92f3d0e593 2 0 1
 attack.05 store 04e4fd92f3d0e593 2 0 1
 attack.05 hardened 04e4fd92f3d0e593 2 0 1
 attack.05 fat df7659b288b59503 2 0 -
 attack.05 mscc 49df24cd956b69bf 2 0 -
-attack.06 strict 5b2874062c62e214 5 1 3
-attack.06 store 5b2874062c62e214 4 0 3
-attack.06 hardened 7809ee311c97fc5a 4 0 3
-attack.06 fat c914a11d79545a27 5 1 -
-attack.06 mscc eacc3b0593000833 5 1 -
-attack.07 strict 271a4bfd533537bf 2 0 1
-attack.07 store 37e33c352d10942e 2 0 1
-attack.07 hardened 271a4bfd533537bf 2 0 1
-attack.07 fat edb9535c599348d9 2 0 -
-attack.07 mscc c1d38c6fb9108eb3 2 0 -
+attack.06 strict c1bf80ae18a56f21 5 1 3
+attack.06 store c1bf80ae18a56f21 4 0 3
+attack.06 hardened e9d293a1c5da46d3 4 0 3
+attack.06 fat 196673ead3a18303 5 1 -
+attack.06 mscc e7a5dc1c41620169 5 1 -
+attack.07 strict edf4df9432c22881 2 0 1
+attack.07 store 01e6813ff0ef5dec 2 0 1
+attack.07 hardened edf4df9432c22881 2 0 1
+attack.07 fat 83cd29ec8733508b 2 0 -
+attack.07 mscc bf924c8c743c7191 2 0 -
 attack.08 strict 5f0d60c6df9086ec 2 0 1
 attack.08 store 5f0d60c6df9086ec 2 0 1
 attack.08 hardened 5f0d60c6df9086ec 2 0 1
 attack.08 fat 8a4d4e4fa3852ae6 2 0 -
 attack.08 mscc 70b76eb0a55b1c0d 2 0 -
-attack.09 strict 4db558a1fafa2fce 5 1 3
-attack.09 store 4db558a1fafa2fce 4 0 3
-attack.09 hardened 2f6d88611f2c63d3 4 0 3
-attack.09 fat a439ec7b16555f4c 5 1 -
-attack.09 mscc 4b4024f75a803270 5 1 -
-attack.10 strict ee0542b3954ede55 8 1 5
-attack.10 store ee0542b3954ede55 7 0 5
-attack.10 hardened 41b46064974a3d5c 7 0 5
-attack.10 fat c5beb5141377e689 8 1 -
-attack.10 mscc cc8f589c0b6d07d5 8 1 -
-attack.11 strict f7de376c45eb019f 7 2 4
-attack.11 store f7de376c45eb019f 5 0 4
-attack.11 hardened 0be459bd91da0757 5 0 4
-attack.11 fat 67aecdc329306fba 7 2 -
-attack.11 mscc fab81d40ed4b8f6b 7 2 -
-attack.12 strict 873135c1dcb0df42 7 2 4
-attack.12 store 873135c1dcb0df42 5 0 4
-attack.12 hardened f8ad8e06185376f1 5 0 4
-attack.12 fat c645c68bede73381 7 2 -
-attack.12 mscc 9732e09bc16f54f2 7 2 -
-attack.13 strict 6501ca561facc81e 3 1 3
-attack.13 store 6501ca561facc81e 2 0 3
-attack.13 hardened 58b1b6f6304d3fcc 2 0 3
-attack.13 fat a930d7d131dd9212 3 1 -
-attack.13 mscc 144d2dd7a1e36a5c 3 1 -
-attack.14 strict 0ecf7689a00534d6 7 2 5
-attack.14 store 0ecf7689a00534d6 5 0 5
-attack.14 hardened d19df97006fcc460 5 0 5
-attack.14 fat 08af0574af37c279 7 2 -
-attack.14 mscc 8ec089a68ec2d9fb 7 2 -
+attack.09 strict 31de85a4cc165524 5 1 3
+attack.09 store 31de85a4cc165524 4 0 3
+attack.09 hardened d06d4b5dd89d9295 4 0 3
+attack.09 fat 705405d4faa21a60 5 1 -
+attack.09 mscc c000e9c1d3ccaa9e 5 1 -
+attack.10 strict 1ca5a4b8ca339965 8 1 5
+attack.10 store 1ca5a4b8ca339965 7 0 5
+attack.10 hardened 31963e0cb68a9348 7 0 5
+attack.10 fat 3851dc155c4fbe57 8 1 -
+attack.10 mscc 3efae32daba36c61 8 1 -
+attack.11 strict f62be5128d499a72 7 2 4
+attack.11 store f62be5128d499a72 5 0 4
+attack.11 hardened 9ca4e8d8ac8c4aea 5 0 4
+attack.11 fat 390edeab49e0013a 7 2 -
+attack.11 mscc 268ce9c2c5aa2d9b 7 2 -
+attack.12 strict db5b819d9ff30631 7 2 4
+attack.12 store db5b819d9ff30631 5 0 4
+attack.12 hardened 64dce217fc3f6cbe 5 0 4
+attack.12 fat a479741ff671a7cb 7 2 -
+attack.12 mscc c05bc6d262cce720 7 2 -
+attack.13 strict 736167af6df00dce 3 1 3
+attack.13 store 736167af6df00dce 2 0 3
+attack.13 hardened ab35528b737cd864 2 0 3
+attack.13 fat b39e31af12dae9a0 3 1 -
+attack.13 mscc 238b1080e14cf188 3 1 -
+attack.14 strict 8a840786c87e6aeb 7 2 5
+attack.14 store 8a840786c87e6aeb 5 0 5
+attack.14 hardened 478c145594399715 5 0 5
+attack.14 fat 0aee82fd07ace061 7 2 -
+attack.14 mscc 804f13aec2367adb 7 2 -
 attack.15 strict c9f11d83cbe62343 6 0 3
 attack.15 store 57d284d0f1b2f065 7 0 3
 attack.15 hardened c9f11d83cbe62343 6 0 3
@@ -513,11 +513,11 @@ attack.16 store 721642e6db61c72e 9 0 5
 attack.16 hardened be9cbc161d9ddced 8 0 5
 attack.16 fat bd6cba0dd05036f9 8 0 -
 attack.16 mscc e232170f95e605b6 11 0 -
-attack.17 strict 3658e57a8cc30f78 3 1 3
-attack.17 store 698b5f3e9ded47e0 2 0 3
-attack.17 hardened 9c99fca0dc2c98c9 2 0 3
-attack.17 fat 50f9f27f8c4c733d 3 1 -
-attack.17 mscc 2f97e36588c35905 3 1 -
+attack.17 strict 0ed000599d83e9c4 3 1 3
+attack.17 store 538f7107810ea124 2 0 3
+attack.17 hardened a7f0dc3747e6f66d 2 0 3
+attack.17 fat 7e518cff29bbcac1 3 1 -
+attack.17 mscc 4d525d3b580b10b1 3 1 -
 attack.18 strict 8e88ff2ec04351cc 7 0 3
 attack.18 store 138f2974661bc47e 8 0 3
 attack.18 hardened 8e88ff2ec04351cc 7 0 3

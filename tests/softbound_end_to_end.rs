@@ -507,6 +507,22 @@ fn vararg_over_decode_trapped() {
 }
 
 #[test]
+fn the_entry_point_is_the_renamed_entry_not_a_name_ending_in_it() {
+    // The pass renames `main` to `<prefix>main`, and the VM finds the
+    // entry by stripping one `_<tag>_` prefix. `x_main` becomes
+    // `<prefix>x_main`, which ends in `_main` but is not the entry.
+    const SRC: &str = "int x_main() { return 1; } int main() { return 2; }";
+    assert_eq!(sb_vm::run_source(SRC, "main", &[]).ret(), Some(2));
+    for cfg in full_configs() {
+        assert_eq!(protect(SRC, &cfg).ret(), Some(2), "{}", cfg.label());
+    }
+    for scheme in [Scheme::Mscc, Scheme::FatPointer] {
+        let r = scheme.run(SRC, "main", &[]).expect("compiles");
+        assert_eq!(r.ret(), Some(2), "{}", scheme.label());
+    }
+}
+
+#[test]
 fn overhead_ordering_is_sane() {
     // Relative cost-model sanity for one pointer-heavy workload:
     // uninstrumented < store-only(shadow) < full(shadow) < full(hash).
