@@ -1,15 +1,18 @@
 //! The fat-pointer baseline (SafeC / CCured-SEQ style, §2.2).
 //!
 //! Pointers in memory become 24-byte `{value, base, bound}` triples. The
-//! program must therefore be compiled with [`PtrLayout::Fat`], which
+//! program must therefore be compiled with
+//! [`PtrLayout::Fat`](sb_cir::PtrLayout::Fat), which
 //! **visibly changes memory layout**: `sizeof(char*)` is 24, struct
 //! offsets move, and `sizeof(long) == sizeof(char*)` — an assumption
 //! everywhere in real C — breaks. That is the source-compatibility
 //! problem the paper's disjoint metadata removes.
 //!
-//! This module holds the layout ([`compile_fat`]) and the runtime
-//! ([`FatPtrRuntime`]). The transformation is the shared pointer-based
-//! pass, [`softbound::instrument_flavored`] with [`Flavor::Fat`]: the
+//! This module holds the runtime ([`FatPtrRuntime`]);
+//! [`Scheme::FatPointer`](crate::Scheme::FatPointer) compiles at the fat
+//! layout. The transformation is the shared pointer-based pass,
+//! [`softbound::instrument_flavored`] with
+//! [`Flavor::Fat`](softbound::Flavor::Fat): the
 //! metadata travels inline, so loading a pointer performs three loads
 //! (value, base, bound) and storing one performs three stores. There is
 //! no metadata table at all — the only runtime call is the bounds check,
@@ -19,55 +22,25 @@
 //! incompatibility (and of metadata corruptibility through wild writes,
 //! the CCured-WILD problem).
 
-use sb_cir::PtrLayout;
-use sb_ir::{Module, RtFn};
-use sb_vm::{out_of_bounds, Mem, RtCtx, RtVals, RuntimeHooks, Trap};
-use softbound::{instrument_flavored, Flavor, SoftBoundConfig, SoftBoundError};
-
-/// Compiles a CIR-C source with the fat (24-byte) pointer layout.
-///
-/// # Errors
-///
-/// Frontend errors.
-pub fn compile_fat(src: &str, name: &str) -> Result<Module, sb_cir::CompileError> {
-    let prog = sb_cir::compile_with_layout(src, PtrLayout::Fat)?;
-    let mut m = sb_ir::lower(&prog, name);
-    sb_ir::optimize(&mut m, sb_ir::OptLevel::PreInstrument);
-    Ok(m)
-}
-
-/// Applies the fat-pointer transformation. The module must have been
-/// lowered with the fat layout (24-byte pointer slots).
-pub fn instrument_fat(module: &Module) -> Module {
-    instrument_flavored(module, &SoftBoundConfig::default(), Flavor::Fat)
-}
+use sb_ir::RtFn;
+use sb_vm::{out_of_bounds, RtCtx, RtVals, RuntimeHooks, Trap};
 
 /// Runtime for the fat-pointer scheme: only the bounds check — metadata
 /// movement is ordinary memory traffic.
 #[derive(Debug, Default)]
-pub struct FatPtrRuntime {
-    /// Checks performed.
-    pub check_count: u64,
-}
+pub struct FatPtrRuntime;
 
 impl FatPtrRuntime {
     /// Creates the runtime.
     pub fn new() -> Self {
-        Self::default()
+        FatPtrRuntime
     }
 }
 
 impl RuntimeHooks for FatPtrRuntime {
-    fn rt_call(
-        &mut self,
-        rt: RtFn,
-        args: &[i64],
-        _mem: &mut Mem,
-        ctx: &mut RtCtx,
-    ) -> Result<RtVals, Trap> {
+    fn rt_call(&mut self, rt: RtFn, args: &[i64], ctx: &mut RtCtx) -> Result<RtVals, Trap> {
         match rt {
             RtFn::SbCheck { is_store } => {
-                self.check_count += 1;
                 ctx.cost += 3;
                 let (ptr, base, bound, size) = (
                     args[0] as u64,
@@ -88,35 +61,16 @@ impl RuntimeHooks for FatPtrRuntime {
             other => panic!("fatptr runtime received foreign rt call {other:?}"),
         }
     }
-
-    fn reset(&mut self) {
-        self.check_count = 0;
-    }
-}
-
-/// One-call pipeline: compile fat, instrument, verify.
-///
-/// # Errors
-///
-/// Frontend errors or verifier failures, as [`SoftBoundError`].
-pub fn compile_fat_protected(src: &str) -> Result<Module, SoftBoundError> {
-    let m = compile_fat(src, "fat")?;
-    let mut m = instrument_fat(&m);
-    sb_ir::optimize(&mut m, sb_ir::OptLevel::PostInstrument);
-    sb_ir::verify(&m)?;
-    Ok(m)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Scheme;
     use sb_ir::Inst;
-    use sb_vm::{Machine, MachineConfig};
 
     fn run_fat(src: &str) -> sb_vm::RunResult {
-        let m = compile_fat_protected(src).expect("compiles");
-        let mut machine = Machine::new(&m, MachineConfig::default(), FatPtrRuntime::new());
-        machine.run("main", &[])
+        Scheme::FatPointer.run(src, "main", &[]).expect("compiles")
     }
 
     #[test]
@@ -215,9 +169,11 @@ mod tests {
     #[test]
     fn metadata_is_plain_memory_traffic() {
         // No metadata runtime calls exist: only SbCheck.
-        let m = compile_fat_protected("int* g; int main() { int* p = g; g = p; return 0; }")
+        let program = Scheme::FatPointer
+            .compile("int* g; int main() { int* p = g; g = p; return 0; }")
             .expect("compiles");
-        let rt_kinds: Vec<RtFn> = m
+        let rt_kinds: Vec<RtFn> = program
+            .module()
             .funcs
             .iter()
             .flat_map(|f| f.blocks.iter().flat_map(|b| &b.insts))

@@ -12,11 +12,13 @@
 //!   its runtime, instrumented by Mudflap's dereference pass;
 //! * [`fatptr`] — SafeC/CCured-SEQ inline fat pointers, with the
 //!   memory-layout incompatibility made executable (§2.2, Table 1): the
-//!   24-byte layout and the runtime;
+//!   runtime (the scheme compiles at the 24-byte pointer layout);
 //! * [`mscc`] — MSCC-style disjoint metadata without wild-cast support
 //!   and without sub-object bounds (§6.5): the runtime;
 //! * [`scheme`] — a unified [`Scheme`] driver for the
-//!   experiment harnesses.
+//!   experiment harnesses: every scheme compiles through the stages of
+//!   SoftBound's [`Engine`](softbound::Engine) into a
+//!   [`Program`](softbound::Program) and runs on its pre-decoded lane.
 //!
 //! The two pointer-based baselines have no pass of their own: they are
 //! the [`Flavor::Mscc`](softbound::Flavor::Mscc) and
@@ -32,8 +34,8 @@ pub mod scheme;
 pub mod splay;
 pub mod valgrind;
 
-pub use fatptr::{compile_fat, compile_fat_protected, instrument_fat, FatPtrRuntime};
-pub use mscc::{instrument_mscc, MsccRuntime};
+pub use fatptr::FatPtrRuntime;
+pub use mscc::MsccRuntime;
 pub use object_table::{instrument_object_scheme, ObjectScheme, ObjectTableRuntime};
 pub use scheme::Scheme;
 pub use splay::SplayTree;

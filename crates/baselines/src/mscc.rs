@@ -13,16 +13,17 @@
 //!   (average 68%), e.g. 144% on `go` vs SoftBound's 55%.
 //!
 //! This module holds the runtime. The transformation is SoftBound's own,
-//! [`softbound::instrument_flavored`] with [`Flavor::Mscc`], which gives
+//! [`softbound::instrument_flavored`] with
+//! [`Flavor::Mscc`](softbound::Flavor::Mscc), which gives
 //! whole-object bounds at field GEPs and unbounded metadata to any pointer
 //! forged from an integer. It emits SoftBound's helpers (`SbCheck`,
 //! `SbMetaLoad`, `SbMetaStore`); this runtime gives them MSCC's costs,
 //! its own table and no NULL-bounds special case. The wrapped builtins
 //! hand it a pointer-holding `memcpy` through `on_memcpy`.
 
-use sb_ir::{Module, RtFn};
-use sb_vm::{out_of_bounds, Mem, RtCtx, RtVals, RuntimeHooks, Trap};
-use softbound::{instrument_flavored, Flavor, Meta, SoftBoundConfig};
+use sb_ir::RtFn;
+use sb_vm::{out_of_bounds, RtCtx, RtVals, RuntimeHooks, Trap};
+use softbound::Meta;
 use std::collections::HashMap;
 
 /// Synthetic address region of MSCC's metadata structures.
@@ -34,19 +35,12 @@ pub const MSCC_META_COST: u64 = 12;
 /// Cost of one MSCC bounds check.
 pub const MSCC_CHECK_COST: u64 = 4;
 
-/// Instruments a module MSCC-style.
-pub fn instrument_mscc(module: &Module) -> Module {
-    instrument_flavored(module, &SoftBoundConfig::default(), Flavor::Mscc)
-}
-
 /// The MSCC runtime: disjoint metadata with a costlier access path and no
 /// NULL-bounds special case for forged pointers (the transformation gives
 /// those unbounded metadata instead).
 #[derive(Debug, Default)]
 pub struct MsccRuntime {
     meta: HashMap<u64, Meta>,
-    /// Checks performed.
-    pub check_count: u64,
 }
 
 impl MsccRuntime {
@@ -57,16 +51,9 @@ impl MsccRuntime {
 }
 
 impl RuntimeHooks for MsccRuntime {
-    fn rt_call(
-        &mut self,
-        rt: RtFn,
-        args: &[i64],
-        _mem: &mut Mem,
-        ctx: &mut RtCtx,
-    ) -> Result<RtVals, Trap> {
+    fn rt_call(&mut self, rt: RtFn, args: &[i64], ctx: &mut RtCtx) -> Result<RtVals, Trap> {
         match rt {
             RtFn::SbCheck { is_store } => {
-                self.check_count += 1;
                 ctx.cost += MSCC_CHECK_COST;
                 let (ptr, base, bound, size) = (
                     args[0] as u64,
@@ -143,14 +130,13 @@ impl RuntimeHooks for MsccRuntime {
 
     fn reset(&mut self) {
         self.meta.clear();
-        self.check_count = 0;
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::Scheme;
+    use softbound::SoftBoundConfig;
 
     fn run(src: &str) -> sb_vm::RunResult {
         Scheme::Mscc.run(src, "main", &[]).expect("compiles")
@@ -158,9 +144,9 @@ mod tests {
 
     #[test]
     fn functions_renamed_mscc() {
-        let prog = sb_cir::compile("int main() { return 0; }").expect("compiles");
-        let m = sb_ir::lower(&prog, "t");
-        let m = instrument_mscc(&m);
+        let m = Scheme::Mscc
+            .instrument("int main() { return 0; }", "t")
+            .expect("compiles");
         assert!(m.func("_mscc_main").is_some());
     }
 

@@ -13,7 +13,7 @@
 
 use crate::splay::SplayTree;
 use sb_ir::{Inst, Module, RtFn, Value};
-use sb_vm::{Mem, RtCtx, RtVals, RuntimeHooks, Trap};
+use sb_vm::{RtCtx, RtVals, RuntimeHooks, Trap};
 
 /// Synthetic address region of the object table (for the cache model).
 pub const OBJTABLE_BASE: u64 = 0x0000_1C00_0000_0000;
@@ -93,8 +93,6 @@ pub fn instrument_object_scheme(module: &Module, scheme: ObjectScheme) -> Module
 pub struct ObjectTableRuntime {
     tree: SplayTree,
     scheme: ObjectScheme,
-    /// Checks performed.
-    pub check_count: u64,
 }
 
 impl ObjectTableRuntime {
@@ -103,7 +101,6 @@ impl ObjectTableRuntime {
         ObjectTableRuntime {
             tree: SplayTree::new(),
             scheme,
-            check_count: 0,
         }
     }
 
@@ -125,7 +122,6 @@ impl ObjectTableRuntime {
         write: bool,
         ctx: &mut RtCtx,
     ) -> Result<(), Trap> {
-        self.check_count += 1;
         let (hit, visited) = self.tree.find_covering(ptr);
         Self::charge(visited, ctx);
         match hit {
@@ -140,20 +136,13 @@ impl ObjectTableRuntime {
 }
 
 impl RuntimeHooks for ObjectTableRuntime {
-    fn rt_call(
-        &mut self,
-        rt: RtFn,
-        args: &[i64],
-        _mem: &mut Mem,
-        ctx: &mut RtCtx,
-    ) -> Result<RtVals, Trap> {
+    fn rt_call(&mut self, rt: RtFn, args: &[i64], ctx: &mut RtCtx) -> Result<RtVals, Trap> {
         match rt {
             RtFn::DerefCheck { is_store } => {
                 self.deref_check(args[0] as u64, args[1] as u64, is_store, ctx)?;
                 Ok([0, 0])
             }
             RtFn::ObjCheckArith => {
-                self.check_count += 1;
                 let (src, dst) = (args[0] as u64, args[1] as u64);
                 // Find the object containing the source pointer; tolerate
                 // the C "one past the end" position by probing src-1.
@@ -235,27 +224,21 @@ impl RuntimeHooks for ObjectTableRuntime {
 
     fn reset(&mut self) {
         self.tree = SplayTree::new();
-        self.check_count = 0;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sb_vm::{Machine, MachineConfig, Outcome};
+    use crate::Scheme;
+    use sb_vm::Outcome;
 
     fn run_with(src: &str, scheme: ObjectScheme) -> sb_vm::RunResult {
-        let prog = sb_cir::compile(src).expect("compiles");
-        let mut m = sb_ir::lower(&prog, "t");
-        sb_ir::optimize(&mut m, sb_ir::OptLevel::PreInstrument);
-        let m = instrument_object_scheme(&m, scheme);
-        sb_ir::verify(&m).expect("verifies");
-        let mut machine = Machine::new(
-            &m,
-            MachineConfig::default(),
-            ObjectTableRuntime::new(scheme),
-        );
-        machine.run("main", &[])
+        let scheme = match scheme {
+            ObjectScheme::JonesKelly => Scheme::JonesKelly,
+            ObjectScheme::Mudflap => Scheme::Mudflap,
+        };
+        scheme.run(src, "main", &[]).expect("compiles")
     }
 
     #[test]

@@ -1,13 +1,28 @@
 //! A unified driver over every implemented protection scheme, used by the
-//! experiment harnesses (Tables 1/3/4, Figure 2, §6.5).
+//! experiment harnesses (Tables 1/3/4, Figures 1/2, §6.4, §6.5).
+//!
+//! Every scheme compiles through the stages SoftBound's
+//! [`Engine::compile`] runs (§6.1): [`front_half`], the scheme's pass,
+//! then [`Program::build`] at the scheme's post-instrument level. So
+//! every scheme yields a [`Program`], and every run is served on its
+//! pre-decoded lane ([`Machine::run_predecoded`]): SoftBound's on an
+//! [`Engine`] instance, the baselines' on a machine with their runtime
+//! installed. The tree-walk interpreter stays the reference the
+//! differential suites hold these runs to.
+//!
+//! [`Machine::run_predecoded`]: sb_vm::Machine::run_predecoded
 
-use crate::fatptr::{self, FatPtrRuntime};
-use crate::mscc::{instrument_mscc, MsccRuntime};
+use crate::fatptr::FatPtrRuntime;
+use crate::mscc::MsccRuntime;
 use crate::object_table::{instrument_object_scheme, ObjectScheme, ObjectTableRuntime};
 use crate::valgrind::ValgrindRuntime;
-use sb_ir::Module;
-use sb_vm::{Machine, MachineConfig, NoRuntime, RunResult, RuntimeHooks};
-use softbound::{Engine, Facility, SoftBoundConfig, SoftBoundError, SoftBoundRuntime};
+use sb_cir::PtrLayout;
+use sb_ir::{Module, OptLevel};
+use sb_vm::{MachineConfig, NoRuntime, RunResult, RuntimeHooks};
+use softbound::{
+    front_half, instrument, instrument_flavored, Engine, Flavor, Program, SoftBoundConfig,
+    SoftBoundError,
+};
 
 /// Every protection scheme the reproduction implements.
 #[derive(Debug, Clone)]
@@ -42,79 +57,71 @@ impl Scheme {
         }
     }
 
-    /// Compiles and instruments a CIR-C source for this scheme (the fat
-    /// baseline uses the fat memory layout). The SoftBound scheme goes
-    /// through [`Engine::compile`]; the baselines share its error
-    /// surface, reporting verifier failures as
-    /// [`SoftBoundError::Verify`] instead of panicking.
+    /// The front half and this scheme's pass: the module, named `name`,
+    /// that the post-instrument optimizer receives. Fat pointers compile
+    /// at the fat (24-byte) pointer layout, every other scheme at the
+    /// standard one. Modules instrumented separately may be linked
+    /// ([`sb_ir::link()`]) before [`Scheme::build`] finishes them; their
+    /// names must differ, since a pass names each module's globals
+    /// constructor after it.
     ///
     /// # Errors
     ///
-    /// Frontend errors ([`SoftBoundError::Compile`]) or instrumentation
-    /// bugs ([`SoftBoundError::Verify`]).
-    pub fn compile(&self, src: &str) -> Result<Module, SoftBoundError> {
-        let module = match self {
-            Scheme::FatPointer => return fatptr::compile_fat_protected(src),
-            Scheme::SoftBound(cfg) => {
-                let engine = Engine::new().softbound_config(cfg.clone());
-                return Ok(engine.compile(src)?.into_parts().0);
-            }
-            _ => {
-                let prog = sb_cir::compile(src)?;
-                let mut m = sb_ir::lower(&prog, "program");
-                sb_ir::optimize(&mut m, sb_ir::OptLevel::PreInstrument);
-                m
-            }
+    /// Frontend errors ([`SoftBoundError::Compile`]).
+    pub fn instrument(&self, src: &str, name: &str) -> Result<Module, SoftBoundError> {
+        let layout = match self {
+            Scheme::FatPointer => PtrLayout::Fat,
+            _ => PtrLayout::Thin,
         };
-        let mut m = match self {
+        let module = front_half(src, layout, name)?;
+        let pointer_based =
+            |flavor| instrument_flavored(&module, &SoftBoundConfig::default(), flavor);
+        Ok(match self {
             Scheme::Uninstrumented => module,
+            Scheme::SoftBound(cfg) => instrument(&module, cfg),
             Scheme::JonesKelly => instrument_object_scheme(&module, ObjectScheme::JonesKelly),
             // Valgrind intercepts every access, as Mudflap's pass checks
             // every dereference.
             Scheme::Mudflap | Scheme::Valgrind => {
                 instrument_object_scheme(&module, ObjectScheme::Mudflap)
             }
-            Scheme::Mscc => instrument_mscc(&module),
-            Scheme::SoftBound(_) | Scheme::FatPointer => unreachable!("handled above"),
-        };
-        if !matches!(self, Scheme::Uninstrumented) {
-            sb_ir::optimize(&mut m, sb_ir::OptLevel::PostInstrument);
-        }
-        sb_ir::verify(&m)?;
-        Ok(m)
+            Scheme::FatPointer => pointer_based(Flavor::Fat),
+            Scheme::Mscc => pointer_based(Flavor::Mscc),
+        })
     }
 
-    /// Runs `module` through [`Machine::run`] on a machine
-    /// monomorphized for this scheme's concrete runtime — the
-    /// statically-dispatched path every harness entry point funnels
-    /// into, the same for SoftBound as for every baseline. The runtime
-    /// decides the heap's redzones ([`RuntimeHooks::REDZONE`]).
-    fn dispatch(&self, module: &Module, entry: &str, args: &[i64]) -> RunResult {
-        fn go<H: RuntimeHooks>(module: &Module, hooks: H, entry: &str, args: &[i64]) -> RunResult {
-            Machine::new(module, MachineConfig::default(), hooks).run(entry, args)
-        }
-        match self {
-            Scheme::Uninstrumented => go(module, NoRuntime, entry, args),
-            Scheme::SoftBound(sb) => match sb.facility {
-                Facility::ShadowShared => go(module, SoftBoundRuntime::new_paged(sb), entry, args),
-                Facility::HashTable => go(module, SoftBoundRuntime::new_hash(sb), entry, args),
-            },
-            Scheme::JonesKelly => go(
-                module,
-                ObjectTableRuntime::new(ObjectScheme::JonesKelly),
-                entry,
-                args,
-            ),
-            Scheme::Mudflap => go(
-                module,
-                ObjectTableRuntime::new(ObjectScheme::Mudflap),
-                entry,
-                args,
-            ),
-            Scheme::Valgrind => go(module, ValgrindRuntime::new(), entry, args),
-            Scheme::FatPointer => go(module, FatPtrRuntime::new(), entry, args),
-            Scheme::Mscc => go(module, MsccRuntime::new(), entry, args),
-        }
+    /// Finishes a module [`Scheme::instrument`] produced into a
+    /// [`Program`]: the post-instrument optimizer at this scheme's level
+    /// (SoftBound's is its policy's, an uninstrumented module gets
+    /// none), the verifier and the exec lowering.
+    ///
+    /// # Errors
+    ///
+    /// Verifier failures ([`SoftBoundError::Verify`]).
+    pub fn build(&self, module: Module) -> Result<Program, SoftBoundError> {
+        let post = match self {
+            Scheme::Uninstrumented => None,
+            Scheme::SoftBound(cfg) => Some(cfg.post_instrument_level()),
+            _ => Some(OptLevel::PostInstrument),
+        };
+        Program::build(module, post)
+    }
+
+    /// Compiles a CIR-C source for this scheme: [`Scheme::instrument`]
+    /// into a module named `fat` for fat pointers and `program`
+    /// otherwise, then [`Scheme::build`]. A SoftBound program is the one
+    /// [`Engine::compile`] builds for the same configuration.
+    ///
+    /// # Errors
+    ///
+    /// Frontend errors ([`SoftBoundError::Compile`]) or instrumentation
+    /// bugs ([`SoftBoundError::Verify`]).
+    pub fn compile(&self, src: &str) -> Result<Program, SoftBoundError> {
+        let name = match self {
+            Scheme::FatPointer => "fat",
+            _ => "program",
+        };
+        self.build(self.instrument(src, name)?)
     }
 
     /// Compile + run in one call.
@@ -123,14 +130,46 @@ impl Scheme {
     ///
     /// Pipeline errors from [`Scheme::compile`].
     pub fn run(&self, src: &str, entry: &str, args: &[i64]) -> Result<RunResult, SoftBoundError> {
-        let module = self.compile(src)?;
-        Ok(self.dispatch(&module, entry, args))
+        Ok(self.run_program(&self.compile(src)?, entry, args))
     }
 
-    /// Runs a precompiled module (must have been produced by
-    /// [`Scheme::compile`] on the same scheme).
-    pub fn run_module(&self, module: &Module, entry: &str, args: &[i64]) -> RunResult {
-        self.dispatch(module, entry, args)
+    /// Runs a program this scheme compiled on the pre-decoded lane, on a
+    /// fresh machine with the scheme's runtime installed: SoftBound's
+    /// through [`Engine::instantiate`], which picks its facility. The
+    /// runtime decides the heap's redzones ([`RuntimeHooks::REDZONE`]).
+    pub fn run_program(&self, program: &Program, entry: &str, args: &[i64]) -> RunResult {
+        fn served<H: RuntimeHooks>(
+            program: &Program,
+            hooks: H,
+            entry: &str,
+            args: &[i64],
+        ) -> RunResult {
+            program
+                .machine(MachineConfig::default(), hooks)
+                .run_predecoded(entry, args)
+        }
+        match self {
+            Scheme::Uninstrumented => served(program, NoRuntime, entry, args),
+            Scheme::SoftBound(cfg) => Engine::new()
+                .softbound_config(cfg.clone())
+                .instantiate(program)
+                .run(entry, args),
+            Scheme::JonesKelly => served(
+                program,
+                ObjectTableRuntime::new(ObjectScheme::JonesKelly),
+                entry,
+                args,
+            ),
+            Scheme::Mudflap => served(
+                program,
+                ObjectTableRuntime::new(ObjectScheme::Mudflap),
+                entry,
+                args,
+            ),
+            Scheme::Valgrind => served(program, ValgrindRuntime::new(), entry, args),
+            Scheme::FatPointer => served(program, FatPtrRuntime::new(), entry, args),
+            Scheme::Mscc => served(program, MsccRuntime::new(), entry, args),
+        }
     }
 }
 
@@ -230,6 +269,25 @@ mod tests {
                 scheme.label(),
                 r.outcome
             );
+        }
+    }
+
+    #[test]
+    fn softbound_scheme_compiles_what_its_engine_compiles() {
+        for cfg in [
+            SoftBoundConfig::full_shadow(),
+            SoftBoundConfig::store_only_hash(),
+            SoftBoundConfig::hardened(),
+        ] {
+            let scheme = Scheme::SoftBound(cfg.clone())
+                .compile(SAFE)
+                .expect("compiles");
+            let engine = Engine::new()
+                .softbound_config(cfg)
+                .compile(SAFE)
+                .expect("compiles");
+            assert!(scheme.module() == engine.module());
+            assert_eq!(scheme.stats(), engine.stats());
         }
     }
 

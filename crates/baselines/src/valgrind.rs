@@ -19,7 +19,7 @@
 use std::collections::BTreeMap;
 
 use sb_ir::RtFn;
-use sb_vm::{Mem, RtCtx, RtVals, RuntimeHooks, Trap, HEAP_BASE, STACK_BASE};
+use sb_vm::{RtCtx, RtVals, RuntimeHooks, Trap, HEAP_BASE, STACK_BASE};
 
 /// Synthetic address of the addressability bitmap (for the cache model).
 pub const VBITS_BASE: u64 = 0x0000_1E00_0000_0000;
@@ -36,8 +36,6 @@ pub const REDZONE: u64 = 16;
 #[derive(Debug, Default)]
 pub struct ValgrindRuntime {
     live: BTreeMap<u64, u64>, // addr -> size
-    /// Checks performed.
-    pub check_count: u64,
 }
 
 impl ValgrindRuntime {
@@ -53,7 +51,6 @@ impl ValgrindRuntime {
         is_store: bool,
         ctx: &mut RtCtx,
     ) -> Result<(), Trap> {
-        self.check_count += 1;
         ctx.cost += DBI_CHECK_COST;
         ctx.touch(VBITS_BASE + ptr / 8);
         if !(HEAP_BASE..STACK_BASE).contains(&ptr) {
@@ -75,13 +72,7 @@ impl ValgrindRuntime {
 impl RuntimeHooks for ValgrindRuntime {
     const REDZONE: u64 = REDZONE;
 
-    fn rt_call(
-        &mut self,
-        rt: RtFn,
-        args: &[i64],
-        _mem: &mut Mem,
-        ctx: &mut RtCtx,
-    ) -> Result<RtVals, Trap> {
+    fn rt_call(&mut self, rt: RtFn, args: &[i64], ctx: &mut RtCtx) -> Result<RtVals, Trap> {
         match rt {
             RtFn::DerefCheck { is_store } => {
                 self.heap_check(args[0] as u64, args[1] as u64, is_store, ctx)?;
@@ -117,24 +108,15 @@ impl RuntimeHooks for ValgrindRuntime {
 
     fn reset(&mut self) {
         self.live.clear();
-        self.check_count = 0;
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::object_table::{instrument_object_scheme, ObjectScheme};
-    use sb_vm::{Machine, MachineConfig};
+    use crate::Scheme;
 
     fn run_vg(src: &str) -> sb_vm::RunResult {
-        let prog = sb_cir::compile(src).expect("compiles");
-        let mut m = sb_ir::lower(&prog, "t");
-        sb_ir::optimize(&mut m, sb_ir::OptLevel::PreInstrument);
-        let m = instrument_object_scheme(&m, ObjectScheme::Mudflap);
-        sb_ir::verify(&m).expect("verifies");
-        let mut machine = Machine::new(&m, MachineConfig::default(), ValgrindRuntime::new());
-        machine.run("main", &[])
+        Scheme::Valgrind.run(src, "main", &[]).expect("compiles")
     }
 
     #[test]

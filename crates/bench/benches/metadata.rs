@@ -10,7 +10,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use sb_ir::RtFn;
-use sb_vm::{Mem, RtCtx, RuntimeHooks};
+use sb_vm::{RtCtx, RuntimeHooks};
 use softbound::{
     HashTableFacility, Meta, MetadataFacility, ShadowHashMapFacility, ShadowPages, SoftBoundConfig,
     SoftBoundRuntime,
@@ -72,22 +72,19 @@ fn bench_facility<F: MetadataFacility>(c: &mut Criterion, name: &str, make: impl
 // sequence the machine executes per instrumented dereference (check +
 // metadata load + store) over the paged shadow space.
 fn bench_rt_call(c: &mut Criterion) {
-    fn rt_round<H: RuntimeHooks>(rt: &mut H, mem: &mut Mem, ctx: &mut RtCtx) -> i64 {
+    fn rt_round<H: RuntimeHooks>(rt: &mut H, ctx: &mut RtCtx) -> i64 {
         let mut acc = 0i64;
         for i in 0..1000i64 {
             let addr = 0x10000 + (i % 512) * 8;
             ctx.reset();
-            rt.rt_call(RtFn::SbMetaStore, &[addr, addr, addr + 64], mem, ctx)
+            rt.rt_call(RtFn::SbMetaStore, &[addr, addr, addr + 64], ctx)
                 .expect("store ok");
             ctx.reset();
-            let m = rt
-                .rt_call(RtFn::SbMetaLoad, &[addr], mem, ctx)
-                .expect("load ok");
+            let m = rt.rt_call(RtFn::SbMetaLoad, &[addr], ctx).expect("load ok");
             ctx.reset();
             rt.rt_call(
                 RtFn::SbCheck { is_store: false },
                 &[m[0], m[0], m[1], 8],
-                mem,
                 ctx,
             )
             .expect("in bounds");
@@ -100,9 +97,8 @@ fn bench_rt_call(c: &mut Criterion) {
     group.sample_size(20);
     group.bench_function("shadow_paged", |b| {
         let mut rt = SoftBoundRuntime::new_paged(&cfg);
-        let mut mem = Mem::new();
         let mut ctx = RtCtx::default();
-        b.iter(|| black_box(rt_round(&mut rt, &mut mem, &mut ctx)));
+        b.iter(|| black_box(rt_round(&mut rt, &mut ctx)));
     });
     group.finish();
 }

@@ -8,7 +8,6 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use sb_baselines::Scheme;
-use sb_vm::{Machine, MachineConfig, NoRuntime};
 use softbound::SoftBoundConfig;
 
 fn bench_workload(c: &mut Criterion, name: &str, arg: i64) {
@@ -16,27 +15,19 @@ fn bench_workload(c: &mut Criterion, name: &str, arg: i64) {
     let mut group = c.benchmark_group(format!("overhead/{name}"));
     group.sample_size(10);
 
-    let prog = sb_cir::compile(w.source).expect("compiles");
-    let mut base_module = sb_ir::lower(&prog, w.name);
-    sb_ir::optimize(&mut base_module, sb_ir::OptLevel::PreInstrument);
-
-    group.bench_function("uninstrumented", |b| {
-        b.iter(|| {
-            let mut m = Machine::new(&base_module, MachineConfig::default(), NoRuntime);
-            black_box(m.run("main", &[arg]).ret())
-        });
-    });
-
-    for cfg in [
+    let configs = [
         SoftBoundConfig::full_hash(),
         SoftBoundConfig::full_shadow(),
         SoftBoundConfig::store_only_hash(),
         SoftBoundConfig::store_only_shadow(),
-    ] {
-        let scheme = Scheme::SoftBound(cfg.clone());
-        let module = scheme.compile(w.source).expect("compiles");
-        group.bench_function(cfg.label(), |b| {
-            b.iter(|| black_box(scheme.run_module(&module, "main", &[arg]).ret()));
+    ];
+    // Every lane runs on the pre-decoded lane its scheme serves.
+    let lanes = std::iter::once(("uninstrumented".to_string(), Scheme::Uninstrumented))
+        .chain(configs.map(|cfg| (cfg.label(), Scheme::SoftBound(cfg))));
+    for (label, scheme) in lanes {
+        let program = scheme.compile(w.source).expect("compiles");
+        group.bench_function(label, |b| {
+            b.iter(|| black_box(scheme.run_program(&program, "main", &[arg]).ret()));
         });
     }
     group.finish();

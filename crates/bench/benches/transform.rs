@@ -3,8 +3,9 @@
 //! throughput over the evaluation workloads).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use sb_cir::PtrLayout;
 use sb_workloads::all_benchmarks;
-use softbound::{Engine, SoftBoundConfig};
+use softbound::{front_half, Engine, SoftBoundConfig};
 
 fn benches(c: &mut Criterion) {
     let mut group = c.benchmark_group("transform");
@@ -14,9 +15,7 @@ fn benches(c: &mut Criterion) {
     let modules: Vec<(String, sb_ir::Module)> = all_benchmarks()
         .iter()
         .map(|w| {
-            let prog = sb_cir::compile(w.source).expect("compiles");
-            let mut m = sb_ir::lower(&prog, w.name);
-            sb_ir::optimize(&mut m, sb_ir::OptLevel::PreInstrument);
+            let m = front_half(w.source, PtrLayout::Thin, w.name).expect("compiles");
             (w.name.to_string(), m)
         })
         .collect();

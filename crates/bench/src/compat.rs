@@ -3,7 +3,7 @@
 //! the experiment records result equality with the unprotected run and
 //! the absence of false positives.
 
-use sb_vm::{Machine, MachineConfig, NoRuntime};
+use sb_baselines::Scheme;
 use sb_workloads::daemons;
 use softbound::{Engine, SoftBoundConfig};
 
@@ -36,12 +36,11 @@ pub fn run() -> Vec<Row> {
     daemons::all()
         .iter()
         .map(|d| {
-            let prog = sb_cir::compile(d.source).expect("daemon compiles unmodified");
-            let mut m = sb_ir::lower(&prog, d.name);
-            sb_ir::optimize(&mut m, sb_ir::OptLevel::PreInstrument);
-            let mut plain = Machine::new(&m, MachineConfig::default(), NoRuntime);
-            let pr = plain.run("main", &[0]);
-            let plain_ret = pr.ret().expect("daemon runs");
+            let plain_ret = Scheme::Uninstrumented
+                .run(d.source, "main", &[0])
+                .expect("daemon compiles unmodified")
+                .ret()
+                .expect("daemon runs");
 
             let run_cfg = |cfg: &SoftBoundConfig| {
                 let engine = Engine::new().softbound_config(cfg.clone());

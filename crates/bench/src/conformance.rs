@@ -36,7 +36,8 @@
 //! `cargo run -p sb-bench --bin conformance_fuzz --release -- --seed
 //! <seed> --start <index> --cases 1`.
 
-use sb_vm::{Machine, MachineConfig, NoRuntime, Outcome, RunResult, Trap, FN_BASE, HEAP_BASE};
+use sb_baselines::Scheme;
+use sb_vm::{MachineConfig, NoRuntime, Outcome, RunResult, Trap, FN_BASE, HEAP_BASE};
 use sb_workloads::LibcKernel;
 use softbound::{
     Engine, EvidenceRecord, MetadataFacility, Program, SoftBoundConfig, SoftBoundRuntime,
@@ -201,9 +202,8 @@ fn observe_windows<F: MetadataFacility>(
     predecoded: bool,
     windows: &[(u64, u64)],
 ) -> LaneObs {
-    let mut machine = Machine::new(program.module(), MachineConfig::default(), rt);
+    let mut machine = program.machine(MachineConfig::default(), rt);
     let r = if predecoded {
-        machine.attach_exec(program.exec());
         machine.run_predecoded("main", args)
     } else {
         machine.run("main", args)
@@ -243,13 +243,13 @@ fn parse_guard(output: &str) -> Option<(u64, i64)> {
 }
 
 /// One kernel compiled once and replayed for many cases: the `Program`
-/// (module + exec IR) is facility-independent, and the baseline module
-/// is the same source lowered *without* instrumentation.
+/// (module + exec IR) is facility-independent, and the baseline program
+/// is the same source compiled [uninstrumented](Scheme::Uninstrumented).
 pub struct KernelHarness {
     kernel: LibcKernel,
     cfg: SoftBoundConfig,
     program: Program,
-    baseline: sb_ir::Module,
+    baseline: Program,
     /// Check-preserving build shared by the non-Strict policies: the
     /// policy itself lives runtime-side, but redundant-check
     /// elimination is unsound once a failed check may continue, so
@@ -267,9 +267,9 @@ impl KernelHarness {
             .softbound_config(cfg.clone())
             .compile(kernel.source)
             .unwrap_or_else(|e| panic!("{}: kernel does not compile: {e}", kernel.name));
-        let cir = sb_cir::compile(kernel.source).expect("compiles");
-        let mut baseline = sb_ir::lower(&cir, kernel.name);
-        sb_ir::optimize(&mut baseline, sb_ir::OptLevel::PreInstrument);
+        let baseline = Scheme::Uninstrumented
+            .compile(kernel.source)
+            .expect("compiles");
         let mut hardened_cfg = cfg.clone();
         hardened_cfg.policy = ViolationPolicy::Hardened;
         let mut monitor_cfg = cfg.clone();
@@ -295,8 +295,8 @@ impl KernelHarness {
     }
 
     fn run_baseline(&self, args: &[i64]) -> (RunResult, u64) {
-        let mut machine = Machine::new(&self.baseline, MachineConfig::default(), NoRuntime);
-        let r = machine.run("main", args);
+        let mut machine = self.baseline.machine(MachineConfig::default(), NoRuntime);
+        let r = machine.run_predecoded("main", args);
         let hash = machine.mem.content_hash_range(0, FN_BASE);
         (r, hash)
     }

@@ -1,7 +1,7 @@
 //! Figure 1: percentage of memory operations that load or store a pointer,
 //! per benchmark, in the paper's sorted order.
 
-use crate::run_uninstrumented;
+use sb_baselines::Scheme;
 use sb_workloads::all_benchmarks;
 
 /// Paper values, read off Figure 1 (approximate — the figure has no data
@@ -44,7 +44,9 @@ pub fn run() -> Vec<Row> {
     all_benchmarks()
         .iter()
         .map(|w| {
-            let r = run_uninstrumented(w);
+            let r = Scheme::Uninstrumented
+                .run(w.source, "main", &[w.default_arg])
+                .expect("workload compiles");
             assert!(
                 matches!(r.outcome, sb_vm::Outcome::Finished { .. }),
                 "{}: {:?}",

@@ -3,7 +3,8 @@
 //! average row.
 
 use crate::overhead;
-use sb_vm::{Machine, MachineConfig, NoRuntime};
+use sb_baselines::Scheme;
+use sb_vm::{MachineConfig, NoRuntime};
 use sb_workloads::all_benchmarks;
 use softbound::{Engine, Program, SoftBoundConfig};
 
@@ -75,11 +76,11 @@ pub fn run_with_cache(cache: bool) -> Vec<Row> {
     all_benchmarks()
         .iter()
         .map(|w| {
-            let prog = sb_cir::compile(w.source).expect("workload compiles");
-            let mut m = sb_ir::lower(&prog, w.name);
-            sb_ir::optimize(&mut m, sb_ir::OptLevel::PreInstrument);
-            let mut machine = Machine::new(&m, machine_cfg.clone(), NoRuntime);
-            let base = machine.run("main", &[w.default_arg]);
+            let base = Scheme::Uninstrumented
+                .compile(w.source)
+                .expect("workload compiles")
+                .machine(machine_cfg.clone(), NoRuntime)
+                .run_predecoded("main", &[w.default_arg]);
             assert!(matches!(base.outcome, sb_vm::Outcome::Finished { .. }));
             let expected = base.ret();
             let run = |cfg: &SoftBoundConfig, program: &Program| {

@@ -31,18 +31,6 @@ pub mod table1;
 pub mod table3;
 pub mod table4;
 
-use sb_vm::{Machine, MachineConfig, NoRuntime, RunResult};
-use sb_workloads::Workload;
-
-/// Compiles and runs a workload uninstrumented (the overhead baseline).
-pub fn run_uninstrumented(w: &Workload) -> RunResult {
-    let prog = sb_cir::compile(w.source).expect("workload compiles");
-    let mut m = sb_ir::lower(&prog, w.name);
-    sb_ir::optimize(&mut m, sb_ir::OptLevel::PreInstrument);
-    let mut machine = Machine::new(&m, MachineConfig::default(), NoRuntime);
-    machine.run("main", &[w.default_arg])
-}
-
 /// Overhead of `cycles` relative to `base` as a fraction (0.79 = 79%).
 pub fn overhead(base: u64, cycles: u64) -> f64 {
     if base == 0 {

@@ -4,7 +4,7 @@
 //! The paper reports MSCC spatial-only overheads of 17–185% (average 68%),
 //! and contrasts `go`: 144% under MSCC vs 55% under SoftBound.
 
-use crate::{overhead, run_uninstrumented};
+use crate::overhead;
 use sb_baselines::Scheme;
 use sb_workloads::all_benchmarks;
 use softbound::SoftBoundConfig;
@@ -27,15 +27,14 @@ pub fn run() -> Vec<Row> {
     all_benchmarks()
         .iter()
         .map(|w| {
-            let base = run_uninstrumented(w);
-            let sb_r = {
-                let m = sb.compile(w.source).expect("compiles");
-                sb.run_module(&m, "main", &[w.default_arg])
+            let run = |scheme: &Scheme| {
+                scheme
+                    .run(w.source, "main", &[w.default_arg])
+                    .expect("workload compiles")
             };
-            let mscc_r = {
-                let m = mscc.compile(w.source).expect("compiles");
-                mscc.run_module(&m, "main", &[w.default_arg])
-            };
+            let base = run(&Scheme::Uninstrumented);
+            let sb_r = run(&sb);
+            let mscc_r = run(&mscc);
             assert_eq!(
                 sb_r.ret(),
                 base.ret(),

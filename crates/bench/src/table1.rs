@@ -133,56 +133,17 @@ fn probe_detects(scheme: &Scheme, src: &str) -> bool {
         .unwrap_or(false)
 }
 
-/// Compiles the library and the application separately under the
-/// scheme, links them and runs the result: whether it returns 1.
+/// Instruments the library and the application separately under the
+/// scheme's own pipeline, links them, finishes the linked module through
+/// the scheme's build and runs it: whether it returns 1.
 fn probe_links(scheme: &Scheme) -> bool {
-    let compile = |src: &str, name: &str| -> Option<sb_ir::Module> {
-        match scheme {
-            Scheme::FatPointer => Some(sb_baselines::instrument_fat(
-                &sb_baselines::compile_fat(src, name).ok()?,
-            )),
-            Scheme::SoftBound(cfg) => {
-                let prog = sb_cir::compile(src).ok()?;
-                let mut m = sb_ir::lower(&prog, name);
-                sb_ir::optimize(&mut m, sb_ir::OptLevel::PreInstrument);
-                Some(softbound::instrument(&m, cfg))
-            }
-            Scheme::Mscc => {
-                let prog = sb_cir::compile(src).ok()?;
-                let m = sb_ir::lower(&prog, name);
-                Some(sb_baselines::instrument_mscc(&m))
-            }
-            _ => {
-                let prog = sb_cir::compile(src).ok()?;
-                let mut m = sb_ir::lower(&prog, name);
-                sb_ir::optimize(&mut m, sb_ir::OptLevel::PreInstrument);
-                match scheme {
-                    Scheme::JonesKelly => Some(sb_baselines::instrument_object_scheme(
-                        &m,
-                        sb_baselines::ObjectScheme::JonesKelly,
-                    )),
-                    Scheme::Mudflap => Some(sb_baselines::instrument_object_scheme(
-                        &m,
-                        sb_baselines::ObjectScheme::Mudflap,
-                    )),
-                    _ => Some(m),
-                }
-            }
-        }
+    let linked = || -> Option<i64> {
+        let lib = scheme.instrument(LINK_LIB, "lib").ok()?;
+        let app = scheme.instrument(LINK_APP, "app").ok()?;
+        let program = scheme.build(sb_ir::link(&[app, lib], "prog").ok()?).ok()?;
+        scheme.run_program(&program, "main", &[]).ret()
     };
-    let Some(lib) = compile(LINK_LIB, "lib") else {
-        return false;
-    };
-    let Some(app) = compile(LINK_APP, "app") else {
-        return false;
-    };
-    let Ok(linked) = sb_ir::link(&[app, lib], "prog") else {
-        return false;
-    };
-    if sb_ir::verify(&linked).is_err() {
-        return false;
-    }
-    scheme.run_module(&linked, "main", &[]).ret() == Some(1)
+    linked() == Some(1)
 }
 
 fn row(scheme: Scheme, paper_counterpart: &'static str, paper_row: [bool; 5]) -> Row {

@@ -4,6 +4,7 @@
 //! when the attacker payload gains control (hijacked return/frame/jmp_buf
 //! or a corrupted function pointer being called).
 
+use sb_baselines::Scheme;
 use sb_vm::Outcome;
 use sb_workloads::attacks::{self, Attack};
 use softbound::{Engine, SoftBoundConfig};
@@ -35,7 +36,9 @@ pub fn run() -> Vec<Row> {
     attacks::all()
         .into_iter()
         .map(|attack| {
-            let plain = sb_vm::run_source(attack.source, "main", &[]);
+            let plain = Scheme::Uninstrumented
+                .run(attack.source, "main", &[])
+                .expect("compiles");
             let f = full.run_once(attack.source, "main", &[]).expect("compiles");
             let s = store
                 .run_once(attack.source, "main", &[])

@@ -7,6 +7,7 @@
 //! or `longjmp`), and function-pointer checks are always on.
 
 use crate::policy::ViolationPolicy;
+use sb_ir::OptLevel;
 
 /// Which dereferences are checked (§1, §6.3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -101,6 +102,18 @@ impl SoftBoundConfig {
         SoftBoundConfig {
             policy: ViolationPolicy::Monitor,
             ..Self::default()
+        }
+    }
+
+    /// The post-instrument optimizer level this configuration compiles
+    /// with. Strict keeps the paper pipeline (redundant-check
+    /// elimination); the repair and observe policies retain every check,
+    /// so a clamp applies to exactly the access its own check guards.
+    pub fn post_instrument_level(&self) -> OptLevel {
+        if self.policy == ViolationPolicy::Strict {
+            OptLevel::PostInstrument
+        } else {
+            OptLevel::PostInstrumentAllChecks
         }
     }
 

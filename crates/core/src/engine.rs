@@ -13,8 +13,8 @@
 //!   [`SoftBoundConfig`] and [`MachineConfig`]; cheap to clone, one per
 //!   deployment configuration.
 //! * [`Program`] — a compiled, instrumented, *verified* module plus the
-//!   post-instrument [`PassStats`]. Compile once, share among
-//!   instances.
+//!   post-instrument [`PassStats`] and its pre-decoded [`ExecModule`].
+//!   Compile once, share among instances.
 //! * [`Instance`] — a persistent monomorphized
 //!   [`SoftBoundRuntime`]`<F>` + [`Machine`] that can
 //!   [`run`](Instance::run) an entry point repeatedly, always through
@@ -26,10 +26,18 @@
 //!   the per-machine setup entirely (the `throughput` bench measures the
 //!   win).
 //!
+//! Every scheme compiles through the same stages (§6.1): [`front_half`]
+//! (frontend, lowering, pre-instrument optimizer), a pass, then
+//! [`Program::build`] (post-instrument optimizer, verifier, exec
+//! lowering). [`Engine::compile`] is that pipeline with SoftBound's
+//! pass; the baselines of `sb-baselines` run theirs, so every scheme's
+//! result is a `Program`, served on the pre-decoded lane by a machine
+//! from [`Program::machine`].
+//!
 //! The tree-walk interpreter ([`Machine::run`]) is the reference those
 //! runs are held to: differential suites build a `Machine` over
-//! [`Program::module`] with a [`SoftBoundRuntime`] of their choice and
-//! compare the two.
+//! [`Program::module`] with a runtime of their choice and compare the
+//! two.
 //!
 //! ```
 //! use softbound::{Engine, SoftBoundConfig};
@@ -47,12 +55,28 @@
 
 use crate::config::{CheckMode, Facility, SoftBoundConfig};
 use crate::error::SoftBoundError;
-use crate::metadata::{HashTableFacility, MetadataFacility, ShadowPages};
+use crate::metadata::{HashTableFacility, ShadowPages};
 use crate::policy::{EvidenceRecord, ViolationPolicy};
 use crate::runtime::SoftBoundRuntime;
 use crate::transform::instrument;
-use sb_ir::{Module, PassStats};
-use sb_vm::{ExecModule, Machine, MachineConfig, RunResult};
+use sb_cir::PtrLayout;
+use sb_ir::{Module, OptLevel, PassStats};
+use sb_vm::{ExecModule, Machine, MachineConfig, RunResult, RuntimeHooks};
+
+/// The pipeline's front half (§6.1), shared by every scheme: the
+/// frontend at `layout`, lowering to a module named `name`, and the
+/// pre-instrument optimizer. A pass instruments the result, and
+/// [`Program::build`] finishes it.
+///
+/// # Errors
+///
+/// [`SoftBoundError::Compile`] for frontend rejections.
+pub fn front_half(src: &str, layout: PtrLayout, name: &str) -> Result<Module, SoftBoundError> {
+    let prog = sb_cir::compile_with_layout(src, layout)?;
+    let mut module = sb_ir::lower(&prog, name);
+    sb_ir::optimize(&mut module, OptLevel::PreInstrument);
+    Ok(module)
+}
 
 /// A reusable SoftBound pipeline configuration: the entry point of the
 /// session API.
@@ -120,7 +144,9 @@ impl Engine {
     }
 
     /// Compiles CIR-C source through the full paper pipeline (§6.1):
-    /// compile → lower → optimize → instrument → re-optimize → verify.
+    /// [`front_half`], SoftBound's [`instrument`], then
+    /// [`Program::build`] at the policy's
+    /// [post-instrument level](SoftBoundConfig::post_instrument_level).
     ///
     /// # Errors
     ///
@@ -129,50 +155,21 @@ impl Engine {
     /// structural verification (a pass bug, reported instead of
     /// panicking so embedders can log and keep serving).
     pub fn compile(&self, src: &str) -> Result<Program, SoftBoundError> {
-        let prog = sb_cir::compile(src)?;
-        let mut module = sb_ir::lower(&prog, "program");
-        sb_ir::optimize(&mut module, sb_ir::OptLevel::PreInstrument);
-        let mut module = instrument(&module, &self.sb);
-        // Strict keeps the paper pipeline (redundant-check elimination);
-        // repair/observe policies retain every check so a clamp applies
-        // to exactly the access its own check guards.
-        let post = if self.sb.policy == ViolationPolicy::Strict {
-            sb_ir::OptLevel::PostInstrument
-        } else {
-            sb_ir::OptLevel::PostInstrumentAllChecks
-        };
-        let stats = sb_ir::optimize_with_stats(&mut module, post);
-        sb_ir::verify(&module)?;
-        // Lower the verified module to the flat execution IR now, so
-        // every instance of this program shares one decode.
-        let exec = ExecModule::lower(&module);
-        Ok(Program {
-            module,
-            stats,
-            exec,
-        })
+        let module = instrument(&front_half(src, PtrLayout::Thin, "program")?, &self.sb);
+        Program::build(module, Some(self.sb.post_instrument_level()))
     }
 
     /// Builds a persistent machine over a compiled program,
     /// monomorphized on the configured facility, with the program's
     /// cached [`ExecModule`] attached — instantiation pays no decode.
     pub fn instantiate<'p>(&self, program: &'p Program) -> Instance<'p> {
-        fn machine<'p, F: MetadataFacility>(
-            program: &'p Program,
-            cfg: MachineConfig,
-            rt: SoftBoundRuntime<F>,
-        ) -> Machine<'p, SoftBoundRuntime<F>> {
-            let mut m = Machine::new(program.module(), cfg, rt);
-            m.attach_exec(program.exec());
-            m
-        }
         let cfg = self.machine.clone();
         let repr = match self.sb.facility {
             Facility::ShadowShared => {
-                Repr::Shadow(machine(program, cfg, SoftBoundRuntime::new_paged(&self.sb)))
+                Repr::Shadow(program.machine(cfg, SoftBoundRuntime::new_paged(&self.sb)))
             }
             Facility::HashTable => {
-                Repr::HashTable(machine(program, cfg, SoftBoundRuntime::new_hash(&self.sb)))
+                Repr::HashTable(program.machine(cfg, SoftBoundRuntime::new_hash(&self.sb)))
             }
         };
         Instance {
@@ -200,7 +197,8 @@ impl Engine {
 
 /// A compiled, instrumented, verified module plus the post-instrument
 /// optimizer statistics and the cached pre-decoded lowering. Produced
-/// by [`Engine::compile`]; immutable and shareable among any number of
+/// by [`Engine::compile`], or by [`Program::build`] for any other
+/// scheme's module; immutable and shareable among any number of
 /// [`Instance`]s — which is exactly why the [`ExecModule`] lives here:
 /// the flat-IR decode runs once per compilation, and every instance
 /// (and every run) borrows the result.
@@ -212,6 +210,37 @@ pub struct Program {
 }
 
 impl Program {
+    /// The pipeline's back half (§6.1), shared by every scheme: the
+    /// post-instrument optimizer at `post` (`None` for a module no pass
+    /// instrumented), the verifier, and the lowering to the pre-decoded
+    /// [`ExecModule`] every instance of the program shares.
+    ///
+    /// # Errors
+    ///
+    /// [`SoftBoundError::Verify`] when the module fails structural
+    /// verification (a pass bug, reported instead of panicking).
+    pub fn build(mut module: Module, post: Option<OptLevel>) -> Result<Program, SoftBoundError> {
+        let stats = post.map_or_else(PassStats::default, |level| {
+            sb_ir::optimize_with_stats(&mut module, level)
+        });
+        sb_ir::verify(&module)?;
+        let exec = ExecModule::lower(&module);
+        Ok(Program {
+            module,
+            stats,
+            exec,
+        })
+    }
+
+    /// A machine over this program with `hooks` installed and the
+    /// cached [`ExecModule`] attached, ready for
+    /// [`Machine::run_predecoded`]: the served lane, for any runtime.
+    pub fn machine<H: RuntimeHooks>(&self, cfg: MachineConfig, hooks: H) -> Machine<'_, H> {
+        let mut machine = Machine::new(&self.module, cfg, hooks);
+        machine.attach_exec(&self.exec);
+        machine
+    }
+
     /// The instrumented module.
     pub fn module(&self) -> &Module {
         &self.module
@@ -228,12 +257,6 @@ impl Program {
     /// elimination counts.
     pub fn stats(&self) -> PassStats {
         self.stats
-    }
-
-    /// Decomposes into the owned module and the pass statistics (for
-    /// callers that hand the module to other tooling, e.g. the linker).
-    pub fn into_parts(self) -> (Module, PassStats) {
-        (self.module, self.stats)
     }
 }
 
@@ -320,13 +343,10 @@ impl Instance<'_> {
     /// its directory plus the page frames the current run committed
     /// (none after a [`reset`](Instance::reset)); for the hash table,
     /// its buckets and chains.
+    ///
+    /// [`MetadataFacility::reservation_bytes`]: crate::MetadataFacility::reservation_bytes
     pub fn metadata_reservation_bytes(&self) -> usize {
         each_machine!(self, m => m.hooks().reservation_bytes())
-    }
-
-    /// Bounds checks executed by the runtime since the last reset.
-    pub fn check_count(&self) -> u64 {
-        each_machine!(self, m => m.hooks().check_count)
     }
 
     /// Violations detected by the runtime since the last reset.
@@ -516,11 +536,10 @@ mod tests {
         let mut inst = engine.instantiate(&program);
         let r = inst.run("main", &[]);
         assert_eq!(r.ret(), Some(1));
+        assert!(r.stats.checks > 0);
         assert!(inst.live_entries() > 0, "leaked metadata expected");
-        assert!(inst.check_count() > 0);
         inst.reset();
         assert_eq!(inst.live_entries(), 0, "reset must clear all metadata");
-        assert_eq!(inst.check_count(), 0);
         assert_eq!(inst.violation_count(), 0);
     }
 

@@ -58,8 +58,6 @@ pub struct Observation {
     pub checks: u64,
     /// Cost-model cycles.
     pub cycles: u64,
-    /// Runtime check counter after the run.
-    pub check_count: u64,
     /// Runtime violation counter after the run.
     pub violation_count: u64,
     /// Digest of the final simulated memory image
@@ -90,7 +88,6 @@ pub fn observe(instance: &mut Instance<'_>, entry: &str, arg: i64) -> Observatio
         insts: r.stats.insts,
         checks: r.stats.checks,
         cycles: r.stats.cycles,
-        check_count: instance.check_count(),
         violation_count: instance.violation_count(),
         mem_hash: instance.mem_content_hash(),
         // Draining keeps the overflow counter, so read it afterwards.
@@ -243,7 +240,7 @@ pub fn serve(
                         let observation = observe(&mut instance, entry, requests[index]);
                         let latency_ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
                         report.served += 1;
-                        report.checks += observation.check_count;
+                        report.checks += observation.checks;
                         report.violations += observation.violation_count;
                         report.traps +=
                             u64::from(matches!(observation.outcome, Outcome::Trapped(_)));
@@ -387,6 +384,30 @@ mod tests {
         // Strict pools never collect evidence — violations trap.
         assert_eq!(report.evidence_total(), 0);
         assert_eq!(report.evidence_overflow_total(), 0);
+    }
+
+    #[test]
+    fn worker_checks_add_up_to_the_requests_checks() {
+        // `strcpy`'s two buffer checks are counted by the machine, not by
+        // an explicit check instruction.
+        let src = r#"
+            int main(int n) {
+                char src[16];
+                char dst[16];
+                for (int i = 0; i < n; i++) src[i] = 'a';
+                src[n] = 0;
+                strcpy(dst, src);
+                return (int)strlen(dst);
+            }
+        "#;
+        let engine = Engine::new();
+        let program = engine.compile(src).unwrap();
+        let requests: Vec<i64> = (0..8).collect();
+        let report = serve(&engine, &program, "main", &requests, 2);
+        let per_request: u64 = report.results.iter().map(|r| r.observation.checks).sum();
+        let per_worker: u64 = report.per_worker.iter().map(|w| w.checks).sum();
+        assert!(per_request > 0);
+        assert_eq!(per_worker, per_request);
     }
 
     #[test]

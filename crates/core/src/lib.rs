@@ -76,7 +76,7 @@ pub mod runtime;
 pub mod transform;
 
 pub use config::{CheckMode, Facility, SoftBoundConfig};
-pub use engine::{Engine, Instance, Program};
+pub use engine::{front_half, Engine, Instance, Program};
 pub use error::SoftBoundError;
 pub use metadata::{HashTableFacility, Meta, MetadataFacility, ShadowHashMapFacility, ShadowPages};
 pub use policy::{EvidenceRecord, EvidenceRing, PolicyAction, ViolationPolicy, EVIDENCE_CAPACITY};

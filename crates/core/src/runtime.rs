@@ -15,7 +15,7 @@ use crate::policy::{
     first_oob_byte, EvidenceRecord, EvidenceRing, PolicyAction, ViolationPolicy, EVIDENCE_CAPACITY,
 };
 use sb_ir::{AllocaInfo, RtFn};
-use sb_vm::{out_of_bounds, Mem, RtCtx, RtVals, RuntimeHooks, Trap};
+use sb_vm::{out_of_bounds, RtCtx, RtVals, RuntimeHooks, Trap};
 
 /// Cost of the bounds check itself (two compares + branch, §3.1).
 pub const CHECK_COST: u64 = 3;
@@ -25,8 +25,6 @@ pub struct SoftBoundRuntime<F: MetadataFacility> {
     facility: F,
     policy: ViolationPolicy,
     evidence: EvidenceRing,
-    /// Checks executed.
-    pub check_count: u64,
     /// Violations would-have-fired (always 0 on safe programs).
     pub violation_count: u64,
 }
@@ -68,7 +66,6 @@ impl<F: MetadataFacility> SoftBoundRuntime<F> {
             } else {
                 EVIDENCE_CAPACITY
             }),
-            check_count: 0,
             violation_count: 0,
         }
     }
@@ -155,7 +152,6 @@ impl<F: MetadataFacility> SoftBoundRuntime<F> {
         write: bool,
         ctx: &mut RtCtx,
     ) -> Result<(), Trap> {
-        self.check_count += 1;
         if base == 0 || out_of_bounds(ptr, size, base, bound).is_some() {
             let Some(action) = self.absorb(ptr, size, (base, bound), write, ctx.pc) else {
                 // Strict counts a trapping check; a trapping wrapper
@@ -178,13 +174,7 @@ impl<F: MetadataFacility> SoftBoundRuntime<F> {
 
 impl<F: MetadataFacility> RuntimeHooks for SoftBoundRuntime<F> {
     #[inline]
-    fn rt_call(
-        &mut self,
-        rt: RtFn,
-        args: &[i64],
-        _mem: &mut Mem,
-        ctx: &mut RtCtx,
-    ) -> Result<RtVals, Trap> {
+    fn rt_call(&mut self, rt: RtFn, args: &[i64], ctx: &mut RtCtx) -> Result<RtVals, Trap> {
         match rt {
             RtFn::SbCheck { is_store } => {
                 ctx.cost += CHECK_COST;
@@ -212,7 +202,6 @@ impl<F: MetadataFacility> RuntimeHooks for SoftBoundRuntime<F> {
             }
             RtFn::SbFnCheck => {
                 ctx.cost += CHECK_COST;
-                self.check_count += 1;
                 let (ptr, base, bound) = (args[0] as u64, args[1] as u64, args[2] as u64);
                 // Function pointers are encoded base == bound == ptr (§5.2):
                 // a zero-sized "object" no data pointer can carry. This
@@ -299,7 +288,6 @@ impl<F: MetadataFacility> RuntimeHooks for SoftBoundRuntime<F> {
     /// shadow returns its page frames to the process-wide pool.
     fn reset(&mut self) {
         self.facility.reset();
-        self.check_count = 0;
         self.violation_count = 0;
         self.evidence.reset();
     }
@@ -318,9 +306,8 @@ mod tests {
         f: RtFn,
         args: &[i64],
     ) -> Result<RtVals, Trap> {
-        let mut mem = Mem::new();
         let mut ctx = RtCtx::default();
-        rt.rt_call(f, args, &mut mem, &mut ctx)
+        rt.rt_call(f, args, &mut ctx)
     }
 
     #[test]
@@ -497,7 +484,6 @@ mod tests {
     #[test]
     fn hardened_check_absorbs_orders_repair_and_records_evidence() {
         let mut rt = SoftBoundRuntime::new_paged(&SoftBoundConfig::hardened());
-        let mut mem = Mem::new();
         let mut ctx = RtCtx {
             pc: 42,
             ..RtCtx::default()
@@ -507,7 +493,6 @@ mod tests {
             .rt_call(
                 RtFn::SbCheck { is_store: true },
                 &[0x1039, 0x1000, 0x1040, 8],
-                &mut mem,
                 &mut ctx
             )
             .is_ok());
@@ -528,7 +513,6 @@ mod tests {
             .rt_call(
                 RtFn::SbCheck { is_store: false },
                 &[0x1000, 0x1000, 0x1040, 8],
-                &mut mem,
                 &mut ctx
             )
             .is_ok());
@@ -539,14 +523,12 @@ mod tests {
     #[test]
     fn monitor_check_observes_without_repair() {
         let mut rt = SoftBoundRuntime::new_paged(&SoftBoundConfig::monitor());
-        let mut mem = Mem::new();
         let mut ctx = RtCtx::default();
         // Below-base load: absorbed, no repair (access proceeds as-is).
         assert!(rt
             .rt_call(
                 RtFn::SbCheck { is_store: false },
                 &[0xfff, 0x1000, 0x1040, 1],
-                &mut mem,
                 &mut ctx
             )
             .is_ok());
@@ -562,15 +544,9 @@ mod tests {
     fn fn_checks_trap_under_every_policy() {
         for cfg in [SoftBoundConfig::hardened(), SoftBoundConfig::monitor()] {
             let mut rt = SoftBoundRuntime::new_paged(&cfg);
-            let mut mem = Mem::new();
             let mut ctx = RtCtx::default();
             assert!(rt
-                .rt_call(
-                    RtFn::SbFnCheck,
-                    &[0x1000, 0x1000, 0x1040],
-                    &mut mem,
-                    &mut ctx
-                )
+                .rt_call(RtFn::SbFnCheck, &[0x1000, 0x1000, 0x1040], &mut ctx)
                 .is_err());
             assert_eq!(ctx.repair, None);
         }
@@ -617,12 +593,10 @@ mod tests {
     #[test]
     fn reset_clears_the_evidence_ring() {
         let mut rt = SoftBoundRuntime::new_paged(&SoftBoundConfig::hardened());
-        let mut mem = Mem::new();
         let mut ctx = RtCtx::default();
         rt.rt_call(
             RtFn::SbCheck { is_store: true },
             &[0x2000, 0, 0, 1],
-            &mut mem,
             &mut ctx,
         )
         .expect("hardened absorbs");

@@ -601,11 +601,13 @@ fn rewrite_builtin(
         return;
     }
     // Library-wrapper behaviour (§5.2): append (base, bound) for each
-    // pointer parameter, in declaration order, after all arguments. The VM
-    // hands each pair, with the buffer it bounds, to the runtime's
-    // `check_builtin_range`; a wrapped `va_arg_*` checks its index against
-    // the arguments passed, and a wrapped `memcpy` whose `ptr_hint` the
-    // type heuristic set copies metadata through `on_memcpy`.
+    // pointer parameter, in declaration order, after all arguments, then
+    // one pair per variadic argument (printf's `%s` reads through one),
+    // NULL for a non-pointer. The VM hands each pair, with the buffer it
+    // bounds, to the runtime's `check_builtin_range`; a wrapped `va_arg_*`
+    // checks its index against the arguments passed, and a wrapped
+    // `memcpy` whose `ptr_hint` the type heuristic set copies metadata
+    // through `on_memcpy`.
     let sig = b.sig();
     let mut new_args = args.clone();
     for (i, pty) in sig.params.iter().enumerate() {
@@ -614,6 +616,16 @@ fn rewrite_builtin(
             new_args.push(mb);
             new_args.push(me);
         }
+    }
+    for v in args.iter().skip(sig.params.len()) {
+        let (mb, me) = match v {
+            Value::Reg(r) if cx.shadows[r.0 as usize].is_none() => {
+                (Value::Const(0), Value::Const(0))
+            }
+            _ => cx.meta_of(v),
+        };
+        new_args.push(mb);
+        new_args.push(me);
     }
     if sig.ret.is_ptr() && !dsts.is_empty() {
         let (db, de) = cx.shadow(dsts[0]);

@@ -208,7 +208,6 @@ fn touch(stats: &mut ExecStats, cache: &mut Option<CacheSim>, addr: u64) {
 #[inline(always)]
 fn rt_call<H: RuntimeHooks>(
     hooks: &mut H,
-    mem: &mut Mem,
     stats: &mut ExecStats,
     ctx: &mut RtCtx,
     rt: RtFn,
@@ -224,7 +223,7 @@ fn rt_call<H: RuntimeHooks>(
     } else if rt == RtFn::SbMetaStore {
         stats.meta_stores += 1;
     }
-    let res = hooks.rt_call(rt, args, mem, ctx);
+    let res = hooks.rt_call(rt, args, ctx);
     stats.cycles += ctx.cost;
     stats.rt_cycles += ctx.cost;
     res
@@ -929,7 +928,6 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
                 }
                 let vals = rt_call(
                     &mut self.hooks,
-                    &mut self.mem,
                     &mut self.stats,
                     &mut self.ctx,
                     *rt,
@@ -1082,7 +1080,6 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
                         ];
                         rt_call(
                             &mut self.hooks,
-                            &mut self.mem,
                             &mut self.stats,
                             &mut self.ctx,
                             RtFn::SbCheck { is_store: false },
@@ -1113,7 +1110,6 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
                         ];
                         rt_call(
                             &mut self.hooks,
-                            &mut self.mem,
                             &mut self.stats,
                             &mut self.ctx,
                             RtFn::SbCheck { is_store: true },
@@ -1170,7 +1166,6 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
                         }
                         let vals = rt_call(
                             &mut self.hooks,
-                            &mut self.mem,
                             &mut self.stats,
                             &mut self.ctx,
                             rt,
@@ -1407,7 +1402,7 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
                 );
             }
             Builtin::Printf => {
-                let n = self.printf(args, bounds(0))?;
+                let n = self.printf(args, &bounds)?;
                 set(self, 0, n);
             }
             Builtin::Puts => {
@@ -1618,11 +1613,18 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
     /// Minimal printf: `%d %u %ld %lu %x %c %s %p %%` with optional `-`,
     /// `0` flags and width. Returns the number of bytes the format
     /// produces (saturating), whether or not they fit the output limit.
-    /// Only a wrapped call (`fmt_bounds`) consults the runtime, which may
-    /// clamp the format scan at the boundary.
-    fn printf(&mut self, args: &[i64], fmt_bounds: Option<(u64, u64)>) -> Result<i64, Trap> {
+    /// `bounds(0)` bounds the format and `bounds(1 + k)` the `k`-th
+    /// variadic argument. Only a wrapped call consults the runtime on the
+    /// format, which may clamp the scan at the boundary; every `%s`
+    /// string is checked like `puts`'s.
+    fn printf(
+        &mut self,
+        args: &[i64],
+        bounds: &dyn Fn(usize) -> Option<(u64, u64)>,
+    ) -> Result<i64, Trap> {
         let fmt_ptr = args[0] as u64;
         let mut fmt = self.mem.read_cstr(fmt_ptr, 1 << 16)?;
+        let fmt_bounds = bounds(0);
         if fmt_bounds.is_some() {
             let eff = self.check_range(fmt_ptr, fmt.len() as u64 + 1, false, fmt_bounds)?;
             fmt.truncate(fmt.len().min(eff as usize));
@@ -1691,7 +1693,10 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
                 b'c' => vec![next() as u8],
                 b's' => {
                     let p = next() as u64;
-                    self.mem.read_cstr(p, 1 << 16)?
+                    let mut s = self.mem.read_cstr(p, 1 << 16)?;
+                    let eff = self.check_range(p, s.len() as u64 + 1, false, bounds(ai))?;
+                    s.truncate(s.len().min(eff as usize));
+                    s
                 }
                 other => vec![b'%', other],
             };
@@ -1722,14 +1727,19 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
 /// Splits a builtin call's operands into its C arguments and a reader of
 /// the bounds a wrapping pass appended after them (§5.2): one `(base,
 /// bound)` pair per pointer parameter, in declaration order, after all
-/// arguments, printf's varargs included. The reader returns `None` for
-/// an unwrapped call.
+/// arguments (printf's varargs included), then, for printf, one pair per
+/// variadic argument, so a wrapped printf's operands come in threes. The
+/// reader returns `None` for an unwrapped call.
 fn wrapped_operands(
     b: Builtin,
     args: &[i64],
     wrapped: bool,
 ) -> (&[i64], impl Fn(usize) -> Option<(u64, u64)> + '_) {
-    let pairs = if wrapped { b.ptr_params() } else { 0 };
+    let pairs = match b {
+        _ if !wrapped => 0,
+        Builtin::Printf => args.len() / 3,
+        _ => b.ptr_params(),
+    };
     let (args, bounds) = args.split_at(args.len().saturating_sub(2 * pairs));
     let read = |k: usize| {
         let pair = bounds.get(2 * k..2 * k + 2)?;

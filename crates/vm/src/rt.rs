@@ -3,7 +3,7 @@
 //! safety schemes (SoftBound, object tables, redzones, MSCC) implement,
 //! with the [`RtCtx`] their calls run in.
 
-use crate::mem::{Mem, MemFault};
+use crate::mem::MemFault;
 use sb_ir::{AllocaInfo, RtFn};
 use std::fmt;
 
@@ -431,13 +431,7 @@ pub trait RuntimeHooks {
     ///
     /// Returns a [`Trap`] (usually [`Trap::SpatialViolation`]) to abort the
     /// program, exactly like the paper's `check()` calling `abort()`.
-    fn rt_call(
-        &mut self,
-        rt: RtFn,
-        args: &[i64],
-        mem: &mut Mem,
-        ctx: &mut RtCtx,
-    ) -> Result<RtVals, Trap>;
+    fn rt_call(&mut self, rt: RtFn, args: &[i64], ctx: &mut RtCtx) -> Result<RtVals, Trap>;
 
     /// A heap allocation of `size` user bytes succeeded at `addr`.
     fn on_malloc(&mut self, addr: u64, size: u64, ctx: &mut RtCtx) {
@@ -525,13 +519,7 @@ pub trait RuntimeHooks {
 pub struct NoRuntime;
 
 impl RuntimeHooks for NoRuntime {
-    fn rt_call(
-        &mut self,
-        rt: RtFn,
-        _args: &[i64],
-        _mem: &mut Mem,
-        _ctx: &mut RtCtx,
-    ) -> Result<RtVals, Trap> {
+    fn rt_call(&mut self, rt: RtFn, _args: &[i64], _ctx: &mut RtCtx) -> Result<RtVals, Trap> {
         // Uninstrumented modules contain no Rt instructions; reaching here
         // means a pass/module mismatch, which we surface loudly.
         panic!("runtime call {rt:?} executed without an installed runtime");

@@ -9,9 +9,9 @@
 //! cargo run --example store_only_server --release
 //! ```
 
+use softbound_repro::baselines::Scheme;
 use softbound_repro::core::fleet;
 use softbound_repro::core::{CheckMode, Engine, SoftBoundConfig};
-use softbound_repro::vm::{Machine, MachineConfig, NoRuntime};
 use softbound_repro::workloads::daemons;
 use std::time::Instant;
 
@@ -23,11 +23,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("daemon: {} — {}\n", daemon.name, daemon.description);
 
     // Baseline.
-    let prog = sb_cir::compile(daemon.source).expect("compiles unmodified");
-    let mut module = sb_ir::lower(&prog, daemon.name);
-    sb_ir::optimize(&mut module, sb_ir::OptLevel::PreInstrument);
-    let mut machine = Machine::new(&module, MachineConfig::default(), NoRuntime);
-    let base = machine.run("main", &[20]);
+    let base = Scheme::Uninstrumented.run(daemon.source, "main", &[20])?;
     let base_ret = base.ret().expect("daemon runs");
     println!(
         "{:<28}cycles {:>10}   checksum {}",

@@ -15,7 +15,7 @@
 //! violation (builtin `memcpy`) and an explicit-check violation on the
 //! same object must both name the *first out-of-bounds byte*.
 
-use sb_vm::{Machine, MachineConfig, Outcome, HEAP_BASE};
+use sb_vm::{MachineConfig, Outcome, HEAP_BASE};
 use softbound::{
     Engine, EvidenceRecord, MetadataFacility, PolicyAction, Program, SoftBoundConfig,
     SoftBoundRuntime, ViolationPolicy,
@@ -52,9 +52,8 @@ fn observe<F: MetadataFacility>(
     arg: i64,
     predecoded: bool,
 ) -> PolicyObs {
-    let mut machine = Machine::new(program.module(), MachineConfig::default(), rt);
+    let mut machine = program.machine(MachineConfig::default(), rt);
     let r = if predecoded {
-        machine.attach_exec(program.exec());
         machine.run_predecoded("main", &[arg])
     } else {
         machine.run("main", &[arg])

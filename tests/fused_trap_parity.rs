@@ -12,7 +12,7 @@
 //! write flag, and trap PC (dynamic instruction index) as its tree-walk
 //! twin, for both the fused-store and fused-load shapes.
 
-use sb_vm::{Machine, MachineConfig, Outcome, Trap, HEAP_BASE, PAGE_SIZE};
+use sb_vm::{MachineConfig, Outcome, Trap, HEAP_BASE, PAGE_SIZE};
 use softbound::{Engine, MetadataFacility, Program, SoftBoundConfig, SoftBoundRuntime};
 
 /// One page exactly: `malloc(4096)` is the program's first allocation,
@@ -48,9 +48,8 @@ fn trap_of<F: MetadataFacility>(
     arg: i64,
     predecoded: bool,
 ) -> TrapObs {
-    let mut machine = Machine::new(program.module(), MachineConfig::default(), rt);
+    let mut machine = program.machine(MachineConfig::default(), rt);
     let r = if predecoded {
-        machine.attach_exec(program.exec());
         machine.run_predecoded("main", &[arg])
     } else {
         machine.run("main", &[arg])
@@ -151,13 +150,9 @@ fn one_byte_short_of_the_boundary_is_silent_in_every_lane() {
         .compile(STORE_STRADDLE)
         .expect("compiles");
     for predecoded in [false, true] {
-        let mut machine = Machine::new(
-            program.module(),
-            MachineConfig::default(),
-            SoftBoundRuntime::new_paged(&cfg),
-        );
+        let mut machine =
+            program.machine(MachineConfig::default(), SoftBoundRuntime::new_paged(&cfg));
         let r = if predecoded {
-            machine.attach_exec(program.exec());
             machine.run_predecoded("main", &[4095])
         } else {
             machine.run("main", &[4095])

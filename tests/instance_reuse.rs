@@ -1,7 +1,7 @@
 //! Differential proof that instance reuse is invisible: N back-to-back
 //! runs on one `Instance` must observe exactly what N fresh machines
 //! observe — identical outcomes, outputs, dynamic statistics, runtime
-//! check/violation counters, and final-memory digests — across both
+//! violation counters, and final-memory digests — across both
 //! metadata facilities, for both finishing and trapping programs.
 //!
 //! This is what licenses a server to keep one machine per worker and
@@ -19,7 +19,6 @@ struct Observed {
     meta_loads: u64,
     meta_stores: u64,
     cycles: u64,
-    check_count: u64,
     violation_count: u64,
     mem_hash: u64,
     live_entries: usize,
@@ -34,7 +33,6 @@ fn observe_run(instance: &mut Instance<'_>, arg: i64) -> Observed {
         meta_loads: r.stats.meta_loads,
         meta_stores: r.stats.meta_stores,
         cycles: r.stats.cycles,
-        check_count: instance.check_count(),
         violation_count: instance.violation_count(),
         mem_hash: instance.mem_content_hash(),
         live_entries: instance.live_entries(),
@@ -59,7 +57,6 @@ fn assert_reuse_invisible(engine: &Engine, program: &Program, args: &[i64], labe
         0,
         "{label}: live metadata must vanish on reset"
     );
-    assert_eq!(reused.check_count(), 0);
     assert_eq!(reused.violation_count(), 0);
 }
 

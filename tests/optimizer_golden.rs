@@ -10,8 +10,8 @@
 //! * `store`: `Engine::new().check_mode(StoreOnly)`;
 //! * `hardened`: `Engine::new().policy(Hardened)`, which runs
 //!   `PostInstrumentAllChecks`;
-//! * `fat`: `sb_baselines::fatptr::compile_fat_protected`;
-//! * `mscc`: `instrument_mscc` + `optimize_with_stats(PostInstrument)`.
+//! * `fat`: `Scheme::FatPointer.compile`;
+//! * `mscc`: `Scheme::Mscc`'s pipeline, its module named `mscc`.
 //!
 //! All five run the one pointer-based pass, `softbound::transform`: the
 //! first three in its SoftBound flavor, `fat` and `mscc` in the other two.
@@ -26,7 +26,7 @@
 
 use sb_baselines::Scheme;
 use sb_ir::{Module, OptLevel, PassStats};
-use softbound::{CheckMode, Engine, SoftBoundConfig, ViolationPolicy};
+use softbound::{CheckMode, Engine, SoftBoundConfig, SoftBoundError, ViolationPolicy};
 
 /// One corpus source, labelled as the repository benchmark labels it.
 struct Source {
@@ -96,28 +96,22 @@ fn engine_row(name: &str, pipeline: &str, engine: &Engine, src: &str) -> String 
     )
 }
 
-/// `compile_fat_protected`, replayed with `optimize_with_stats` so that
-/// the row carries its statistics; the replay must match the one-call
-/// pipeline's module.
 fn fat_row(name: &str, src: &str) -> String {
-    let mut m = sb_baselines::instrument_fat(
-        &sb_baselines::compile_fat(src, "fat").unwrap_or_else(|e| panic!("{name} (fat): {e}")),
-    );
-    let stats = sb_ir::optimize_with_stats(&mut m, OptLevel::PostInstrument);
-    sb_ir::verify(&m).unwrap_or_else(|e| panic!("{name} (fat): {e}"));
-    let one_call = sb_baselines::compile_fat_protected(src).expect("compiles");
-    assert!(m == one_call, "{name}: fat replay diverged");
-    row(name, "fat", &m, stats, None)
+    let program = Scheme::FatPointer
+        .compile(src)
+        .unwrap_or_else(|e| panic!("{name} (fat): {e}"));
+    row(name, "fat", program.module(), program.stats(), None)
 }
 
+/// `Scheme::Mscc.compile` with the module named `mscc`, as the pinned
+/// rows print it.
 fn mscc_row(name: &str, src: &str) -> String {
-    let prog = sb_cir::compile(src).unwrap_or_else(|e| panic!("{name} (mscc): {e}"));
-    let mut m = sb_ir::lower(&prog, "mscc");
-    sb_ir::optimize(&mut m, OptLevel::PreInstrument);
-    let mut m = sb_baselines::instrument_mscc(&m);
-    let stats = sb_ir::optimize_with_stats(&mut m, OptLevel::PostInstrument);
-    sb_ir::verify(&m).unwrap_or_else(|e| panic!("{name} (mscc): {e}"));
-    row(name, "mscc", &m, stats, None)
+    let fail = |e: SoftBoundError| -> ! { panic!("{name} (mscc): {e}") };
+    let m = Scheme::Mscc
+        .instrument(src, "mscc")
+        .unwrap_or_else(|e| fail(e));
+    let program = Scheme::Mscc.build(m).unwrap_or_else(|e| fail(e));
+    row(name, "mscc", program.module(), program.stats(), None)
 }
 
 fn table() -> Vec<String> {
@@ -368,61 +362,61 @@ treeadd store 671ee4aefc80f4a5 11 0 5
 treeadd hardened 61b52f69e2e07ac7 8 0 6
 treeadd fat a885429788fa8051 8 0 -
 treeadd mscc a99889c9f88c46ab 16 0 -
-libc.memcpy strict e11a711f0f559fb4 4 0 2
-libc.memcpy store 8d15e67536177c1d 4 0 1
-libc.memcpy hardened e11a711f0f559fb4 4 0 2
-libc.memcpy fat a6356fcd319cce9c 4 0 -
-libc.memcpy mscc 1a10540cde64f4f0 4 0 -
-libc.memmove strict d482491d28dd7119 8 0 4
-libc.memmove store 6b04bb7698d5fcef 8 0 2
-libc.memmove hardened d482491d28dd7119 8 0 4
-libc.memmove fat de6af6a525feb5eb 8 0 -
-libc.memmove mscc dc692e4adfe23c1b 8 0 -
-libc.memset strict 92d527870986f070 2 0 1
-libc.memset store 36c212549f68e610 4 0 0
-libc.memset hardened 92d527870986f070 2 0 1
-libc.memset fat 79f922d1c72f6f3e 2 0 -
-libc.memset mscc 6e1decabdf4a9ec2 2 0 -
-libc.strcpy strict 7685081c9845751d 4 0 2
-libc.strcpy store 7685081c9845751d 4 0 2
-libc.strcpy hardened 7685081c9845751d 4 0 2
-libc.strcpy fat 30130d418507c8f3 4 0 -
-libc.strcpy mscc 80fcacada33d1827 4 0 -
-libc.strncpy strict 766972603e13d9bb 6 0 3
-libc.strncpy store 52f88430e51156aa 6 0 2
-libc.strncpy hardened 766972603e13d9bb 6 0 3
-libc.strncpy fat 526d509d3475d9a1 6 0 -
-libc.strncpy mscc 0abc80a9898f40cd 6 0 -
-libc.strcmp strict 85d894d9014406a3 8 0 4
-libc.strcmp store 85d894d9014406a3 8 0 4
-libc.strcmp hardened 85d894d9014406a3 8 0 4
-libc.strcmp fat c7b969ca8a8f5211 8 0 -
-libc.strcmp mscc ce223235520fb6c1 8 0 -
-libc.strtok strict 736587904d557bd4 4 0 2
-libc.strtok store e125a795995131da 4 0 1
-libc.strtok hardened 736587904d557bd4 4 0 2
-libc.strtok fat d76540226c8e6122 4 0 -
-libc.strtok mscc 6eb0fcab89e29e6c 4 0 -
-libc.sprintf strict 3faffde4a8a8046e 10 0 5
-libc.sprintf store b51dedc526c8d70a 10 0 4
-libc.sprintf hardened 3faffde4a8a8046e 10 0 5
-libc.sprintf fat 5b763b548aeab26e 10 0 -
-libc.sprintf mscc 9df469608b8cdb1e 10 0 -
-libc.strcpy_off_by_one strict f5e54f66a537c362 10 0 5
-libc.strcpy_off_by_one store 18ff54bbf62a65d6 10 0 3
-libc.strcpy_off_by_one hardened f5e54f66a537c362 10 0 5
-libc.strcpy_off_by_one fat b1970c6623f7eb2a 10 0 -
-libc.strcpy_off_by_one mscc 7e1b8047672e674a 10 0 -
-libc.negindex strict 3ac3366c16dfe91a 4 0 2
-libc.negindex store 7f7c14566a57ecd6 4 0 1
-libc.negindex hardened 3ac3366c16dfe91a 4 0 2
-libc.negindex fat e9552114333e5348 4 0 -
-libc.negindex mscc 8b365d0ce5f30808 4 0 -
-libc.header strict 98449e1a26ea597d 4 0 2
-libc.header store cd57966ef95baf61 4 0 1
-libc.header hardened 98449e1a26ea597d 4 0 2
-libc.header fat 83ce60d518361b69 4 0 -
-libc.header mscc 497331bdcc8bbd71 4 0 -
+libc.memcpy strict c60845c5c4f008b4 4 0 2
+libc.memcpy store bc846e7be1501675 4 0 1
+libc.memcpy hardened c60845c5c4f008b4 4 0 2
+libc.memcpy fat bcc93baad4681f14 4 0 -
+libc.memcpy mscc 9dd9cabf61380500 4 0 -
+libc.memmove strict bc53fc80ccfc0089 8 0 4
+libc.memmove store 6582b5eb9999655f 8 0 2
+libc.memmove hardened bc53fc80ccfc0089 8 0 4
+libc.memmove fat d144862942df495b 8 0 -
+libc.memmove mscc f82c2413575ef8c3 8 0 -
+libc.memset strict d98f79f1c2c54270 2 0 1
+libc.memset store 3b1f24d69e5a2eb0 4 0 0
+libc.memset hardened d98f79f1c2c54270 2 0 1
+libc.memset fat 204cbef3ce9ff7a6 2 0 -
+libc.memset mscc 4d6605e6ea8e0d42 2 0 -
+libc.strcpy strict 2efba5ec50fcffdd 4 0 2
+libc.strcpy store 2efba5ec50fcffdd 4 0 2
+libc.strcpy hardened 2efba5ec50fcffdd 4 0 2
+libc.strcpy fat 663de83f55e2a84b 4 0 -
+libc.strcpy mscc f24817336b44d5e7 4 0 -
+libc.strncpy strict 198df449d3a88b6b 6 0 3
+libc.strncpy store b7ea129a41bf9fea 6 0 2
+libc.strncpy hardened 198df449d3a88b6b 6 0 3
+libc.strncpy fat 54d56a1774feb571 6 0 -
+libc.strncpy mscc 057dd4d83793fc6d 6 0 -
+libc.strcmp strict 9c6ab2fd76c3a073 8 0 4
+libc.strcmp store 9c6ab2fd76c3a073 8 0 4
+libc.strcmp hardened 9c6ab2fd76c3a073 8 0 4
+libc.strcmp fat e00a5df007d1c861 8 0 -
+libc.strcmp mscc 17cf0599dfcf2521 8 0 -
+libc.strtok strict f0cf321ec6b6b2b4 4 0 2
+libc.strtok store f6bf2190a9bc26aa 4 0 1
+libc.strtok hardened f0cf321ec6b6b2b4 4 0 2
+libc.strtok fat c562da577be413d2 4 0 -
+libc.strtok mscc 42fd2f5d247f9c1c 4 0 -
+libc.sprintf strict 9fa5bdfcdea74c13 10 0 5
+libc.sprintf store 842daa58708c77b1 10 0 4
+libc.sprintf hardened 9fa5bdfcdea74c13 10 0 5
+libc.sprintf fat cd0cafbd761e39a9 10 0 -
+libc.sprintf mscc 18aefbad7aad1139 10 0 -
+libc.strcpy_off_by_one strict d06426c745d08e72 10 0 5
+libc.strcpy_off_by_one store 5d049277933efb06 10 0 3
+libc.strcpy_off_by_one hardened d06426c745d08e72 10 0 5
+libc.strcpy_off_by_one fat 03642cf1012f2d0a 10 0 -
+libc.strcpy_off_by_one mscc d1649cabc4cc1c9a 10 0 -
+libc.negindex strict 00e86fa91c9c9312 4 0 2
+libc.negindex store 176be22cfc16ef6e 4 0 1
+libc.negindex hardened 00e86fa91c9c9312 4 0 2
+libc.negindex fat bf7b8fd1169d14e8 4 0 -
+libc.negindex mscc a6b807e6677c4bb8 4 0 -
+libc.header strict e3cd06233f342afd 4 0 2
+libc.header store e81604ed069f9fe1 4 0 1
+libc.header hardened e3cd06233f342afd 4 0 2
+libc.header fat 8e4444df02c47d29 4 0 -
+libc.header mscc e53cc30d12cca1f1 4 0 -
 daemon.tinyftp strict 12d647ee42f8cf48 174 2 77
 daemon.tinyftp store 146e7fd5c7ada516 203 0 53
 daemon.tinyftp hardened 7291102decb7f3f0 172 0 77

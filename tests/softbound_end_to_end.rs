@@ -10,7 +10,7 @@
 
 use sb_baselines::Scheme;
 use sb_vm::{Machine, MachineConfig, Outcome, Trap};
-use softbound::{Engine, SoftBoundConfig, SoftBoundRuntime};
+use softbound::{Engine, SoftBoundConfig, SoftBoundRuntime, ViolationPolicy};
 
 /// One-shot protected run through the session API — every test here
 /// compiles a distinct program, so no instance outlives its run.
@@ -616,4 +616,52 @@ fn every_wrapper_check_is_counted_and_charged() {
             r.outcome
         );
     }
+}
+
+#[test]
+fn printf_checks_each_string_it_reads() {
+    // `a` holds `abcd` unterminated, and `b` follows it in the global
+    // segment: an unchecked `%s` would read on through `b`.
+    let src = r#"
+        char a[4];
+        char b[8];
+        int main() {
+            for (int i = 0; i < 4; i++) a[i] = 'a' + i;
+            for (int i = 0; i < 7; i++) b[i] = 'x';
+            b[7] = 0;
+            printf("%ld ", (long)a);
+            printf("%s\n", a);
+            return 0;
+        }
+    "#;
+    let engine = Engine::new();
+    let program = engine.compile(src).expect("compiles");
+    let mut tree_walk = Machine::new(
+        program.module(),
+        MachineConfig::default(),
+        SoftBoundRuntime::new_paged(engine.config()),
+    );
+    for r in [
+        tree_walk.run("main", &[]),
+        engine.instantiate(&program).run("main", &[]),
+    ] {
+        let a: u64 = r.output.trim().parse().expect("the address of a");
+        assert_eq!(
+            r.outcome,
+            Outcome::Trapped(Trap::SpatialViolation {
+                scheme: "softbound-wrapper",
+                addr: a + 4,
+                write: false,
+            }),
+            "{}",
+            r.output
+        );
+    }
+
+    let hardened = Engine::new().policy(ViolationPolicy::Hardened);
+    let program = hardened.compile(src).expect("compiles");
+    let mut instance = hardened.instantiate(&program);
+    let r = instance.run("main", &[]);
+    assert!(r.output.ends_with(" abcd\n"), "{:?}", r.output);
+    assert_eq!(instance.drain_evidence().len(), 1);
 }
