@@ -9,6 +9,7 @@
 
 use crate::error::Pos;
 use crate::types::{FuncSig, IntKind, StructId, Ty, TypeTable};
+use std::rc::Rc;
 
 /// Slot id of a local variable (parameters included), unique per function.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -399,8 +400,9 @@ pub struct Local {
 pub struct FuncDef {
     /// Source name.
     pub name: String,
-    /// Signature.
-    pub sig: FuncSig,
+    /// Signature (shared with the checker's table and the function
+    /// pointer types that name it).
+    pub sig: Rc<FuncSig>,
     /// Locals; the first `sig.params.len()` entries are the parameters.
     pub locals: Vec<Local>,
     /// Body (empty for prototypes).

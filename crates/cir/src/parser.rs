@@ -40,12 +40,17 @@ impl Parser {
         self.toks[self.i].pos
     }
 
+    /// Consumes the current token and hands it over by value: the parser
+    /// never looks back, so the slot keeps only an `Eof` placeholder. At
+    /// the final `Eof` the position stays put.
     fn bump(&mut self) -> Token {
-        let t = self.toks[self.i].clone();
+        let t = &mut self.toks[self.i];
+        let tok = std::mem::replace(&mut t.tok, Tok::Eof);
+        let pos = t.pos;
         if self.i + 1 < self.toks.len() {
             self.i += 1;
         }
-        t
+        Token { tok, pos }
     }
 
     fn at(&self, t: &Tok) -> bool {
@@ -73,11 +78,11 @@ impl Parser {
     }
 
     fn ident(&mut self) -> Result<String> {
-        match self.peek().clone() {
-            Tok::Ident(s) => {
-                self.bump();
-                Ok(s)
-            }
+        match self.peek() {
+            Tok::Ident(_) => match self.bump().tok {
+                Tok::Ident(s) => Ok(s),
+                _ => unreachable!("peeked an identifier"),
+            },
             other => Err(CompileError::new(
                 format!("expected identifier, found {other}"),
                 self.pos(),
@@ -238,7 +243,7 @@ impl Parser {
             explicit_sign = true;
         }
         while self.eat(&Tok::KwConst) {}
-        let t = match self.peek().clone() {
+        let t = match self.peek() {
             Tok::KwVoid => {
                 self.bump();
                 TypeExpr::Void
@@ -405,7 +410,7 @@ impl Parser {
     /// several `Stmt`s, hence the out-parameter.
     fn stmt_into(&mut self, out: &mut Vec<Stmt>) -> Result<()> {
         let pos = self.pos();
-        match self.peek().clone() {
+        match self.peek() {
             Tok::LBrace => {
                 self.bump();
                 let body = self.block_body()?;
@@ -540,7 +545,7 @@ impl Parser {
                     pos,
                 });
             }
-            t if t.starts_type() || t == Tok::KwStatic => {
+            t if t.starts_type() || *t == Tok::KwStatic => {
                 self.decl_stmt(out)?;
             }
             _ => {
@@ -677,24 +682,24 @@ impl Parser {
     fn binary_expr(&mut self, min_level: u8) -> Result<Expr> {
         let mut lhs = self.unary_expr()?;
         loop {
-            let (level, tok) = match self.peek() {
-                Tok::PipePipe => (0, self.peek().clone()),
-                Tok::AmpAmp => (1, self.peek().clone()),
-                Tok::Pipe => (2, self.peek().clone()),
-                Tok::Caret => (3, self.peek().clone()),
-                Tok::Amp => (4, self.peek().clone()),
-                Tok::EqEq | Tok::BangEq => (5, self.peek().clone()),
-                Tok::Lt | Tok::Gt | Tok::Le | Tok::Ge => (6, self.peek().clone()),
-                Tok::Shl | Tok::Shr => (7, self.peek().clone()),
-                Tok::Plus | Tok::Minus => (8, self.peek().clone()),
-                Tok::Star | Tok::Slash | Tok::Percent => (9, self.peek().clone()),
+            let level = match self.peek() {
+                Tok::PipePipe => 0,
+                Tok::AmpAmp => 1,
+                Tok::Pipe => 2,
+                Tok::Caret => 3,
+                Tok::Amp => 4,
+                Tok::EqEq | Tok::BangEq => 5,
+                Tok::Lt | Tok::Gt | Tok::Le | Tok::Ge => 6,
+                Tok::Shl | Tok::Shr => 7,
+                Tok::Plus | Tok::Minus => 8,
+                Tok::Star | Tok::Slash | Tok::Percent => 9,
                 _ => break,
             };
             if level < min_level {
                 break;
             }
             let pos = self.pos();
-            self.bump();
+            let tok = self.bump().tok;
             let rhs = self.binary_expr(level + 1)?;
             let kind = match tok {
                 Tok::PipePipe => ExprKind::Logical {
@@ -732,7 +737,7 @@ impl Parser {
 
     fn unary_expr(&mut self) -> Result<Expr> {
         let pos = self.pos();
-        match self.peek().clone() {
+        match self.peek() {
             Tok::Minus => {
                 self.bump();
                 let e = self.unary_expr()?;
@@ -838,7 +843,7 @@ impl Parser {
         let mut e = self.primary_expr()?;
         loop {
             let pos = self.pos();
-            match self.peek().clone() {
+            match self.peek() {
                 Tok::LParen => {
                     self.bump();
                     let mut args = Vec::new();
@@ -914,53 +919,31 @@ impl Parser {
 
     fn primary_expr(&mut self) -> Result<Expr> {
         let pos = self.pos();
-        match self.peek().clone() {
-            Tok::IntLit(v) => {
-                self.bump();
-                Ok(Expr {
-                    kind: ExprKind::IntLit(v),
-                    pos,
-                })
-            }
-            Tok::CharLit(c) => {
-                self.bump();
-                Ok(Expr {
-                    kind: ExprKind::CharLit(c),
-                    pos,
-                })
-            }
-            Tok::StrLit(s) => {
-                self.bump();
-                Ok(Expr {
-                    kind: ExprKind::StrLit(s),
-                    pos,
-                })
-            }
-            Tok::KwNull => {
-                self.bump();
-                Ok(Expr {
-                    kind: ExprKind::Null,
-                    pos,
-                })
-            }
-            Tok::Ident(name) => {
-                self.bump();
-                Ok(Expr {
-                    kind: ExprKind::Ident(name),
-                    pos,
-                })
-            }
+        let kind = match self.peek() {
             Tok::LParen => {
                 self.bump();
                 let e = self.expr()?;
                 self.expect(&Tok::RParen)?;
-                Ok(e)
+                return Ok(e);
             }
-            other => Err(CompileError::new(
-                format!("expected expression, found {other}"),
-                pos,
-            )),
-        }
+            Tok::IntLit(_) | Tok::CharLit(_) | Tok::StrLit(_) | Tok::KwNull | Tok::Ident(_) => {
+                match self.bump().tok {
+                    Tok::IntLit(v) => ExprKind::IntLit(v),
+                    Tok::CharLit(c) => ExprKind::CharLit(c),
+                    Tok::StrLit(s) => ExprKind::StrLit(s),
+                    Tok::Ident(name) => ExprKind::Ident(name),
+                    Tok::KwNull => ExprKind::Null,
+                    _ => unreachable!("peeked a primary token"),
+                }
+            }
+            other => {
+                return Err(CompileError::new(
+                    format!("expected expression, found {other}"),
+                    pos,
+                ))
+            }
+        };
+        Ok(Expr { kind, pos })
     }
 }
 

@@ -12,9 +12,10 @@ use crate::ast::{
 };
 use crate::error::{CompileError, Pos, Result};
 use crate::hir::*;
-use crate::types::{FuncSig, IntKind, PtrLayout, Ty, TypeTable};
+use crate::types::{FuncSig, IntKind, PtrLayout, StructId, Ty, TypeTable};
 use crate::MEMORY_LIMIT;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
+use std::rc::Rc;
 
 /// Type-checks a parsed unit with the default thin-pointer layout.
 ///
@@ -58,7 +59,7 @@ struct Checker {
     defined_structs: Vec<bool>,
     globals: Vec<GlobalDef>,
     global_tys: HashMap<String, Ty>,
-    func_sigs: HashMap<String, FuncSig>,
+    func_sigs: HashMap<String, Rc<FuncSig>>,
     funcs: Vec<FuncDef>,
     strings: Vec<Vec<u8>>,
     /// Bytes the globals declared so far take, laid out in order.
@@ -220,7 +221,7 @@ impl Checker {
                 if n < 0 {
                     return self.err("array size must be non-negative", pos);
                 }
-                let ty = Ty::Array(Box::new(elem), n as u64);
+                let ty = Ty::Array(Rc::new(elem), n as u64);
                 if self.types.checked_size_of(&ty).is_none() {
                     return self.err("array is too large: its size overflows 64 bits", pos);
                 }
@@ -236,7 +237,7 @@ impl Checker {
                 for p in params {
                     ps.push(self.resolve_ty(p, pos)?);
                 }
-                Ty::Func(Box::new(FuncSig {
+                Ty::Func(Rc::new(FuncSig {
                     ret: r,
                     params: ps,
                     vararg: *vararg,
@@ -279,14 +280,14 @@ impl Checker {
                     vararg: *vararg,
                 };
                 if let Some(prev) = self.func_sigs.get(name) {
-                    if *prev != sig {
+                    if **prev != sig {
                         return self.err(
                             format!("conflicting declarations for function `{name}`"),
                             *pos,
                         );
                     }
                 } else {
-                    self.func_sigs.insert(name.clone(), sig);
+                    self.func_sigs.insert(name.clone(), Rc::new(sig));
                 }
             }
         }
@@ -348,6 +349,16 @@ impl Checker {
             }
         }
         Ok(())
+    }
+
+    /// The `(offset, type)` of each field of aggregate `id`, for walking
+    /// an initializer while the checker stays mutable.
+    fn field_layout(&self, id: StructId) -> Vec<(u64, Ty)> {
+        self.types
+            .fields(id)
+            .iter()
+            .map(|f| (f.offset, f.ty.clone()))
+            .collect()
     }
 
     fn intern_str(&mut self, s: &[u8]) -> StrId {
@@ -416,12 +427,12 @@ impl Checker {
                 Ok(())
             }
             (Ty::Struct(id), Init::List(items)) => {
-                let fields: Vec<_> = self.types.fields(*id).to_vec();
+                let fields = self.field_layout(*id);
                 if items.len() > fields.len() {
                     return self.err("too many initializers for struct", pos);
                 }
-                for (f, item) in fields.iter().zip(items) {
-                    self.const_init(&f.ty, item, off + f.offset, out, pos)?;
+                for ((offset, ty), item) in fields.iter().zip(items) {
+                    self.const_init(ty, item, off + offset, out, pos)?;
                 }
                 Ok(())
             }
@@ -536,7 +547,22 @@ impl Checker {
     // ---------------------------------------------------------- functions
 
     fn check_functions(&mut self, unit: &ast::Unit) -> Result<()> {
-        let mut seen_defs: HashMap<String, bool> = HashMap::new();
+        // The functions the unit defines, and the names recorded so far:
+        // a prototype is recorded once, and only for a function defined
+        // in another unit.
+        let defined: HashSet<&str> = unit
+            .decls
+            .iter()
+            .filter_map(|d| match d {
+                Decl::Func {
+                    name,
+                    body: Some(_),
+                    ..
+                } => Some(name.as_str()),
+                _ => None,
+            })
+            .collect();
+        let mut recorded: HashSet<&str> = HashSet::new();
         for d in &unit.decls {
             if let Decl::Func {
                 name,
@@ -547,23 +573,12 @@ impl Checker {
                 ..
             } = d
             {
-                let sig = self.func_sigs[name].clone();
-                let defined = body.is_some();
-                if defined && seen_defs.get(name).copied().unwrap_or(false) {
-                    return self.err(format!("duplicate definition of function `{name}`"), *pos);
-                }
-                if defined {
-                    seen_defs.insert(name.clone(), true);
-                }
+                let sig = Rc::clone(&self.func_sigs[name]);
                 let Some(body) = body else {
-                    // Prototype: record only if no definition seen/coming.
-                    if !unit.decls.iter().any(
-                        |d2| matches!(d2, Decl::Func { name: n2, body: Some(_), .. } if n2 == name),
-                    ) && !self.funcs.iter().any(|f| f.name == *name)
-                    {
+                    if !defined.contains(name.as_str()) && recorded.insert(name) {
                         self.funcs.push(FuncDef {
                             name: name.clone(),
-                            sig: sig.clone(),
+                            sig,
                             locals: Vec::new(),
                             body: Vec::new(),
                             defined: false,
@@ -571,6 +586,9 @@ impl Checker {
                     }
                     continue;
                 };
+                if !recorded.insert(name) {
+                    return self.err(format!("duplicate definition of function `{name}`"), *pos);
+                }
 
                 self.locals = Vec::new();
                 self.scopes = vec![HashMap::new()];
@@ -633,15 +651,17 @@ impl Checker {
         Ok(match &s.kind {
             StmtKind::Empty => Stmt::Block(Vec::new()),
             StmtKind::Block(b) => Stmt::Block(self.check_block(b)?),
-            StmtKind::Expr(e) => {
-                // Struct assignment `a = b;` desugars to memcpy.
-                if let AK::Assign { op: None, lhs, rhs } = &e.kind {
-                    if let Some(st) = self.try_struct_assign(lhs, rhs, pos)? {
-                        return Ok(st);
+            StmtKind::Expr(e) => match &e.kind {
+                AK::Assign { op: None, lhs, rhs } => {
+                    let dst = self.place(lhs)?;
+                    if matches!(dst.ty(), Ty::Struct(_)) {
+                        self.struct_assign(dst, rhs, pos)?
+                    } else {
+                        Stmt::Expr(self.assign(dst, rhs, e.pos)?)
                     }
                 }
-                Stmt::Expr(self.rvalue_or_void(e)?)
-            }
+                _ => Stmt::Expr(self.rvalue_or_void(e)?),
+            },
             StmtKind::Decl { name, ty, init } => {
                 let mut rty = self.resolve_ty(ty, pos)?;
                 if let Ty::Array(elem, 0) = &rty {
@@ -789,15 +809,9 @@ impl Checker {
         })
     }
 
-    fn try_struct_assign(&mut self, lhs: &AExpr, rhs: &AExpr, pos: Pos) -> Result<Option<Stmt>> {
-        // Probe the LHS type without committing to errors for non-struct
-        // cases (those fall through to ordinary assignment checking).
-        let Ok(Checked::Place(dst)) = self.check_expr(lhs) else {
-            return Ok(None);
-        };
-        let Ty::Struct(_) = dst.ty() else {
-            return Ok(None);
-        };
+    /// Struct assignment `dst = rhs;` (a statement only) desugars to
+    /// memcpy.
+    fn struct_assign(&mut self, dst: Place, rhs: &AExpr, pos: Pos) -> Result<Stmt> {
         let Checked::Place(src) = self.check_expr(rhs)? else {
             return self.err("struct assignment requires an lvalue source", pos);
         };
@@ -815,7 +829,7 @@ impl Checker {
             kind: ExprKind::AddrOf(Box::new(src)),
             pos,
         };
-        Ok(Some(Stmt::Expr(Expr {
+        Ok(Stmt::Expr(Expr {
             ty: Ty::void_ptr(),
             kind: ExprKind::Call {
                 target: CallTarget::Builtin(Builtin::Memcpy),
@@ -830,7 +844,25 @@ impl Checker {
                 ],
             },
             pos,
-        })))
+        }))
+    }
+
+    /// Scalar assignment `dst = rhs`, whose value is the stored value.
+    fn assign(&mut self, dst: Place, rhs: &AExpr, pos: Pos) -> Result<Expr> {
+        if matches!(dst.ty(), Ty::Struct(_) | Ty::Array(..)) {
+            return self.err("aggregate assignment only supported as a statement", pos);
+        }
+        let v = self.rvalue(rhs)?;
+        let ty = dst.ty().clone();
+        let v = self.convert(v, &ty, pos)?;
+        Ok(Expr {
+            ty,
+            kind: ExprKind::Assign {
+                place: Box::new(dst),
+                value: Box::new(v),
+            },
+            pos,
+        })
     }
 
     fn flatten_local_init(
@@ -853,12 +885,12 @@ impl Checker {
                 Ok(())
             }
             (Ty::Struct(id), Init::List(items)) => {
-                let fields: Vec<_> = self.types.fields(*id).to_vec();
+                let fields = self.field_layout(*id);
                 if items.len() > fields.len() {
                     return self.err("too many initializers for struct", pos);
                 }
-                for (f, item) in fields.iter().zip(items) {
-                    self.flatten_local_init(&f.ty, item, off + f.offset, out, pos)?;
+                for ((offset, ty), item) in fields.iter().zip(items) {
+                    self.flatten_local_init(ty, item, off + offset, out, pos)?;
                 }
                 Ok(())
             }
@@ -928,7 +960,7 @@ impl Checker {
             Checked::Val(v) => Ok(v),
             Checked::Func(name) => self.func_addr(name, pos),
             Checked::Place(p) => match p.ty().clone() {
-                Ty::Array(elem, n) => {
+                Ty::Array(elem, _) => {
                     // Array-to-pointer decay: &p[0], typed elem*.
                     let idx0 = Expr {
                         ty: Ty::long(),
@@ -940,9 +972,8 @@ impl Checker {
                         index: Box::new(idx0),
                         elem: (*elem).clone(),
                     };
-                    let _ = n;
                     Ok(Expr {
-                        ty: (*elem).clone().ptr_to(),
+                        ty: Ty::Ptr(elem),
                         kind: ExprKind::AddrOf(Box::new(first)),
                         pos,
                     })
@@ -966,7 +997,7 @@ impl Checker {
             return self.err(format!("builtin `{name}` can only be called"), pos);
         };
         Ok(Expr {
-            ty: Ty::Func(Box::new(sig.clone())).ptr_to(),
+            ty: Ty::Func(Rc::clone(sig)).ptr_to(),
             kind: ExprKind::FuncAddr(name),
             pos,
         })
@@ -1056,18 +1087,16 @@ impl Checker {
             }
             AK::Unary(UnOp::Deref, inner) => {
                 let v = self.rvalue(inner)?;
-                match v.ty.clone() {
-                    Ty::Ptr(pointee) => match *pointee {
-                        Ty::Func(_) => Checked::Val(v), // *fnptr == fnptr
-                        Ty::Void => {
-                            return self.err("cannot dereference `void*`; cast it first", pos)
-                        }
-                        t => Checked::Place(Place::Deref {
-                            ptr: Box::new(v),
-                            ty: t,
-                        }),
-                    },
-                    _ => return self.err("cannot dereference a non-pointer", pos),
+                let Some(pointee) = v.ty.pointee() else {
+                    return self.err("cannot dereference a non-pointer", pos);
+                };
+                match pointee {
+                    Ty::Func(_) => Checked::Val(v), // *fnptr == fnptr
+                    Ty::Void => return self.err("cannot dereference `void*`; cast it first", pos),
+                    t => Checked::Place(Place::Deref {
+                        ty: t.clone(),
+                        ptr: Box::new(v),
+                    }),
                 }
             }
             AK::Unary(UnOp::AddrOf, inner) => match self.check_expr(inner)? {
@@ -1188,20 +1217,7 @@ impl Checker {
             }
             AK::Assign { op: None, lhs, rhs } => {
                 let p = self.place(lhs)?;
-                if matches!(p.ty(), Ty::Struct(_) | Ty::Array(..)) {
-                    return self.err("aggregate assignment only supported as a statement", pos);
-                }
-                let v = self.rvalue(rhs)?;
-                let pty = p.ty().clone();
-                let v = self.convert(v, &pty, pos)?;
-                Checked::Val(Expr {
-                    ty: pty,
-                    kind: ExprKind::Assign {
-                        place: Box::new(p),
-                        value: Box::new(v),
-                    },
-                    pos,
-                })
+                Checked::Val(self.assign(p, rhs, pos)?)
             }
             AK::Assign {
                 op: Some(op),
@@ -1245,21 +1261,21 @@ impl Checker {
                 let i = self.convert(i, &Ty::long(), pos)?;
                 match b {
                     Checked::Place(p) if matches!(p.ty(), Ty::Array(..)) => {
-                        let Ty::Array(elem, _) = p.ty().clone() else {
+                        let Ty::Array(elem, _) = p.ty() else {
                             unreachable!()
                         };
                         Checked::Place(Place::Index {
+                            elem: (**elem).clone(),
                             base: Box::new(p),
                             index: Box::new(i),
-                            elem: *elem,
                         })
                     }
                     other => {
                         let ptr = self.to_rvalue(other, pos)?;
-                        let Ty::Ptr(pointee) = ptr.ty.clone() else {
+                        let Some(pointee) = ptr.ty.pointee().cloned() else {
                             return self.err("indexing requires an array or pointer", pos);
                         };
-                        if matches!(*pointee, Ty::Void | Ty::Func(_)) {
+                        if matches!(pointee, Ty::Void | Ty::Func(_)) {
                             return self.err("cannot index `void*` or function pointers", pos);
                         }
                         let esz = self.types.size_of(&pointee);
@@ -1274,37 +1290,35 @@ impl Checker {
                         };
                         Checked::Place(Place::Deref {
                             ptr: Box::new(addr),
-                            ty: *pointee,
+                            ty: pointee,
                         })
                     }
                 }
             }
             AK::Member(base, fname) => {
                 let p = self.place(base)?;
-                let Ty::Struct(sid) = p.ty().clone() else {
+                let Ty::Struct(sid) = *p.ty() else {
                     return self.err("`.` requires a struct", pos);
                 };
-                let Some(f) = self.types.field(sid, fname).cloned() else {
+                let Some(f) = self.types.field(sid, fname) else {
                     return self.err(format!("no field `{fname}`"), pos);
                 };
                 Checked::Place(Place::Field {
+                    offset: f.offset,
+                    ty: f.ty.clone(),
                     base: Box::new(p),
                     sid,
-                    offset: f.offset,
-                    ty: f.ty,
                 })
             }
             AK::Arrow(base, fname) => {
                 let ptr = self.rvalue(base)?;
-                let Ty::Ptr(pointee) = ptr.ty.clone() else {
+                let Some(&Ty::Struct(sid)) = ptr.ty.pointee() else {
                     return self.err("`->` requires a struct pointer", pos);
                 };
-                let Ty::Struct(sid) = *pointee else {
-                    return self.err("`->` requires a struct pointer", pos);
-                };
-                let Some(f) = self.types.field(sid, fname).cloned() else {
+                let Some(f) = self.types.field(sid, fname) else {
                     return self.err(format!("no field `{fname}`"), pos);
                 };
+                let (offset, ty) = (f.offset, f.ty.clone());
                 let base_place = Place::Deref {
                     ptr: Box::new(ptr),
                     ty: Ty::Struct(sid),
@@ -1312,8 +1326,8 @@ impl Checker {
                 Checked::Place(Place::Field {
                     base: Box::new(base_place),
                     sid,
-                    offset: f.offset,
-                    ty: f.ty,
+                    offset,
+                    ty,
                 })
             }
             AK::Cast(t, inner) => {
@@ -1524,15 +1538,16 @@ impl Checker {
 
     fn check_call(&mut self, callee: &AExpr, args: &[AExpr], pos: Pos) -> Result<Checked> {
         let (target, sig) = match self.check_expr(callee)? {
-            Checked::Func(name) => {
-                if self.func_sigs.contains_key(&name) {
-                    let sig = self.func_sigs[&name].clone();
+            Checked::Func(name) => match self.func_sigs.get(&name) {
+                Some(sig) => {
+                    let sig = Rc::clone(sig);
                     (CallTarget::Direct(name), sig)
-                } else {
-                    let b = Builtin::from_name(&name).expect("checked in Ident");
-                    (CallTarget::Builtin(b), b.sig())
                 }
-            }
+                None => {
+                    let b = Builtin::from_name(&name).expect("checked in Ident");
+                    (CallTarget::Builtin(b), Rc::new(b.sig()))
+                }
+            },
             other => {
                 let v = self.to_rvalue(other, pos)?;
                 let Ty::Ptr(inner) = &v.ty else {
@@ -1541,7 +1556,7 @@ impl Checker {
                 let Ty::Func(sig) = &**inner else {
                     return self.err("called object is not a function", pos);
                 };
-                let sig = (**sig).clone();
+                let sig = Rc::clone(sig);
                 (CallTarget::Indirect(Box::new(v)), sig)
             }
         };
@@ -1559,7 +1574,7 @@ impl Checker {
         for (i, a) in args.iter().enumerate() {
             let v = self.rvalue(a)?;
             let v = if i < sig.params.len() {
-                self.convert(v, &sig.params[i].clone(), pos)?
+                self.convert(v, &sig.params[i], pos)?
             } else {
                 // Variadic arguments: default promotions.
                 match v.ty.clone() {
@@ -1850,11 +1865,11 @@ mod tests {
         let p = ck("int t[] = {1,2,3}; char s[] = \"abcd\";");
         assert_eq!(
             p.global("t").map(|g| g.ty.clone()),
-            Some(Ty::Array(Box::new(Ty::int()), 3))
+            Some(Ty::Array(Rc::new(Ty::int()), 3))
         );
         assert_eq!(
             p.global("s").map(|g| g.ty.clone()),
-            Some(Ty::Array(Box::new(Ty::char()), 5))
+            Some(Ty::Array(Rc::new(Ty::char()), 5))
         );
     }
 
@@ -2010,6 +2025,33 @@ mod tests {
             )
         });
         assert!(has_memcpy);
+    }
+
+    #[test]
+    fn prototype_resolution_is_linear() {
+        // Checking time per prototype must not grow with their number:
+        // 4× the prototypes may take 4× the time, with room for noise
+        // (a scan of every declaration per prototype read about 38×).
+        let check_time = |n: usize| {
+            let src: String = (0..n).map(|i| format!("long f{i}(long a);\n")).collect();
+            let unit = parse(&src).expect("parses");
+            (0..3)
+                .map(|_| {
+                    let t = std::time::Instant::now();
+                    let prog = check(&unit).expect("checks");
+                    let elapsed = t.elapsed();
+                    assert_eq!(prog.funcs.len(), n);
+                    elapsed
+                })
+                .min()
+                .expect("three runs")
+        };
+        let small = check_time(4_000);
+        let large = check_time(16_000);
+        assert!(
+            large < small * 8,
+            "16,000 prototypes took {large:?}, 4,000 took {small:?}"
+        );
     }
 
     #[test]

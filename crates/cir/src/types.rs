@@ -13,6 +13,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::rc::Rc;
 
 /// Integer kinds (width plus signedness).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -116,6 +117,9 @@ impl fmt::Display for IntKind {
 pub struct StructId(pub u32);
 
 /// A CIR-C type.
+///
+/// Compound types share their payloads, so cloning a type never
+/// allocates: the checker copies a variable's type into every use.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Ty {
     /// `void` — only meaningful as a return type or behind a pointer.
@@ -123,13 +127,13 @@ pub enum Ty {
     /// Integer types.
     Int(IntKind),
     /// Pointer to a pointee type (`void*` is `Ptr(Void)`).
-    Ptr(Box<Ty>),
+    Ptr(Rc<Ty>),
     /// Fixed-size array.
-    Array(Box<Ty>, u64),
+    Array(Rc<Ty>, u64),
     /// Struct or union, by id.
     Struct(StructId),
     /// Function type; appears only behind a pointer.
-    Func(Box<FuncSig>),
+    Func(Rc<FuncSig>),
 }
 
 impl Ty {
@@ -150,12 +154,12 @@ impl Ty {
 
     /// `void*`
     pub fn void_ptr() -> Ty {
-        Ty::Ptr(Box::new(Ty::Void))
+        Ty::Ptr(Rc::new(Ty::Void))
     }
 
     /// Wraps `self` in a pointer.
     pub fn ptr_to(self) -> Ty {
-        Ty::Ptr(Box::new(self))
+        Ty::Ptr(Rc::new(self))
     }
 
     /// True for any pointer type (including function pointers).
@@ -530,7 +534,7 @@ mod tests {
             id,
             vec![
                 ("i".into(), Ty::long()),
-                ("c".into(), Ty::Array(Box::new(Ty::char()), 3)),
+                ("c".into(), Ty::Array(Rc::new(Ty::char()), 3)),
             ],
         ));
         let d = t.def(id);
@@ -585,7 +589,7 @@ mod tests {
         let outer = t.declare("outer", false);
         assert!(t.define(
             outer,
-            vec![("arr".into(), Ty::Array(Box::new(Ty::Struct(inner)), 4))],
+            vec![("arr".into(), Ty::Array(Rc::new(Ty::Struct(inner)), 4))],
         ));
         assert!(Ty::Struct(outer).contains_ptr(&t));
         assert!(!Ty::long().contains_ptr(&t));
@@ -597,20 +601,17 @@ mod tests {
         let id = t.declare("n", false);
         assert!(t.define(id, vec![]));
         assert_eq!(t.display(&Ty::char().ptr_to().ptr_to()), "char**");
-        assert_eq!(t.display(&Ty::Array(Box::new(Ty::int()), 4)), "int[4]");
+        assert_eq!(t.display(&Ty::Array(Rc::new(Ty::int()), 4)), "int[4]");
         assert_eq!(t.display(&Ty::Struct(id)), "struct n");
     }
 
     #[test]
     fn layouts_past_two_to_the_64_bytes_are_refused() {
         let mut t = TypeTable::new();
-        let bytes = |n| Ty::Array(Box::new(Ty::char()), n);
-        let big = Ty::Array(Box::new(bytes(2)), i64::MAX as u64);
+        let bytes = |n| Ty::Array(Rc::new(Ty::char()), n);
+        let big = Ty::Array(Rc::new(bytes(2)), i64::MAX as u64);
         assert_eq!(t.checked_size_of(&big), Some(u64::MAX - 1));
-        assert_eq!(
-            t.checked_size_of(&Ty::Array(Box::new(big.clone()), 2)),
-            None
-        );
+        assert_eq!(t.checked_size_of(&Ty::Array(Rc::new(big.clone()), 2)), None);
         // A field whose aligned offset overflows, then one whose end does.
         let offset = t.declare("offset", false);
         assert!(!t.define(
@@ -626,7 +627,7 @@ mod tests {
             end,
             vec![
                 ("c".into(), Ty::char()),
-                ("a".into(), Ty::Array(Box::new(Ty::long()), u64::MAX / 8)),
+                ("a".into(), Ty::Array(Rc::new(Ty::long()), u64::MAX / 8)),
             ],
         ));
     }

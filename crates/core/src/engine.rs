@@ -224,6 +224,11 @@ impl Program {
             sb_ir::optimize_with_stats(&mut module, level)
         });
         sb_ir::verify(&module)?;
+        // The program keeps its module: hand back what the passes left
+        // spare in each block.
+        for block in module.funcs.iter_mut().flat_map(|f| &mut f.blocks) {
+            block.insts.shrink_to_fit();
+        }
         let exec = ExecModule::lower(&module);
         Ok(Program {
             module,

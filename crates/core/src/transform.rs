@@ -53,7 +53,7 @@ use crate::config::{CheckMode, SoftBoundConfig};
 use sb_cir::hir::Builtin;
 use sb_ir::{
     ArithOp, Callee, Function, GInit, Global, GlobalId, Inst, IntKind, MemTy, Module, RegId,
-    RegKind, RtFn, Value,
+    RegKind, RtFn, Value, CTOR_PREFIX,
 };
 
 /// Prefix applied to transformed function names (§3.3).
@@ -152,7 +152,7 @@ pub fn instrument_flavored(module: &Module, cfg: &SoftBoundConfig, flavor: Flavo
 fn build_globals_init(globals: &[Global], module_name: &str, flavor: Flavor) -> Function {
     let mut f = Function {
         name: format!(
-            "__ctor.{}globals.{module_name}",
+            "{CTOR_PREFIX}{}globals.{module_name}",
             flavor.prefix().trim_start_matches('_')
         ),
         params: vec![],

@@ -35,7 +35,7 @@ pub use ir::{
     AllocaInfo, ArithOp, Block, BlockId, Callee, CmpOp, FuncId, Function, GInit, Global, GlobalId,
     Inst, IntKind, MemTy, Module, RegId, RegKind, RtFn, Value,
 };
-pub use link::{link, LinkError};
+pub use link::{link, LinkError, CTOR_PREFIX};
 pub use lower::lower;
 pub use opt::{optimize, optimize_with_stats, OptLevel, PassStats};
 pub use verify::{verify, VerifyError};

@@ -6,11 +6,19 @@
 //! and "the static or dynamic linker matches up caller and callee as
 //! usual". [`link`] is that linker: it concatenates modules, resolves
 //! external declarations against definitions *by name*, and remaps all ids.
+//! Module-private symbols are renamed apart: interned strings (`.str.`)
+//! and constructors (`__ctor.`, which an instrumentation pass names after
+//! its module), so that modules compiled under one name still link.
 
 use crate::ir::*;
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
+
+/// Name prefix of a module constructor: a function the machine runs
+/// before the entry point.
+pub const CTOR_PREFIX: &str = "__ctor.";
 
 /// A linking failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -37,7 +45,9 @@ impl Error for LinkError {}
 ///
 /// Duplicate *defined* functions or duplicate globals are errors;
 /// declarations (`defined == false`) are resolved against the definition
-/// with the same name, from any module.
+/// with the same name, from any module. Module `i`'s constructor
+/// `__ctor.<rest>` becomes `__ctor.m<i>.<rest>`: the machine runs every
+/// `__ctor.` function before the entry point.
 ///
 /// # Errors
 ///
@@ -74,9 +84,19 @@ pub fn link(modules: &[Module], name: &str) -> Result<Module, LinkError> {
 
     let mut func_names: HashMap<String, FuncId> = HashMap::new();
     let mut func_map: Vec<Vec<FuncId>> = Vec::new();
-    for m in modules {
+    // The module each output function came from: its definition's, else
+    // its first declaration's.
+    let mut origin: Vec<usize> = Vec::new();
+    for (mi, m) in modules.iter().enumerate() {
         let mut map = Vec::with_capacity(m.funcs.len());
         for f in &m.funcs {
+            let mut f = Cow::Borrowed(f);
+            if f.defined {
+                if let Some(rest) = f.name.strip_prefix(CTOR_PREFIX) {
+                    let name = format!("{CTOR_PREFIX}m{mi}.{rest}");
+                    f.to_mut().name = name;
+                }
+            }
             let id = match func_names.get(&f.name) {
                 Some(&existing) => {
                     let have = &out.funcs[existing.0 as usize];
@@ -86,14 +106,16 @@ pub fn link(modules: &[Module], name: &str) -> Result<Module, LinkError> {
                         });
                     }
                     if !have.defined && f.defined {
-                        out.funcs[existing.0 as usize] = f.clone();
+                        out.funcs[existing.0 as usize] = f.into_owned();
+                        origin[existing.0 as usize] = mi;
                     }
                     existing
                 }
                 None => {
                     let id = FuncId(out.funcs.len() as u32);
                     func_names.insert(f.name.clone(), id);
-                    out.funcs.push(f.clone());
+                    out.funcs.push(f.into_owned());
+                    origin.push(mi);
                     id
                 }
             };
@@ -103,17 +125,7 @@ pub fn link(modules: &[Module], name: &str) -> Result<Module, LinkError> {
     }
 
     // Second pass: remap ids inside function bodies and global inits.
-    // Figure out, for each output function, which module it came from.
-    let mut origin: HashMap<String, usize> = HashMap::new();
-    for (mi, m) in modules.iter().enumerate() {
-        for f in &m.funcs {
-            if f.defined || !origin.contains_key(&f.name) {
-                origin.insert(f.name.clone(), mi);
-            }
-        }
-    }
-    for f in &mut out.funcs {
-        let mi = origin[&f.name];
+    for (f, &mi) in out.funcs.iter_mut().zip(&origin) {
         for b in &mut f.blocks {
             for inst in &mut b.insts {
                 inst.for_each_use_mut(|v| remap_value(v, &global_map[mi], &func_map[mi]));

@@ -17,6 +17,12 @@
 //!   available-expressions formulation of check elimination (cf. CHOP's
 //!   observation that redundant bounds checks dominate residual
 //!   overhead), solved over bitsets of the function's numbered checks.
+//!   A function in which no check key occurs twice is left as it is
+//!   right after its keys are numbered: a key is available only after an
+//!   identical check on every path from the entry, and every block is
+//!   reachable from the entry once CFG cleanup has run, so a check
+//!   whose key occurs once is never available. Most functions have no
+//!   repeated key.
 //!
 //! Every function gets up to four rounds of these passes, so none of them
 //! allocates per instruction: their working arrays are indexed by register,
@@ -629,28 +635,35 @@ struct KeyIndex {
 }
 
 impl KeyIndex {
-    fn new(f: &Function) -> Self {
+    /// Numbers `f`'s check keys, or returns `None` when no key occurs
+    /// twice: then no check can be redundant (see the module doc).
+    fn new(f: &Function) -> Option<Self> {
         let mut ids: HashMap<CheckKey, u32> = HashMap::new();
         let mut keys = Vec::new();
         let mut inst_key = Vec::with_capacity(f.inst_count());
+        let mut checks = 0;
         for inst in f.blocks.iter().flat_map(|b| &b.insts) {
             inst_key.push(check_key(inst).map_or(NO_KEY, |key| {
+                checks += 1;
                 *ids.entry(key).or_insert_with(|| {
                     keys.push(key);
                     keys.len() as u32 - 1
                 })
             }));
         }
+        if keys.len() == checks {
+            return None;
+        }
         let kills = Groups::new(f.reg_kinds.len(), || {
             keys.iter()
                 .zip(0..)
                 .flat_map(|(key, id)| key_regs(key).map(move |r| (r.0 as usize, id)))
         });
-        KeyIndex {
+        Some(KeyIndex {
             nkeys: keys.len(),
             inst_key,
             kills,
-        }
+        })
     }
 
     /// Removes from `set` the keys `inst` invalidates: all of them at a
@@ -710,10 +723,9 @@ fn eliminate_redundant_checks(f: &mut Function) -> usize {
     if nblocks == 0 {
         return 0;
     }
-    let index = KeyIndex::new(f);
-    if index.nkeys == 0 {
+    let Some(index) = KeyIndex::new(f) else {
         return 0;
-    }
+    };
     let words = index.nkeys.div_ceil(64);
     let preds = Groups::new(nblocks, || {
         f.blocks.iter().zip(0..).flat_map(|(b, bi)| {

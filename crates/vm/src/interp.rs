@@ -49,7 +49,7 @@ use crate::rt::{
 use sb_cir::hir::Builtin;
 use sb_cir::MEMORY_LIMIT;
 use sb_ir::opt::{eval_bin, eval_cmp};
-use sb_ir::{AllocaInfo, Callee, FuncId, Inst, MemTy, Module, RegId, RtFn, Value};
+use sb_ir::{AllocaInfo, Callee, FuncId, Inst, MemTy, Module, RegId, RtFn, Value, CTOR_PREFIX};
 
 /// Machine configuration: only what a caller varies. Every machine
 /// charges the same [`COST_MODEL`], captures at most 1 MiB of program
@@ -583,7 +583,7 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
         let module = self.module;
         let mut outcome = None;
         for (i, func) in module.funcs.iter().enumerate() {
-            if !(func.defined && func.name.starts_with("__ctor.")) {
+            if !(func.defined && func.name.starts_with(CTOR_PREFIX)) {
                 continue;
             }
             let ctor = FuncId(i as u32);

@@ -441,6 +441,57 @@ fn separate_compilation_links_and_runs_protected() {
 }
 
 #[test]
+fn modules_compiled_under_one_name_link_with_both_constructors() {
+    // Each pass names its globals constructor after the module, so two
+    // modules lowered as `program` each carry
+    // `__ctor.sb_globals.program`; the linker renames them apart.
+    let lib_src = r#"
+        char lib_buf[8];
+        char* lib_p = lib_buf;
+        void lib_store(long i) { lib_p[i] = 1; }
+    "#;
+    let app_src = r#"
+        char app_buf[8];
+        char* app_p = app_buf;
+        void lib_store(long i);
+        int main(long in_lib, long i) {
+            if (in_lib) lib_store(i); else app_p[i] = 1;
+            return 0;
+        }
+    "#;
+    let engine = Engine::new();
+    let cfg = engine.config();
+    let instrument_one = |src: &str| {
+        let module =
+            softbound::front_half(src, sb_cir::PtrLayout::Thin, "program").expect("compiles");
+        softbound::instrument(&module, cfg)
+    };
+    let linked =
+        sb_ir::link(&[instrument_one(app_src), instrument_one(lib_src)], "prog").expect("links");
+    let ctors = linked
+        .funcs
+        .iter()
+        .filter(|f| f.defined && f.name.starts_with("__ctor."))
+        .count();
+    assert_eq!(ctors, 2, "one constructor per module");
+    let program =
+        softbound::Program::build(linked, Some(cfg.post_instrument_level())).expect("verifies");
+    let mut instance = engine.instantiate(&program);
+    for in_lib in [0, 1] {
+        // Only a seeded global pointer has bounds: without its
+        // constructor, even the store to byte 0 would trap.
+        let last = instance.run("main", &[in_lib, 7]);
+        assert_eq!(last.ret(), Some(0), "in_lib={in_lib}: {:?}", last.outcome);
+        let past = instance.run("main", &[in_lib, 8]);
+        assert!(
+            past.outcome.is_spatial_violation(),
+            "in_lib={in_lib}: {:?}",
+            past.outcome
+        );
+    }
+}
+
+#[test]
 fn global_pointer_initializers_have_bounds() {
     assert_safe(
         r#"
