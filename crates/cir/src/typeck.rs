@@ -62,6 +62,9 @@ struct Checker {
     func_sigs: HashMap<String, Rc<FuncSig>>,
     funcs: Vec<FuncDef>,
     strings: Vec<Vec<u8>>,
+    /// Each interned literal's id, so interning is one lookup however
+    /// many literals came before; ids stay in first-seen order.
+    string_ids: HashMap<Vec<u8>, StrId>,
     /// Bytes the globals declared so far take, laid out in order.
     global_bytes: u64,
     // Per-function state.
@@ -82,6 +85,7 @@ impl Checker {
             func_sigs: HashMap::new(),
             funcs: Vec::new(),
             strings: Vec::new(),
+            string_ids: HashMap::new(),
             global_bytes: 0,
             locals: Vec::new(),
             scopes: Vec::new(),
@@ -362,11 +366,13 @@ impl Checker {
     }
 
     fn intern_str(&mut self, s: &[u8]) -> StrId {
-        if let Some(i) = self.strings.iter().position(|x| x == s) {
-            return StrId(i as u32);
+        if let Some(&id) = self.string_ids.get(s) {
+            return id;
         }
+        let id = StrId(self.strings.len() as u32);
         self.strings.push(s.to_vec());
-        StrId(self.strings.len() as u32 - 1)
+        self.string_ids.insert(s.to_vec(), id);
+        id
     }
 
     /// Flattens a constant initializer for type `ty` at byte offset `off`.
@@ -2052,6 +2058,44 @@ mod tests {
             large < small * 8,
             "16,000 prototypes took {large:?}, 4,000 took {small:?}"
         );
+    }
+
+    #[test]
+    fn string_interning_is_linear() {
+        // Checking time per literal must not grow with the number of
+        // distinct literals: 4× the literals may take 4× the time, with
+        // room for noise (a scan of every earlier literal read about 17×).
+        let check_time = |n: usize| {
+            let body: String = (0..n).map(|i| format!("s = \"lit{i}\";\n")).collect();
+            let src = format!("void f() {{ char* s;\n{body}}}");
+            let unit = parse(&src).expect("parses");
+            (0..3)
+                .map(|_| {
+                    let t = std::time::Instant::now();
+                    let prog = check(&unit).expect("checks");
+                    let elapsed = t.elapsed();
+                    assert_eq!(prog.strings.len(), n);
+                    elapsed
+                })
+                .min()
+                .expect("three runs")
+        };
+        let small = check_time(2_000);
+        let large = check_time(8_000);
+        assert!(
+            large < small * 8,
+            "8,000 literals took {large:?}, 2,000 took {small:?}"
+        );
+    }
+
+    #[test]
+    fn string_ids_follow_first_appearance() {
+        let prog = check(
+            &parse(r#"void f() { char* s = "b"; s = "a"; s = "b"; s = "c"; s = "a"; }"#)
+                .expect("parses"),
+        )
+        .expect("checks");
+        assert_eq!(prog.strings, [b"b".to_vec(), b"a".to_vec(), b"c".to_vec()]);
     }
 
     #[test]

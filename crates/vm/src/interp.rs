@@ -13,10 +13,14 @@
 //! (`run_exec`) holds the current frame's op slice, register file and
 //! program counter in locals, reads every operand as a plain frame slot,
 //! and rebinds the frame only after a call, a return or a `longjmp`.
-//! Fuel and the instruction count tick once per IR instruction — twice
-//! for a fused check+access op — so a budget can run out between a check
-//! and its access in both lanes alike. The two produce identical
-//! traps, output, counters, cycles and final memory, which
+//! The lowering has fixed each hot op's operator, width and runtime
+//! helper, so its arm decides nothing at run time, and it has fused the
+//! hottest adjacent pairs (check+access, cmp+br, cast+gep, mov+jmp)
+//! into one op each. Fuel and the instruction count tick once per IR
+//! instruction — twice for a fused op, before each half — so a budget
+//! can run out between a check and its access, or a compare and its
+//! branch, in both lanes alike. The two produce identical traps, output,
+//! counters, cycles and final memory, which
 //! `tests/machine_differential.rs` pins.
 //!
 //! ## Control-flow realism
@@ -40,7 +44,7 @@
 //! hijacks; SoftBound-instrumented runs abort at the out-of-bounds store
 //! instead.
 
-use crate::exec::{global_layout_into, ExecCallee, ExecFunc, ExecModule, Op};
+use crate::exec::{global_layout_into, ExecCallee, ExecFunc, ExecModule, Op, Operands};
 use crate::mem::{decode_fn_addr, fn_addr, Heap, Mem, GLOBAL_BASE, STACK_BASE};
 use crate::rt::{
     CacheConfig, CacheSim, ExecStats, NoRuntime, Outcome, RtCtx, RtVals, RuntimeHooks, Trap,
@@ -990,11 +994,13 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
     /// disjoint from `frames`, so it stays usable while the frame is
     /// borrowed.
     ///
-    /// The fused check+access superinstructions account for *both*
-    /// halves — two fuel ticks, two instruction counts, the check's
-    /// runtime cost plus the access's cycle — in the oracle's exact
-    /// order, including the possibility of fuel exhausting between the
-    /// check and the access. Only the dispatch is paid once.
+    /// The lowering has already chosen each op's operator, width and
+    /// runtime helper, so an arm runs one form with nothing left to
+    /// decide. A fused op runs both of its instructions in the oracle's
+    /// exact order: a fuel check and an instruction tick before each, each
+    /// one's cycles in turn, and nothing of the second when the first
+    /// traps — so fuel can run out between the halves in both lanes alike.
+    /// Only the dispatch is paid once.
     fn run_exec(&mut self, fid: FuncId, args: &[i64]) -> Result<Flow, Trap> {
         let exec: &'m ExecModule = self.exec.expect("exec attached");
         let fuel_end = self.fuel_end;
@@ -1005,47 +1011,111 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
             let ops = &func.ops[..];
             let regs = &mut frame.regs[..];
             let mut pc = frame.idx;
+            // The fuel check and tick before each IR instruction: the
+            // dispatch runs it for an op's first, a fused op for its
+            // second.
+            macro_rules! tick {
+                () => {
+                    if self.stats.insts == fuel_end {
+                        return Err(Trap::FuelExhausted);
+                    }
+                    self.stats.insts += 1;
+                };
+            }
+            // An arithmetic op of its own: `lhs.$f(rhs)` on the operands
+            // truncated to `$t`, then extended back — `eval_bin` at the
+            // op's operator and kind.
+            macro_rules! arith {
+                ($o:expr, $t:ty, $f:ident, $cost:ident) => {{
+                    let Operands { dst, lhs, rhs } = $o;
+                    regs[dst as usize] =
+                        (regs[lhs as usize] as $t).$f(regs[rhs as usize] as $t) as i64;
+                    self.stats.cycles += COST_MODEL.$cost;
+                }};
+            }
+            // Runtime helper `$rt` on the values of slots `$args`.
+            macro_rules! helper {
+                ($rt:expr, [$($arg:expr),*]) => {
+                    rt_call(
+                        &mut self.hooks,
+                        &mut self.stats,
+                        &mut self.ctx,
+                        $rt,
+                        &[$(regs[$arg as usize]),*],
+                    )?
+                };
+            }
             loop {
-                if self.stats.insts == fuel_end {
-                    return Err(Trap::FuelExhausted);
-                }
-                self.stats.insts += 1;
+                tick!();
                 let op = ops[pc];
                 pc += 1;
                 match op {
-                    Op::Bin {
-                        dst,
-                        op,
-                        k,
-                        lhs,
-                        rhs,
-                    } => {
-                        let (a, b) = (regs[lhs as usize], regs[rhs as usize]);
-                        regs[dst as usize] = eval_bin(op, k, a, b).ok_or(Trap::DivByZero)?;
+                    Op::Bin { op, k, o } => {
+                        let (a, b) = (regs[o.lhs as usize], regs[o.rhs as usize]);
+                        regs[o.dst as usize] = eval_bin(op, k, a, b).ok_or(Trap::DivByZero)?;
                         self.stats.cycles += match op {
                             sb_ir::ArithOp::Mul => COST_MODEL.mul,
                             sb_ir::ArithOp::Div | sb_ir::ArithOp::Rem => COST_MODEL.div,
                             _ => COST_MODEL.alu,
                         };
                     }
-                    Op::Cmp {
-                        dst,
+                    Op::AddI32(o) => arith!(o, i32, wrapping_add, alu),
+                    Op::SubI32(o) => arith!(o, i32, wrapping_sub, alu),
+                    Op::MulI32(o) => arith!(o, i32, wrapping_mul, mul),
+                    Op::AddI64(o) => arith!(o, i64, wrapping_add, alu),
+                    Op::SubI64(o) => arith!(o, i64, wrapping_sub, alu),
+                    Op::MulI64(o) => arith!(o, i64, wrapping_mul, mul),
+                    Op::Cmp { op, k, o } => {
+                        regs[o.dst as usize] =
+                            eval_cmp(op, k, regs[o.lhs as usize], regs[o.rhs as usize]);
+                        self.stats.cycles += COST_MODEL.cmp;
+                    }
+                    Op::CmpBranch {
                         op,
                         k,
-                        lhs,
-                        rhs,
+                        o,
+                        then_t,
+                        else_t,
                     } => {
-                        regs[dst as usize] =
-                            eval_cmp(op, k, regs[lhs as usize], regs[rhs as usize]);
+                        let c = eval_cmp(op, k, regs[o.lhs as usize], regs[o.rhs as usize]);
+                        regs[o.dst as usize] = c;
                         self.stats.cycles += COST_MODEL.cmp;
+                        tick!();
+                        pc = if c != 0 { then_t } else { else_t } as usize;
+                        self.stats.cycles += COST_MODEL.branch;
                     }
                     Op::Cast { dst, k, src } => {
                         regs[dst as usize] = k.wrap(regs[src as usize]);
                         self.stats.cycles += COST_MODEL.cast;
                     }
+                    Op::CastGep {
+                        k,
+                        src,
+                        index,
+                        dst,
+                        base,
+                        scale,
+                        offset,
+                    } => {
+                        let i = k.wrap(regs[src as usize]);
+                        regs[index as usize] = i;
+                        self.stats.cycles += COST_MODEL.cast;
+                        tick!();
+                        regs[dst as usize] = regs[base as usize]
+                            .wrapping_add(i.wrapping_mul(scale as i64))
+                            .wrapping_add(offset as i64);
+                        self.stats.cycles += COST_MODEL.gep;
+                    }
                     Op::Mov { dst, src } => {
                         regs[dst as usize] = regs[src as usize];
                         self.stats.cycles += COST_MODEL.mov;
+                    }
+                    Op::MovJump { dst, src, target } => {
+                        regs[dst as usize] = regs[src as usize];
+                        self.stats.cycles += COST_MODEL.mov;
+                        tick!();
+                        pc = target as usize;
+                        self.stats.cycles += COST_MODEL.jmp;
                     }
                     Op::Alloca { dst } => {
                         debug_assert_ne!(
@@ -1087,10 +1157,7 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
                         )?;
                         // Second half: the guarded load, with its own fuel
                         // and instruction tick.
-                        if self.stats.insts == fuel_end {
-                            return Err(Trap::FuelExhausted);
-                        }
-                        self.stats.insts += 1;
+                        tick!();
                         regs[dst as usize] =
                             load(&mut self.mem, &mut self.stats, &mut self.ctx, p as u64, mem)?;
                     }
@@ -1115,10 +1182,7 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
                             RtFn::SbCheck { is_store: true },
                             &avs,
                         )?;
-                        if self.stats.insts == fuel_end {
-                            return Err(Trap::FuelExhausted);
-                        }
-                        self.stats.insts += 1;
+                        tick!();
                         store(
                             &mut self.mem,
                             &mut self.stats,
@@ -1157,6 +1221,27 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
                         self.stats.cycles += COST_MODEL.branch;
                     }
                     Op::Unreachable => return Err(Trap::Unreachable),
+                    Op::SbCheck {
+                        is_store,
+                        ptr,
+                        base,
+                        bound,
+                        size,
+                    } => {
+                        helper!(RtFn::SbCheck { is_store }, [ptr, base, bound, size]);
+                    }
+                    Op::SbMetaLoad {
+                        addr,
+                        base_dst,
+                        bound_dst,
+                    } => {
+                        let [base, bound] = helper!(RtFn::SbMetaLoad, [addr]);
+                        regs[base_dst as usize] = base;
+                        regs[bound_dst as usize] = bound;
+                    }
+                    Op::SbMetaStore { addr, base, bound } => {
+                        helper!(RtFn::SbMetaStore, [addr, base, bound]);
+                    }
                     Op::Rt { rt, args, dsts } => {
                         let srcs = &func.vals[args.range()];
                         debug_assert!(srcs.len() <= 8, "rt call with {} args", srcs.len());

@@ -29,11 +29,14 @@
 use sb_baselines::{
     FatPtrRuntime, MsccRuntime, ObjectScheme, ObjectTableRuntime, Scheme, ValgrindRuntime,
 };
-use sb_vm::{CacheConfig, CacheStats, MachineConfig, NoRuntime, Outcome, RuntimeHooks, Trap};
+use sb_vm::{
+    CacheConfig, CacheStats, Machine, MachineConfig, NoRuntime, Op, Outcome, RuntimeHooks, Trap,
+};
 use softbound::{
     Engine, EvidenceRecord, MetadataFacility, PolicyAction, Program, SoftBoundConfig,
     SoftBoundRuntime, ViolationPolicy,
 };
+use std::collections::BTreeSet;
 
 /// Everything a lane exposes for comparison.
 #[derive(Debug, Clone, PartialEq)]
@@ -824,13 +827,38 @@ fn fuel_obs(program: &Program, fuel: u64, predecoded: bool) -> FuelObs {
     }
 }
 
+/// A fused op's label in the fuel sweep: its variant, and the access
+/// width of a check+access op.
+fn fused_label(op: &Op) -> String {
+    match op {
+        Op::CheckLoad { mem, .. } => format!("CheckLoad {mem:?}"),
+        Op::CheckStore { mem, .. } => format!("CheckStore {mem:?}"),
+        op => {
+            let s = format!("{op:?}");
+            s[..s.find([' ', '(']).unwrap_or(s.len())].to_owned()
+        }
+    }
+}
+
+/// The instruction count at which the pre-decoded run of `main` first
+/// reaches op `at` of function `f`, if it does: the run with that op
+/// replaced by `Unreachable` traps there, after one tick for it.
+fn first_reached(program: &Program, f: usize, at: usize) -> Option<u64> {
+    let mut exec = program.exec().clone();
+    exec.funcs[f].ops[at] = Op::Unreachable;
+    let rt = SoftBoundRuntime::new_paged(&SoftBoundConfig::full_shadow());
+    let mut machine = Machine::new(program.module(), MachineConfig::default(), rt);
+    machine.attach_exec(&exec);
+    let r = machine.run_predecoded("main", &[4]);
+    (r.outcome == Outcome::Trapped(Trap::Unreachable)).then_some(r.stats.insts)
+}
+
 #[test]
 fn fuel_runs_out_on_the_same_instruction_in_both_lanes() {
     // The pre-decoded loop ticks fuel once per IR instruction, twice per
-    // fused check+access op. Sweep every budget from 0 to a whole run
-    // and require both lanes to stop on the same instruction with the
-    // same counters, including the budgets that end between a fused
-    // check and the access it guards.
+    // fused op. Sweep every budget from 0 to a whole run and require both
+    // lanes to stop on the same instruction with the same counters,
+    // including the budgets that end between the halves of a fused op.
     let programs = [
         (
             "fused check+load/store loop",
@@ -881,7 +909,26 @@ fn fuel_runs_out_on_the_same_instruction_in_both_lanes() {
                 write: true,
             }),
         ),
+        (
+            "every fused pair: cmp+br, cast+gep, mov+jmp, 32- and 64-bit checks",
+            r#"
+            int main(int n) {
+                int* a = (int*)malloc(4 * sizeof(int));
+                long* b = (long*)malloc(4 * sizeof(long));
+                long s = 0;
+                for (int i = 0; i < 4; i = i + 1) {
+                    a[i] = i * n;
+                    b[i] = a[i] + s;
+                    s = s + b[i];
+                }
+                return (int)s;
+            }
+            "#,
+            Outcome::Finished { ret: 44 },
+        ),
     ];
+    // The fused ops some budget ends inside of, across the programs.
+    let mut split_kinds = BTreeSet::new();
     for (name, src, expected) in programs {
         let program = Engine::new()
             .softbound_config(SoftBoundConfig::full_shadow())
@@ -917,6 +964,31 @@ fn fuel_runs_out_on_the_same_instruction_in_both_lanes() {
         assert!(
             split > 0,
             "{name}: no budget ends inside a check+access pair"
+        );
+        // Budget `t` ends between the halves of a fused op whose first
+        // instruction is the `t`-th to run, unless the run ends there.
+        for (f, ef) in program.exec().funcs.iter().enumerate() {
+            for (at, op) in ef.ops.iter().enumerate() {
+                if op.insts() == 2
+                    && first_reached(&program, f, at).is_some_and(|t| t < whole.insts)
+                {
+                    split_kinds.insert(fused_label(op));
+                }
+            }
+        }
+    }
+    for kind in [
+        "CheckLoad I32",
+        "CheckStore I32",
+        "CheckLoad I64",
+        "CheckStore I64",
+        "CmpBranch",
+        "CastGep",
+        "MovJump",
+    ] {
+        assert!(
+            split_kinds.contains(kind),
+            "no budget ends inside a {kind} op (split: {split_kinds:?})"
         );
     }
 }
